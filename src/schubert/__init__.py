@@ -22,7 +22,6 @@ from .charring import (
 from .cohomology import (
     euler_char,
     h0_line,
-    kernel_char,
     ss_nonempty,
     tangent_h0_char,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "weyl_dim",
     "euler_char",
     "h0_line",
-    "kernel_char",
     "ss_nonempty",
     "tangent_h0_char",
     "CoxeterAnalysis",

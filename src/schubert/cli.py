@@ -11,81 +11,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from . import __version__, cohomology, coxeter
+from . import __version__
 from .charring import char_sorted_terms, char_to_str, demazure_along_word, e
-from .report import Report, canonical_json, labeling_table
+from .report import CHECKS, Report, canonical_json, labeling_table, precheck, run_check
 from .rootsys import Root, RootSystem, Weight, build
 from .weyl import DEFAULT_GUARD, GUARD_ENV_VAR, GuardExceeded, resolve_guard
 
-__all__ = ["main", "run_check", "CHECK_ORDER", "check_applicability"]
-
-CHECK_ORDER = (
-    "thmA",
-    "thm42",
-    "thmB",
-    "prop51",
-    "lemma26",
-    "lemma54_56",
-    "thmC_typeA",
-    "cor52_53_58",
-    "lemma61",
-    "remarkB2",
-)
-
-_SL_ONLY = ("thmA", "thm42", "lemma26", "lemma54_56", "cor52_53_58")
-_TWO_LENGTHS_ONLY = ("thmB", "lemma61")
-
-
-def check_applicability(ct, check_id: str) -> str | None:
-    """None when the check applies to the type, else the reason it does not."""
-    if check_id in _SL_ONLY:
-        return None if ct.simply_laced else "requires a simply-laced type"
-    if check_id in _TWO_LENGTHS_ONLY:
-        return None if not ct.simply_laced else "requires two root lengths"
-    if check_id == "prop51":
-        return None
-    if check_id == "thmC_typeA":
-        return None if ct.family == "A" else "specific to type A"
-    if check_id == "remarkB2":
-        ok = ct.family == "B" and ct.rank == 2
-        return None if ok else "specific to B2"
-    raise ValueError(f"unknown check {check_id!r}")
-
-
-def run_check(rs: RootSystem, check_id: str, guard: int | None = None,
-              alpha: int | None = None) -> Report:
-    if alpha is not None and check_id != "thm42":
-        raise ValueError("--alpha applies to thm42 only")
-    if check_id == "thmA":
-        return cohomology.verify_thmA(rs, guard=guard)
-    if check_id == "thm42":
-        return cohomology.verify_thm42(rs, alpha=alpha, guard=guard)
-    if check_id == "thmB":
-        return cohomology.verify_thmB_criterion(rs, guard=guard)
-    if check_id == "prop51":
-        return coxeter.verify_prop51(rs, guard=guard)
-    if check_id == "lemma26":
-        return cohomology.verify_lemma26(rs)
-    if check_id == "lemma54_56":
-        return coxeter.verify_lemma54_55_56(rs, guard=guard)
-    if check_id == "thmC_typeA":
-        return coxeter.verify_thmC_typeA(rs, guard=guard)
-    if check_id == "cor52_53_58":
-        return coxeter.verify_cor52_53_58(rs, guard=guard)
-    if check_id == "lemma61":
-        return cohomology.verify_lemma61(rs)
-    if check_id == "remarkB2":
-        return cohomology.remark_b2_check(rs)
-    raise ValueError(f"unknown check {check_id!r}")
-
-
-def _sweep_job(type_str: str, check_id: str, guard: int | None) -> Report:
-    # top level so ProcessPoolExecutor can pickle the call
-    return run_check(build(type_str), check_id, guard=guard)
+__all__ = ["main", "pool_size"]
 
 
 # ---------------------------------------------------------------- parsing
@@ -269,36 +206,38 @@ def cmd_demazure(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    rs = build(args.type)
-    reason = check_applicability(rs.ct, args.check)
-    if reason is not None:
-        print(f"error: {args.check} does not apply to {rs.ct}: {reason}",
-              file=sys.stderr)
-        return 2
+def pool_size(workers: int, tasks: int, cpus: int | None) -> int:
+    """Processes for a sweep: never more than its checks or the CPUs."""
+    if workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {workers}")
+    return min(workers, tasks, cpus or 1)
+
+
+def _run_checks(args, rs: RootSystem, check_ids: list[str],
+                alpha: int | None = None, workers: int = 1) -> int:
+    """Precheck every check before running any, then run and render them."""
     guard = resolve_guard(args.guard)
-    rep = run_check(rs, args.check, guard=guard, alpha=args.alpha)
-    _emit(_render_reports([rep], args.format, rs), args.out)
-    return 0 if rep.passed else 1
+    for check_id in check_ids:
+        precheck(check_id, rs.ct, guard, alpha)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(run_check, rs, c, guard, alpha) for c in check_ids]
+            reports = [f.result() for f in futures]
+    else:
+        reports = [run_check(rs, c, guard, alpha) for c in check_ids]
+    _emit(_render_reports(reports, args.format, rs), args.out)
+    return 0 if all(rep.passed for rep in reports) else 1
+
+
+def cmd_verify(args) -> int:
+    return _run_checks(args, build(args.type), [args.check], alpha=args.alpha)
 
 
 def cmd_sweep(args) -> int:
     rs = build(args.type)
-    guard = resolve_guard(args.guard)
-    if rs.ct.weyl_order > guard:
-        print(f"error: |W({rs.ct})| = {rs.ct.weyl_order} exceeds the guard "
-              f"{guard}; raise --guard or {GUARD_ENV_VAR} to proceed",
-              file=sys.stderr)
-        return 2
-    checks = [c for c in CHECK_ORDER if check_applicability(rs.ct, c) is None]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futures = [pool.submit(_sweep_job, args.type, c, guard) for c in checks]
-            reports = [f.result() for f in futures]
-    else:
-        reports = [run_check(rs, c, guard=guard) for c in checks]
-    _emit(_render_reports(reports, args.format, rs), args.out)
-    return 0 if all(rep.passed for rep in reports) else 1
+    check_ids = [c.id for c in CHECKS if c.applies(rs.ct) is None]
+    workers = pool_size(args.workers, len(check_ids), os.cpu_count())
+    return _run_checks(args, rs, check_ids, workers=workers)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,8 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write output to PATH instead of stdout")
         if with_guard:
             sp.add_argument("--guard", type=int, metavar="N",
-                            help=f"largest |W| to enumerate (default "
-                                 f"{DEFAULT_GUARD}, env {GUARD_ENV_VAR})")
+                            help=f"largest universe a check may enumerate, "
+                                 f"|W| or n! (default {DEFAULT_GUARD}, "
+                                 f"env {GUARD_ENV_VAR})")
 
     sp = sub.add_parser("roots", help="print the root-system summary")
     add_common(sp)
@@ -341,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="weight in simple-root coordinates")
 
     sp = sub.add_parser("verify", help="run one named check")
-    sp.add_argument("check", choices=CHECK_ORDER)
+    sp.add_argument("check", choices=[c.id for c in CHECKS])
     add_common(sp, with_guard=True)
     sp.add_argument("--alpha", type=int, metavar="I",
                     help="restrict thm42 to one simple root (1-based)")

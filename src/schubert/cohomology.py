@@ -15,13 +15,11 @@ below is explicitly exploratory and never labels Euler data as an h^0.
 
 from __future__ import annotations
 
-import time
 from typing import Iterable
 
 from . import weyl
 from .charring import (Character, adjoint_character, char_to_str,
                        demazure_along_word, e)
-from .report import Report
 from .rootsys import Root, RootSystem, Weight
 from .weyl import WeylElement, bruhat_leq, enumerate_group, min_parabolic_rep
 
@@ -30,7 +28,6 @@ __all__ = [
     "h0_line",
     "ss_nonempty",
     "tangent_h0_char",
-    "kernel_char",
     "verify_thmA",
     "verify_thm42",
     "verify_thmB_criterion",
@@ -38,7 +35,6 @@ __all__ = [
     "lemma61_search",
     "verify_lemma61",
     "remark_b2_check",
-    "bruhat_monotonicity_findings",
 ]
 
 
@@ -89,19 +85,7 @@ def tangent_h0_char(rs: RootSystem, tau: WeylElement) -> Character:
     return total
 
 
-def kernel_char(rs: RootSystem, tau: WeylElement) -> Character:
-    """adjoint minus tangent_h0; a negative multiplicity is an engine failure."""
-    diff = adjoint_character(rs) - tangent_h0_char(rs, tau)
-    if not diff.is_effective():
-        raise AssertionError("engine failure: tangent character exceeds adjoint")
-    return diff
-
-
-def _word(w: WeylElement) -> list[int]:
-    return list(w.reduced_word())
-
-
-def verify_thmA(rs: RootSystem, guard: int | None = None) -> Report:
+def verify_thmA(rs: RootSystem, guard: int | None = None) -> tuple[int, list, dict]:
     """Sweep the whole Weyl group for the adjoint-tangent equivalence.
 
     For every tau the sweep checks that H^0 of the restricted tangent
@@ -109,9 +93,6 @@ def verify_thmA(rs: RootSystem, guard: int | None = None) -> Report:
     of X(tau^{-1}) is nonempty, and that the kernel character stays
     effective throughout.
     """
-    if not rs.simply_laced:
-        raise ValueError("thmA sweep requires a simply-laced type")
-    start = time.perf_counter()
     adjoint = adjoint_character(rs)
     counterexamples: list[dict] = []
     n_equal = 0
@@ -128,34 +109,24 @@ def verify_thmA(rs: RootSystem, guard: int | None = None) -> Report:
         n_ss += criterion
         if is_full != criterion:
             counterexamples.append({
-                "tau_word": _word(tau),
-                "tau_inv_word": _word(tau.inverse()),
+                "tau_word": list(tau.reduced_word()),
+                "tau_inv_word": list(tau.inverse().reduced_word()),
                 "tangent_equals_adjoint": is_full,
                 "ss_nonempty": criterion,
                 "kernel": char_to_str(rs, kernel),
             })
-    return Report(
-        check_id="thmA",
-        cartan_type=str(rs.ct),
-        universe_size=len(elements),
-        passed=not counterexamples,
-        counterexamples=counterexamples,
-        elapsed=time.perf_counter() - start,
-        details={"full_tangent_count": n_equal, "ss_count": n_ss},
-    )
+    return (len(elements), counterexamples,
+            {"full_tangent_count": n_equal, "ss_count": n_ss})
 
 
 def verify_thm42(rs: RootSystem, alpha: int | None = None,
-                 guard: int | None = None) -> Report:
+                 guard: int | None = None) -> tuple[int, list, dict]:
     """Check both clauses above the minimal parabolic representative.
 
     For every simple alpha (or one fixed alpha) and every tau above
     w_alpha in Bruhat order: the inversion-set sum of h0 lines equals the
     adjoint character, and every other positive root contributes zero.
     """
-    if not rs.simply_laced:
-        raise ValueError("thm42 sweep requires a simply-laced type")
-    start = time.perf_counter()
     adjoint = adjoint_character(rs)
     alphas = [alpha] if alpha is not None else list(range(1, rs.rank + 1))
     counterexamples: list[dict] = []
@@ -175,8 +146,8 @@ def verify_thm42(rs: RootSystem, alpha: int | None = None,
             if total != adjoint:
                 counterexamples.append({
                     "alpha": a,
-                    "tau_word": _word(tau),
-                    "tau_inv_word": _word(tau.inverse()),
+                    "tau_word": list(tau.reduced_word()),
+                    "tau_inv_word": list(tau.inverse().reduced_word()),
                     "clause": "inversion-sum",
                     "difference": char_to_str(rs, adjoint - total),
                 })
@@ -187,35 +158,25 @@ def verify_thm42(rs: RootSystem, alpha: int | None = None,
                 if not extra.is_zero:
                     counterexamples.append({
                         "alpha": a,
-                        "tau_word": _word(tau),
-                        "tau_inv_word": _word(tau.inverse()),
+                        "tau_word": list(tau.reduced_word()),
+                        "tau_inv_word": list(tau.inverse().reduced_word()),
                         "clause": "outside-vanishing",
                         "beta": list(beta.coords),
                         "h0": char_to_str(rs, extra),
                     })
-    return Report(
-        check_id="thm42",
-        cartan_type=str(rs.ct),
-        universe_size=universe,
-        passed=not counterexamples,
-        counterexamples=counterexamples,
-        elapsed=time.perf_counter() - start,
-        details={"elements_above_w_alpha": per_alpha},
-    )
+    return universe, counterexamples, {"elements_above_w_alpha": per_alpha}
 
 
-def verify_thmB_criterion(rs: RootSystem, guard: int | None = None) -> Report:
+def verify_thmB_criterion(rs: RootSystem,
+                          guard: int | None = None) -> tuple[int, list, dict]:
     """Exploratory non-simply-laced sweep of Euler data against the criterion.
 
     Computes E(tau) = sum of chi(tau, e^beta) over positive beta for every
     tau and records, per element, whether E equals the adjoint character,
     whether the semistable criterion holds for tau^{-1}, and whether E has
     a negative multiplicity (which certifies nonvanishing H^1).  No
-    theorem equivalence is asserted; passed only means the sweep ran.
+    theorem equivalence is asserted, so there are never counterexamples.
     """
-    if rs.simply_laced:
-        raise ValueError("thmB criterion sweep targets non-simply-laced types")
-    start = time.perf_counter()
     adjoint = adjoint_character(rs)
     rows = []
     flagged = []
@@ -231,36 +192,25 @@ def verify_thmB_criterion(rs: RootSystem, guard: int | None = None) -> Report:
         if equals_adjoint != criterion:
             agree_everywhere = False
         row = {
-            "tau_word": _word(tau),
-            "tau_inv_word": _word(tau.inverse()),
+            "tau_word": list(tau.reduced_word()),
+            "tau_inv_word": list(tau.inverse().reduced_word()),
             "euler_equals_adjoint": equals_adjoint,
             "ss_nonempty": criterion,
             "has_negative_multiplicity": has_negative,
         }
         rows.append(row)
         if has_negative:
-            flagged.append({"tau_word": _word(tau),
+            flagged.append({"tau_word": list(tau.reduced_word()),
                             "euler": char_to_str(rs, total)})
-    return Report(
-        check_id="thmB",
-        cartan_type=str(rs.ct),
-        universe_size=len(elements),
-        passed=True,
-        counterexamples=[],
-        elapsed=time.perf_counter() - start,
-        details={
-            "rows": rows,
-            "flagged_negative": flagged,
-            "criterion_matches_euler_everywhere": agree_everywhere,
-        },
-    )
+    return len(elements), [], {
+        "rows": rows,
+        "flagged_negative": flagged,
+        "criterion_matches_euler_everywhere": agree_everywhere,
+    }
 
 
-def verify_lemma26(rs: RootSystem) -> Report:
+def verify_lemma26(rs: RootSystem) -> tuple[int, list, dict]:
     """Simply-laced pairing bound: <beta, alpha_vee> in {-1,0,1} off +-alpha."""
-    if not rs.simply_laced:
-        raise ValueError("the pairing bound holds for simply-laced types only")
-    start = time.perf_counter()
     counterexamples = []
     universe = 0
     for i in range(1, rs.rank + 1):
@@ -276,14 +226,7 @@ def verify_lemma26(rs: RootSystem) -> Report:
                     "beta": list(beta.coords),
                     "pairing": val,
                 })
-    return Report(
-        check_id="lemma26",
-        cartan_type=str(rs.ct),
-        universe_size=universe,
-        passed=not counterexamples,
-        counterexamples=counterexamples,
-        elapsed=time.perf_counter() - start,
-    )
+    return universe, counterexamples, {}
 
 
 def lemma61_search(rs: RootSystem) -> dict | None:
@@ -315,8 +258,7 @@ def lemma61_search(rs: RootSystem) -> dict | None:
     return None
 
 
-def verify_lemma61(rs: RootSystem) -> Report:
-    start = time.perf_counter()
+def verify_lemma61(rs: RootSystem) -> tuple[int, list, dict]:
     found = lemma61_search(rs)
     counterexamples = []
     if found is None:
@@ -324,15 +266,7 @@ def verify_lemma61(rs: RootSystem) -> Report:
             "nu": list(rs.highest_short_root.coords),
             "reason": "no simple alpha with s_alpha . nu a positive root",
         })
-    return Report(
-        check_id="lemma61",
-        cartan_type=str(rs.ct),
-        universe_size=rs.rank,
-        passed=found is not None,
-        counterexamples=counterexamples,
-        elapsed=time.perf_counter() - start,
-        details=found or {},
-    )
+    return rs.rank, counterexamples, found or {}
 
 
 def borel_character(rs: RootSystem) -> Character:
@@ -343,7 +277,7 @@ def borel_character(rs: RootSystem) -> Character:
     return Character(terms)
 
 
-def remark_b2_check(rs: RootSystem) -> Report:
+def remark_b2_check(rs: RootSystem) -> tuple[int, list, dict]:
     """Regression check of the B2 boundary example tau = s1 s2 s1.
 
     E = chi(tau, char b) is computed by the string formula; the H^0
@@ -351,9 +285,6 @@ def remark_b2_check(rs: RootSystem) -> Report:
     char b.  The expected E is additionally frozen in the test suite from
     an independent pre-build evaluation.
     """
-    if str(rs.ct) != "B2":
-        raise ValueError("this regression check is specific to B2")
-    start = time.perf_counter()
     tau = weyl.from_word(rs, (1, 2, 1))
     char_b = borel_character(rs)
     euler = euler_char(rs, tau, char_b)
@@ -372,42 +303,9 @@ def remark_b2_check(rs: RootSystem) -> Report:
             "candidate": char_to_str(rs, candidate),
             "char_b": char_to_str(rs, char_b),
         })
-    return Report(
-        check_id="remarkB2",
-        cartan_type=str(rs.ct),
-        universe_size=1,
-        passed=not counterexamples,
-        counterexamples=counterexamples,
-        elapsed=time.perf_counter() - start,
-        details={
-            "tau_word": [1, 2, 1],
-            "euler": char_to_str(rs, euler),
-            "h0_candidate": char_to_str(rs, candidate),
-        },
-    )
+    return 1, counterexamples, {
+        "tau_word": [1, 2, 1],
+        "euler": char_to_str(rs, euler),
+        "h0_candidate": char_to_str(rs, candidate),
+    }
 
-
-def bruhat_monotonicity_findings(rs: RootSystem,
-                                 guard: int | None = None) -> list[dict]:
-    """Sanity scan: dim tangent_h0 should not drop along Bruhat covers.
-
-    Returns findings instead of raising; an empty list means no violation
-    was observed.
-    """
-    if not rs.simply_laced:
-        raise ValueError("tangent characters need a simply-laced type")
-    elements = list(enumerate_group(rs, guard))
-    dims = {w.matrix: tangent_h0_char(rs, w).dimension() for w in elements}
-    findings = []
-    for w in elements:
-        lw = w.length
-        for u in elements:
-            if u.length == lw - 1 and bruhat_leq(u, w):
-                if dims[u.matrix] > dims[w.matrix]:
-                    findings.append({
-                        "lower_word": _word(u),
-                        "upper_word": _word(w),
-                        "lower_dim": dims[u.matrix],
-                        "upper_dim": dims[w.matrix],
-                    })
-    return findings

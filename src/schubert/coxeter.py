@@ -9,7 +9,6 @@ numbering of the roots sitting at those positions.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
@@ -17,7 +16,6 @@ from typing import Sequence
 from . import weyl
 from .charring import Character, adjoint_character, char_to_str, e
 from .cohomology import euler_char, h0_line, ss_nonempty
-from .report import Report
 from .rootsys import Root, RootSystem
 from .weyl import WeylElement, bruhat_leq, coxeter_elements, element_order, from_word
 
@@ -176,9 +174,8 @@ def is_typeA_extremal(rs: RootSystem, c: WeylElement) -> bool:
     return by_word
 
 
-def verify_prop51(rs: RootSystem, guard: int | None = None) -> Report:
+def verify_prop51(rs: RootSystem) -> tuple[int, list, dict]:
     """Orbit exponents exist below h for every Coxeter element and alpha."""
-    start = time.perf_counter()
     counterexamples = []
     rows = []
     elements = coxeter_elements(rs)
@@ -195,21 +192,13 @@ def verify_prop51(rs: RootSystem, guard: int | None = None) -> Report:
                 })
                 continue
             rows.append({"c_word": list(word), "alpha": alpha, "j": j})
-    return Report(
-        check_id="prop51",
-        cartan_type=str(rs.ct),
-        universe_size=len(elements) * rs.rank,
-        passed=not counterexamples,
-        counterexamples=counterexamples,
-        elapsed=time.perf_counter() - start,
-        details={
-            "coxeter_number": element_order(elements[0][0]),
-            "rows": rows,
-        },
-    )
+    return len(elements) * rs.rank, counterexamples, {
+        "coxeter_number": element_order(elements[0][0]),
+        "rows": rows,
+    }
 
 
-def verify_lemma54_55_56(rs: RootSystem, guard: int | None = None) -> Report:
+def verify_lemma54_55_56(rs: RootSystem) -> tuple[int, list, dict]:
     """Exhaustive per-ordering checks of the simple-image combinatorics.
 
     For every ordering of the simple roots: the simple-image biconditional,
@@ -217,9 +206,6 @@ def verify_lemma54_55_56(rs: RootSystem, guard: int | None = None) -> Report:
     additivity of c = tau * phi, and the height inequality for positions
     whose reflection lies below tau.
     """
-    if not rs.simply_laced:
-        raise ValueError("these combinatorial lemmas assume a simply-laced type")
-    start = time.perf_counter()
     counterexamples = []
     n = rs.rank
     universe = 0
@@ -278,8 +264,8 @@ def verify_lemma54_55_56(rs: RootSystem, guard: int | None = None) -> Report:
         if analysis.c.length != analysis.tau.length + analysis.phi.length:
             counterexamples.append({
                 "ordering": list(perm), "clause": "length-additivity",
-                "tau_word": _wordlist(analysis.tau),
-                "phi_word": _wordlist(analysis.phi),
+                "tau_word": list(analysis.tau.reduced_word()),
+                "phi_word": list(analysis.phi.reduced_word()),
             })
 
         # height comparison for positions whose reflection is below tau
@@ -294,14 +280,7 @@ def verify_lemma54_55_56(rs: RootSystem, guard: int | None = None) -> Report:
                     "ordering": list(perm), "clause": "height-comparison",
                     "r": r, "height_c": via_c, "height_phi": via_phi,
                 })
-    return Report(
-        check_id="lemma54_56",
-        cartan_type=str(rs.ct),
-        universe_size=universe,
-        passed=not counterexamples,
-        counterexamples=counterexamples,
-        elapsed=time.perf_counter() - start,
-    )
+    return universe, counterexamples, {}
 
 
 def _orbit_prefix(rs: RootSystem, c: WeylElement, root: Root, steps: int) -> list[Root]:
@@ -313,11 +292,7 @@ def _orbit_prefix(rs: RootSystem, c: WeylElement, root: Root, steps: int) -> lis
     return out
 
 
-def _wordlist(w: WeylElement) -> list[int]:
-    return list(w.reduced_word())
-
-
-def verify_thmC_typeA(rs: RootSystem, guard: int | None = None) -> Report:
+def verify_thmC_typeA(rs: RootSystem) -> tuple[int, list, dict]:
     """Type A powers of the staircase Coxeter element c = s_n ... s_1.
 
     Checks c^r = w_{alpha_r}, reads off the dot-action weight
@@ -325,9 +300,6 @@ def verify_thmC_typeA(rs: RootSystem, guard: int | None = None) -> Report:
     epsilon, and confirms chi(c^r, e^{that weight}) = (-1)^{l(c^r)} e^0.
     Non-extremal Coxeter elements get informational rows only.
     """
-    if rs.ct.family != "A":
-        raise ValueError("the staircase analysis is specific to type A")
-    start = time.perf_counter()
     n = rs.rank
     c = from_word(rs, tuple(range(n, 0, -1)))
     counterexamples = []
@@ -339,7 +311,7 @@ def verify_thmC_typeA(rs: RootSystem, guard: int | None = None) -> Report:
         if cr != w_r:
             counterexamples.append({
                 "r": r, "reason": "c^r is not the minimal representative",
-                "c_power_word": _wordlist(cr), "w_alpha_word": _wordlist(w_r),
+                "c_power_word": list(cr.reduced_word()), "w_alpha_word": list(w_r.reduced_word()),
             })
             continue
         lam = cr.inverse().dot(zero)
@@ -379,21 +351,13 @@ def verify_thmC_typeA(rs: RootSystem, guard: int | None = None) -> Report:
             "euler_is_signed_e0": chi == expected,
             "euler": char_to_str(rs, chi),
         })
-    return Report(
-        check_id="thmC_typeA",
-        cartan_type=str(rs.ct),
-        universe_size=n,
-        passed=not counterexamples,
-        counterexamples=counterexamples,
-        elapsed=time.perf_counter() - start,
-        details={
-            "epsilon": sorted(signs)[0] if len(signs) == 1 else None,
-            "nonextremal_rows": nonextremal_rows,
-        },
-    )
+    return n, counterexamples, {
+        "epsilon": sorted(signs)[0] if len(signs) == 1 else None,
+        "nonextremal_rows": nonextremal_rows,
+    }
 
 
-def verify_cor52_53_58(rs: RootSystem, guard: int | None = None) -> Report:
+def verify_cor52_53_58(rs: RootSystem) -> tuple[int, list, dict]:
     """Cyclic-group sweeps attached to each Coxeter element.
 
     Asserts for every Coxeter element that some power c^j (1 <= j < h)
@@ -403,9 +367,6 @@ def verify_cor52_53_58(rs: RootSystem, guard: int | None = None) -> Report:
     elements, where full degree-wise vanishing certifies them; other
     elements get informational rows.
     """
-    if not rs.simply_laced:
-        raise ValueError("these sweeps assume a simply-laced type")
-    start = time.perf_counter()
     adjoint = adjoint_character(rs)
     zero = rs.zero()
     counterexamples = []
@@ -466,12 +427,4 @@ def verify_cor52_53_58(rs: RootSystem, guard: int | None = None) -> Report:
             "ss_c": ss_nonempty(rs, c),
             "ss_c_inv": ss_nonempty(rs, c.inverse()),
         })
-    return Report(
-        check_id="cor52_53_58",
-        cartan_type=str(rs.ct),
-        universe_size=len(elements),
-        passed=not counterexamples,
-        counterexamples=counterexamples,
-        elapsed=time.perf_counter() - start,
-        details={"rows": rows},
-    )
+    return len(elements), counterexamples, {"rows": rows}

@@ -10,11 +10,10 @@ every enumeration in the engine deterministic.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
-from .rootsys import Root, RootSystem, Weight
+from .rootsys import Root, RootSystem, Weight, _invert_rational
 
 __all__ = [
     "WeylElement",
@@ -87,29 +86,11 @@ class WeylElement:
 
     def inverse(self) -> "WeylElement":
         if self._inverse is None:
-            n = len(self.matrix)
-            aug = [[Fraction(self.matrix[i][j]) for j in range(n)]
-                   + [Fraction(1 if i == k else 0) for k in range(n)]
-                   for i in range(n)]
-            for col in range(n):
-                piv = next(r for r in range(col, n) if aug[r][col] != 0)
-                aug[col], aug[piv] = aug[piv], aug[col]
-                p = aug[col][col]
-                aug[col] = [x / p for x in aug[col]]
-                for r in range(n):
-                    if r != col and aug[r][col] != 0:
-                        f = aug[r][col]
-                        aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-            inv = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    v = aug[i][n + j]
-                    if v.denominator != 1:
-                        raise AssertionError("non-integral Weyl matrix inverse")
-                    row.append(int(v))
-                inv.append(tuple(row))
-            self._inverse = WeylElement(self.rs, tuple(inv))
+            inv = _invert_rational(self.matrix)
+            if any(v.denominator != 1 for row in inv for v in row):
+                raise AssertionError("non-integral Weyl matrix inverse")
+            self._inverse = WeylElement(
+                self.rs, tuple(tuple(int(v) for v in row) for row in inv))
             self._inverse._inverse = self
         return self._inverse
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import random
 
-from schubert import Character, WeylElement, e, from_word
+from schubert import (Character, WeylElement, adjoint_character, bruhat_leq, e,
+                      enumerate_group, from_word, tangent_h0_char)
 from schubert.rootsys import RootSystem, Weight
 
 
@@ -38,3 +39,37 @@ def random_element(rs: RootSystem, rng: random.Random,
                    max_letters: int = 12) -> WeylElement:
     word = tuple(rng.randint(1, rs.rank) for _ in range(rng.randint(0, max_letters)))
     return from_word(rs, word)
+
+
+def kernel_char(rs: RootSystem, tau: WeylElement) -> Character:
+    """adjoint minus tangent_h0; a negative multiplicity is an engine failure."""
+    diff = adjoint_character(rs) - tangent_h0_char(rs, tau)
+    if not diff.is_effective():
+        raise AssertionError("engine failure: tangent character exceeds adjoint")
+    return diff
+
+
+def bruhat_monotonicity_findings(rs: RootSystem,
+                                 guard: int | None = None) -> list[dict]:
+    """Sanity scan: dim tangent_h0 should not drop along Bruhat covers.
+
+    Returns findings instead of raising; an empty list means no violation
+    was observed.
+    """
+    if not rs.simply_laced:
+        raise ValueError("tangent characters need a simply-laced type")
+    elements = list(enumerate_group(rs, guard))
+    dims = {w.matrix: tangent_h0_char(rs, w).dimension() for w in elements}
+    findings = []
+    for w in elements:
+        lw = w.length
+        for u in elements:
+            if u.length == lw - 1 and bruhat_leq(u, w):
+                if dims[u.matrix] > dims[w.matrix]:
+                    findings.append({
+                        "lower_word": list(u.reduced_word()),
+                        "upper_word": list(w.reduced_word()),
+                        "lower_dim": dims[u.matrix],
+                        "upper_dim": dims[w.matrix],
+                    })
+    return findings

@@ -31,20 +31,8 @@ from schubert import (
     tangent_h0_char,
     weyl_dim,
 )
-from schubert.cohomology import (
-    borel_character,
-    lemma61_search,
-    remark_b2_check,
-    verify_lemma26,
-    verify_thm42,
-    verify_thmA,
-)
-from schubert.coxeter import (
-    verify_cor52_53_58,
-    verify_lemma54_55_56,
-    verify_prop51,
-    verify_thmC_typeA,
-)
+from schubert.cohomology import borel_character, lemma61_search
+from schubert.report import run_check
 
 from helpers import random_small_character, subword_bruhat_leq
 
@@ -59,7 +47,7 @@ def test_01_adjoint_tangent_equivalence_sweep():
     budget = {"A2": 6, "A3": 24, "D4": 192, "A4": 120}
     d4_elapsed = None
     for name, order in budget.items():
-        rep = verify_thmA(build(name))
+        rep = run_check(build(name), "thmA")
         assert rep.passed, rep.counterexamples
         assert rep.universe_size == order
         if name == "D4":
@@ -85,7 +73,7 @@ def test_02_euler_positivity_on_positive_roots():
 def test_03_inversion_sum_and_outside_vanishing():
     total = 0
     for name in ("A2", "A3", "D4"):
-        rep = verify_thm42(build(name))
+        rep = run_check(build(name), "thm42")
         assert rep.passed, rep.counterexamples
         total += rep.universe_size
     report(f"inversion-set sums match the adjoint and vanish outside "
@@ -130,11 +118,11 @@ def test_05_word_independence_random_d4():
 
 def test_06_orbit_combinatorics_and_exponents():
     for name in ("A2", "A3", "D4"):
-        rep = verify_lemma54_55_56(build(name))
+        rep = run_check(build(name), "lemma54_56")
         assert rep.passed, rep.counterexamples
     exponents = 0
     for name in ("A2", "A3", "A4", "D4", "B2", "B3"):
-        rep = verify_prop51(build(name))
+        rep = run_check(build(name), "prop51")
         assert rep.passed, rep.counterexamples
         exponents += rep.universe_size
     report(f"simple-image/orthogonality/factorization lemmas hold for every "
@@ -145,7 +133,7 @@ def test_06_orbit_combinatorics_and_exponents():
 def test_07_staircase_powers_type_a():
     signs = set()
     for name in ("A1", "A2", "A3", "A4"):
-        rep = verify_thmC_typeA(build(name))
+        rep = run_check(build(name), "thmC_typeA")
         assert rep.passed, rep.counterexamples
         signs.add(rep.details["epsilon"])
     assert signs == {-1}
@@ -156,7 +144,7 @@ def test_07_staircase_powers_type_a():
 
 def test_08_cyclic_sums_extremal_type_a():
     for name in ("A2", "A3"):
-        rep = verify_cor52_53_58(build(name))
+        rep = run_check(build(name), "cor52_53_58")
         assert rep.passed, rep.counterexamples
         for row in rep.details["rows"]:
             assert row["min_full_power"] is not None
@@ -202,7 +190,7 @@ def test_10_b2_boundary_regression():
     candidate = chi + e(rs.weight_from_root_coords((-1, -1)))
     assert candidate.is_effective()
     assert candidate.termwise_leq(char_b)
-    rep = remark_b2_check(rs)
+    rep = run_check(rs, "remarkB2")
     assert rep.passed, rep.counterexamples
     assert rep.details["h0_candidate"] == "1*e[-1, 0]"
     report("B2 boundary example: chi(s1 s2 s1, char b) = 0 reproduces the "
@@ -232,7 +220,7 @@ def test_11_structural_invariants():
     swept = []
     for name in ("A1", "A2", "A3", "A4", "A5", "A6",
                  "D3", "D4", "D5", "D6", "E6"):
-        rep = verify_lemma26(build(name))
+        rep = run_check(build(name), "lemma26")
         assert rep.passed, name
         swept.append(name)
     report(f"root counts exact, |inversions| = length everywhere, Bruhat "

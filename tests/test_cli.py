@@ -1,11 +1,15 @@
 """CLI surface: parsing, rendering, exit codes, JSON schema."""
 
+import hashlib
 import json
+import re
+import time
 
 import pytest
 
-from schubert.cli import CHECK_ORDER, check_applicability, main
-from schubert.rootsys import CartanType
+from schubert.cli import main, pool_size
+from schubert.report import CHECKS, run_check
+from schubert.rootsys import CartanType, build
 
 ANCHOR = "1*e[1, -2] + 1*e[0, 0] + 1*e[-1, 2] + 1*e[2, -1] + 1*e[1, 1]"
 
@@ -153,8 +157,8 @@ def test_sweep_a2(capsys):
     code, out, _ = run(capsys, "sweep", "--type", "A2")
     assert code == 0
     lines = [ln for ln in out.splitlines() if ln and not ln.startswith(" ")]
-    applicable = [c for c in CHECK_ORDER
-                  if check_applicability(CartanType.parse("A2"), c) is None]
+    applicable = [c.id for c in CHECKS
+                  if c.applies(CartanType.parse("A2")) is None]
     assert len(lines) == len(applicable) == 7
     assert [ln.split()[0] for ln in lines] == applicable
 
@@ -203,4 +207,82 @@ def test_version_flag():
 
 def test_check_applicability_rejects_unknown():
     with pytest.raises(ValueError):
-        check_applicability(CartanType.parse("A2"), "bogus")
+        run_check(build("A2"), "bogus")
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (("verify", "prop51", "--type", "A11", "--guard", "100"), "guard"),
+    (("verify", "lemma54_56", "--type", "D9", "--guard", "100"), "guard"),
+    (("verify", "thmC_typeA", "--type", "A10", "--guard", "100"), "guard"),
+    (("verify", "thm42", "--type", "E6", "--alpha", "0"), "outside 1..6"),
+    (("verify", "thm42", "--type", "D5", "--alpha", "9"), "outside 1..5"),
+    (("sweep", "--type", "A2", "--workers", "0"), "--workers"),
+    (("sweep", "--type", "A2", "--workers", "-3"), "--workers"),
+])
+def test_bad_input_exits_before_any_work(capsys, argv, needle):
+    # each of these used to enumerate n! orderings or all of W first
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 5.0
+    assert code == 2 and out == ""
+    assert needle in err
+
+
+def test_check_costs():
+    costs = {c.id: c.cost(CartanType.parse("A4")) for c in CHECKS}
+    assert costs == {
+        "thmA": 120, "thm42": 120, "thmB": 120,
+        "prop51": 24, "lemma54_56": 24, "thmC_typeA": 24, "cor52_53_58": 24,
+        "lemma26": None, "lemma61": None, "remarkB2": None,
+    }
+
+
+@pytest.mark.parametrize("name", ["A1", "A8", "B2", "B8", "C5", "D4", "D8",
+                                  "E6", "E7", "E8", "F4", "G2"])
+def test_sweep_guard_is_the_weyl_order(name):
+    # sweep refuses a type exactly when |W| exceeds the guard
+    ct = CartanType.parse(name)
+    costs = [c.cost(ct) or 0 for c in CHECKS if c.applies(ct) is None]
+    assert max(costs) == ct.weyl_order
+
+
+def test_pool_size():
+    assert pool_size(1, 7, 2) == 1
+    assert pool_size(8, 7, 2) == 2
+    assert pool_size(8, 3, 16) == 3
+    assert pool_size(4, 7, None) == 1
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            pool_size(bad, 7, 2)
+
+
+# sha256 of stdout with elapsed_ms and the table's ms column masked,
+# recorded before the check table replaced the per-check registries
+GOLDEN = {
+    (("sweep", "--type", "B2"), "table"):
+        "217836b8ca0cf21e431a6f15320fb059cda0171d32f4b9b1e0f0571f8356e937",
+    (("sweep", "--type", "B2"), "json"):
+        "3984866452e9a0e4b1b4d966342daa7195fda25ccaf8576566a7561cb8456e31",
+    (("sweep", "--type", "G2"), "table"):
+        "da201567af4076b876059c4e3f7635d0c154c7f7ec50050f2ba07ff702aa7870",
+    (("sweep", "--type", "G2"), "json"):
+        "8d2b9b4c52864801761982ea6cb01d97b2fa21f266e2c2e89b02a903c467d097",
+    (("sweep", "--type", "A3"), "table"):
+        "517ac60b13c0db856b9bf4a8040e5b88a87c0e35357b503087ac389d8b4434e8",
+    (("sweep", "--type", "A3"), "json"):
+        "d80f437dd8c865baf5be33d50bf4f4d203c8358d6183b49a4445b87b3a504162",
+    (("verify", "thm42", "--type", "A3", "--alpha", "2"), "table"):
+        "9d69f9bdb2722a57237c4f688883dbaf82ed4c6a3076f6048b4d71eeec725c3c",
+    (("verify", "thm42", "--type", "A3", "--alpha", "2"), "json"):
+        "8d3d2982d2c6e65c1e6ecdd2e967aa37e2881d6fea850777d4cf426aefba7f9e",
+}
+
+
+@pytest.mark.parametrize("argv,fmt", sorted(GOLDEN),
+                         ids=lambda v: v if isinstance(v, str) else " ".join(v))
+def test_golden_report_bytes(capsys, argv, fmt):
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == 0
+    out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
+    out = re.sub(r"(?m) +\d+ ms$", " ms", out)
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv, fmt]

@@ -12,23 +12,15 @@ from schubert import (
     from_word,
     h0_line,
     identity,
-    kernel_char,
     longest_element,
     simple_reflection,
     ss_nonempty,
     tangent_h0_char,
 )
-from schubert.cohomology import (
-    borel_character,
-    bruhat_monotonicity_findings,
-    lemma61_search,
-    remark_b2_check,
-    verify_lemma26,
-    verify_lemma61,
-    verify_thm42,
-    verify_thmA,
-    verify_thmB_criterion,
-)
+from schubert.cohomology import borel_character, lemma61_search
+from schubert.report import run_check
+
+from helpers import bruhat_monotonicity_findings, kernel_char
 
 
 def test_euler_char_identity_and_w0():
@@ -88,33 +80,33 @@ def test_kernel_char_effective_everywhere():
 
 
 def test_verify_thmA_small():
-    rep = verify_thmA(build("A2"))
+    rep = run_check(build("A2"), "thmA")
     assert rep.passed and rep.universe_size == 6
     assert rep.details["full_tangent_count"] == 3
     assert rep.details["ss_count"] == 3
-    rep3 = verify_thmA(build("A3"))
+    rep3 = run_check(build("A3"), "thmA")
     assert rep3.passed and rep3.universe_size == 24
     assert rep3.details["full_tangent_count"] == rep3.details["ss_count"]
 
 
 def test_verify_thmA_rejects_two_lengths():
     with pytest.raises(ValueError):
-        verify_thmA(build("B2"))
+        run_check(build("B2"), "thmA")
 
 
 def test_verify_thm42_alpha_restriction():
     rs = build("A2")
-    rep = verify_thm42(rs, alpha=1)
+    rep = run_check(rs, "thm42", alpha=1)
     assert rep.passed
     # only w_alpha and w0 sit above w_alpha here
     assert rep.universe_size == 2
     assert rep.details["elements_above_w_alpha"] == {"1": 2}
-    full = verify_thm42(rs)
+    full = run_check(rs, "thm42")
     assert full.universe_size == 4
 
 
 def test_verify_thmB_shape():
-    rep = verify_thmB_criterion(build("B2"))
+    rep = run_check(build("B2"), "thmB")
     assert rep.passed  # exploratory: passing means the sweep ran
     assert rep.universe_size == 8
     rows = rep.details["rows"]
@@ -122,13 +114,13 @@ def test_verify_thmB_shape():
     assert {"euler_equals_adjoint", "ss_nonempty", "has_negative_multiplicity"} <= set(rows[0])
     assert isinstance(rep.details["criterion_matches_euler_everywhere"], bool)
     with pytest.raises(ValueError):
-        verify_thmB_criterion(build("A2"))
+        run_check(build("A2"), "thmB")
 
 
 def test_lemma26_even_for_large_simply_laced():
-    assert verify_lemma26(build("D4")).passed
+    assert run_check(build("D4"), "lemma26").passed
     with pytest.raises(ValueError):
-        verify_lemma26(build("B2"))
+        run_check(build("B2"), "lemma26")
 
 
 LEMMA61_EXPECTED = {
@@ -152,7 +144,7 @@ def test_lemma61_search_frozen(name):
     assert found["pairing_nu_alpha"] == pairing
     assert found["nu_plus_alpha_is_root"] is True
     assert found["s_alpha_dot_beta"] == list(rs.highest_short_root.coords)
-    assert verify_lemma61(rs).passed
+    assert run_check(rs, "lemma61").passed
 
 
 def test_lemma61_rejects_simply_laced():
@@ -176,12 +168,12 @@ def test_remark_b2_frozen_fixture():
     rs = build("B2")
     tau = from_word(rs, (1, 2, 1))
     assert euler_char(rs, tau, borel_character(rs)).is_zero
-    rep = remark_b2_check(rs)
+    rep = run_check(rs, "remarkB2")
     assert rep.passed
     assert rep.details["euler"] == "0"
     assert rep.details["h0_candidate"] == "1*e[-1, 0]"
     with pytest.raises(ValueError):
-        remark_b2_check(build("B3"))
+        run_check(build("B3"), "remarkB2")
 
 
 def test_bruhat_monotonicity_scan():

@@ -15,12 +15,7 @@ from schubert import (
     simple_reflection,
     yz_exponent,
 )
-from schubert.coxeter import (
-    verify_cor52_53_58,
-    verify_lemma54_55_56,
-    verify_prop51,
-    verify_thmC_typeA,
-)
+from schubert.report import run_check
 
 
 def test_analyze_a2_anchor():
@@ -118,7 +113,7 @@ def test_typeA_extremal():
 
 @pytest.mark.parametrize("name,n_cox", [("A2", 2), ("A3", 4), ("B2", 2), ("B3", 4), ("D4", 8)])
 def test_verify_prop51(name, n_cox):
-    rep = verify_prop51(build(name))
+    rep = run_check(build(name), "prop51")
     assert rep.passed
     assert rep.universe_size == n_cox * build(name).rank
     assert all(1 <= row["j"] < rep.details["coxeter_number"]
@@ -127,7 +122,7 @@ def test_verify_prop51(name, n_cox):
 
 @pytest.mark.parametrize("name", ["A2", "A3"])
 def test_verify_lemma54_55_56(name):
-    rep = verify_lemma54_55_56(build(name))
+    rep = run_check(build(name), "lemma54_56")
     assert rep.passed
     assert rep.universe_size == {
         "A2": 2, "A3": 6}[name]
@@ -135,12 +130,12 @@ def test_verify_lemma54_55_56(name):
 
 def test_lemma54_55_56_rejects_two_lengths():
     with pytest.raises(ValueError):
-        verify_lemma54_55_56(build("B2"))
+        run_check(build("B2"), "lemma54_56")
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4"])
 def test_verify_thmC(name):
-    rep = verify_thmC_typeA(build(name))
+    rep = run_check(build(name), "thmC_typeA")
     assert rep.passed
     assert rep.details["epsilon"] == -1
     for row in rep.details["nonextremal_rows"]:
@@ -149,12 +144,12 @@ def test_verify_thmC(name):
 
 def test_thmC_rejects_other_families():
     with pytest.raises(ValueError):
-        verify_thmC_typeA(build("D4"))
+        run_check(build("D4"), "thmC_typeA")
 
 
 @pytest.mark.parametrize("name", ["A2", "A3"])
 def test_verify_cor52_53_58(name):
-    rep = verify_cor52_53_58(build(name))
+    rep = run_check(build(name), "cor52_53_58")
     assert rep.passed
     for row in rep.details["rows"]:
         assert row["min_full_power"] is not None
@@ -165,4 +160,4 @@ def test_verify_cor52_53_58(name):
 
 def test_cor52_53_58_rejects_two_lengths():
     with pytest.raises(ValueError):
-        verify_cor52_53_58(build("B2"))
+        run_check(build("B2"), "cor52_53_58")
