@@ -21,7 +21,7 @@ from . import weyl
 from .charring import (Character, adjoint_character, char_to_str,
                        demazure_along_word, e)
 from .rootsys import Root, RootSystem, Weight
-from .weyl import WeylElement, bruhat_leq, enumerate_group, min_parabolic_rep
+from .weyl import WeylElement, enumerate_group, longest_element, min_parabolic_rep
 
 __all__ = [
     "euler_char",
@@ -124,8 +124,14 @@ def verify_thm42(rs: RootSystem, alpha: int | None = None,
     """Check both clauses above the minimal parabolic representative.
 
     For every simple alpha (or one fixed alpha) and every tau above
-    w_alpha in Bruhat order: the inversion-set sum of h0 lines equals the
+    w_alpha in Bruhat order -- the coset w0 W_P, found as tau(omega_alpha)
+    = w0(omega_alpha) -- the inversion-set sum of h0 lines equals the
     adjoint character, and every other positive root contributes zero.
+
+    The coset is exactly that upper set: W_P, the parabolic dropping
+    alpha, is the stabilizer of omega_alpha, w_alpha is the maximum of
+    W^P, and tau -> tau^P preserves Bruhat order, so tau >= w_alpha iff
+    tau^P = w_alpha (Bjorner-Brenti, Section 2.5 and Cor. 2.2.3).
     """
     adjoint = adjoint_character(rs)
     alphas = [alpha] if alpha is not None else list(range(1, rs.rank + 1))
@@ -133,9 +139,14 @@ def verify_thm42(rs: RootSystem, alpha: int | None = None,
     per_alpha: dict[str, int] = {}
     universe = 0
     elements = list(enumerate_group(rs, guard))
+    w0 = longest_element(rs)
     for a in alphas:
         w_a = min_parabolic_rep(rs, a)
-        above = [tau for tau in elements if bruhat_leq(w_a, tau)]
+        omega = rs.fundamental_weights[a - 1]
+        target = w0.apply(omega)
+        above = [tau for tau in elements if tau.apply(omega) == target]
+        if w_a not in above:
+            raise AssertionError(f"w_alpha is outside the coset w0 W_P for alpha_{a}")
         per_alpha[str(a)] = len(above)
         universe += len(above)
         for tau in above:

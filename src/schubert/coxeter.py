@@ -17,7 +17,7 @@ from . import weyl
 from .charring import Character, adjoint_character, char_to_str, e
 from .cohomology import euler_char, h0_line, ss_nonempty
 from .rootsys import Root, RootSystem
-from .weyl import WeylElement, bruhat_leq, coxeter_elements, element_order, from_word
+from .weyl import WeylElement, coxeter_elements, element_order, from_word
 
 __all__ = [
     "CoxeterAnalysis",
@@ -268,10 +268,11 @@ def verify_lemma54_55_56(rs: RootSystem) -> tuple[int, list, dict]:
                 "phi_word": list(analysis.phi.reduced_word()),
             })
 
-        # height comparison for positions whose reflection is below tau
+        # height comparison for positions whose reflection is below tau;
+        # s_i <= tau iff the letter i occurs in a reduced word of tau
+        tau_letters = set(analysis.tau.reduced_word())
         for r in range(1, n + 1):
-            s_r = weyl.simple_reflection(rs, perm[r - 1])
-            if not bruhat_leq(s_r, analysis.tau):
+            if perm[r - 1] not in tau_letters:
                 continue
             via_c = c.apply_root(roots[r - 1]).height
             via_phi = analysis.phi.apply_root(roots[r - 1]).height
@@ -374,31 +375,28 @@ def verify_cor52_53_58(rs: RootSystem) -> tuple[int, list, dict]:
     elements = coxeter_elements(rs)
     for c, word in elements:
         h = element_order(c)
-        min_j = None
-        for j in range(1, h):
-            cj = c ** j
+        powers = [weyl.identity(rs)]
+        for _ in range(1, h):
+            powers.append(powers[-1] * c)
+        # the inversion-set h0 sum of c^j for j = 1 .. h-1
+        tangents = []
+        for cj in powers[1:]:
             total = Character.zero()
             for beta in cj.inversion_set():
                 total = total + h0_line(rs, cj, beta.weight)
-            if total == adjoint:
-                min_j = j
-                break
+            tangents.append(total)
+        min_j = next((j for j, total in enumerate(tangents, 1) if total == adjoint), None)
         if min_j is None:
             counterexamples.append({
                 "c_word": list(word),
                 "reason": "no power below h has full adjoint tangent character",
             })
 
-        sum53 = Character.zero()
-        for j in range(1, h):
-            cj = c ** j
-            for beta in cj.inversion_set():
-                sum53 = sum53 + h0_line(rs, cj, beta.weight)
+        sum53 = sum(tangents, Character.zero())
         eq53 = sum53 == (h - 1) * adjoint
 
         sum58 = Character.zero()
-        for j in range(0, h):
-            cj = c ** j
+        for cj in powers:
             lam = cj.inverse().dot(zero)
             chi = euler_char(rs, cj, e(lam))
             sign = 1 if cj.length % 2 == 0 else -1

@@ -255,7 +255,6 @@ class RootSystem:
             for i in range(ct.rank))
         self._build_roots()
         self._root_coord_cache: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
-        self._bruhat_cache: dict[tuple, bool] = {}
         self._w0 = None
 
     # -- construction -----------------------------------------------------

@@ -5,15 +5,23 @@ equality and hashing go through the matrix, never through words, so
 different reduced expressions of the same element collide as they should.
 Canonical reduced words peel the smallest-index right descent, which makes
 every enumeration in the engine deterministic.
+
+Column j of the matrix is w(omega_j), so right multiplication by a simple
+reflection changes one column and costs O(n^2) (``times_simple``); every
+walk along a word uses that step, and ``__mul__`` is left for general
+products.  ``enumerate_group`` gives each element its canonical word from
+its BFS parent, and inverses come from reversed words, so no rational
+arithmetic touches a group element.
 """
 
 from __future__ import annotations
 
 import os
 from itertools import permutations
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .rootsys import Root, RootSystem, Weight, _invert_rational
+from .rootsys import Root, RootSystem, Weight
 
 __all__ = [
     "WeylElement",
@@ -65,12 +73,9 @@ class WeylElement:
     # -- group structure ----------------------------------------------------
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        a, b = self.matrix, other.matrix
-        n = len(a)
-        prod = tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-            for i in range(n))
-        return WeylElement(self.rs, prod)
+        cols = tuple(zip(*other.matrix))
+        return WeylElement(self.rs, tuple(
+            tuple(sum(map(mul, row, col)) for col in cols) for row in self.matrix))
 
     def __pow__(self, k: int) -> "WeylElement":
         if k < 0:
@@ -85,14 +90,27 @@ class WeylElement:
         return result
 
     def inverse(self) -> "WeylElement":
+        """The reversed canonical word, checked by w * w^-1 = e."""
         if self._inverse is None:
-            inv = _invert_rational(self.matrix)
-            if any(v.denominator != 1 for row in inv for v in row):
-                raise AssertionError("non-integral Weyl matrix inverse")
-            self._inverse = WeylElement(
-                self.rs, tuple(tuple(int(v) for v in row) for row in inv))
-            self._inverse._inverse = self
+            inv = from_word(self.rs, reversed(self.reduced_word()))
+            if not (self * inv).is_identity:
+                raise AssertionError("reversed word does not invert the element")
+            self._inverse = inv
+            inv._inverse = self
         return self._inverse
+
+    def times_simple(self, i: int, image: tuple[int, ...] | None = None) -> "WeylElement":
+        """w * s_i in O(n^2): column i of the matrix becomes col_i - w(alpha_i).
+
+        ``image`` is w(alpha_i) in fw coordinates when the caller already
+        has it from a descent test.
+        """
+        if image is None:
+            image = self._simple_image(i)
+        k = i - 1
+        return WeylElement(self.rs, tuple(
+            row[:k] + (row[k] - v,) + row[k + 1:]
+            for row, v in zip(self.matrix, image)))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, WeylElement) and self.matrix == other.matrix
@@ -103,11 +121,8 @@ class WeylElement:
     # -- action ---------------------------------------------------------------
 
     def apply(self, lam: Weight) -> Weight:
-        m = self.matrix
         fw = lam.fw
-        n = len(m)
-        return Weight(tuple(sum(m[i][j] * fw[j] for j in range(n) if fw[j])
-                            for i in range(n)))
+        return Weight(tuple(sum(map(mul, row, fw)) for row in self.matrix))
 
     def apply_root(self, beta: Root) -> Root:
         img = self.rs._by_fw.get(self.apply(beta.weight).fw)
@@ -127,11 +142,18 @@ class WeylElement:
         return self.matrix == tuple(
             tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
+    def _simple_image(self, i: int) -> tuple[int, ...]:
+        """w(alpha_i) in fw coordinates."""
+        return self.apply(self.rs.simple_roots[i - 1].weight).fw
+
+    def _descent_image(self, i: int) -> tuple[int, ...] | None:
+        """w(alpha_i) when i is a right descent of w, else None."""
+        image = self._simple_image(i)
+        return None if self.rs._by_fw[image].positive else image
+
     def has_right_descent(self, i: int) -> bool:
         """True iff l(w s_i) < l(w), i.e. w(alpha_i) is negative."""
-        img = self.apply(self.rs.simple_roots[i - 1].weight)
-        root = self.rs._by_fw[img.fw]
-        return not root.positive
+        return self._descent_image(i) is not None
 
     def right_descents(self) -> list[int]:
         return [i for i in range(1, self.rs.rank + 1) if self.has_right_descent(i)]
@@ -141,13 +163,17 @@ class WeylElement:
         if self._word is None:
             rev: list[int] = []
             cur = self
-            while not cur.is_identity:
-                descents = cur.right_descents()
-                if not descents:
-                    raise AssertionError("non-identity element without descent")
-                i = descents[0]
-                rev.append(i)
-                cur = cur * simple_reflection(self.rs, i)
+            while True:
+                for i in range(1, self.rs.rank + 1):
+                    image = cur._descent_image(i)
+                    if image is not None:
+                        rev.append(i)
+                        cur = cur.times_simple(i, image)
+                        break
+                else:
+                    break
+            if not cur.is_identity:
+                raise AssertionError("non-identity element without descent")
             self._word = tuple(reversed(rev))
         return self._word
 
@@ -185,7 +211,7 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     return WeylElement(rs, mat)
 
 
-def from_word(rs: RootSystem, word: Sequence[int]) -> WeylElement:
+def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     """Product s_{i1} s_{i2} ... s_{in} for word (i1,...,in), 1-based letters.
 
     Applied to a weight, the last letter acts first, matching ordinary
@@ -193,21 +219,31 @@ def from_word(rs: RootSystem, word: Sequence[int]) -> WeylElement:
     """
     out = identity(rs)
     for i in word:
-        out = out * simple_reflection(rs, i)
+        rs._check_index(i)
+        out = out.times_simple(i)
     return out
+
+
+def _climb(rs: RootSystem, letters: Sequence[int]) -> WeylElement:
+    """Longest element of the subgroup generated by ``letters``.
+
+    Steps along the first ascent among the letters until none is left.
+    """
+    cur = identity(rs)
+    while True:
+        for i in letters:
+            image = cur._simple_image(i)
+            if rs._by_fw[image].positive:
+                cur = cur.times_simple(i, image)
+                break
+        else:
+            return cur
 
 
 def longest_element(rs: RootSystem) -> WeylElement:
     """w0, found by climbing ascents; length must equal |R+|."""
     if rs._w0 is None:
-        cur = identity(rs)
-        while True:
-            for i in range(1, rs.rank + 1):
-                if not cur.has_right_descent(i):
-                    cur = cur * simple_reflection(rs, i)
-                    break
-            else:
-                break
+        cur = _climb(rs, range(1, rs.rank + 1))
         if len(cur.inversion_set()) != len(rs.positive_roots):
             raise AssertionError("w0 search terminated early")
         rs._w0 = cur
@@ -222,15 +258,7 @@ def min_parabolic_rep(rs: RootSystem, i: int) -> WeylElement:
     the inversion set is exactly {beta in R+ : alpha_i <= beta}.
     """
     rs._check_index(i)
-    w0p = identity(rs)
-    letters = [j for j in range(1, rs.rank + 1) if j != i]
-    while True:
-        for j in letters:
-            if not w0p.has_right_descent(j):
-                w0p = w0p * simple_reflection(rs, j)
-                break
-        else:
-            break
+    w0p = _climb(rs, [j for j in range(1, rs.rank + 1) if j != i])
     w = longest_element(rs) * w0p
     alpha = rs.simple_roots[i - 1]
     expected = frozenset(b for b in rs.positive_roots
@@ -243,6 +271,11 @@ def min_parabolic_rep(rs: RootSystem, i: int) -> WeylElement:
 def enumerate_group(rs: RootSystem, guard: int | None = None) -> Iterator[WeylElement]:
     """Every element exactly once, ordered by (length, canonical word).
 
+    Breadth-first by length, stepping only along ascents, so layer k holds
+    exactly the elements of length k.  A new element v gets its canonical
+    word from its parent: word(v) = word(v s_d) + (d,) for d the smallest
+    right descent of v, with v s_d looked up in the previous layer.
+
     Raises GuardExceeded when |W| is larger than the guard (explicit
     argument, else the SCHUBERT_GUARD environment variable, else 10**6).
     """
@@ -251,51 +284,59 @@ def enumerate_group(rs: RootSystem, guard: int | None = None) -> Iterator[WeylEl
     if order > limit:
         raise GuardExceeded(
             f"|W({rs.ct})| = {order} exceeds guard {limit}")
-    gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
-    seen = {identity(rs).matrix}
-    frontier = [identity(rs)]
-    elements = [identity(rs)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                ws = w * s
-                if ws.matrix not in seen:
-                    seen.add(ws.matrix)
-                    nxt.append(ws)
-        elements.extend(nxt)
-        frontier = nxt
+    e = identity(rs)
+    e._word = ()
+    elements = [e]
+    layer = {e.matrix: e}
+    while layer:
+        nxt: dict[tuple, WeylElement] = {}
+        for w in layer.values():
+            for i in range(1, rs.rank + 1):
+                image = w._simple_image(i)
+                if not rs._by_fw[image].positive:
+                    continue
+                v = w.times_simple(i, image)
+                if v.matrix in nxt:
+                    continue
+                # i is a descent of v; a smaller one names another parent
+                d, parent = i, w
+                for j in range(1, i):
+                    image = v._descent_image(j)
+                    if image is not None:
+                        d, parent = j, layer[v.times_simple(j, image).matrix]
+                        break
+                v._word = parent._word + (d,)
+                nxt[v.matrix] = v
+        elements.extend(sorted(nxt.values(), key=lambda w: w._word))
+        layer = nxt
     if len(elements) != order:
         raise AssertionError(f"enumerated {len(elements)} elements, expected {order}")
-    elements.sort(key=lambda w: (w.length, w.reduced_word()))
     return iter(elements)
 
 
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
-    """Bruhat order via the standard lifting recursion."""
-    rs = u.rs
-    key = (u.matrix, w.matrix)
-    cached = rs._bruhat_cache.get(key)
-    if cached is not None:
-        return cached
-    if u.is_identity:
-        result = True
-    elif u.length > w.length:
-        result = False
-    elif u.length == w.length:
-        result = u == w
-    else:
-        i = next(i for i in range(1, rs.rank + 1)
-                 if w.inverse().has_right_descent(i))
-        s = simple_reflection(rs, i)
-        sw = s * w
-        su = s * u
-        if su.length < u.length:
-            result = bruhat_leq(su, sw)
-        else:
-            result = bruhat_leq(u, sw)
-    rs._bruhat_cache[key] = result
-    return result
+    """Bruhat order via the lifting property (Bjorner-Brenti, Prop. 2.2.7).
+
+    For a right descent s of w: if s is a right descent of u too, then
+    u <= w iff us <= ws, and otherwise u <= w iff u <= ws.  The letters of
+    w's canonical word, read from the right, are successive right descents
+    of the shrinking w, so each step is one descent test and one or two
+    O(n^2) column updates; lengths are carried along, never recomputed.
+    """
+    word = w.reduced_word()
+    lu = u.length
+    for lw in range(len(word), 0, -1):
+        if lu == 0:
+            return True
+        if lu >= lw:
+            return lu == lw and u == w
+        i = word[lw - 1]
+        image = u._descent_image(i)
+        if image is not None:
+            u = u.times_simple(i, image)
+            lu -= 1
+        w = w.times_simple(i)
+    return lu == 0
 
 
 def coxeter_elements(rs: RootSystem) -> list[tuple[WeylElement, tuple[int, ...]]]:
@@ -329,6 +370,6 @@ def reduced_words(w: WeylElement) -> Iterator[tuple[int, ...]]:
         yield ()
         return
     for i in w.right_descents():
-        shorter = w * simple_reflection(w.rs, i)
+        shorter = w.times_simple(i)
         for sub in reduced_words(shorter):
             yield sub + (i,)

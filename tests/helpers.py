@@ -1,28 +1,74 @@
 """Brute-force oracles shared across test modules.
 
 Everything here is deliberately independent of the engine's algorithms:
-subword scans instead of the lifting recursion, plain dict arithmetic
-instead of Character, so agreement is evidence rather than tautology.
+subword scans instead of the lifting recursion, full matrix products
+instead of the one-column reflection step, Gauss-Jordan instead of
+reversed words, plain dict arithmetic instead of Character, so agreement
+is evidence rather than tautology.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Iterable
 
 from schubert import (Character, WeylElement, adjoint_character, bruhat_leq, e,
-                      enumerate_group, from_word, tangent_h0_char)
-from schubert.rootsys import RootSystem, Weight
+                      enumerate_group, identity, simple_reflection, tangent_h0_char)
+from schubert.rootsys import RootSystem, Weight, _invert_rational
+
+
+def mul_from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
+    """s_{i1} ... s_{ik} as full matrix products, one factor per letter."""
+    out = identity(rs)
+    for i in word:
+        out = out * simple_reflection(rs, i)
+    return out
+
+
+def peel_reduced_word(w: WeylElement) -> tuple[int, ...]:
+    """Canonical word: peel the smallest right descent by full products."""
+    rs = w.rs
+    rev: list[int] = []
+    cur = w
+    while not cur.is_identity:
+        i = next(i for i in range(1, rs.rank + 1)
+                 if not rs.root_of(cur.apply(rs.simple_roots[i - 1].weight)).positive)
+        rev.append(i)
+        cur = cur * simple_reflection(rs, i)
+    return tuple(reversed(rev))
+
+
+def gauss_jordan_inverse(w: WeylElement) -> WeylElement:
+    """Inverse of the fw-matrix over the rationals; it must be integral."""
+    inv = _invert_rational(w.matrix)
+    if any(v.denominator != 1 for row in inv for v in row):
+        raise AssertionError("non-integral Weyl matrix inverse")
+    return WeylElement(w.rs, tuple(tuple(int(v) for v in row) for row in inv))
 
 
 def subword_bruhat_leq(rs: RootSystem, u: WeylElement, w: WeylElement) -> bool:
-    """u <= w iff some subword of a fixed reduced word of w multiplies to u."""
-    word = w.reduced_word()
-    n = len(word)
-    for mask in range(1 << n):
-        sub = tuple(word[i] for i in range(n) if mask >> i & 1)
-        if from_word(rs, sub) == u:
-            return True
-    return False
+    """u <= w iff some subword of a fixed reduced word of w multiplies to u.
+
+    The products of all subwords of the word's first k letters are built
+    up letter by letter, so the scan costs |[e, w]| products per letter
+    instead of 2^l(w).
+    """
+    reached = {identity(rs)}
+    for i in peel_reduced_word(w):
+        s = simple_reflection(rs, i)
+        reached |= {x * s for x in reached}
+    return u in reached
+
+
+def weight_orbit(rs: RootSystem, lam: Weight) -> set[Weight]:
+    """W-orbit of lam, closed under the simple reflections."""
+    orbit = {lam}
+    frontier = [lam]
+    while frontier:
+        frontier = [mu for nu in frontier for i in range(1, rs.rank + 1)
+                    for mu in [rs.reflect_simple(nu, i)] if mu not in orbit]
+        orbit.update(frontier)
+    return orbit
 
 
 def random_small_character(rs: RootSystem, rng: random.Random,
@@ -38,7 +84,7 @@ def random_small_character(rs: RootSystem, rng: random.Random,
 def random_element(rs: RootSystem, rng: random.Random,
                    max_letters: int = 12) -> WeylElement:
     word = tuple(rng.randint(1, rs.rank) for _ in range(rng.randint(0, max_letters)))
-    return from_word(rs, word)
+    return mul_from_word(rs, word)
 
 
 def kernel_char(rs: RootSystem, tau: WeylElement) -> Character:

@@ -20,7 +20,8 @@ from schubert import (
 )
 from schubert.weyl import DEFAULT_GUARD, GUARD_ENV_VAR, resolve_guard
 
-from helpers import random_element, subword_bruhat_leq
+from helpers import (gauss_jordan_inverse, peel_reduced_word, random_element,
+                     subword_bruhat_leq, weight_orbit)
 
 
 def test_simple_reflection_basics():
@@ -212,3 +213,42 @@ def test_dot_action():
     assert s1.dot(zero) == -rs.simple_roots[0].weight
     w0 = longest_element(rs)
     assert w0.dot(zero) == -2 * rs.rho
+
+
+ORACLE_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4",
+                "D4", "D5", "F4", "G2"]
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_element_paths_match_slow_oracles(name):
+    # BFS-parent words and word inverses against peeling by full products
+    # and Gauss-Jordan, on every element; s_i <= w iff i occurs in its word
+    rs = build(name)
+    for w in enumerate_group(rs):
+        word = w.reduced_word()
+        assert word == peel_reduced_word(w)
+        assert from_word(rs, word) == w
+        assert w.inverse() == gauss_jordan_inverse(w)
+        for i in range(1, rs.rank + 1):
+            assert bruhat_leq(simple_reflection(rs, i), w) == (i in word)
+
+
+# thm42 universes: the sum over alpha of |{tau >= w_alpha}|
+THM42_UNIVERSE = {"A3": 16, "D4": 80, "A5": 372, "D5": 504}
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_thm42_coset_is_the_bruhat_upper_ideal(name):
+    # {tau >= w_alpha} = w0 W_P = {tau : tau(omega_alpha) = w0(omega_alpha)}
+    rs = build(name)
+    elements = list(enumerate_group(rs))
+    w0 = longest_element(rs)
+    total = 0
+    for a in range(1, rs.rank + 1):
+        omega = rs.fundamental_weights[a - 1]
+        coset = [tau for tau in elements if tau.apply(omega) == w0.apply(omega)]
+        w_a = min_parabolic_rep(rs, a)
+        assert coset == [tau for tau in elements if bruhat_leq(w_a, tau)]
+        assert len(coset) * len(weight_orbit(rs, omega)) == len(elements)
+        total += len(coset)
+    assert total == THM42_UNIVERSE.get(name, total)
