@@ -23,7 +23,6 @@ from .cohomology import (
     euler_char,
     h0_line,
     ss_nonempty,
-    tangent_h0_char,
 )
 from .coxeter import CoxeterAnalysis, analyze, is_typeA_extremal, yz_exponent
 from .report import Report, canonical_json, labeling_table
@@ -74,7 +73,6 @@ __all__ = [
     "euler_char",
     "h0_line",
     "ss_nonempty",
-    "tangent_h0_char",
     "CoxeterAnalysis",
     "analyze",
     "is_typeA_extremal",

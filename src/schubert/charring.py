@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as _cartesian
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
 from . import weyl
@@ -29,6 +30,7 @@ __all__ = [
     "e",
     "demazure_op",
     "demazure_along_word",
+    "char_sum",
     "adjoint_character",
     "freudenthal_char",
     "weyl_dim",
@@ -48,6 +50,13 @@ class Character:
     @classmethod
     def zero(cls) -> "Character":
         return cls()
+
+    @classmethod
+    def _of_nonzero(cls, terms: dict[Weight, int]) -> "Character":
+        """Wrap a dict that holds no zero multiplicity, without copying it."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
 
     def items(self) -> Iterator[tuple[Weight, int]]:
         return iter(self._terms.items())
@@ -116,8 +125,15 @@ def e(lam: Weight, mult: int = 1) -> Character:
 
 
 def demazure_op(rs: RootSystem, i: int, f: Character) -> Character:
-    """Demazure operator for the i-th simple root, extended additively."""
+    """Demazure operator for the i-th simple root, extended additively.
+
+    The zero character comes back as it is.  Output terms that are roots
+    reuse the root's own Weight, so the many characters a sweep keeps
+    alive share their keys.
+    """
     rs._check_index(i)
+    if f.is_zero:
+        return f
     k = i - 1
     alpha = rs.simple_roots[k].weight.fw
     out: dict[tuple[int, ...], int] = {}
@@ -130,13 +146,15 @@ def demazure_op(rs: RootSystem, i: int, f: Character) -> Character:
             cur = fw
             for _ in range(m + 1):
                 out[cur] = out.get(cur, 0) + c
-                cur = tuple(a - b for a, b in zip(cur, alpha))
+                cur = tuple(map(sub, cur, alpha))
         else:
-            cur = tuple(a + b for a, b in zip(fw, alpha))
+            cur = tuple(map(add, fw, alpha))
             for _ in range(-m - 1):
                 out[cur] = out.get(cur, 0) - c
-                cur = tuple(a + b for a, b in zip(cur, alpha))
-    return Character({Weight(t): v for t, v in out.items() if v != 0})
+                cur = tuple(map(add, cur, alpha))
+    roots = rs._by_fw
+    return Character._of_nonzero({(roots[t].weight if t in roots else Weight(t)): v
+                                  for t, v in out.items() if v != 0})
 
 
 def demazure_along_word(rs: RootSystem, word: Sequence[int], f: Character) -> Character:
@@ -150,6 +168,15 @@ def demazure_along_word(rs: RootSystem, word: Sequence[int], f: Character) -> Ch
     for i in reversed(word):
         f = demazure_op(rs, i, f)
     return f
+
+
+def char_sum(fs: Iterable[Character]) -> Character:
+    """Sum of characters into one accumulator, not one copy per addend."""
+    out: dict[Weight, int] = {}
+    for f in fs:
+        for k, v in f._terms.items():
+            out[k] = out.get(k, 0) + v
+    return Character(out)
 
 
 def adjoint_character(rs: RootSystem) -> Character:

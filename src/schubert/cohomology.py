@@ -1,9 +1,14 @@
 """Euler characteristics on Schubert varieties and the theorem verifiers.
 
-The engine computes Euler characteristics chi(tau, f) exactly, as Demazure
-compositions along the canonical reduced word of tau.  Individual
-cohomology characters are only ever reported in regimes where vanishing is
-certified:
+The engine computes Euler characteristics chi(tau, f) exactly.  The three
+sweeps over the whole Weyl group (thmA, thm42, thmB) read them off
+``demazure_layers``, one pass up the group by length: when
+l(s_j tau') = l(tau') + 1, chi(s_j tau', f) = D_j chi(tau', f), so every
+element costs one Demazure operator per seed (the braid relations make
+chi depend on the element only; Demazure 1974, Kumar, Kac-Moody Groups,
+ch. 8).  Single queries go along the canonical reduced word
+(``euler_char``, ``h0_line``).  Individual cohomology characters are only
+ever reported in regimes where vanishing is certified:
 
   * dominant line bundles (all higher cohomology vanishes), and
   * positive-root line bundles on simply-laced types (higher cohomology
@@ -15,19 +20,20 @@ below is explicitly exploratory and never labels Euler data as an h^0.
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import groupby
+from typing import Iterable, Iterator, Sequence
 
 from . import weyl
-from .charring import (Character, adjoint_character, char_to_str,
-                       demazure_along_word, e)
-from .rootsys import Root, RootSystem, Weight
+from .charring import (Character, adjoint_character, char_sum, char_to_str,
+                       demazure_along_word, demazure_op, e)
+from .rootsys import RootSystem, Weight
 from .weyl import WeylElement, enumerate_group, longest_element, min_parabolic_rep
 
 __all__ = [
     "euler_char",
     "h0_line",
     "ss_nonempty",
-    "tangent_h0_char",
+    "demazure_layers",
     "verify_thmA",
     "verify_thm42",
     "verify_thmB_criterion",
@@ -60,10 +66,14 @@ def h0_line(rs: RootSystem, tau: WeylElement, lam: Weight) -> Character:
                 f"h0_line: positive-root weights need a simply-laced type, "
                 f"not {rs.ct}")
     out = euler_char(rs, tau, e(lam))
-    if not out.is_effective():
+    _check_effective(out, lam)
+    return out
+
+
+def _check_effective(h0: Character, lam: Weight) -> None:
+    if not h0.is_effective():
         raise AssertionError(
             f"engine failure: negative multiplicity in certified h0 for {lam}")
-    return out
 
 
 def ss_nonempty(rs: RootSystem, w: WeylElement) -> bool:
@@ -75,47 +85,103 @@ def ss_nonempty(rs: RootSystem, w: WeylElement) -> bool:
     return root.positive
 
 
-def tangent_h0_char(rs: RootSystem, tau: WeylElement) -> Character:
-    """Character of H^0 of the restricted tangent bundle, simply laced only."""
-    if not rs.simply_laced:
-        raise ValueError("tangent_h0_char requires a simply-laced type")
-    total = Character.zero()
-    for beta in rs.positive_roots:
-        total = total + h0_line(rs, tau, beta.weight)
-    return total
+def demazure_layers(rs: RootSystem, seeds: Sequence[Character],
+                    guard: int | None = None
+                    ) -> Iterator[tuple[WeylElement, list[Character]]]:
+    """(tau, [chi(tau, f) for f in seeds]) for every tau, in enumerate_group order.
+
+    The left parent of tau is s_j tau, for j the first letter of tau's
+    canonical word.  The rest of that word is reduced, so the parent lies
+    in the previous length layer, and tau's characters are D_j of the
+    parent's.  Only the previous and the current layer are kept, keyed by
+    matrix.
+    """
+    previous: dict[tuple, list[Character]] = {}
+    current: dict[tuple, list[Character]] = {}
+    length = 0
+    for tau in enumerate_group(rs, guard):
+        word = tau.reduced_word()
+        if len(word) != length:
+            previous, current, length = current, {}, len(word)
+        if word:
+            j = word[0]
+            parent = previous[tau.simple_times(j).matrix]
+            chars = [demazure_op(rs, j, f) for f in parent]
+        else:
+            chars = list(seeds)
+        current[tau.matrix] = chars
+        yield tau, chars
+
+
+def _layers(sweep: Iterable[tuple[WeylElement, list[Character]]]):
+    """Group a sweep into length layers, each with a matrix -> element index.
+
+    A layer is closed under inversion, so tau^-1 is found in tau's own
+    layer as the enumerated element, with its canonical word cached.
+    """
+    for _, group in groupby(sweep, key=lambda pair: pair[0].length):
+        layer = list(group)
+        yield layer, {tau.matrix: tau for tau, _ in layer}
+
+
+def _inverses(layer, index) -> dict[tuple, WeylElement]:
+    """matrix -> enumerated inverse over one layer, one inversion per pair."""
+    out: dict[tuple, WeylElement] = {}
+    for tau, _ in layer:
+        if tau.matrix not in out:
+            inv = index[tau.inverse().matrix]
+            out[tau.matrix] = inv
+            out[inv.matrix] = tau
+    return out
+
+
+def _root_seeds(rs: RootSystem) -> list[Character]:
+    return [e(beta.weight) for beta in rs.positive_roots]
+
+
+def _certified(rs: RootSystem, chars: Sequence[Character]) -> None:
+    """Per-root h0 self-check: chi(tau, e^beta) must be effective."""
+    for beta, h0 in zip(rs.positive_roots, chars):
+        _check_effective(h0, beta.weight)
 
 
 def verify_thmA(rs: RootSystem, guard: int | None = None) -> tuple[int, list, dict]:
     """Sweep the whole Weyl group for the adjoint-tangent equivalence.
 
-    For every tau the sweep checks that H^0 of the restricted tangent
-    bundle has the full adjoint character exactly when the semistable locus
-    of X(tau^{-1}) is nonempty, and that the kernel character stays
-    effective throughout.
+    H^0 of the restricted tangent bundle on X(tau) is the sum of the h0
+    lines of the positive roots, read off one Demazure sweep seeded with
+    every e^beta.  For every tau the check is that it has the full adjoint
+    character exactly when the semistable locus of X(tau^{-1}) is
+    nonempty, and that the kernel character stays effective throughout.
     """
     adjoint = adjoint_character(rs)
     counterexamples: list[dict] = []
+    universe = 0
     n_equal = 0
     n_ss = 0
-    elements = list(enumerate_group(rs, guard))
-    for tau in elements:
-        tangent = tangent_h0_char(rs, tau)
-        kernel = adjoint - tangent
-        if not kernel.is_effective():
-            raise AssertionError("engine failure: tangent exceeds adjoint")
-        is_full = tangent == adjoint
-        criterion = ss_nonempty(rs, tau.inverse())
-        n_equal += is_full
-        n_ss += criterion
-        if is_full != criterion:
-            counterexamples.append({
-                "tau_word": list(tau.reduced_word()),
-                "tau_inv_word": list(tau.inverse().reduced_word()),
-                "tangent_equals_adjoint": is_full,
-                "ss_nonempty": criterion,
-                "kernel": char_to_str(rs, kernel),
-            })
-    return (len(elements), counterexamples,
+    for layer, index in _layers(demazure_layers(rs, _root_seeds(rs), guard)):
+        inverses = _inverses(layer, index)
+        for tau, chars in layer:
+            universe += 1
+            _certified(rs, chars)
+            tangent = char_sum(chars)
+            kernel = adjoint - tangent
+            if not kernel.is_effective():
+                raise AssertionError("engine failure: tangent exceeds adjoint")
+            is_full = tangent == adjoint
+            inv = inverses[tau.matrix]
+            criterion = ss_nonempty(rs, inv)
+            n_equal += is_full
+            n_ss += criterion
+            if is_full != criterion:
+                counterexamples.append({
+                    "tau_word": list(tau.reduced_word()),
+                    "tau_inv_word": list(inv.reduced_word()),
+                    "tangent_equals_adjoint": is_full,
+                    "ss_nonempty": criterion,
+                    "kernel": char_to_str(rs, kernel),
+                })
+    return (universe, counterexamples,
             {"full_tangent_count": n_equal, "ss_count": n_ss})
 
 
@@ -127,6 +193,8 @@ def verify_thm42(rs: RootSystem, alpha: int | None = None,
     w_alpha in Bruhat order -- the coset w0 W_P, found as tau(omega_alpha)
     = w0(omega_alpha) -- the inversion-set sum of h0 lines equals the
     adjoint character, and every other positive root contributes zero.
+    One Demazure sweep seeded with every e^beta serves all alphas; the
+    counterexamples are collected per alpha and listed in alpha order.
 
     The coset is exactly that upper set: W_P, the parabolic dropping
     alpha, is the stabilizer of omega_alpha, w_alpha is the maximum of
@@ -135,47 +203,47 @@ def verify_thm42(rs: RootSystem, alpha: int | None = None,
     """
     adjoint = adjoint_character(rs)
     alphas = [alpha] if alpha is not None else list(range(1, rs.rank + 1))
-    counterexamples: list[dict] = []
-    per_alpha: dict[str, int] = {}
-    universe = 0
-    elements = list(enumerate_group(rs, guard))
     w0 = longest_element(rs)
+    w_alpha = {a: min_parabolic_rep(rs, a) for a in alphas}
+    omega = {a: rs.fundamental_weights[a - 1] for a in alphas}
+    target = {a: w0.apply(omega[a]) for a in alphas}
     for a in alphas:
-        w_a = min_parabolic_rep(rs, a)
-        omega = rs.fundamental_weights[a - 1]
-        target = w0.apply(omega)
-        above = [tau for tau in elements if tau.apply(omega) == target]
-        if w_a not in above:
+        if w_alpha[a].apply(omega[a]) != target[a]:
             raise AssertionError(f"w_alpha is outside the coset w0 W_P for alpha_{a}")
-        per_alpha[str(a)] = len(above)
-        universe += len(above)
-        for tau in above:
+    rows: dict[int, list[dict]] = {a: [] for a in alphas}
+    per_alpha = {str(a): 0 for a in alphas}
+    for layer, index in _layers(demazure_layers(rs, _root_seeds(rs), guard)):
+        for tau, chars in layer:
+            cosets = [a for a in alphas if tau.apply(omega[a]) == target[a]]
+            if not cosets:
+                continue
+            _certified(rs, chars)
             inv = tau.inversion_set()
-            total = Character.zero()
-            for beta in inv:
-                total = total + h0_line(rs, tau, beta.weight)
-            if total != adjoint:
-                counterexamples.append({
-                    "alpha": a,
-                    "tau_word": list(tau.reduced_word()),
-                    "tau_inv_word": list(tau.inverse().reduced_word()),
-                    "clause": "inversion-sum",
-                    "difference": char_to_str(rs, adjoint - total),
-                })
-            for beta in rs.positive_roots:
-                if beta in inv:
+            total = char_sum(h0 for beta, h0 in zip(rs.positive_roots, chars)
+                             if beta in inv)
+            outside = [(beta, h0) for beta, h0 in zip(rs.positive_roots, chars)
+                       if beta not in inv and not h0.is_zero]
+            for a in cosets:
+                per_alpha[str(a)] += 1
+                if total == adjoint and not outside:
                     continue
-                extra = h0_line(rs, tau, beta.weight)
-                if not extra.is_zero:
-                    counterexamples.append({
-                        "alpha": a,
-                        "tau_word": list(tau.reduced_word()),
-                        "tau_inv_word": list(tau.inverse().reduced_word()),
+                words = {"tau_word": list(tau.reduced_word()),
+                         "tau_inv_word": list(index[tau.inverse().matrix].reduced_word())}
+                if total != adjoint:
+                    rows[a].append({
+                        "alpha": a, **words,
+                        "clause": "inversion-sum",
+                        "difference": char_to_str(rs, adjoint - total),
+                    })
+                for beta, h0 in outside:
+                    rows[a].append({
+                        "alpha": a, **words,
                         "clause": "outside-vanishing",
                         "beta": list(beta.coords),
-                        "h0": char_to_str(rs, extra),
+                        "h0": char_to_str(rs, h0),
                     })
-    return universe, counterexamples, {"elements_above_w_alpha": per_alpha}
+    counterexamples = [row for a in alphas for row in rows[a]]
+    return sum(per_alpha.values()), counterexamples, {"elements_above_w_alpha": per_alpha}
 
 
 def verify_thmB_criterion(rs: RootSystem,
@@ -183,37 +251,40 @@ def verify_thmB_criterion(rs: RootSystem,
     """Exploratory non-simply-laced sweep of Euler data against the criterion.
 
     Computes E(tau) = sum of chi(tau, e^beta) over positive beta for every
-    tau and records, per element, whether E equals the adjoint character,
-    whether the semistable criterion holds for tau^{-1}, and whether E has
-    a negative multiplicity (which certifies nonvanishing H^1).  No
-    theorem equivalence is asserted, so there are never counterexamples.
+    tau -- by linearity one Demazure sweep of the single seed
+    sum_beta e^beta -- and records, per element, whether E equals the
+    adjoint character, whether the semistable criterion holds for
+    tau^{-1}, and whether E has a negative multiplicity (which certifies
+    nonvanishing H^1).  No theorem equivalence is asserted, so there are
+    never counterexamples.
     """
     adjoint = adjoint_character(rs)
+    seed = Character({beta.weight: 1 for beta in rs.positive_roots})
     rows = []
     flagged = []
     agree_everywhere = True
-    elements = list(enumerate_group(rs, guard))
-    for tau in elements:
-        total = Character.zero()
-        for beta in rs.positive_roots:
-            total = total + euler_char(rs, tau, e(beta.weight))
-        criterion = ss_nonempty(rs, tau.inverse())
-        equals_adjoint = total == adjoint
-        has_negative = not total.is_effective()
-        if equals_adjoint != criterion:
-            agree_everywhere = False
-        row = {
-            "tau_word": list(tau.reduced_word()),
-            "tau_inv_word": list(tau.inverse().reduced_word()),
-            "euler_equals_adjoint": equals_adjoint,
-            "ss_nonempty": criterion,
-            "has_negative_multiplicity": has_negative,
-        }
-        rows.append(row)
-        if has_negative:
-            flagged.append({"tau_word": list(tau.reduced_word()),
-                            "euler": char_to_str(rs, total)})
-    return len(elements), [], {
+    universe = 0
+    for layer, index in _layers(demazure_layers(rs, [seed], guard)):
+        inverses = _inverses(layer, index)
+        for tau, (total,) in layer:
+            universe += 1
+            inv = inverses[tau.matrix]
+            criterion = ss_nonempty(rs, inv)
+            equals_adjoint = total == adjoint
+            has_negative = not total.is_effective()
+            if equals_adjoint != criterion:
+                agree_everywhere = False
+            rows.append({
+                "tau_word": list(tau.reduced_word()),
+                "tau_inv_word": list(inv.reduced_word()),
+                "euler_equals_adjoint": equals_adjoint,
+                "ss_nonempty": criterion,
+                "has_negative_multiplicity": has_negative,
+            })
+            if has_negative:
+                flagged.append({"tau_word": list(tau.reduced_word()),
+                                "euler": char_to_str(rs, total)})
+    return universe, [], {
         "rows": rows,
         "flagged_negative": flagged,
         "criterion_matches_euler_everywhere": agree_everywhere,

@@ -370,14 +370,17 @@ class RootSystem:
         return lam.fw[i - 1]
 
     def pairing_root(self, lam: Weight, beta: Root) -> int:
-        """<lam, beta_vee> for an arbitrary root beta."""
-        total = Fraction(0)
-        for j, c in enumerate(beta.coords):
-            if c:
-                total += Fraction(c * self.d[j], beta.d) * lam.fw[j]
-        if total.denominator != 1:
-            raise AssertionError(f"non-integral coroot pairing {total}")
-        return int(total)
+        """<lam, beta_vee> for an arbitrary root beta.
+
+        beta_vee = sum_j c_j (d_j / d_beta) alpha_j_vee, so the pairing is
+        sum_j c_j d_j fw_j over the integers, divided exactly by d_beta.
+        """
+        total = sum(c * d * x for c, d, x in zip(beta.coords, self.d, lam.fw))
+        q, r = divmod(total, beta.d)
+        if r:
+            raise AssertionError(
+                f"non-integral coroot pairing {Fraction(total, beta.d)}")
+        return q
 
     def reflect(self, lam: Weight, beta: Root) -> Weight:
         """s_beta(lam) = lam - <lam, beta_vee> beta."""

@@ -8,10 +8,12 @@ every enumeration in the engine deterministic.
 
 Column j of the matrix is w(omega_j), so right multiplication by a simple
 reflection changes one column and costs O(n^2) (``times_simple``); every
-walk along a word uses that step, and ``__mul__`` is left for general
-products.  ``enumerate_group`` gives each element its canonical word from
-its BFS parent, and inverses come from reversed words, so no rational
-arithmetic touches a group element.
+walk along a word uses that step.  Left multiplication changes the rows of
+i and its Dynkin neighbours (``simple_times``), the step down the left
+weak order that the Demazure sweeps take.  ``__mul__`` is left for
+general products.  ``enumerate_group`` gives each element its canonical
+word from its BFS parent, and inverses come from reversed words, so no
+rational arithmetic touches a group element.
 """
 
 from __future__ import annotations
@@ -111,6 +113,18 @@ class WeylElement:
         return WeylElement(self.rs, tuple(
             row[:k] + (row[k] - v,) + row[k + 1:]
             for row, v in zip(self.matrix, image)))
+
+    def simple_times(self, i: int) -> "WeylElement":
+        """s_i * w in O(n^2): row a becomes row_a - C[a][i-1] * row_{i-1}.
+
+        Only the rows a with C[a][i-1] != 0 change, the neighbours of i in
+        the Dynkin diagram and row i-1 itself.
+        """
+        k = i - 1
+        pivot = self.matrix[k]
+        return WeylElement(self.rs, tuple(
+            tuple(x - c[k] * y for x, y in zip(row, pivot)) if c[k] else row
+            for row, c in zip(self.matrix, self.rs.cartan)))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, WeylElement) and self.matrix == other.matrix
@@ -354,13 +368,15 @@ def coxeter_elements(rs: RootSystem) -> list[tuple[WeylElement, tuple[int, ...]]
 
 
 def element_order(w: WeylElement) -> int:
+    """Smallest k >= 1 with w^k = e; it divides |W|, so |W| bounds the loop."""
+    bound = w.rs.ct.weyl_order
     cur = w
     k = 1
     while not cur.is_identity:
         cur = cur * w
         k += 1
-        if k > 10 ** 6:
-            raise AssertionError("order computation runaway")
+        if k > bound:
+            raise AssertionError(f"element order exceeds |W| = {bound}")
     return k
 
 

@@ -13,7 +13,7 @@ import random
 from typing import Iterable
 
 from schubert import (Character, WeylElement, adjoint_character, bruhat_leq, e,
-                      enumerate_group, identity, simple_reflection, tangent_h0_char)
+                      enumerate_group, h0_line, identity, simple_reflection)
 from schubert.rootsys import RootSystem, Weight, _invert_rational
 
 
@@ -85,6 +85,21 @@ def random_element(rs: RootSystem, rng: random.Random,
                    max_letters: int = 12) -> WeylElement:
     word = tuple(rng.randint(1, rs.rank) for _ in range(rng.randint(0, max_letters)))
     return mul_from_word(rs, word)
+
+
+def tangent_h0_char(rs: RootSystem, tau: WeylElement) -> Character:
+    """H^0 of the restricted tangent bundle, one h0 line per positive root.
+
+    Each line is its own Demazure composition along tau's canonical word,
+    the per-element path the engine's layer sweep replaced; simply laced
+    only.
+    """
+    if not rs.simply_laced:
+        raise ValueError("tangent_h0_char requires a simply-laced type")
+    total = Character.zero()
+    for beta in rs.positive_roots:
+        total = total + h0_line(rs, tau, beta.weight)
+    return total
 
 
 def kernel_char(rs: RootSystem, tau: WeylElement) -> Character:

@@ -28,7 +28,6 @@ from schubert import (
     longest_element,
     reduced_words,
     ss_nonempty,
-    tangent_h0_char,
     weyl_dim,
 )
 from schubert.cohomology import borel_character, lemma61_search

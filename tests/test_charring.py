@@ -191,6 +191,16 @@ def test_demazure_matches_weyl_character_on_w0():
     assert weyl_dim(rs, lam) == 16
 
 
+@pytest.mark.parametrize("name, k", [("F4", k) for k in range(1, 5)]
+                         + [("E6", k) for k in range(1, 7)])
+def test_demazure_w0_is_the_irreducible_character(name, k):
+    # chi(w0, e^omega_k) against the Freudenthal recursion, every fundamental weight
+    rs = build(name)
+    omega = rs.fundamental_weights[k - 1]
+    w0 = longest_element(rs)
+    assert demazure_along_word(rs, w0.reduced_word(), e(omega)) == freudenthal_char(rs, omega)
+
+
 def test_demazure_stability_along_subwords():
     # prefix characters are termwise below the full character
     rs = build("A3")

@@ -15,12 +15,13 @@ from schubert import (
     longest_element,
     simple_reflection,
     ss_nonempty,
-    tangent_h0_char,
 )
-from schubert.cohomology import borel_character, lemma61_search
+from schubert import cohomology
+from schubert.charring import char_sum
+from schubert.cohomology import borel_character, demazure_layers, lemma61_search
 from schubert.report import run_check
 
-from helpers import bruhat_monotonicity_findings, kernel_char
+from helpers import bruhat_monotonicity_findings, kernel_char, tangent_h0_char
 
 
 def test_euler_char_identity_and_w0():
@@ -103,6 +104,64 @@ def test_verify_thm42_alpha_restriction():
     assert rep.details["elements_above_w_alpha"] == {"1": 2}
     full = run_check(rs, "thm42")
     assert full.universe_size == 4
+
+
+@pytest.mark.parametrize("name, total", [("A5", 372), ("D5", 504)])
+def test_thm42_one_pass_matches_single_alpha_runs(name, total):
+    # the one-pass sweep over all alphas, sliced at alpha = a, is the run
+    # restricted to a: same universe, count and counterexamples
+    rs = build(name)
+    full = run_check(rs, "thm42")
+    per_alpha = full.details["elements_above_w_alpha"]
+    assert full.universe_size == sum(per_alpha.values()) == total
+    for a in range(1, rs.rank + 1):
+        one = run_check(rs, "thm42", alpha=a)
+        assert one.universe_size == per_alpha[str(a)]
+        assert one.details["elements_above_w_alpha"] == {str(a): per_alpha[str(a)]}
+        assert one.counterexamples == [row for row in full.counterexamples
+                                       if row["alpha"] == a]
+
+
+def test_thm42_counterexamples_are_listed_in_alpha_order(monkeypatch):
+    # a wrong adjoint target makes every coset element a counterexample;
+    # the one pass must list them alpha by alpha, each in enumeration order
+    rs = build("A4")
+    wrong = adjoint_character(rs) + e(rs.zero())
+    monkeypatch.setattr(cohomology, "adjoint_character", lambda rs: wrong)
+    full = run_check(rs, "thm42")
+    singles = [run_check(rs, "thm42", alpha=a).counterexamples
+               for a in range(1, rs.rank + 1)]
+    assert full.counterexamples == [row for rows in singles for row in rows]
+    assert len(full.counterexamples) == full.universe_size
+    order = {w.reduced_word(): k for k, w in enumerate(enumerate_group(rs))}
+    for rows in singles:
+        positions = [order[tuple(row["tau_word"])] for row in rows]
+        assert positions == sorted(positions)
+    for row in full.counterexamples:
+        tau = from_word(rs, row["tau_word"])
+        assert from_word(rs, row["tau_inv_word"]) == tau.inverse()
+        assert tuple(row["tau_inv_word"]) == tau.inverse().reduced_word()
+
+
+LAYER_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4",
+               "D4", "D5", "F4", "G2"]
+
+
+@pytest.mark.parametrize("name", LAYER_TYPES)
+def test_demazure_layers_match_word_by_word(name):
+    # every element, every positive root: the layer sweep against the
+    # composition along the canonical word; the summed seed is the sum
+    rs = build(name)
+    seeds = [e(beta.weight) for beta in rs.positive_roots]
+    summed = char_sum(seeds)
+    elements = list(enumerate_group(rs))
+    swept = list(demazure_layers(rs, seeds + [summed]))
+    assert [tau for tau, _ in swept] == elements
+    for tau, chars in swept:
+        word = tau.reduced_word()
+        for seed, chi in zip(seeds, chars):
+            assert chi == demazure_along_word(rs, word, seed)
+        assert chars[-1] == char_sum(chars[:-1])
 
 
 def test_verify_thmB_shape():

@@ -1,4 +1,5 @@
-"""Property tests: the fast Weyl-element paths against slow oracles.
+"""Property tests: the fast Weyl-element paths against slow oracles, and
+the braid relations of the Demazure operators.
 
 Random words come from hypothesis with a fixed derandomized seed and a
 small example budget, so the suite stays deterministic and quick.
@@ -7,7 +8,9 @@ small example budget, so the suite stays deterministic and quick.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schubert import bruhat_leq, build, from_word, identity, simple_reflection
+from schubert import (Character, bruhat_leq, build, demazure_op, e, from_word,
+                      identity, simple_reflection)
+from schubert.rootsys import Weight
 
 from helpers import (gauss_jordan_inverse, mul_from_word, peel_reduced_word,
                      subword_bruhat_leq)
@@ -42,7 +45,37 @@ def test_element_steps_match_full_products(name, data):
     assert from_word(rs, word) == w
     for i in range(1, rs.rank + 1):
         assert w.times_simple(i) == w * simple_reflection(rs, i)
+        assert w.simple_times(i) == simple_reflection(rs, i) * w
     assert w.reduced_word() == peel_reduced_word(w)
     inv = w.inverse()
     assert inv == gauss_jordan_inverse(w)
     assert inv * w == identity(rs)
+
+
+# m_ij from the product C_ij C_ji of Cartan entries
+BRAID_M = {0: 2, 1: 3, 2: 4, 3: 6}
+
+
+def characters(rank: int):
+    term = st.tuples(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank),
+                     st.sampled_from([-2, -1, 1, 2]))
+    return st.lists(term, min_size=1, max_size=5).map(
+        lambda terms: sum((e(Weight(tuple(fw)), c) for fw, c in terms), Character.zero()))
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(["A3", "B3", "G2"]), st.data())
+def test_demazure_braid_relations_on_random_characters(name, data):
+    # D_i D_j D_i ... = D_j D_i D_j ... (m_ij factors each) and D_i^2 = D_i
+    rs = build(name)
+    f = data.draw(characters(rs.rank), label="f")
+    for i in range(1, rs.rank + 1):
+        once = demazure_op(rs, i, f)
+        assert demazure_op(rs, i, once) == once
+        for j in range(i + 1, rs.rank + 1):
+            m = BRAID_M[rs.cartan[i - 1][j - 1] * rs.cartan[j - 1][i - 1]]
+            left, right = f, f
+            for k in range(m):
+                left = demazure_op(rs, (i, j)[k % 2], left)
+                right = demazure_op(rs, (j, i)[k % 2], right)
+            assert left == right

@@ -6,6 +6,7 @@ import pytest
 
 from schubert import (
     GuardExceeded,
+    WeylElement,
     bruhat_leq,
     build,
     coxeter_elements,
@@ -179,6 +180,23 @@ def test_coxeter_elements(name):
         assert element_order(c) == COXETER_NUMBERS[name]
 
 
+@pytest.mark.parametrize("name, h", [("A5", 6), ("D5", 8), ("E6", 12)])
+def test_coxeter_number_of_larger_types(name, h):
+    rs = build(name)
+    assert element_order(from_word(rs, range(1, rs.rank + 1))) == h
+
+
+def test_element_order_is_bounded_by_the_weyl_order():
+    # a shear is no Weyl element and never returns to e; the loop stops at |W|
+    rs = build("A2")
+    shear = WeylElement(rs, ((1, 1), (0, 1)))
+    with pytest.raises(AssertionError, match=r"exceeds \|W\| = 6"):
+        element_order(shear)
+    # the bound is never hit by a real element: every order divides |W|
+    rs = build("B3")
+    assert all(rs.ct.weyl_order % element_order(w) == 0 for w in enumerate_group(rs))
+
+
 def test_reduced_words_enumeration():
     rs = build("A2")
     assert sorted(reduced_words(longest_element(rs))) == [(1, 2, 1), (2, 1, 2)]
@@ -231,6 +249,7 @@ def test_element_paths_match_slow_oracles(name):
         assert w.inverse() == gauss_jordan_inverse(w)
         for i in range(1, rs.rank + 1):
             assert bruhat_leq(simple_reflection(rs, i), w) == (i in word)
+            assert w.simple_times(i) == simple_reflection(rs, i) * w
 
 
 # thm42 universes: the sum over alpha of |{tau >= w_alpha}|
