@@ -64,9 +64,6 @@ class Character:
     def multiplicity(self, lam: Weight) -> int:
         return self._terms.get(lam, 0)
 
-    def support(self) -> frozenset[Weight]:
-        return frozenset(self._terms)
-
     def dimension(self) -> int:
         """Sum of multiplicities (the virtual dimension)."""
         return sum(self._terms.values())

@@ -6,8 +6,11 @@ sweeps over the whole Weyl group (thmA, thm42, thmB) read them off
 l(s_j tau') = l(tau') + 1, chi(s_j tau', f) = D_j chi(tau', f), so every
 element costs one Demazure operator per seed (the braid relations make
 chi depend on the element only; Demazure 1974, Kumar, Kac-Moody Groups,
-ch. 8).  Single queries go along the canonical reduced word
-(``euler_char``, ``h0_line``).  Individual cohomology characters are only
+ch. 8).  The criterion for X(tau) is read on X(tau^-1); ``tau.inverse()``
+is the enumerated element that ``enumerate_group`` linked to tau, word
+cached, and any other element inverts by its reversed word.  Single
+queries go along the canonical reduced word (``euler_char``,
+``h0_line``).  Individual cohomology characters are only
 ever reported in regimes where vanishing is certified:
 
   * dominant line bundles (all higher cohomology vanishes), and
@@ -20,8 +23,7 @@ below is explicitly exploratory and never labels Euler data as an h^0.
 
 from __future__ import annotations
 
-from itertools import groupby
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import weyl
 from .charring import (Character, adjoint_character, char_sum, char_to_str,
@@ -113,28 +115,6 @@ def demazure_layers(rs: RootSystem, seeds: Sequence[Character],
         yield tau, chars
 
 
-def _layers(sweep: Iterable[tuple[WeylElement, list[Character]]]):
-    """Group a sweep into length layers, each with a matrix -> element index.
-
-    A layer is closed under inversion, so tau^-1 is found in tau's own
-    layer as the enumerated element, with its canonical word cached.
-    """
-    for _, group in groupby(sweep, key=lambda pair: pair[0].length):
-        layer = list(group)
-        yield layer, {tau.matrix: tau for tau, _ in layer}
-
-
-def _inverses(layer, index) -> dict[tuple, WeylElement]:
-    """matrix -> enumerated inverse over one layer, one inversion per pair."""
-    out: dict[tuple, WeylElement] = {}
-    for tau, _ in layer:
-        if tau.matrix not in out:
-            inv = index[tau.inverse().matrix]
-            out[tau.matrix] = inv
-            out[inv.matrix] = tau
-    return out
-
-
 def _root_seeds(rs: RootSystem) -> list[Character]:
     return [e(beta.weight) for beta in rs.positive_roots]
 
@@ -159,28 +139,26 @@ def verify_thmA(rs: RootSystem, guard: int | None = None) -> tuple[int, list, di
     universe = 0
     n_equal = 0
     n_ss = 0
-    for layer, index in _layers(demazure_layers(rs, _root_seeds(rs), guard)):
-        inverses = _inverses(layer, index)
-        for tau, chars in layer:
-            universe += 1
-            _certified(rs, chars)
-            tangent = char_sum(chars)
-            kernel = adjoint - tangent
-            if not kernel.is_effective():
-                raise AssertionError("engine failure: tangent exceeds adjoint")
-            is_full = tangent == adjoint
-            inv = inverses[tau.matrix]
-            criterion = ss_nonempty(rs, inv)
-            n_equal += is_full
-            n_ss += criterion
-            if is_full != criterion:
-                counterexamples.append({
-                    "tau_word": list(tau.reduced_word()),
-                    "tau_inv_word": list(inv.reduced_word()),
-                    "tangent_equals_adjoint": is_full,
-                    "ss_nonempty": criterion,
-                    "kernel": char_to_str(rs, kernel),
-                })
+    for tau, chars in demazure_layers(rs, _root_seeds(rs), guard):
+        universe += 1
+        _certified(rs, chars)
+        tangent = char_sum(chars)
+        kernel = adjoint - tangent
+        if not kernel.is_effective():
+            raise AssertionError("engine failure: tangent exceeds adjoint")
+        is_full = tangent == adjoint
+        inv = tau.inverse()
+        criterion = ss_nonempty(rs, inv)
+        n_equal += is_full
+        n_ss += criterion
+        if is_full != criterion:
+            counterexamples.append({
+                "tau_word": list(tau.reduced_word()),
+                "tau_inv_word": list(inv.reduced_word()),
+                "tangent_equals_adjoint": is_full,
+                "ss_nonempty": criterion,
+                "kernel": char_to_str(rs, kernel),
+            })
     return (universe, counterexamples,
             {"full_tangent_count": n_equal, "ss_count": n_ss})
 
@@ -212,36 +190,35 @@ def verify_thm42(rs: RootSystem, alpha: int | None = None,
             raise AssertionError(f"w_alpha is outside the coset w0 W_P for alpha_{a}")
     rows: dict[int, list[dict]] = {a: [] for a in alphas}
     per_alpha = {str(a): 0 for a in alphas}
-    for layer, index in _layers(demazure_layers(rs, _root_seeds(rs), guard)):
-        for tau, chars in layer:
-            cosets = [a for a in alphas if tau.apply(omega[a]) == target[a]]
-            if not cosets:
+    for tau, chars in demazure_layers(rs, _root_seeds(rs), guard):
+        cosets = [a for a in alphas if tau.apply(omega[a]) == target[a]]
+        if not cosets:
+            continue
+        _certified(rs, chars)
+        inv = tau.inversion_set()
+        total = char_sum(h0 for beta, h0 in zip(rs.positive_roots, chars)
+                         if beta in inv)
+        outside = [(beta, h0) for beta, h0 in zip(rs.positive_roots, chars)
+                   if beta not in inv and not h0.is_zero]
+        for a in cosets:
+            per_alpha[str(a)] += 1
+            if total == adjoint and not outside:
                 continue
-            _certified(rs, chars)
-            inv = tau.inversion_set()
-            total = char_sum(h0 for beta, h0 in zip(rs.positive_roots, chars)
-                             if beta in inv)
-            outside = [(beta, h0) for beta, h0 in zip(rs.positive_roots, chars)
-                       if beta not in inv and not h0.is_zero]
-            for a in cosets:
-                per_alpha[str(a)] += 1
-                if total == adjoint and not outside:
-                    continue
-                words = {"tau_word": list(tau.reduced_word()),
-                         "tau_inv_word": list(index[tau.inverse().matrix].reduced_word())}
-                if total != adjoint:
-                    rows[a].append({
-                        "alpha": a, **words,
-                        "clause": "inversion-sum",
-                        "difference": char_to_str(rs, adjoint - total),
-                    })
-                for beta, h0 in outside:
-                    rows[a].append({
-                        "alpha": a, **words,
-                        "clause": "outside-vanishing",
-                        "beta": list(beta.coords),
-                        "h0": char_to_str(rs, h0),
-                    })
+            words = {"tau_word": list(tau.reduced_word()),
+                     "tau_inv_word": list(tau.inverse().reduced_word())}
+            if total != adjoint:
+                rows[a].append({
+                    "alpha": a, **words,
+                    "clause": "inversion-sum",
+                    "difference": char_to_str(rs, adjoint - total),
+                })
+            for beta, h0 in outside:
+                rows[a].append({
+                    "alpha": a, **words,
+                    "clause": "outside-vanishing",
+                    "beta": list(beta.coords),
+                    "h0": char_to_str(rs, h0),
+                })
     counterexamples = [row for a in alphas for row in rows[a]]
     return sum(per_alpha.values()), counterexamples, {"elements_above_w_alpha": per_alpha}
 
@@ -264,26 +241,24 @@ def verify_thmB_criterion(rs: RootSystem,
     flagged = []
     agree_everywhere = True
     universe = 0
-    for layer, index in _layers(demazure_layers(rs, [seed], guard)):
-        inverses = _inverses(layer, index)
-        for tau, (total,) in layer:
-            universe += 1
-            inv = inverses[tau.matrix]
-            criterion = ss_nonempty(rs, inv)
-            equals_adjoint = total == adjoint
-            has_negative = not total.is_effective()
-            if equals_adjoint != criterion:
-                agree_everywhere = False
-            rows.append({
-                "tau_word": list(tau.reduced_word()),
-                "tau_inv_word": list(inv.reduced_word()),
-                "euler_equals_adjoint": equals_adjoint,
-                "ss_nonempty": criterion,
-                "has_negative_multiplicity": has_negative,
-            })
-            if has_negative:
-                flagged.append({"tau_word": list(tau.reduced_word()),
-                                "euler": char_to_str(rs, total)})
+    for tau, (total,) in demazure_layers(rs, [seed], guard):
+        universe += 1
+        inv = tau.inverse()
+        criterion = ss_nonempty(rs, inv)
+        equals_adjoint = total == adjoint
+        has_negative = not total.is_effective()
+        if equals_adjoint != criterion:
+            agree_everywhere = False
+        rows.append({
+            "tau_word": list(tau.reduced_word()),
+            "tau_inv_word": list(inv.reduced_word()),
+            "euler_equals_adjoint": equals_adjoint,
+            "ss_nonempty": criterion,
+            "has_negative_multiplicity": has_negative,
+        })
+        if has_negative:
+            flagged.append({"tau_word": list(tau.reduced_word()),
+                            "euler": char_to_str(rs, total)})
     return universe, [], {
         "rows": rows,
         "flagged_negative": flagged,

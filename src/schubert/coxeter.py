@@ -16,7 +16,7 @@ from typing import Sequence
 from . import weyl
 from .charring import Character, adjoint_character, char_to_str, e
 from .cohomology import euler_char, h0_line, ss_nonempty
-from .rootsys import Root, RootSystem
+from .rootsys import RootSystem
 from .weyl import WeylElement, coxeter_elements, element_order, from_word
 
 __all__ = [
@@ -217,30 +217,33 @@ def verify_lemma54_55_56(rs: RootSystem) -> tuple[int, list, dict]:
 
         # c maps the position-i root to the position-j root iff j is the
         # unique earlier neighbor of i and i the unique later neighbor of j
+        earlier = {i: [k for k in range(1, i)
+                       if rs.pairing_root(roots[k - 1].weight, roots[i - 1]) != 0]
+                   for i in range(1, n + 1)}
+        later = {j: [k for k in range(j + 1, n + 1)
+                     if rs.pairing_root(roots[j - 1].weight, roots[k - 1]) != 0]
+                 for j in range(1, n + 1)}
         for i in range(1, n + 1):
             img = c.apply_root(roots[i - 1])
             for j in range(1, n + 1):
                 if i == j:
                     continue
                 lhs = img.coords == roots[j - 1].coords
-                earlier = [k for k in range(1, i)
-                           if rs.pairing_root(roots[k - 1].weight, roots[i - 1]) != 0]
-                later = [k for k in range(j + 1, n + 1)
-                         if rs.pairing_root(roots[j - 1].weight, roots[k - 1]) != 0]
-                rhs = earlier == [j] and later == [i]
+                rhs = earlier[i] == [j] and later[j] == [i]
                 if lhs != rhs:
                     counterexamples.append({
                         "ordering": list(perm), "clause": "simple-image",
                         "i": i, "j": j, "image": lhs, "conditions": rhs,
                     })
 
-        # distinct J-orbits are orthogonal while they stay simple
+        # distinct J-orbits are orthogonal while they stay simple; phi_j's
+        # letters are the simple roots that orbit passes through
+        orbits = {j: [rs.simple_roots[x - 1] for x in analysis.phi_words[j]]
+                  for j in analysis.J}
         for jdx, j in enumerate(analysis.J):
             for k in analysis.J[jdx + 1:]:
-                orbit_j = _orbit_prefix(rs, c, roots[j - 1], analysis.a[j])
-                orbit_k = _orbit_prefix(rs, c, roots[k - 1], analysis.a[k])
-                for bj in orbit_j:
-                    for bk in orbit_k:
+                for bj in orbits[j]:
+                    for bk in orbits[k]:
                         if rs.pairing_root(bj.weight, bk) != 0:
                             counterexamples.append({
                                 "ordering": list(perm), "clause": "orbit-orthogonality",
@@ -282,15 +285,6 @@ def verify_lemma54_55_56(rs: RootSystem) -> tuple[int, list, dict]:
                     "r": r, "height_c": via_c, "height_phi": via_phi,
                 })
     return universe, counterexamples, {}
-
-
-def _orbit_prefix(rs: RootSystem, c: WeylElement, root: Root, steps: int) -> list[Root]:
-    out = [root]
-    cur = root
-    for _ in range(steps - 1):
-        cur = c.apply_root(cur)
-        out.append(cur)
-    return out
 
 
 def verify_thmC_typeA(rs: RootSystem) -> tuple[int, list, dict]:

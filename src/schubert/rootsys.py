@@ -236,8 +236,8 @@ class RootSystem:
     """Immutable root-system data for one Cartan type.
 
     Build through :func:`build`, which caches instances per type.  All
-    attributes are fixed after construction; the private dict attributes
-    are memo tables only.
+    attributes are fixed after construction, apart from ``_w0`` found on
+    first use, so no table grows with the weights a process has seen.
     """
 
     def __init__(self, ct: CartanType):
@@ -254,7 +254,6 @@ class RootSystem:
             Weight(tuple(1 if k == i else 0 for k in range(ct.rank)))
             for i in range(ct.rank))
         self._build_roots()
-        self._root_coord_cache: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
         self._w0 = None
 
     # -- construction -----------------------------------------------------
@@ -347,14 +346,8 @@ class RootSystem:
 
     def root_coords(self, lam: Weight) -> tuple[Fraction, ...]:
         """Coordinates of lam in the simple-root basis (rational, exact)."""
-        cached = self._root_coord_cache.get(lam.fw)
-        if cached is None:
-            n = self.rank
-            inv = self._inv_cartan
-            cached = tuple(sum(inv[i][j] * lam.fw[j] for j in range(n))
-                           for i in range(n))
-            self._root_coord_cache[lam.fw] = cached
-        return cached
+        return tuple(sum(c * x for c, x in zip(row, lam.fw))
+                     for row in self._inv_cartan)
 
     def height(self, lam: Weight) -> Fraction:
         return sum(self.root_coords(lam), Fraction(0))

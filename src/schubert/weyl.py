@@ -12,8 +12,9 @@ walk along a word uses that step.  Left multiplication changes the rows of
 i and its Dynkin neighbours (``simple_times``), the step down the left
 weak order that the Demazure sweeps take.  ``__mul__`` is left for
 general products.  ``enumerate_group`` gives each element its canonical
-word from its BFS parent, and inverses come from reversed words, so no
-rational arithmetic touches a group element.
+word from its BFS parent and links it to its enumerated inverse; any
+other element inverts by its reversed word, so no rational arithmetic
+touches a group element.
 """
 
 from __future__ import annotations
@@ -92,7 +93,11 @@ class WeylElement:
         return result
 
     def inverse(self) -> "WeylElement":
-        """The reversed canonical word, checked by w * w^-1 = e."""
+        """w^-1: the enumerated element when ``enumerate_group`` made w.
+
+        Any other element (a Coxeter element, a product) inverts by its
+        reversed canonical word, checked by w * w^-1 = e.
+        """
         if self._inverse is None:
             inv = from_word(self.rs, reversed(self.reduced_word()))
             if not (self * inv).is_identity:
@@ -288,7 +293,9 @@ def enumerate_group(rs: RootSystem, guard: int | None = None) -> Iterator[WeylEl
     Breadth-first by length, stepping only along ascents, so layer k holds
     exactly the elements of length k.  A new element v gets its canonical
     word from its parent: word(v) = word(v s_d) + (d,) for d the smallest
-    right descent of v, with v s_d looked up in the previous layer.
+    right descent of v, with v s_d looked up in the previous layer.  Once a
+    layer is complete, each element is linked to its inverse in the same
+    layer, v^-1 = s_d (v s_d)^-1, and every link is checked on rho.
 
     Raises GuardExceeded when |W| is larger than the guard (explicit
     argument, else the SCHUBERT_GUARD environment variable, else 10**6).
@@ -300,10 +307,13 @@ def enumerate_group(rs: RootSystem, guard: int | None = None) -> Iterator[WeylEl
             f"|W({rs.ct})| = {order} exceeds guard {limit}")
     e = identity(rs)
     e._word = ()
+    e._inverse = e
+    rho = rs.rho
     elements = [e]
     layer = {e.matrix: e}
     while layer:
         nxt: dict[tuple, WeylElement] = {}
+        parents: list[tuple[WeylElement, WeylElement]] = []
         for w in layer.values():
             for i in range(1, rs.rank + 1):
                 image = w._simple_image(i)
@@ -321,6 +331,15 @@ def enumerate_group(rs: RootSystem, guard: int | None = None) -> Iterator[WeylEl
                         break
                 v._word = parent._word + (d,)
                 nxt[v.matrix] = v
+                parents.append((v, parent))
+        for v, parent in parents:
+            if v._inverse is None:
+                inv = nxt.get(parent._inverse.simple_times(v._word[-1]).matrix)
+                # rho is regular, so only e fixes it
+                if inv is None or inv.apply(v.apply(rho)) != rho:
+                    raise AssertionError(f"no enumerated inverse for {v._word}")
+                v._inverse = inv
+                inv._inverse = v
         elements.extend(sorted(nxt.values(), key=lambda w: w._word))
         layer = nxt
     if len(elements) != order:

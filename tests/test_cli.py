@@ -9,7 +9,7 @@ import pytest
 
 from schubert.cli import main, pool_size
 from schubert.report import CHECKS, run_check
-from schubert.rootsys import CartanType, build
+from schubert.rootsys import CartanType, RootSystem, build
 
 ANCHOR = "1*e[1, -2] + 1*e[0, 0] + 1*e[-1, 2] + 1*e[2, -1] + 1*e[1, 1]"
 
@@ -244,6 +244,25 @@ def test_sweep_guard_is_the_weyl_order(name):
     ct = CartanType.parse(name)
     costs = [c.cost(ct) or 0 for c in CHECKS if c.applies(ct) is None]
     assert max(costs) == ct.weyl_order
+
+
+def test_root_system_tables_do_not_grow(capsys, monkeypatch):
+    # build() keeps one RootSystem per type for the whole process, so no
+    # table on it may grow with the weights a sweep or a render has seen
+    rs = RootSystem(CartanType.parse("A3"))
+    monkeypatch.setattr("schubert.cli.build", lambda _: rs)
+
+    def sizes():
+        return {k: len(v) for k, v in vars(rs).items()
+                if isinstance(v, (dict, list, set))}
+
+    before = sizes()
+    assert run_check(rs, "thm42").passed
+    code, out, _ = run(capsys, "demazure", "--type", "A3",
+                       "--word", "1,2,3,1,2,1", "--weight-fund", "1,1,1")
+    # V(rho) of A3 has dimension 2^6
+    assert code == 0 and sum(map(int, re.findall(r"(-?\d+)\*e\[", out))) == 64
+    assert sizes() == before
 
 
 def test_pool_size():

@@ -239,14 +239,20 @@ ORACLE_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4",
 
 @pytest.mark.parametrize("name", ORACLE_TYPES)
 def test_element_paths_match_slow_oracles(name):
-    # BFS-parent words and word inverses against peeling by full products
+    # BFS-parent words and linked inverses against peeling by full products
     # and Gauss-Jordan, on every element; s_i <= w iff i occurs in its word
     rs = build(name)
-    for w in enumerate_group(rs):
+    elements = list(enumerate_group(rs))
+    enumerated = {w.matrix: w for w in elements}
+    for w in elements:
         word = w.reduced_word()
         assert word == peel_reduced_word(w)
         assert from_word(rs, word) == w
-        assert w.inverse() == gauss_jordan_inverse(w)
+        inv = w.inverse()
+        assert inv == gauss_jordan_inverse(w)
+        assert enumerated[inv.matrix] is inv
+        assert inv.inverse() is w
+        assert inv.reduced_word() == peel_reduced_word(gauss_jordan_inverse(w))
         for i in range(1, rs.rank + 1):
             assert bruhat_leq(simple_reflection(rs, i), w) == (i in word)
             assert w.simple_times(i) == simple_reflection(rs, i) * w
