@@ -16,8 +16,6 @@ from .charring import (
     demazure_along_word,
     demazure_op,
     e,
-    freudenthal_char,
-    weyl_dim,
 )
 from .cohomology import (
     euler_char,
@@ -38,7 +36,6 @@ from .weyl import (
     identity,
     longest_element,
     min_parabolic_rep,
-    reduced_words,
     simple_reflection,
 )
 
@@ -59,7 +56,6 @@ __all__ = [
     "identity",
     "longest_element",
     "min_parabolic_rep",
-    "reduced_words",
     "simple_reflection",
     "Character",
     "adjoint_character",
@@ -68,8 +64,6 @@ __all__ = [
     "demazure_along_word",
     "demazure_op",
     "e",
-    "freudenthal_char",
-    "weyl_dim",
     "euler_char",
     "h0_line",
     "ss_nonempty",

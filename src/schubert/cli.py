@@ -14,7 +14,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .charring import char_sorted_terms, char_to_str, demazure_along_word, e
@@ -220,6 +219,8 @@ def _run_checks(args, rs: RootSystem, check_ids: list[str],
     for check_id in check_ids:
         precheck(check_id, rs.ct, guard, alpha)
     if workers > 1:
+        # imported here: concurrent.futures and multiprocessing slow every start
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_check, rs, c, guard, alpha) for c in check_ids]
             reports = [f.result() for f in futures]

@@ -80,11 +80,10 @@ def _check_effective(h0: Character, lam: Weight) -> None:
 
 def ss_nonempty(rs: RootSystem, w: WeylElement) -> bool:
     """Semistable-locus criterion for X(w): w(-alpha_0) is a positive root."""
-    img = w.apply(-rs.highest_root.weight)
-    root = rs.root_of(img)
+    root = rs._by_fw.get(w.act(rs.highest_root.weight.fw))
     if root is None:
         raise AssertionError("Weyl image of the highest root is not a root")
-    return root.positive
+    return not root.positive  # w(-alpha_0) = -w(alpha_0)
 
 
 def demazure_layers(rs: RootSystem, seeds: Sequence[Character],
@@ -183,15 +182,15 @@ def verify_thm42(rs: RootSystem, alpha: int | None = None,
     alphas = [alpha] if alpha is not None else list(range(1, rs.rank + 1))
     w0 = longest_element(rs)
     w_alpha = {a: min_parabolic_rep(rs, a) for a in alphas}
-    omega = {a: rs.fundamental_weights[a - 1] for a in alphas}
-    target = {a: w0.apply(omega[a]) for a in alphas}
+    omega = {a: rs.fundamental_weights[a - 1].fw for a in alphas}
+    target = {a: w0.act(omega[a]) for a in alphas}
     for a in alphas:
-        if w_alpha[a].apply(omega[a]) != target[a]:
+        if w_alpha[a].act(omega[a]) != target[a]:
             raise AssertionError(f"w_alpha is outside the coset w0 W_P for alpha_{a}")
     rows: dict[int, list[dict]] = {a: [] for a in alphas}
     per_alpha = {str(a): 0 for a in alphas}
     for tau, chars in demazure_layers(rs, _root_seeds(rs), guard):
-        cosets = [a for a in alphas if tau.apply(omega[a]) == target[a]]
+        cosets = [a for a in alphas if tau.act(omega[a]) == target[a]]
         if not cosets:
             continue
         _certified(rs, chars)

@@ -143,11 +143,11 @@ def yz_exponent(rs: RootSystem, c: WeylElement, alpha: int) -> int:
     rs._check_index(alpha)
     _check_coxeter(rs, c)
     h = element_order(c)
-    omega = rs.fundamental_weights[alpha - 1]
-    target = weyl.longest_element(rs).apply(omega)
+    omega = rs.fundamental_weights[alpha - 1].fw
+    target = weyl.longest_element(rs).act(omega)
     cur = omega
     for j in range(1, h):
-        cur = c.apply(cur)
+        cur = c.act(cur)
         if cur == target:
             return j
     raise AssertionError(

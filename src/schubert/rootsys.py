@@ -7,9 +7,12 @@ Cartan matrix is stored as ``C[i][j] = <alpha_j, alpha_i_vee>`` so that the
 fundamental-weight coordinates of ``alpha_j`` are exactly column ``j``.
 
 Weights live in fundamental-weight coordinates (``fw[i] = <lam,
-alpha_i_vee>``), which makes coroot pairings O(1) lookups.  Root
-coordinates are recovered through the inverse Cartan matrix with
-``fractions.Fraction``; no floats anywhere.
+alpha_i_vee>``), which makes coroot pairings O(1) lookups.  The engine
+works on the bare ``fw`` tuples; ``Weight`` wraps them at the API edge.
+Heights and the dominance order go through D * C^-1, the inverse Cartan
+matrix scaled by the smallest common denominator D of its entries, so
+they stay in the integers; ``root_coords`` gives the exact rational
+coordinates with ``fractions.Fraction``.  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -200,20 +205,10 @@ def _symmetrizers(cartan: Sequence[Sequence[int]]) -> tuple[int, ...]:
                 queue.append(j)
     if any(x is None for x in d):
         raise ValueError("Dynkin diagram is not connected")
-    lcm = 1
-    for x in d:
-        lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in d]
-    g = 0
-    for x in ints:
-        g = _gcd(g, x)
+    den = lcm(*(x.denominator for x in d))
+    ints = [int(x * den) for x in d]
+    g = gcd(*ints)
     return tuple(x // g for x in ints)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _invert_rational(mat: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
@@ -245,7 +240,11 @@ class RootSystem:
         self.rank = ct.rank
         self.cartan = _cartan_matrix(ct)
         self.d = _symmetrizers(self.cartan)
-        self._inv_cartan = _invert_rational(self.cartan)
+        # D * C^-1 over the integers; its column sums give D * height
+        inv = _invert_rational(self.cartan)
+        self._den = lcm(*(x.denominator for row in inv for x in row))
+        self._scaled_inv = tuple(tuple(int(x * self._den) for x in row) for row in inv)
+        self._height_vec = tuple(map(sum, zip(*self._scaled_inv)))
         # (alpha_i, alpha_j) up to overall scale; symmetric by construction
         self._gram = tuple(tuple(self.d[i] * self.cartan[i][j] for j in range(ct.rank))
                            for i in range(ct.rank))
@@ -346,11 +345,15 @@ class RootSystem:
 
     def root_coords(self, lam: Weight) -> tuple[Fraction, ...]:
         """Coordinates of lam in the simple-root basis (rational, exact)."""
-        return tuple(sum(c * x for c, x in zip(row, lam.fw))
-                     for row in self._inv_cartan)
+        return tuple(Fraction(sum(map(mul, row, lam.fw)), self._den)
+                     for row in self._scaled_inv)
+
+    def scaled_height(self, fw: tuple[int, ...]) -> int:
+        """D times the height of the weight with fw coordinates ``fw``."""
+        return sum(map(mul, self._height_vec, fw))
 
     def height(self, lam: Weight) -> Fraction:
-        return sum(self.root_coords(lam), Fraction(0))
+        return Fraction(self.scaled_height(lam.fw), self._den)
 
     def root_of(self, lam: Weight) -> Root | None:
         return self._by_fw.get(lam.fw)
@@ -384,20 +387,18 @@ class RootSystem:
         return lam - lam.fw[i - 1] * self.simple_roots[i - 1].weight
 
     def dominance_leq(self, mu: Weight, lam: Weight) -> bool:
-        """mu <= lam iff lam - mu is a nonnegative integer sum of simple roots."""
-        diff = self.root_coords(lam - mu)
-        return all(x.denominator == 1 and x >= 0 for x in diff)
+        """mu <= lam iff lam - mu is a nonnegative integer sum of simple roots.
 
-    def dominant_representative(self, lam: Weight) -> Weight:
-        """The unique dominant weight in the Weyl orbit of lam."""
-        cur = lam
-        while True:
-            for i, a in enumerate(cur.fw):
-                if a < 0:
-                    cur = cur - a * self.simple_roots[i].weight
-                    break
-            else:
-                return cur
+        Row i of D * C^-1 applied to lam - mu is D times its i-th root
+        coordinate, which must be a nonnegative multiple of D.
+        """
+        diff = tuple(map(sub, lam.fw, mu.fw))
+        den = self._den
+        for row in self._scaled_inv:
+            x = sum(map(mul, row, diff))
+            if x < 0 or x % den:
+                return False
+        return True
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.rank:

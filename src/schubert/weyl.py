@@ -38,7 +38,6 @@ __all__ = [
     "enumerate_group",
     "bruhat_leq",
     "coxeter_elements",
-    "reduced_words",
 ]
 
 DEFAULT_GUARD = 10 ** 6
@@ -139,12 +138,15 @@ class WeylElement:
 
     # -- action ---------------------------------------------------------------
 
+    def act(self, fw: tuple[int, ...]) -> tuple[int, ...]:
+        """w(lam) on bare fw coordinates, the form every engine path uses."""
+        return tuple(sum(map(mul, row, fw)) for row in self.matrix)
+
     def apply(self, lam: Weight) -> Weight:
-        fw = lam.fw
-        return Weight(tuple(sum(map(mul, row, fw)) for row in self.matrix))
+        return Weight(self.act(lam.fw))
 
     def apply_root(self, beta: Root) -> Root:
-        img = self.rs._by_fw.get(self.apply(beta.weight).fw)
+        img = self.rs._by_fw.get(self.act(beta.weight.fw))
         if img is None:
             raise AssertionError("Weyl image of a root is not a root")
         return img
@@ -163,19 +165,12 @@ class WeylElement:
 
     def _simple_image(self, i: int) -> tuple[int, ...]:
         """w(alpha_i) in fw coordinates."""
-        return self.apply(self.rs.simple_roots[i - 1].weight).fw
+        return self.act(self.rs.simple_roots[i - 1].weight.fw)
 
     def _descent_image(self, i: int) -> tuple[int, ...] | None:
         """w(alpha_i) when i is a right descent of w, else None."""
         image = self._simple_image(i)
         return None if self.rs._by_fw[image].positive else image
-
-    def has_right_descent(self, i: int) -> bool:
-        """True iff l(w s_i) < l(w), i.e. w(alpha_i) is negative."""
-        return self._descent_image(i) is not None
-
-    def right_descents(self) -> list[int]:
-        return [i for i in range(1, self.rs.rank + 1) if self.has_right_descent(i)]
 
     def reduced_word(self) -> tuple[int, ...]:
         """Canonical reduced word: repeatedly peel the smallest right descent."""
@@ -202,11 +197,8 @@ class WeylElement:
 
     def inversion_set(self) -> frozenset[Root]:
         """{beta in R+ : w(beta) in R-}; its size equals l(w)."""
-        out = []
-        for beta in self.rs.positive_roots:
-            if not self.apply_root(beta).positive:
-                out.append(beta)
-        return frozenset(out)
+        return frozenset(beta for beta in self.rs.positive_roots
+                         if not self.apply_root(beta).positive)
 
     def __repr__(self) -> str:
         return f"W[{','.join(map(str, self.reduced_word())) or 'e'}]"
@@ -308,7 +300,7 @@ def enumerate_group(rs: RootSystem, guard: int | None = None) -> Iterator[WeylEl
     e = identity(rs)
     e._word = ()
     e._inverse = e
-    rho = rs.rho
+    rho = rs.rho.fw
     elements = [e]
     layer = {e.matrix: e}
     while layer:
@@ -336,7 +328,7 @@ def enumerate_group(rs: RootSystem, guard: int | None = None) -> Iterator[WeylEl
             if v._inverse is None:
                 inv = nxt.get(parent._inverse.simple_times(v._word[-1]).matrix)
                 # rho is regular, so only e fixes it
-                if inv is None or inv.apply(v.apply(rho)) != rho:
+                if inv is None or inv.act(v.act(rho)) != rho:
                     raise AssertionError(f"no enumerated inverse for {v._word}")
                 v._inverse = inv
                 inv._inverse = v
@@ -397,14 +389,3 @@ def element_order(w: WeylElement) -> int:
         if k > bound:
             raise AssertionError(f"element order exceeds |W| = {bound}")
     return k
-
-
-def reduced_words(w: WeylElement) -> Iterator[tuple[int, ...]]:
-    """All reduced words of w, lazily, in descent-lex order."""
-    if w.is_identity:
-        yield ()
-        return
-    for i in w.right_descents():
-        shorter = w.times_simple(i)
-        for sub in reduced_words(shorter):
-            yield sub + (i,)

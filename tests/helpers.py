@@ -3,17 +3,22 @@
 Everything here is deliberately independent of the engine's algorithms:
 subword scans instead of the lifting recursion, full matrix products
 instead of the one-column reflection step, Gauss-Jordan instead of
-reversed words, plain dict arithmetic instead of Character, so agreement
-is evidence rather than tautology.
+reversed words, plain dict arithmetic instead of Character, Freudenthal's
+recursion and the Weyl dimension formula instead of Demazure operators,
+Fraction root coordinates instead of the integer D * C^-1 rows, so
+agreement is evidence rather than tautology.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable
+from fractions import Fraction
+from itertools import product
+from typing import Iterable, Iterator
 
 from schubert import (Character, WeylElement, adjoint_character, bruhat_leq, e,
-                      enumerate_group, h0_line, identity, simple_reflection)
+                      enumerate_group, h0_line, identity, longest_element,
+                      simple_reflection)
 from schubert.rootsys import RootSystem, Weight, _invert_rational
 
 
@@ -63,12 +68,138 @@ def subword_bruhat_leq(rs: RootSystem, u: WeylElement, w: WeylElement) -> bool:
 def weight_orbit(rs: RootSystem, lam: Weight) -> set[Weight]:
     """W-orbit of lam, closed under the simple reflections."""
     orbit = {lam}
-    frontier = [lam]
+    frontier = {lam}
     while frontier:
-        frontier = [mu for nu in frontier for i in range(1, rs.rank + 1)
-                    for mu in [rs.reflect_simple(nu, i)] if mu not in orbit]
-        orbit.update(frontier)
+        # a set: two weights of one layer may reflect onto the same weight
+        frontier = {rs.reflect_simple(nu, i) for nu in frontier
+                    for i in range(1, rs.rank + 1)} - orbit
+        orbit |= frontier
     return orbit
+
+
+def has_right_descent(w: WeylElement, i: int) -> bool:
+    """True iff l(w s_i) < l(w), i.e. w(alpha_i) is negative."""
+    rs = w.rs
+    return not rs.root_of(w.apply(rs.simple_roots[i - 1].weight)).positive
+
+
+def right_descents(w: WeylElement) -> list[int]:
+    return [i for i in range(1, w.rs.rank + 1) if has_right_descent(w, i)]
+
+
+def reduced_words(w: WeylElement) -> Iterator[tuple[int, ...]]:
+    """All reduced words of w, lazily, in descent-lex order."""
+    if w.is_identity:
+        yield ()
+        return
+    for i in right_descents(w):
+        for sub in reduced_words(w.times_simple(i)):
+            yield sub + (i,)
+
+
+def fraction_height(rs: RootSystem, lam: Weight) -> Fraction:
+    """Height as the sum of the rational simple-root coordinates."""
+    return sum(rs.root_coords(lam), Fraction(0))
+
+
+def fraction_dominance_leq(rs: RootSystem, mu: Weight, lam: Weight) -> bool:
+    """mu <= lam iff every rational root coordinate of lam - mu is in N."""
+    return all(x.denominator == 1 and x >= 0 for x in rs.root_coords(lam - mu))
+
+
+def dominant_representative(rs: RootSystem, lam: Weight) -> Weight:
+    """The unique dominant weight in the Weyl orbit of lam."""
+    cur = lam
+    while True:
+        for i, a in enumerate(cur.fw):
+            if a < 0:
+                cur = cur - a * rs.simple_roots[i].weight
+                break
+        else:
+            return cur
+
+
+def _bilinear(rs: RootSystem, mu: Weight, nu: Weight) -> Fraction:
+    """W-invariant symmetric form, normalized so short simple roots have (a,a)=2."""
+    a = rs.root_coords(mu)
+    b = rs.root_coords(nu)
+    return sum((a[i] * b[j] * rs._gram[i][j]
+                for i in range(rs.rank) if a[i] for j in range(rs.rank) if b[j]),
+               Fraction(0))
+
+
+def weyl_dim(rs: RootSystem, lam: Weight) -> int:
+    """Weyl dimension formula, evaluated exactly over the positive roots."""
+    if not lam.is_dominant:
+        raise ValueError("weyl_dim requires a dominant weight")
+    num = 1
+    den = 1
+    shifted = lam + rs.rho
+    for beta in rs.positive_roots:
+        num *= rs.pairing_root(shifted, beta)
+        den *= rs.pairing_root(rs.rho, beta)
+    dim = Fraction(num, den)
+    if dim.denominator != 1:
+        raise AssertionError("Weyl dimension is not an integer")
+    return int(dim)
+
+
+def freudenthal_char(rs: RootSystem, lam: Weight) -> Character:
+    """Irreducible character for dominant lam via Freudenthal's recursion.
+
+    Completely independent of the Demazure machinery: multiplicities come
+    from the recursive formula on dominant weights and spread over Weyl
+    orbits.  Serves as the oracle against demazure_along_word(w0).
+    """
+    if not lam.is_dominant:
+        raise ValueError("freudenthal_char requires a dominant weight")
+    lowest = longest_element(rs).apply(lam)
+    bounds = []
+    for x in rs.root_coords(lam - lowest):
+        if x.denominator != 1 or x < 0:
+            raise AssertionError("weight span is not a nonnegative root vector")
+        bounds.append(int(x))
+
+    simple_weights = [r.weight for r in rs.simple_roots]
+    dominant: list[tuple[int, Weight]] = []
+    for combo in product(*(range(b + 1) for b in bounds)):
+        mu = lam
+        for c, alpha in zip(combo, simple_weights):
+            if c:
+                mu = mu - c * alpha
+        if mu.is_dominant:
+            dominant.append((sum(combo), mu))
+    dominant.sort(key=lambda t: (t[0], t[1].fw))
+
+    rho = rs.rho
+    top_norm = _bilinear(rs, lam + rho, lam + rho)
+    mult: dict[tuple[int, ...], int] = {}
+    for depth, mu in dominant:
+        if depth == 0:
+            mult[mu.fw] = 1
+            continue
+        acc = Fraction(0)
+        for beta in rs.positive_roots:
+            k = 1
+            while True:
+                nu = mu + k * beta.weight
+                if not fraction_dominance_leq(rs, nu, lam):
+                    break
+                m = mult.get(dominant_representative(rs, nu).fw, 0)
+                if m:
+                    acc += m * _bilinear(rs, nu, beta.weight)
+                k += 1
+        den = top_norm - _bilinear(rs, mu + rho, mu + rho)
+        if den <= 0:
+            raise AssertionError("Freudenthal denominator must be positive")
+        val = 2 * acc / den
+        if val.denominator != 1 or val < 0:
+            raise AssertionError(f"non-integral Freudenthal multiplicity {val}")
+        if val:
+            mult[mu.fw] = int(val)
+
+    return Character({nu: m for fw, m in mult.items()
+                      for nu in weight_orbit(rs, Weight(fw))})
 
 
 def random_small_character(rs: RootSystem, rng: random.Random,

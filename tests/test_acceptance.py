@@ -23,17 +23,15 @@ from schubert import (
     e,
     enumerate_group,
     euler_char,
-    freudenthal_char,
     from_word,
     longest_element,
-    reduced_words,
     ss_nonempty,
-    weyl_dim,
 )
 from schubert.cohomology import borel_character, lemma61_search
 from schubert.report import run_check
 
-from helpers import random_small_character, subword_bruhat_leq
+from helpers import (freudenthal_char, random_small_character, reduced_words,
+                     subword_bruhat_leq, weyl_dim)
 
 
 def report(line: str) -> None:

@@ -14,13 +14,11 @@ from schubert import (
     demazure_along_word,
     demazure_op,
     e,
-    freudenthal_char,
     longest_element,
-    weyl_dim,
 )
 from schubert.rootsys import Weight
 
-from helpers import random_small_character
+from helpers import fraction_height, freudenthal_char, random_small_character, weyl_dim
 
 
 def test_character_algebra():
@@ -180,6 +178,24 @@ def test_sorted_terms_order():
     heights = [rs.height(wt) for wt, _ in terms]
     assert heights == sorted(heights)
     assert char_to_str(rs, f) == "-1*e[1, -2] + 2*e[0, 0] + 1*e[1, 1]"
+
+
+def fraction_sorted_terms(rs, f):
+    return sorted(f.items(), key=lambda kv: (fraction_height(rs, kv[0]), kv[0].fw))
+
+
+def test_sorted_terms_match_the_fraction_height_sort():
+    # w0 characters of omega_1 and omega_n; C^-1 denominators D = 1, 2, 3, 4, 8
+    # (D6 has D = 2, so D5 brings D = 4)
+    dens = set()
+    for name in ("G2", "B3", "C4", "F4", "A7", "D5", "D6", "E6", "E7"):
+        rs = build(name)
+        dens.add(rs._den)
+        word = longest_element(rs).reduced_word()
+        for omega in (rs.fundamental_weights[0], rs.fundamental_weights[-1]):
+            f = demazure_along_word(rs, word, e(omega))
+            assert char_sorted_terms(rs, f) == fraction_sorted_terms(rs, f), (name, omega)
+    assert dens == {1, 2, 3, 4, 8}
 
 
 def test_demazure_matches_weyl_character_on_w0():

@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import schubert
 from schubert.cli import main, pool_size
 from schubert.report import CHECKS, run_check
 from schubert.rootsys import CartanType, RootSystem, build
@@ -186,6 +191,16 @@ def test_sweep_workers_deterministic(capsys):
     for d in (*doc1, *doc2):
         d["elapsed_ms"] = 0
     assert doc1 == doc2
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # the pool is imported only when a sweep runs with --workers above 1
+    src = str(Path(schubert.__file__).resolve().parents[1])
+    probe = ("import sys, schubert.cli; print(sorted(m for m in sys.modules "
+             "if m.startswith(('concurrent', 'multiprocessing'))))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_out_writes_file(tmp_path, capsys):

@@ -8,12 +8,12 @@ small example budget, so the suite stays deterministic and quick.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schubert import (Character, bruhat_leq, build, demazure_op, e, from_word,
-                      identity, simple_reflection)
+from schubert import (Character, bruhat_leq, build, char_sorted_terms, demazure_op, e,
+                      from_word, identity, simple_reflection)
 from schubert.rootsys import Weight
 
-from helpers import (gauss_jordan_inverse, mul_from_word, peel_reduced_word,
-                     subword_bruhat_leq)
+from helpers import (fraction_height, gauss_jordan_inverse, mul_from_word,
+                     peel_reduced_word, subword_bruhat_leq)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None,
                              max_examples=40)
@@ -79,3 +79,12 @@ def test_demazure_braid_relations_on_random_characters(name, data):
                 left = demazure_op(rs, (i, j)[k % 2], left)
                 right = demazure_op(rs, (j, i)[k % 2], right)
             assert left == right
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(["G2", "B3", "C4", "A7", "D6", "E6", "E7"]), st.data())
+def test_sorted_terms_match_the_fraction_height_sort(name, data):
+    rs = build(name)
+    f = data.draw(characters(rs.rank), label="f")
+    assert char_sorted_terms(rs, f) == sorted(
+        f.items(), key=lambda kv: (fraction_height(rs, kv[0]), kv[0].fw))

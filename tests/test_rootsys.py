@@ -7,6 +7,8 @@ import pytest
 
 from schubert import CartanType, Weight, build
 
+from helpers import dominant_representative, fraction_dominance_leq
+
 ROOT_COUNTS = {
     "A1": 2, "A2": 6, "A3": 12, "A4": 20, "A5": 30,
     "B2": 8, "B3": 18, "B4": 32,
@@ -194,13 +196,25 @@ def test_dominance_order_examples():
         assert all(rsn.dominance_leq(r.weight, top) for r in rsn.positive_roots)
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4",
+                                  "C3", "C4", "D4", "D5", "F4", "G2"])
+def test_integer_dominance_matches_fraction_oracle(name):
+    # every pair of roots; the fundamental weights and 0 add differences
+    # outside the root lattice, which only the divisibility test rejects
+    rs = build(name)
+    weights = [r.weight for r in rs.roots] + list(rs.fundamental_weights) + [rs.zero()]
+    for mu in weights:
+        for lam in weights:
+            assert rs.dominance_leq(mu, lam) == fraction_dominance_leq(rs, mu, lam)
+
+
 def test_dominant_representative():
     rng = random.Random(11)
     for name in ("A2", "B2", "G2", "A3"):
         rs = build(name)
         for _ in range(25):
             lam = Weight(tuple(rng.randint(-4, 4) for _ in range(rs.rank)))
-            dom = rs.dominant_representative(lam)
+            dom = dominant_representative(rs, lam)
             assert dom.is_dominant
 
 

@@ -16,13 +16,12 @@ from schubert import (
     identity,
     longest_element,
     min_parabolic_rep,
-    reduced_words,
     simple_reflection,
 )
 from schubert.weyl import DEFAULT_GUARD, GUARD_ENV_VAR, resolve_guard
 
 from helpers import (gauss_jordan_inverse, peel_reduced_word, random_element,
-                     subword_bruhat_leq, weight_orbit)
+                     reduced_words, subword_bruhat_leq, weight_orbit)
 
 
 def test_simple_reflection_basics():
