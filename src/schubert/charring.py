@@ -1,16 +1,27 @@
 """Formal characters and Demazure operators on the weight lattice.
 
 A Character is a finite integer combination of exponentials e^lam, stored
-as a dict keyed by fw tuples with zero terms pruned; ``Weight`` appears
-only where a caller hands one in or asks for one back (``e``, the
-constructor, ``multiplicity``, ``items``, ``char_sorted_terms``).  The
-Demazure operator is implemented by the closed string formula, never as a
-rational-function quotient, so every value is exact:
+as a dict keyed by packed integers with zero terms pruned: fw coordinate j
+of lam is the digit ``fw_j + 2^31`` in bits [32j, 32j + 32) of the key.
+``Weight`` appears only where a caller hands one in or asks for one back:
+``e``, the constructor and ``multiplicity`` pack, ``items``,
+``char_sorted_terms`` and ``repr`` unpack.  The Demazure operator is
+implemented by the closed string formula, never as a rational-function
+quotient, so every value is exact:
 
     on e^lam with m = <lam, alpha_vee>:
         m >= 0:  e^lam + e^{lam-alpha} + ... + e^{lam-m*alpha}
         m == -1: 0
         m <= -2: -(e^{lam+alpha} + ... + e^{lam+(-m-1)*alpha})
+
+On packed keys a string step is one integer subtraction of the packed
+simple root, and m is read off digit i.  No step borrows across digits:
+every term of D_w f lies in the convex hull of W.supp(f), and an fw
+coordinate of a W-image is at most (h-1) * max|fw_j| of the weight,
+because the simple-coroot coefficients of a coroot sum to at most h-1.
+Packing therefore refuses, with ValueError, a weight with
+(h-1) * max|fw_j| >= 2^31.  A character does not know its type, so h is
+the largest Coxeter number of any type of the weight's rank.
 
 For a word (i1,...,ik) the operator of the LAST letter applies first; this
 orientation is pinned by regression tests and by the agreement of the full
@@ -20,10 +31,11 @@ w0 composition with the Freudenthal construction of irreducible characters
 
 from __future__ import annotations
 
-from operator import add, sub
+from functools import lru_cache
+from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
-from .rootsys import RootSystem, Weight
+from .rootsys import CartanType, RootSystem, Weight
 
 __all__ = [
     "Character",
@@ -36,6 +48,63 @@ __all__ = [
     "char_to_str",
 ]
 
+_DIGIT = 32
+_OFF = 1 << (_DIGIT - 1)
+_MASK = (1 << _DIGIT) - 1
+
+
+@lru_cache(maxsize=None)
+def _pack_limit(rank: int) -> int:
+    """Largest max|fw_j| a packed weight of this rank may have."""
+    coxeter_numbers = []
+    for family in "ABCDEFG":
+        try:
+            coxeter_numbers.append(CartanType(family, rank).coxeter_number)
+        except ValueError:  # the family has no type of this rank
+            pass
+    return (_OFF - 1) // (max(coxeter_numbers) - 1)
+
+
+@lru_cache(maxsize=None)
+def _layout(rank: int) -> tuple[Struct, int]:
+    """rank little-endian int32s, and the mask of their sign bits.
+
+    The digit fw_j + 2^31 is the int32 fw_j with its sign bit flipped.
+    """
+    return Struct(f"<{rank}i"), sum(_OFF << (_DIGIT * j) for j in range(rank))
+
+
+def _pack_unchecked(fw: Sequence[int]) -> int:
+    layout, flip = _layout(len(fw))
+    return int.from_bytes(layout.pack(*fw), "little") ^ flip
+
+
+def _pack(fw: Sequence[int]) -> int:
+    """The key of fw; ValueError past the (h-1) * max|fw_j| < 2^31 bound."""
+    limit = _pack_limit(len(fw))
+    if max(map(abs, fw)) > limit:
+        raise ValueError(
+            f"weight {list(fw)} is out of range: a character of rank {len(fw)} "
+            f"takes fw coordinates within +-{limit}, so that "
+            f"(h-1) * max|fw_j| < 2^31 for every Coxeter number h of that rank")
+    return _pack_unchecked(fw)
+
+
+def _unpack(key: int) -> tuple[int, ...]:
+    # every digit is positive, so the top digit ends the bit length
+    layout, flip = _layout((key.bit_length() + _DIGIT - 1) // _DIGIT)
+    return layout.unpack((key ^ flip).to_bytes(layout.size, "little"))
+
+
+@lru_cache(maxsize=None)
+def _packed_simple_roots(rs: RootSystem) -> tuple[int, ...]:
+    """alpha_i as a packed difference: key(lam) - step = key(lam - alpha_i).
+
+    One tuple per root system; ``build`` keeps those for the process anyway.
+    """
+    return tuple(sum(a << (_DIGIT * j) for j, a in enumerate(r.weight.fw))
+                 for r in rs.simple_roots)
+
 
 class Character:
     """Finite formal sum of weight exponentials with integer multiplicities."""
@@ -43,24 +112,29 @@ class Character:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[Weight, int] | None = None):
-        self._terms = {k.fw: v for k, v in (terms or {}).items() if v != 0}
+        self._terms = {_pack(k.fw): v for k, v in (terms or {}).items() if v != 0}
 
     @classmethod
     def zero(cls) -> "Character":
         return cls()
 
     @classmethod
-    def _from_fw(cls, terms: dict[tuple[int, ...], int]) -> "Character":
-        """A character from an fw-keyed dict, zero multiplicities dropped."""
+    def _from_packed(cls, terms: dict[int, int]) -> "Character":
+        """A character that takes over a fresh packed-key dict, zeros dropped."""
         out = cls.__new__(cls)
-        out._terms = {k: v for k, v in terms.items() if v}
+        if 0 in terms.values():
+            terms = {k: v for k, v in terms.items() if v}
+        out._terms = terms
         return out
 
     def items(self) -> Iterator[tuple[Weight, int]]:
-        return ((Weight(k), v) for k, v in self._terms.items())
+        return ((Weight(_unpack(k)), v) for k, v in self._terms.items())
 
     def multiplicity(self, lam: Weight) -> int:
-        return self._terms.get(lam.fw, 0)
+        # a weight outside the digit range is never a term
+        if max(map(abs, lam.fw)) >= _OFF:
+            return 0
+        return self._terms.get(_pack_unchecked(lam.fw), 0)
 
     def dimension(self) -> int:
         """Sum of multiplicities (the virtual dimension)."""
@@ -82,7 +156,7 @@ class Character:
         out = dict(self._terms)
         for k, v in other._terms.items():
             out[k] = out.get(k, 0) + sign * v
-        return Character._from_fw(out)
+        return Character._from_packed(out)
 
     def __add__(self, other: "Character") -> "Character":
         return self._combine(other, 1)
@@ -94,7 +168,7 @@ class Character:
         return self * -1
 
     def __mul__(self, k: int) -> "Character":
-        return Character._from_fw({w: k * v for w, v in self._terms.items()})
+        return Character._from_packed({w: k * v for w, v in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -110,7 +184,7 @@ class Character:
     def __repr__(self) -> str:
         if not self._terms:
             return "Character(0)"
-        parts = [f"{v}*e{list(k)}" for k, v in list(self._terms.items())[:6]]
+        parts = [f"{v}*e{list(_unpack(k))}" for k, v in list(self._terms.items())[:6]]
         more = "" if len(self._terms) <= 6 else f" ... ({len(self._terms)} terms)"
         return "Character(" + " + ".join(parts) + more + ")"
 
@@ -123,29 +197,29 @@ def e(lam: Weight, mult: int = 1) -> Character:
 def demazure_op(rs: RootSystem, i: int, f: Character) -> Character:
     """Demazure operator for the i-th simple root, extended additively.
 
-    The zero character comes back as it is.
+    A string step subtracts or adds the packed alpha_i.  The zero
+    character comes back as it is.
     """
     rs._check_index(i)
     if f.is_zero:
         return f
-    k = i - 1
-    alpha = rs.simple_roots[k].weight.fw
-    out: dict[tuple[int, ...], int] = {}
-    for fw, c in f._terms.items():
-        m = fw[k]
-        if m == -1:
-            continue
+    shift = _DIGIT * (i - 1)
+    step = _packed_simple_roots(rs)[i - 1]
+    out: dict[int, int] = {}
+    get = out.get
+    for key, c in f._terms.items():
+        m = ((key >> shift) & _MASK) - _OFF
         if m >= 0:
-            cur = fw
-            for _ in range(m + 1):
-                out[cur] = out.get(cur, 0) + c
-                cur = tuple(map(sub, cur, alpha))
+            out[key] = get(key, 0) + c
+            for _ in range(m):
+                key -= step
+                out[key] = get(key, 0) + c
         else:
-            cur = tuple(map(add, fw, alpha))
-            for _ in range(-m - 1):
-                out[cur] = out.get(cur, 0) - c
-                cur = tuple(map(add, cur, alpha))
-    return Character._from_fw(out)
+            # nothing for m == -1
+            for _ in range(-1 - m):
+                key += step
+                out[key] = get(key, 0) - c
+    return Character._from_packed(out)
 
 
 def demazure_along_word(rs: RootSystem, word: Sequence[int], f: Character) -> Character:
@@ -163,11 +237,11 @@ def demazure_along_word(rs: RootSystem, word: Sequence[int], f: Character) -> Ch
 
 def char_sum(fs: Iterable[Character]) -> Character:
     """Sum of characters into one accumulator, not one copy per addend."""
-    out: dict[tuple[int, ...], int] = {}
+    out: dict[int, int] = {}
     for f in fs:
         for k, v in f._terms.items():
             out[k] = out.get(k, 0) + v
-    return Character._from_fw(out)
+    return Character._from_packed(out)
 
 
 def adjoint_character(rs: RootSystem) -> Character:
@@ -184,8 +258,9 @@ def char_sorted_terms(rs: RootSystem, f: Character) -> list[tuple[Weight, int]]:
     integer with the same order as the rational height.
     """
     height = rs.scaled_height
+    terms = [(_unpack(k), m) for k, m in f._terms.items()]
     return [(Weight(fw), m) for fw, m in
-            sorted(f._terms.items(), key=lambda kv: (height(kv[0]), kv[0]))]
+            sorted(terms, key=lambda kv: (height(kv[0]), kv[0]))]
 
 
 def char_to_str(rs: RootSystem, f: Character) -> str:

@@ -194,11 +194,12 @@ def verify_thm42(rs: RootSystem, alpha: int | None = None,
         if not cosets:
             continue
         _certified(rs, chars)
-        inv = tau.inversion_set()
-        total = char_sum(h0 for beta, h0 in zip(rs.positive_roots, chars)
-                         if beta in inv)
-        outside = [(beta, h0) for beta, h0 in zip(rs.positive_roots, chars)
-                   if beta not in inv and not h0.is_zero]
+        # beta is an inversion of tau iff tau(beta) is negative
+        inverted = [not rs._by_fw[tau.act(beta.weight.fw)].positive
+                    for beta in rs.positive_roots]
+        total = char_sum(h0 for neg, h0 in zip(inverted, chars) if neg)
+        outside = [(beta, h0) for beta, neg, h0 in zip(rs.positive_roots, inverted, chars)
+                   if not neg and not h0.is_zero]
         for a in cosets:
             per_alpha[str(a)] += 1
             if total == adjoint and not outside:

@@ -14,7 +14,7 @@ from itertools import permutations
 from typing import Sequence
 
 from . import weyl
-from .charring import Character, adjoint_character, char_to_str, e
+from .charring import Character, adjoint_character, char_sum, char_to_str, e
 from .cohomology import euler_char, h0_line, ss_nonempty
 from .rootsys import RootSystem
 from .weyl import WeylElement, coxeter_elements, element_order, from_word
@@ -361,9 +361,30 @@ def verify_cor52_53_58(rs: RootSystem) -> tuple[int, list, dict]:
     over C = {e,...,c^{h-1}}) are asserted only for type A extremal
     elements, where full degree-wise vanishing certifies them; other
     elements get informational rows.
+
+    The cyclic groups overlap: <c> = <c^{-1}>, and e lies in all of them.
+    Each distinct power therefore gets its inversion-set tangent and its
+    signed Euler term once, keyed by matrix, across all Coxeter elements.
     """
     adjoint = adjoint_character(rs)
     zero = rs.zero()
+    tangents_of: dict[tuple, Character] = {}
+    signed_euler_of: dict[tuple, Character] = {}
+
+    def tangent(cj: WeylElement) -> Character:
+        """The inversion-set h0 sum of cj."""
+        if cj.matrix not in tangents_of:
+            tangents_of[cj.matrix] = char_sum(
+                h0_line(rs, cj, beta.weight) for beta in cj.inversion_set())
+        return tangents_of[cj.matrix]
+
+    def signed_euler(cj: WeylElement) -> Character:
+        """(-1)^l(cj) chi(cj, e^{cj^-1 . 0})."""
+        if cj.matrix not in signed_euler_of:
+            chi = euler_char(rs, cj, e(cj.inverse().dot(zero)))
+            signed_euler_of[cj.matrix] = chi if cj.length % 2 == 0 else -chi
+        return signed_euler_of[cj.matrix]
+
     counterexamples = []
     rows = []
     elements = coxeter_elements(rs)
@@ -372,13 +393,7 @@ def verify_cor52_53_58(rs: RootSystem) -> tuple[int, list, dict]:
         powers = [weyl.identity(rs)]
         for _ in range(1, h):
             powers.append(powers[-1] * c)
-        # the inversion-set h0 sum of c^j for j = 1 .. h-1
-        tangents = []
-        for cj in powers[1:]:
-            total = Character.zero()
-            for beta in cj.inversion_set():
-                total = total + h0_line(rs, cj, beta.weight)
-            tangents.append(total)
+        tangents = [tangent(cj) for cj in powers[1:]]
         min_j = next((j for j, total in enumerate(tangents, 1) if total == adjoint), None)
         if min_j is None:
             counterexamples.append({
@@ -386,15 +401,9 @@ def verify_cor52_53_58(rs: RootSystem) -> tuple[int, list, dict]:
                 "reason": "no power below h has full adjoint tangent character",
             })
 
-        sum53 = sum(tangents, Character.zero())
+        sum53 = char_sum(tangents)
         eq53 = sum53 == (h - 1) * adjoint
-
-        sum58 = Character.zero()
-        for cj in powers:
-            lam = cj.inverse().dot(zero)
-            chi = euler_char(rs, cj, e(lam))
-            sign = 1 if cj.length % 2 == 0 else -1
-            sum58 = sum58 + sign * chi
+        sum58 = char_sum(signed_euler(cj) for cj in powers)
         eq58 = sum58 == h * e(zero)
 
         extremal = rs.ct.family == "A" and is_typeA_extremal(rs, c)

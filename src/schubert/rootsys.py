@@ -88,6 +88,11 @@ class CartanType:
         return _EXCEPTIONAL_ROOT_COUNTS[(self.family, n)]
 
     @property
+    def coxeter_number(self) -> int:
+        """h = |R| / rank, one more than the height of the highest root."""
+        return self.root_count // self.rank
+
+    @property
     def weyl_order(self) -> int:
         n = self.rank
         fact = 1

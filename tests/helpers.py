@@ -5,8 +5,10 @@ subword scans instead of the lifting recursion, full matrix products
 instead of the one-column reflection step, Gauss-Jordan instead of
 reversed words, plain dict arithmetic instead of Character, Freudenthal's
 recursion and the Weyl dimension formula instead of Demazure operators,
-Fraction root coordinates instead of the integer D * C^-1 rows, so
-agreement is evidence rather than tautology.
+Fraction root coordinates instead of the integer D * C^-1 rows, string
+steps on fw tuples instead of packed integer keys, one Coxeter element at
+a time instead of the memo over distinct powers, so agreement is evidence
+rather than tautology.
 """
 
 from __future__ import annotations
@@ -14,11 +16,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator
+from operator import add, sub
+from typing import Iterable, Iterator, Sequence
 
-from schubert import (Character, WeylElement, adjoint_character, bruhat_leq, e,
-                      enumerate_group, h0_line, identity, longest_element,
-                      simple_reflection)
+from schubert import (Character, WeylElement, adjoint_character, bruhat_leq,
+                      char_to_str, coxeter_elements, e, element_order,
+                      enumerate_group, euler_char, h0_line, identity,
+                      is_typeA_extremal, longest_element, simple_reflection,
+                      ss_nonempty)
 from schubert.rootsys import RootSystem, Weight, _invert_rational
 
 
@@ -265,3 +270,99 @@ def bruhat_monotonicity_findings(rs: RootSystem,
                         "upper_dim": dims[w.matrix],
                     })
     return findings
+
+
+def string_formula_demazure_op(rs: RootSystem, i: int, f: Character) -> Character:
+    """D_i by the string formula on fw tuples, one fresh tuple per step."""
+    k = i - 1
+    alpha = rs.simple_roots[k].weight.fw
+    out: dict[tuple[int, ...], int] = {}
+    for lam, c in f.items():
+        fw = lam.fw
+        m = fw[k]
+        if m == -1:
+            continue
+        if m >= 0:
+            cur = fw
+            for _ in range(m + 1):
+                out[cur] = out.get(cur, 0) + c
+                cur = tuple(map(sub, cur, alpha))
+        else:
+            cur = tuple(map(add, fw, alpha))
+            for _ in range(-m - 1):
+                out[cur] = out.get(cur, 0) - c
+                cur = tuple(map(add, cur, alpha))
+    return Character({Weight(fw): v for fw, v in out.items()})
+
+
+def string_formula_along_word(rs: RootSystem, word: Sequence[int],
+                              f: Character) -> Character:
+    """The oracle operator letter by letter; the last letter acts first."""
+    for i in reversed(word):
+        f = string_formula_demazure_op(rs, i, f)
+    return f
+
+
+def cor52_53_58_per_element(rs: RootSystem) -> tuple[int, list, dict]:
+    """verify_cor52_53_58 one Coxeter element at a time, nothing shared.
+
+    Every power of every Coxeter element gets its own tangent and Euler
+    composition, however often it recurs in other cyclic groups.
+    """
+    adjoint = adjoint_character(rs)
+    zero = rs.zero()
+    counterexamples = []
+    rows = []
+    elements = coxeter_elements(rs)
+    for c, word in elements:
+        h = element_order(c)
+        powers = [identity(rs)]
+        for _ in range(1, h):
+            powers.append(powers[-1] * c)
+        tangents = []
+        for cj in powers[1:]:
+            total = Character.zero()
+            for beta in cj.inversion_set():
+                total = total + h0_line(rs, cj, beta.weight)
+            tangents.append(total)
+        min_j = next((j for j, total in enumerate(tangents, 1) if total == adjoint), None)
+        if min_j is None:
+            counterexamples.append({
+                "c_word": list(word),
+                "reason": "no power below h has full adjoint tangent character",
+            })
+
+        sum53 = sum(tangents, Character.zero())
+        eq53 = sum53 == (h - 1) * adjoint
+
+        sum58 = Character.zero()
+        for cj in powers:
+            lam = cj.inverse().dot(zero)
+            chi = euler_char(rs, cj, e(lam))
+            sign = 1 if cj.length % 2 == 0 else -1
+            sum58 = sum58 + sign * chi
+        eq58 = sum58 == h * e(zero)
+
+        extremal = rs.ct.family == "A" and is_typeA_extremal(rs, c)
+        if extremal:
+            if not eq53:
+                counterexamples.append({
+                    "c_word": list(word), "clause": "cyclic-sum",
+                    "difference": char_to_str(rs, (h - 1) * adjoint - sum53),
+                })
+            if not eq58:
+                counterexamples.append({
+                    "c_word": list(word), "clause": "signed-euler-sum",
+                    "sum": char_to_str(rs, sum58),
+                })
+        rows.append({
+            "c_word": list(word),
+            "h": h,
+            "extremal": extremal,
+            "min_full_power": min_j,
+            "cyclic_sum_matches": eq53,
+            "signed_euler_sum_matches": eq58,
+            "ss_c": ss_nonempty(rs, c),
+            "ss_c_inv": ss_nonempty(rs, c.inverse()),
+        })
+    return len(elements), counterexamples, {"rows": rows}

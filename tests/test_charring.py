@@ -38,6 +38,39 @@ def test_character_algebra():
         hash(s)
 
 
+def test_character_round_trips_through_its_api_edge():
+    for name in ("A1", "G2", "E7"):
+        rs = build(name)
+        rng = random.Random(name)
+        terms = {}
+        for _ in range(20):
+            fw = tuple(rng.randint(-40, 40) for _ in range(rs.rank))
+            terms[rs.weight(fw)] = rng.choice((-3, -1, 1, 2))
+        f = Character(terms)
+        assert dict(f.items()) == terms
+        assert all(f.multiplicity(lam) == m for lam, m in terms.items())
+        assert Character(dict(f.items())) == f
+        assert f != Character(dict(list(terms.items())[1:]))
+        assert f.multiplicity(rs.weight((2 ** 40,) * rs.rank)) == 0
+
+
+def test_packing_bound():
+    # rank 2 holds G2, whose Coxeter number 6 is the largest of that rank:
+    # (h - 1) * max|fw_j| < 2^31 allows coordinates up to B
+    rs = build("A2")
+    w = rs.weight
+    big = (2 ** 31 - 1) // 5
+    for bad in ((big + 1, 0), (0, -big - 1)):
+        with pytest.raises(ValueError, match="out of range"):
+            e(w(bad))
+    # s_2 reads the second coordinate, so no string runs for length B
+    out = demazure_op(rs, 2, e(w((big, 1))))
+    assert dict(out.items()) == {w((big, 1)): 1, w((big + 1, -1)): 1}
+    assert out.multiplicity(w((big + 1, -1))) == 1
+    out = demazure_op(rs, 2, e(w((-big, -2)), 3))
+    assert dict(out.items()) == {w((-big - 1, 0)): -3}
+
+
 def test_demazure_string_cases():
     rs = build("A2")
     w = rs.weight

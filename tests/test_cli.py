@@ -111,6 +111,16 @@ def test_demazure_bad_inputs(capsys):
     assert code == 2
 
 
+def test_demazure_refuses_a_weight_past_the_packing_bound(capsys):
+    # a string of 10^9 steps used to start here
+    start = time.perf_counter()
+    code, out, err = run(capsys, "demazure", "--type", "A2", "--word", "1",
+                         "--weight-fund", "1000000000,0")
+    assert time.perf_counter() - start < 5.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: weight [1000000000, 0] is out of range")
+
+
 def test_verify_pass_and_table(capsys):
     code, out, _ = run(capsys, "verify", "thmA", "--type", "A2")
     assert code == 0

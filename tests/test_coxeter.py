@@ -15,7 +15,10 @@ from schubert import (
     simple_reflection,
     yz_exponent,
 )
+from schubert.coxeter import verify_cor52_53_58
 from schubert.report import run_check
+
+from helpers import cor52_53_58_per_element
 
 
 def test_analyze_a2_anchor():
@@ -156,6 +159,13 @@ def test_verify_cor52_53_58(name):
         if row["extremal"]:
             assert row["cyclic_sum_matches"]
             assert row["signed_euler_sum_matches"]
+
+
+@pytest.mark.parametrize("name", ["A3", "A4", "D4", "D5"])
+def test_cor52_53_58_memo_matches_the_per_element_loop(name):
+    # universe, counterexamples and details, rows in order
+    rs = build(name)
+    assert verify_cor52_53_58(rs) == cor52_53_58_per_element(rs)
 
 
 def test_cor52_53_58_rejects_two_lengths():

@@ -8,12 +8,14 @@ small example budget, so the suite stays deterministic and quick.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schubert import (Character, bruhat_leq, build, char_sorted_terms, demazure_op, e,
-                      from_word, identity, simple_reflection)
+from schubert import (Character, bruhat_leq, build, char_sorted_terms,
+                      demazure_along_word, demazure_op, e, from_word, identity,
+                      simple_reflection)
 from schubert.rootsys import Weight
 
 from helpers import (fraction_height, gauss_jordan_inverse, mul_from_word,
-                     peel_reduced_word, subword_bruhat_leq)
+                     peel_reduced_word, string_formula_along_word,
+                     string_formula_demazure_op, subword_bruhat_leq)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None,
                              max_examples=40)
@@ -88,3 +90,15 @@ def test_sorted_terms_match_the_fraction_height_sort(name, data):
     f = data.draw(characters(rs.rank), label="f")
     assert char_sorted_terms(rs, f) == sorted(
         f.items(), key=lambda kv: (fraction_height(rs, kv[0]), kv[0].fw))
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(["G2", "B3", "C4", "F4", "A7", "D6", "E6", "E7"]), st.data())
+def test_packed_kernel_matches_the_string_formula_oracle(name, data):
+    # coordinates in -3..3 give every string case m = -3 .. 3
+    rs = build(name)
+    f = data.draw(characters(rs.rank), label="f")
+    i = data.draw(st.integers(1, rs.rank), label="i")
+    assert demazure_op(rs, i, f) == string_formula_demazure_op(rs, i, f)
+    word = data.draw(words(rs.rank, 4), label="word")
+    assert demazure_along_word(rs, word, f) == string_formula_along_word(rs, word, f)

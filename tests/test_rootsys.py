@@ -109,6 +109,8 @@ def test_highest_roots(name):
     # both are dominant
     assert rs.highest_root.weight.is_dominant
     assert rs.highest_short_root.weight.is_dominant
+    # the Coxeter number |R| / n is one more than the highest root's height
+    assert rs.ct.coxeter_number == rs.highest_root.height + 1
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "G2", "F4"])
