@@ -14,6 +14,7 @@ import json
 import os
 import re
 import sys
+from math import prod
 
 from . import __version__
 from .charring import char_sorted_terms, char_to_str, demazure_along_word, e
@@ -183,11 +184,26 @@ def cmd_roots(args) -> int:
     return 0
 
 
+def _weyl_dimension(rs: RootSystem, lam: Weight) -> int:
+    """dim V(lam+), lam+ the dominant conjugate of lam: it bounds the terms
+    of a Demazure composite on e^lam, which lie in conv(W.lam) in lam + Q."""
+    while min(lam.fw) < 0:
+        lam = rs.reflect_simple(lam, lam.fw.index(min(lam.fw)) + 1)
+    shifted = lam + rs.rho
+    return (prod(rs.pairing_root(shifted, beta) for beta in rs.positive_roots)
+            // prod(rs.pairing_root(rs.rho, beta) for beta in rs.positive_roots))
+
+
 def cmd_demazure(args) -> int:
     rs = build(args.type)
     word = _parse_word(rs, args.word)
     lam = _parse_weight(rs, args)
-    result = demazure_along_word(rs, word, e(lam))
+    seed = e(lam)  # the packing bound refuses first
+    dim, guard = _weyl_dimension(rs, lam), resolve_guard(None)
+    if dim > guard:
+        raise ValueError(f"weight {list(lam.fw)}: dim V(lambda+) = {dim} exceeds guard "
+                         f"{guard}, and a Demazure character of it may have that many terms")
+    result = demazure_along_word(rs, word, seed)
     if args.format == "json":
         doc = {
             "type": str(rs.ct),

@@ -9,8 +9,10 @@ numbering of the roots sitting at those positions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
+from functools import lru_cache
+from itertools import combinations, permutations
 from typing import Sequence
 
 from . import weyl
@@ -56,6 +58,32 @@ class CoxeterAnalysis:
         return from_word(self.c.rs, self.phi_words[j])
 
 
+@lru_cache(maxsize=None)
+def _coxeter_data(rs: RootSystem, c: WeylElement) -> tuple:
+    """analyze's table: (c, h, a, phi_words, splits) per distinct c, keyed
+    by matrix and by simple index, not position; splits maps a phi word,
+    whose order depends on the ordering, to (phi, tau)."""
+    h = element_order(c)
+    c_inv = c.inverse()
+    simple_index = {r.coords: i + 1 for i, r in enumerate(rs.simple_roots)}
+    a: dict[int, int] = {}
+    phi_words: dict[int, tuple[int, ...]] = {}
+    for i, root in enumerate(rs.simple_roots, 1):
+        # i is in J' when its orbit stays simple until it turns negative, within h
+        letters = []
+        cur = root
+        while len(letters) < h and cur.coords in simple_index:
+            letters.append(simple_index[cur.coords])
+            cur = c.apply_root(cur)
+            if not cur.positive:
+                break
+        if len(letters) < h and not cur.positive:
+            a[i] = len(letters)
+            if c_inv.apply_root(root).coords not in simple_index:
+                phi_words[i] = tuple(letters)
+    return c, h, a, phi_words, {}
+
+
 def analyze(rs: RootSystem, ordering: Sequence[int]) -> CoxeterAnalysis:
     """Compute the orbit data of c = s_{alpha_n} ... s_{alpha_1}.
 
@@ -65,64 +93,28 @@ def analyze(rs: RootSystem, ordering: Sequence[int]) -> CoxeterAnalysis:
     ordering = tuple(ordering)
     if sorted(ordering) != list(range(1, rs.rank + 1)):
         raise ValueError(f"ordering {ordering} is not a permutation of the simples")
-    c = from_word(rs, tuple(reversed(ordering)))
-    h = element_order(c)
-
-    simple_coords = {r.coords: i + 1 for i, r in enumerate(rs.simple_roots)}
-    J_prime: list[int] = []
-    a: dict[int, int] = {}
-    for pos in range(1, rs.rank + 1):
-        root = rs.simple_roots[ordering[pos - 1] - 1]
-        prefix_simple = True
-        cur = root
-        steps = 0
-        while steps < h:
-            if cur.coords not in simple_coords:
-                prefix_simple = False
-                break
-            cur = c.apply_root(cur)
-            steps += 1
-            if not cur.positive:
-                break
-        if prefix_simple and steps < h and not cur.positive:
-            J_prime.append(pos)
-            a[pos] = steps
-
-    c_inv = c.inverse()
-    J = []
-    for pos in J_prime:
-        root = rs.simple_roots[ordering[pos - 1] - 1]
-        img = c_inv.apply_root(root)
-        if img.coords not in simple_coords:
-            J.append(pos)
-
-    phi_words: dict[int, tuple[int, ...]] = {}
-    for pos in J:
-        root = rs.simple_roots[ordering[pos - 1] - 1]
-        letters = []
-        cur = root
-        for _ in range(a[pos]):
-            letters.append(simple_coords[cur.coords])
-            cur = c.apply_root(cur)
-        phi_words[pos] = tuple(letters)
-
-    phi_word = tuple(letter for pos in J for letter in phi_words[pos])
-    phi = from_word(rs, phi_word)
-    if phi.length != len(phi_word):
-        raise AssertionError("phi word is not reduced")
-    tau = c * phi.inverse()
-    if c.length != tau.length + phi.length:
-        raise AssertionError("lengths do not add in c = tau * phi")
-    if tau * phi != c:
-        raise AssertionError("tau * phi is not c")
-
+    c, h, a_of, words_of, splits = _coxeter_data(rs, from_word(rs, tuple(reversed(ordering))))
+    a = {pos: a_of[i] for pos, i in enumerate(ordering, 1) if i in a_of}
+    phi_words = {pos: words_of[i] for pos, i in enumerate(ordering, 1) if i in words_of}
+    phi_word = tuple(letter for word in phi_words.values() for letter in word)
+    if phi_word not in splits:
+        phi = from_word(rs, phi_word)
+        if phi.length != len(phi_word):
+            raise AssertionError("phi word is not reduced")
+        tau = c * phi.inverse()
+        if c.length != tau.length + phi.length:
+            raise AssertionError("lengths do not add in c = tau * phi")
+        if tau * phi != c:
+            raise AssertionError("tau * phi is not c")
+        splits[phi_word] = phi, tau
+    phi, tau = splits[phi_word]
     return CoxeterAnalysis(
         ordering=ordering,
         c=c,
         coxeter_number=h,
-        J_prime=tuple(J_prime),
+        J_prime=tuple(a),
         a=a,
-        J=tuple(J),
+        J=tuple(phi_words),
         phi_words=phi_words,
         phi=phi,
         tau=tau,
@@ -208,6 +200,7 @@ def verify_lemma54_55_56(rs: RootSystem) -> tuple[int, list, dict]:
     """
     counterexamples = []
     n = rs.rank
+    cartan = rs.cartan
     universe = 0
     for perm in permutations(range(1, n + 1)):
         universe += 1
@@ -216,12 +209,11 @@ def verify_lemma54_55_56(rs: RootSystem) -> tuple[int, list, dict]:
         roots = [rs.simple_roots[perm[p - 1] - 1] for p in range(1, n + 1)]
 
         # c maps the position-i root to the position-j root iff j is the
-        # unique earlier neighbor of i and i the unique later neighbor of j
-        earlier = {i: [k for k in range(1, i)
-                       if rs.pairing_root(roots[k - 1].weight, roots[i - 1]) != 0]
+        # unique earlier neighbor of i and i the unique later neighbor of j;
+        # <alpha_k, alpha_i_vee> = cartan[i][k]
+        earlier = {i: [k for k in range(1, i) if cartan[perm[i - 1] - 1][perm[k - 1] - 1]]
                    for i in range(1, n + 1)}
-        later = {j: [k for k in range(j + 1, n + 1)
-                     if rs.pairing_root(roots[j - 1].weight, roots[k - 1]) != 0]
+        later = {j: [k for k in range(j + 1, n + 1) if cartan[perm[k - 1] - 1][perm[j - 1] - 1]]
                  for j in range(1, n + 1)}
         for i in range(1, n + 1):
             img = c.apply_root(roots[i - 1])
@@ -238,30 +230,26 @@ def verify_lemma54_55_56(rs: RootSystem) -> tuple[int, list, dict]:
 
         # distinct J-orbits are orthogonal while they stay simple; phi_j's
         # letters are the simple roots that orbit passes through
-        orbits = {j: [rs.simple_roots[x - 1] for x in analysis.phi_words[j]]
-                  for j in analysis.J}
-        for jdx, j in enumerate(analysis.J):
-            for k in analysis.J[jdx + 1:]:
-                for bj in orbits[j]:
-                    for bk in orbits[k]:
-                        if rs.pairing_root(bj.weight, bk) != 0:
-                            counterexamples.append({
-                                "ordering": list(perm), "clause": "orbit-orthogonality",
-                                "j": j, "k": k,
-                                "beta_j": list(bj.coords),
-                                "beta_k": list(bk.coords),
-                            })
+        words = analysis.phi_words
+        for j, k in combinations(analysis.J, 2):
+            for x in words[j]:
+                for y in words[k]:
+                    if cartan[y - 1][x - 1]:
+                        counterexamples.append({
+                            "ordering": list(perm), "clause": "orbit-orthogonality",
+                            "j": j, "k": k,
+                            "beta_j": list(rs.simple_roots[x - 1].coords),
+                            "beta_k": list(rs.simple_roots[y - 1].coords),
+                        })
 
         # the phi factors commute pairwise
-        for jdx, j in enumerate(analysis.J):
-            fj = analysis.phi_factor(j)
-            for k in analysis.J[jdx + 1:]:
-                fk = analysis.phi_factor(k)
-                if fj * fk != fk * fj:
-                    counterexamples.append({
-                        "ordering": list(perm), "clause": "factor-commutation",
-                        "j": j, "k": k,
-                    })
+        factors = {j: analysis.phi_factor(j) for j in analysis.J}
+        for j, k in combinations(analysis.J, 2):
+            if factors[j] * factors[k] != factors[k] * factors[j]:
+                counterexamples.append({
+                    "ordering": list(perm), "clause": "factor-commutation",
+                    "j": j, "k": k,
+                })
 
         # lengths add in c = tau * phi
         if analysis.c.length != analysis.tau.length + analysis.phi.length:
@@ -362,48 +350,60 @@ def verify_cor52_53_58(rs: RootSystem) -> tuple[int, list, dict]:
     elements, where full degree-wise vanishing certifies them; other
     elements get informational rows.
 
-    The cyclic groups overlap: <c> = <c^{-1}>, and e lies in all of them.
-    Each distinct power therefore gets its inversion-set tangent and its
-    signed Euler term once, keyed by matrix, across all Coxeter elements.
+    <c> = <c^{-1}>, so both sums are kept per group, keyed by its set of
+    matrices.  A term is dropped once added unless its power lies in
+    several groups (e, or w0 = -1 on D6); a power keeps only whether its
+    tangent is the adjoint character.
     """
     adjoint = adjoint_character(rs)
     zero = rs.zero()
-    tangents_of: dict[tuple, Character] = {}
-    signed_euler_of: dict[tuple, Character] = {}
+    cycles = []
+    for c, word in coxeter_elements(rs):
+        powers = [weyl.identity(rs)]
+        for _ in range(1, element_order(c)):
+            powers.append(powers[-1] * c)
+        cycles.append((c, word, powers, frozenset(cj.matrix for cj in powers)))
+    groups = Counter(m for group in {g for *_, g in cycles} for m in group)
+    shared = {m for m, count in groups.items() if count > 1}
+    full_of: dict[tuple, bool] = {}
+    kept: dict[tuple, Character] = {}
+    sums_of: dict[frozenset, tuple[Character, Character]] = {}
 
     def tangent(cj: WeylElement) -> Character:
         """The inversion-set h0 sum of cj."""
-        if cj.matrix not in tangents_of:
-            tangents_of[cj.matrix] = char_sum(
-                h0_line(rs, cj, beta.weight) for beta in cj.inversion_set())
-        return tangents_of[cj.matrix]
+        total = char_sum(h0_line(rs, cj, beta.weight) for beta in cj.inversion_set())
+        full_of[cj.matrix] = total == adjoint
+        return total
 
     def signed_euler(cj: WeylElement) -> Character:
         """(-1)^l(cj) chi(cj, e^{cj^-1 . 0})."""
-        if cj.matrix not in signed_euler_of:
-            chi = euler_char(rs, cj, e(cj.inverse().dot(zero)))
-            signed_euler_of[cj.matrix] = chi if cj.length % 2 == 0 else -chi
-        return signed_euler_of[cj.matrix]
+        chi = euler_char(rs, cj, e(cj.inverse().dot(zero)))
+        return chi if cj.length % 2 == 0 else -chi
+
+    def term(kind, cj: WeylElement) -> Character:
+        key = kind, cj.matrix
+        if key in kept:
+            return kept[key]
+        value = kind(cj)
+        if cj.matrix in shared:
+            kept[key] = value
+        return value
 
     counterexamples = []
     rows = []
-    elements = coxeter_elements(rs)
-    for c, word in elements:
-        h = element_order(c)
-        powers = [weyl.identity(rs)]
-        for _ in range(1, h):
-            powers.append(powers[-1] * c)
-        tangents = [tangent(cj) for cj in powers[1:]]
-        min_j = next((j for j, total in enumerate(tangents, 1) if total == adjoint), None)
+    for c, word, powers, group in cycles:
+        h = len(powers)
+        if group not in sums_of:
+            sums_of[group] = (char_sum(term(tangent, cj) for cj in powers[1:]),
+                              char_sum(term(signed_euler, cj) for cj in powers))
+        sum53, sum58 = sums_of[group]
+        min_j = next((j for j, cj in enumerate(powers[1:], 1) if full_of[cj.matrix]), None)
         if min_j is None:
             counterexamples.append({
                 "c_word": list(word),
                 "reason": "no power below h has full adjoint tangent character",
             })
-
-        sum53 = char_sum(tangents)
         eq53 = sum53 == (h - 1) * adjoint
-        sum58 = char_sum(signed_euler(cj) for cj in powers)
         eq58 = sum58 == h * e(zero)
 
         extremal = rs.ct.family == "A" and is_typeA_extremal(rs, c)
@@ -428,4 +428,4 @@ def verify_cor52_53_58(rs: RootSystem) -> tuple[int, list, dict]:
             "ss_c": ss_nonempty(rs, c),
             "ss_c_inv": ss_nonempty(rs, c.inverse()),
         })
-    return len(elements), counterexamples, {"rows": rows}
+    return len(cycles), counterexamples, {"rows": rows}

@@ -20,6 +20,7 @@ touches a group element.
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 from itertools import permutations
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -159,9 +160,7 @@ class WeylElement:
 
     @property
     def is_identity(self) -> bool:
-        n = len(self.matrix)
-        return self.matrix == tuple(
-            tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        return self.matrix == _identity_matrix(len(self.matrix))
 
     def _simple_image(self, i: int) -> tuple[int, ...]:
         """w(alpha_i) in fw coordinates."""
@@ -204,10 +203,13 @@ class WeylElement:
         return f"W[{','.join(map(str, self.reduced_word())) or 'e'}]"
 
 
+@lru_cache(maxsize=None)
+def _identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
 def identity(rs: RootSystem) -> WeylElement:
-    n = rs.rank
-    return WeylElement(rs, tuple(
-        tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+    return WeylElement(rs, _identity_matrix(rs.rank))
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
@@ -379,13 +381,13 @@ def coxeter_elements(rs: RootSystem) -> list[tuple[WeylElement, tuple[int, ...]]
 
 
 def element_order(w: WeylElement) -> int:
-    """Smallest k >= 1 with w^k = e; it divides |W|, so |W| bounds the loop."""
+    """Smallest k >= 1 with w^k = e, the first return of rho (only e fixes
+    the regular rho); k divides |W|, so |W| bounds the loop."""
     bound = w.rs.ct.weyl_order
-    cur = w
-    k = 1
-    while not cur.is_identity:
-        cur = cur * w
-        k += 1
-        if k > bound:
-            raise AssertionError(f"element order exceeds |W| = {bound}")
-    return k
+    rho = w.rs.rho.fw
+    cur = w.act(rho)
+    for k in range(1, bound + 1):
+        if cur == rho:
+            return k
+        cur = w.act(cur)
+    raise AssertionError(f"element order exceeds |W| = {bound}")

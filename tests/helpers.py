@@ -7,8 +7,10 @@ reversed words, plain dict arithmetic instead of Character, Freudenthal's
 recursion and the Weyl dimension formula instead of Demazure operators,
 Fraction root coordinates instead of the integer D * C^-1 rows, string
 steps on fw tuples instead of packed integer keys, one Coxeter element at
-a time instead of the memo over distinct powers, so agreement is evidence
-rather than tautology.
+a time instead of the memo over distinct powers, matrix powers instead of
+the first return of rho, one analysis per ordering instead of the table
+of distinct Coxeter elements, so agreement is evidence rather than
+tautology.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from itertools import product
 from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
-from schubert import (Character, WeylElement, adjoint_character, bruhat_leq,
-                      char_to_str, coxeter_elements, e, element_order,
-                      enumerate_group, euler_char, h0_line, identity,
+from schubert import (Character, CoxeterAnalysis, WeylElement, adjoint_character,
+                      bruhat_leq, char_to_str, coxeter_elements, e, element_order,
+                      enumerate_group, euler_char, from_word, h0_line, identity,
                       is_typeA_extremal, longest_element, simple_reflection,
                       ss_nonempty)
 from schubert.rootsys import RootSystem, Weight, _invert_rational
@@ -54,6 +56,19 @@ def gauss_jordan_inverse(w: WeylElement) -> WeylElement:
     if any(v.denominator != 1 for row in inv for v in row):
         raise AssertionError("non-integral Weyl matrix inverse")
     return WeylElement(w.rs, tuple(tuple(int(v) for v in row) for row in inv))
+
+
+def matrix_power_order(w: WeylElement) -> int:
+    """Smallest k >= 1 with w^k = e, by full matrix products; |W| bounds k."""
+    bound = w.rs.ct.weyl_order
+    cur = w
+    k = 1
+    while not cur.is_identity:
+        cur = cur * w
+        k += 1
+        if k > bound:
+            raise AssertionError(f"element order exceeds |W| = {bound}")
+    return k
 
 
 def subword_bruhat_leq(rs: RootSystem, u: WeylElement, w: WeylElement) -> bool:
@@ -366,3 +381,56 @@ def cor52_53_58_per_element(rs: RootSystem) -> tuple[int, list, dict]:
             "ss_c_inv": ss_nonempty(rs, c.inverse()),
         })
     return len(elements), counterexamples, {"rows": rows}
+
+
+def analyze_per_ordering(rs: RootSystem, ordering: Sequence[int]) -> CoxeterAnalysis:
+    """analyze() from scratch for one ordering, nothing shared between c's.
+
+    Orbits are walked by position, the order by matrix powers and the
+    inverses by Gauss-Jordan.
+    """
+    ordering = tuple(ordering)
+    c = from_word(rs, tuple(reversed(ordering)))
+    h = matrix_power_order(c)
+
+    simple_coords = {r.coords: i + 1 for i, r in enumerate(rs.simple_roots)}
+    J_prime: list[int] = []
+    a: dict[int, int] = {}
+    for pos in range(1, rs.rank + 1):
+        root = rs.simple_roots[ordering[pos - 1] - 1]
+        prefix_simple = True
+        cur = root
+        steps = 0
+        while steps < h:
+            if cur.coords not in simple_coords:
+                prefix_simple = False
+                break
+            cur = c.apply_root(cur)
+            steps += 1
+            if not cur.positive:
+                break
+        if prefix_simple and steps < h and not cur.positive:
+            J_prime.append(pos)
+            a[pos] = steps
+
+    c_inv = gauss_jordan_inverse(c)
+    J = []
+    for pos in J_prime:
+        root = rs.simple_roots[ordering[pos - 1] - 1]
+        if c_inv.apply_root(root).coords not in simple_coords:
+            J.append(pos)
+
+    phi_words: dict[int, tuple[int, ...]] = {}
+    for pos in J:
+        cur = rs.simple_roots[ordering[pos - 1] - 1]
+        letters = []
+        for _ in range(a[pos]):
+            letters.append(simple_coords[cur.coords])
+            cur = c.apply_root(cur)
+        phi_words[pos] = tuple(letters)
+
+    phi = mul_from_word(rs, [letter for pos in J for letter in phi_words[pos]])
+    tau = c * gauss_jordan_inverse(phi)
+    return CoxeterAnalysis(
+        ordering=ordering, c=c, coxeter_number=h, J_prime=tuple(J_prime), a=a,
+        J=tuple(J), phi_words=phi_words, phi=phi, tau=tau)

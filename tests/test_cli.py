@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 import schubert
-from schubert.cli import main, pool_size
+from schubert.cli import _weyl_dimension, main, pool_size
 from schubert.report import CHECKS, run_check
 from schubert.rootsys import CartanType, RootSystem, build
+
+from helpers import dominant_representative, weyl_dim
 
 ANCHOR = "1*e[1, -2] + 1*e[0, 0] + 1*e[-1, 2] + 1*e[2, -1] + 1*e[1, 1]"
 
@@ -119,6 +121,37 @@ def test_demazure_refuses_a_weight_past_the_packing_bound(capsys):
     assert time.perf_counter() - start < 5.0
     assert code == 2 and out == ""
     assert err.startswith("error: weight [1000000000, 0] is out of range")
+
+
+def test_demazure_refuses_a_weight_past_the_guard(capsys, monkeypatch):
+    # inside the packing bound, but a string of 4 * 10^8 steps
+    monkeypatch.delenv("SCHUBERT_GUARD", raising=False)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "demazure", "--type", "A2", "--word", "1",
+                         "--weight-fund", "400000000,0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: weight [400000000, 0]: dim V(lambda+) = ")
+    assert "exceeds guard 1000000" in err
+
+
+def test_demazure_guard_bounds_the_dominant_conjugate(capsys, monkeypatch):
+    # [-2, 0] is conjugate to 2 omega_2, and dim V(2 omega_2) = 6 in A2
+    argv = ("demazure", "--type", "A2", "--word", "1,2", "--weight-fund", "-2,0")
+    monkeypatch.setenv("SCHUBERT_GUARD", "5")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "dim V(lambda+) = 6 exceeds guard 5" in err
+    monkeypatch.setenv("SCHUBERT_GUARD", "6")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize("name", ["A4", "B3", "C4", "D5", "E6", "F4", "G2"])
+def test_weyl_dimension_matches_the_fraction_oracle(name):
+    rs = build(name)
+    for lam in [rs.zero(), rs.rho, *(f for f in rs.fundamental_weights),
+                *(-2 * r.weight for r in rs.positive_roots[:6])]:
+        assert _weyl_dimension(rs, lam) == weyl_dim(rs, dominant_representative(rs, lam))
 
 
 def test_verify_pass_and_table(capsys):
@@ -301,7 +334,8 @@ def test_pool_size():
 
 
 # sha256 of stdout with elapsed_ms and the table's ms column masked,
-# recorded before the check table replaced the per-check registries
+# recorded before the check table replaced the per-check registries; the
+# E6 Coxeter entries before the table of distinct Coxeter elements
 GOLDEN = {
     (("sweep", "--type", "B2"), "table"):
         "217836b8ca0cf21e431a6f15320fb059cda0171d32f4b9b1e0f0571f8356e937",
@@ -319,6 +353,10 @@ GOLDEN = {
         "9d69f9bdb2722a57237c4f688883dbaf82ed4c6a3076f6048b4d71eeec725c3c",
     (("verify", "thm42", "--type", "A3", "--alpha", "2"), "json"):
         "8d3d2982d2c6e65c1e6ecdd2e967aa37e2881d6fea850777d4cf426aefba7f9e",
+    (("verify", "lemma54_56", "--type", "E6"), "json"):
+        "fa9cb5bafb0711f4c9686e2f62b0798f343be45baeab2405eacb497c0f225d78",
+    (("verify", "prop51", "--type", "E6"), "json"):
+        "a5e6a4aeb1c7ed7cf1a63c26b2f607d7a6f08b831d3e66f2de6fc6dff99e864e",
 }
 
 

@@ -18,7 +18,7 @@ from schubert import (
 from schubert.coxeter import verify_cor52_53_58
 from schubert.report import run_check
 
-from helpers import cor52_53_58_per_element
+from helpers import analyze_per_ordering, cor52_53_58_per_element
 
 
 def test_analyze_a2_anchor():
@@ -66,6 +66,15 @@ def test_analyze_structural_identities(name):
         assert set(a.J) <= set(a.J_prime)
         for j in a.J:
             assert len(a.phi_words[j]) == a.a[j]
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "A6", "D4", "D5", "E6"])
+def test_analyze_matches_the_per_ordering_oracle(name):
+    # all fields, every ordering; the orderings of one c share its table
+    # entry, so a position read through the wrong simple index shows here
+    rs = build(name)
+    for perm in itertools.permutations(range(1, rs.rank + 1)):
+        assert analyze(rs, perm) == analyze_per_ordering(rs, perm)
 
 
 def test_yz_exponent_a2():
@@ -123,12 +132,12 @@ def test_verify_prop51(name, n_cox):
                for row in rep.details["rows"])
 
 
-@pytest.mark.parametrize("name", ["A2", "A3"])
+@pytest.mark.parametrize("name", ["A2", "A3", "D4", "A5", "D5"])
 def test_verify_lemma54_55_56(name):
     rep = run_check(build(name), "lemma54_56")
     assert rep.passed
     assert rep.universe_size == {
-        "A2": 2, "A3": 6}[name]
+        "A2": 2, "A3": 6, "D4": 24, "A5": 120, "D5": 120}[name]
 
 
 def test_lemma54_55_56_rejects_two_lengths():

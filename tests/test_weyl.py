@@ -20,8 +20,8 @@ from schubert import (
 )
 from schubert.weyl import DEFAULT_GUARD, GUARD_ENV_VAR, resolve_guard
 
-from helpers import (gauss_jordan_inverse, peel_reduced_word, random_element,
-                     reduced_words, subword_bruhat_leq, weight_orbit)
+from helpers import (gauss_jordan_inverse, matrix_power_order, peel_reduced_word,
+                     random_element, reduced_words, subword_bruhat_leq, weight_orbit)
 
 
 def test_simple_reflection_basics():
@@ -255,6 +255,14 @@ def test_element_paths_match_slow_oracles(name):
         for i in range(1, rs.rank + 1):
             assert bruhat_leq(simple_reflection(rs, i), w) == (i in word)
             assert w.simple_times(i) == simple_reflection(rs, i) * w
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_element_order_matches_the_matrix_power_oracle(name):
+    # the first return of rho against the first matrix power equal to e
+    rs = build(name)
+    for w in enumerate_group(rs):
+        assert element_order(w) == matrix_power_order(w)
 
 
 # thm42 universes: the sum over alpha of |{tau >= w_alpha}|
