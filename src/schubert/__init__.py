@@ -1,77 +1,43 @@
 """Exact verification engine for cohomology of Schubert varieties.
 
-Pure-Python, integer/Fraction arithmetic only: root systems in Bourbaki
+Pure-Python, integer arithmetic throughout (``Fraction`` only at the API
+edge, for rational heights and root coordinates): root systems in Bourbaki
 numbering, Weyl groups as matrices on fundamental-weight coordinates,
 Demazure operators on formal characters, and the verification sweeps the
 `schubert` CLI exposes.
+
+The names below load their submodule on first use (PEP 562), so a
+process that only evaluates a Demazure composite never imports the Weyl
+group or the verifiers.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .charring import (
-    Character,
-    adjoint_character,
-    char_sorted_terms,
-    char_to_str,
-    demazure_along_word,
-    demazure_op,
-    e,
-)
-from .cohomology import (
-    euler_char,
-    h0_line,
-    ss_nonempty,
-)
-from .coxeter import CoxeterAnalysis, analyze, is_typeA_extremal, yz_exponent
-from .report import Report, canonical_json, labeling_table
-from .rootsys import CartanType, Root, RootSystem, Weight, build
-from .weyl import (
-    GuardExceeded,
-    WeylElement,
-    bruhat_leq,
-    coxeter_elements,
-    element_order,
-    enumerate_group,
-    from_word,
-    identity,
-    longest_element,
-    min_parabolic_rep,
-    simple_reflection,
-)
+# public name -> the submodule that defines it
+_HOME = {
+    **dict.fromkeys(("CartanType", "Root", "RootSystem", "Weight", "build"), "rootsys"),
+    **dict.fromkeys(("WeylElement", "bruhat_leq", "coxeter_elements",
+                     "element_order", "enumerate_group", "from_word", "identity",
+                     "longest_element", "min_parabolic_rep", "simple_reflection"), "weyl"),
+    **dict.fromkeys(("Character", "adjoint_character", "char_sorted_terms", "char_to_str",
+                     "demazure_along_word", "demazure_op", "e"), "charring"),
+    **dict.fromkeys(("euler_char", "h0_line", "ss_nonempty"), "cohomology"),
+    **dict.fromkeys(("CoxeterAnalysis", "analyze", "is_typeA_extremal", "yz_exponent"),
+                    "coxeter"),
+    **dict.fromkeys(("GuardExceeded", "Report", "canonical_json", "labeling_table"),
+                    "report"),
+}
 
-__all__ = [
-    "__version__",
-    "CartanType",
-    "Root",
-    "RootSystem",
-    "Weight",
-    "build",
-    "GuardExceeded",
-    "WeylElement",
-    "bruhat_leq",
-    "coxeter_elements",
-    "element_order",
-    "enumerate_group",
-    "from_word",
-    "identity",
-    "longest_element",
-    "min_parabolic_rep",
-    "simple_reflection",
-    "Character",
-    "adjoint_character",
-    "char_sorted_terms",
-    "char_to_str",
-    "demazure_along_word",
-    "demazure_op",
-    "e",
-    "euler_char",
-    "h0_line",
-    "ss_nonempty",
-    "CoxeterAnalysis",
-    "analyze",
-    "is_typeA_extremal",
-    "yz_exponent",
-    "Report",
-    "canonical_json",
-    "labeling_table",
-]
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

@@ -18,9 +18,9 @@ from math import prod
 
 from . import __version__
 from .charring import char_sorted_terms, char_to_str, demazure_along_word, e
-from .report import CHECKS, Report, canonical_json, labeling_table, precheck, run_check
+from .report import (CHECKS, DEFAULT_GUARD, GUARD_ENV_VAR, GuardExceeded, Report,
+                     canonical_json, labeling_table, precheck, resolve_guard, run_check)
 from .rootsys import Root, RootSystem, Weight, build
-from .weyl import DEFAULT_GUARD, GUARD_ENV_VAR, GuardExceeded, resolve_guard
 
 __all__ = ["main", "pool_size"]
 
@@ -86,14 +86,6 @@ def _parse_weight(rs: RootSystem, args) -> Weight:
 
 
 # -------------------------------------------------------------- rendering
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
 
 def _root_label(root: Root, simply_laced: bool) -> str:
     if simply_laced:
@@ -176,12 +168,12 @@ def _render_reports(reports: list[Report], fmt: str, rs: RootSystem) -> str:
 
 
 # ------------------------------------------------------------ subcommands
+# Each handler returns (output text, exit code); main writes the text.
 
-def cmd_roots(args) -> int:
+def cmd_roots(args) -> tuple[str, int]:
     rs = build(args.type)
-    text = _render_roots_json(rs) if args.format == "json" else _render_roots_table(rs)
-    _emit(text, args.out)
-    return 0
+    return (_render_roots_json(rs) if args.format == "json"
+            else _render_roots_table(rs)), 0
 
 
 def _weyl_dimension(rs: RootSystem, lam: Weight) -> int:
@@ -194,7 +186,7 @@ def _weyl_dimension(rs: RootSystem, lam: Weight) -> int:
             // prod(rs.pairing_root(rs.rho, beta) for beta in rs.positive_roots))
 
 
-def cmd_demazure(args) -> int:
+def cmd_demazure(args) -> tuple[str, int]:
     rs = build(args.type)
     word = _parse_word(rs, args.word)
     lam = _parse_weight(rs, args)
@@ -217,8 +209,7 @@ def cmd_demazure(args) -> int:
         text = canonical_json(doc)
     else:
         text = char_to_str(rs, result) + "\n"
-    _emit(text, args.out)
-    return 0
+    return text, 0
 
 
 def pool_size(workers: int, tasks: int, cpus: int | None) -> int:
@@ -229,7 +220,7 @@ def pool_size(workers: int, tasks: int, cpus: int | None) -> int:
 
 
 def _run_checks(args, rs: RootSystem, check_ids: list[str],
-                alpha: int | None = None, workers: int = 1) -> int:
+                alpha: int | None = None, workers: int = 1) -> tuple[str, int]:
     """Precheck every check before running any, then run and render them."""
     guard = resolve_guard(args.guard)
     for check_id in check_ids:
@@ -242,15 +233,15 @@ def _run_checks(args, rs: RootSystem, check_ids: list[str],
             reports = [f.result() for f in futures]
     else:
         reports = [run_check(rs, c, guard, alpha) for c in check_ids]
-    _emit(_render_reports(reports, args.format, rs), args.out)
-    return 0 if all(rep.passed for rep in reports) else 1
+    return (_render_reports(reports, args.format, rs),
+            0 if all(rep.passed for rep in reports) else 1)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, int]:
     return _run_checks(args, build(args.type), [args.check], alpha=args.alpha)
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[str, int]:
     rs = build(args.type)
     check_ids = [c.id for c in CHECKS if c.applies(rs.ct) is None]
     workers = pool_size(args.workers, len(check_ids), os.cpu_count())
@@ -320,13 +311,21 @@ def main(argv: list[str] | None = None) -> int:
         "sweep": cmd_sweep,
     }
     try:
-        return handlers[args.command](args)
-    except GuardExceeded as exc:
+        # opened before any work, as a shell redirection would be
+        out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    except OSError as exc:
+        print(f"error: --out: {exc}", file=sys.stderr)
+        return 2
+    try:
+        text, code = handlers[args.command](args)
+        out.write(text)
+        return code
+    except (GuardExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 if __name__ == "__main__":

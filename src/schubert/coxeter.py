@@ -10,7 +10,6 @@ numbering of the roots sitting at those positions.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Sequence
@@ -18,7 +17,7 @@ from typing import Sequence
 from . import weyl
 from .charring import Character, adjoint_character, char_sum, char_to_str, e
 from .cohomology import euler_char, h0_line, ss_nonempty
-from .rootsys import RootSystem
+from .rootsys import Record, RootSystem
 from .weyl import WeylElement, coxeter_elements, element_order, from_word
 
 __all__ = [
@@ -33,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class CoxeterAnalysis:
+class CoxeterAnalysis(Record):
     """The J / phi / tau data of one ordered Coxeter element.
 
     ordering[p-1] is the simple-root index at position p.  a[j] counts how
@@ -44,25 +42,22 @@ class CoxeterAnalysis:
     with lengths adding.
     """
 
-    ordering: tuple[int, ...]
-    c: WeylElement
-    coxeter_number: int
-    J_prime: tuple[int, ...]
-    a: dict[int, int]
-    J: tuple[int, ...]
-    phi_words: dict[int, tuple[int, ...]]
-    phi: WeylElement
-    tau: WeylElement
+    __slots__ = ("ordering", "c", "coxeter_number", "J_prime", "a", "J",
+                 "phi_words", "phi", "tau")
 
     def phi_factor(self, j: int) -> WeylElement:
-        return from_word(self.c.rs, self.phi_words[j])
+        return _coxeter_data(self.c.rs, self.c)[4][self.ordering[j - 1]]
 
 
 @lru_cache(maxsize=None)
 def _coxeter_data(rs: RootSystem, c: WeylElement) -> tuple:
-    """analyze's table: (c, h, a, phi_words, splits) per distinct c, keyed
-    by matrix and by simple index, not position; splits maps a phi word,
-    whose order depends on the ordering, to (phi, tau)."""
+    """analyze's table: (c, h, a, phi_words, factors, clashes, splits) per
+    distinct c, keyed by matrix and by simple index, not position.
+
+    factors maps i to phi_i as an element; clashes holds the pairs {i, k}
+    whose factors do not commute; splits maps a phi word, whose order
+    depends on the ordering, to (phi, tau).
+    """
     h = element_order(c)
     c_inv = c.inverse()
     simple_index = {r.coords: i + 1 for i, r in enumerate(rs.simple_roots)}
@@ -81,7 +76,10 @@ def _coxeter_data(rs: RootSystem, c: WeylElement) -> tuple:
             a[i] = len(letters)
             if c_inv.apply_root(root).coords not in simple_index:
                 phi_words[i] = tuple(letters)
-    return c, h, a, phi_words, {}
+    factors = {i: from_word(rs, word) for i, word in phi_words.items()}
+    clashes = {frozenset(pair) for pair in combinations(factors, 2)
+               if factors[pair[0]] * factors[pair[1]] != factors[pair[1]] * factors[pair[0]]}
+    return c, h, a, phi_words, factors, clashes, {}
 
 
 def analyze(rs: RootSystem, ordering: Sequence[int]) -> CoxeterAnalysis:
@@ -93,7 +91,8 @@ def analyze(rs: RootSystem, ordering: Sequence[int]) -> CoxeterAnalysis:
     ordering = tuple(ordering)
     if sorted(ordering) != list(range(1, rs.rank + 1)):
         raise ValueError(f"ordering {ordering} is not a permutation of the simples")
-    c, h, a_of, words_of, splits = _coxeter_data(rs, from_word(rs, tuple(reversed(ordering))))
+    c, h, a_of, words_of, _, _, splits = _coxeter_data(
+        rs, from_word(rs, tuple(reversed(ordering))))
     a = {pos: a_of[i] for pos, i in enumerate(ordering, 1) if i in a_of}
     phi_words = {pos: words_of[i] for pos, i in enumerate(ordering, 1) if i in words_of}
     phi_word = tuple(letter for word in phi_words.values() for letter in word)
@@ -108,17 +107,7 @@ def analyze(rs: RootSystem, ordering: Sequence[int]) -> CoxeterAnalysis:
             raise AssertionError("tau * phi is not c")
         splits[phi_word] = phi, tau
     phi, tau = splits[phi_word]
-    return CoxeterAnalysis(
-        ordering=ordering,
-        c=c,
-        coxeter_number=h,
-        J_prime=tuple(a),
-        a=a,
-        J=tuple(phi_words),
-        phi_words=phi_words,
-        phi=phi,
-        tau=tau,
-    )
+    return CoxeterAnalysis(ordering, c, h, tuple(a), a, tuple(phi_words), phi_words, phi, tau)
 
 
 def _check_coxeter(rs: RootSystem, c: WeylElement) -> None:
@@ -242,10 +231,10 @@ def verify_lemma54_55_56(rs: RootSystem) -> tuple[int, list, dict]:
                             "beta_k": list(rs.simple_roots[y - 1].coords),
                         })
 
-        # the phi factors commute pairwise
-        factors = {j: analysis.phi_factor(j) for j in analysis.J}
+        # the phi factors commute pairwise; the verdicts are c's, by simple index
+        clashes = _coxeter_data(rs, c)[5]
         for j, k in combinations(analysis.J, 2):
-            if factors[j] * factors[k] != factors[k] * factors[j]:
+            if frozenset((perm[j - 1], perm[k - 1])) in clashes:
                 counterexamples.append({
                     "ordering": list(perm), "clause": "factor-commutation",
                     "j": j, "k": k,

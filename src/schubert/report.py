@@ -1,5 +1,5 @@
-"""The table of checks, the one runner that builds every Report, and
-report serialization.
+"""The table of checks, the enumeration guard, the one runner that builds
+every Report, and report serialization.
 
 A verifier in cohomology or coxeter returns only what it computes,
 (universe size, counterexamples, details); run_check gates it, times it
@@ -9,21 +9,40 @@ and stamps the Report.
 from __future__ import annotations
 
 import json
+import os
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
+from importlib import import_module
 from math import factorial
-from typing import Any, Callable
+from typing import Any
 
-from . import cohomology, coxeter
-from .rootsys import CartanType, RootSystem
-from .weyl import GUARD_ENV_VAR, GuardExceeded, resolve_guard
+from .rootsys import CartanType, Record, RootSystem
 
 __all__ = ["Report", "Check", "CHECKS", "precheck", "run_check",
-           "labeling_table", "canonical_json"]
+           "labeling_table", "canonical_json", "GuardExceeded",
+           "DEFAULT_GUARD", "GUARD_ENV_VAR", "resolve_guard"]
+
+DEFAULT_GUARD = 10 ** 6
+GUARD_ENV_VAR = "SCHUBERT_GUARD"
 
 
-@dataclass
-class Report:
+class GuardExceeded(RuntimeError):
+    """Raised when a requested enumeration would exceed the |W| guard."""
+
+
+def resolve_guard(explicit: int | None = None) -> int:
+    if explicit is not None:
+        return explicit
+    env = os.environ.get(GUARD_ENV_VAR)
+    if env is not None:
+        try:
+            return int(env)
+        except ValueError as exc:
+            raise ValueError(f"{GUARD_ENV_VAR} must be an integer, got {env!r}") from exc
+    return DEFAULT_GUARD
+
+
+class Report(Record):
     """Outcome of one verification sweep; passed means no counterexample.
 
     counterexamples and details hold JSON-serializable primitives only
@@ -31,12 +50,8 @@ class Report:
     can cross process boundaries and serialize byte-identically.
     """
 
-    check_id: str
-    cartan_type: str
-    universe_size: int
-    counterexamples: list[dict[str, Any]]
-    elapsed: float
-    details: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("check_id", "cartan_type", "universe_size", "counterexamples",
+                 "elapsed", "details")
 
     @property
     def passed(self) -> bool:
@@ -59,21 +74,15 @@ class Report:
         return out
 
 
-@dataclass(frozen=True)
-class Check:
-    """One row of the check table.
+Check = namedtuple("Check", "id applies cost run")
+Check.__doc__ = """One row of the check table.
 
-    applies(ct) is None when the check applies, else the reason it does
-    not.  cost(ct) is the size of the universe the check enumerates, |W|
-    or the n! orderings of the simple roots, or None when it only loops
-    over roots.  run(rs, guard, alpha) returns (universe size,
-    counterexamples, details).
-    """
-
-    id: str
-    applies: Callable[[CartanType], str | None]
-    cost: Callable[[CartanType], int | None]
-    run: Callable[[RootSystem, int, int | None], tuple[int, list, dict]]
+applies(ct) is None when the check applies, else the reason it does
+not.  cost(ct) is the size of the universe the check enumerates, |W|
+or the n! orderings of the simple roots, or None when it only loops
+over roots.  run(rs, guard, alpha) returns (universe size,
+counterexamples, details).
+"""
 
 
 def _simply_laced(ct: CartanType) -> str | None:
@@ -96,29 +105,34 @@ def _none(ct: CartanType) -> None:
     return None
 
 
-# Verifiers are looked up on their modules at call time, so a wrapper
-# installed on cohomology.verify_thmA (say) is the one that runs.
+def _module(name: str):
+    """schubert.<name>, imported when a check first runs.  Verifiers are
+    looked up on it at call time, so a wrapper installed on
+    cohomology.verify_thmA (say) is the one that runs."""
+    return import_module(f"{__package__}.{name}")
+
+
 CHECKS = (
     Check("thmA", _simply_laced, _weyl_order,
-          lambda rs, guard, alpha: cohomology.verify_thmA(rs, guard)),
+          lambda rs, guard, alpha: _module("cohomology").verify_thmA(rs, guard)),
     Check("thm42", _simply_laced, _weyl_order,
-          lambda rs, guard, alpha: cohomology.verify_thm42(rs, alpha, guard)),
+          lambda rs, guard, alpha: _module("cohomology").verify_thm42(rs, alpha, guard)),
     Check("thmB", _two_lengths, _weyl_order,
-          lambda rs, guard, alpha: cohomology.verify_thmB_criterion(rs, guard)),
+          lambda rs, guard, alpha: _module("cohomology").verify_thmB_criterion(rs, guard)),
     Check("prop51", _none, _orderings,
-          lambda rs, guard, alpha: coxeter.verify_prop51(rs)),
+          lambda rs, guard, alpha: _module("coxeter").verify_prop51(rs)),
     Check("lemma26", _simply_laced, _none,
-          lambda rs, guard, alpha: cohomology.verify_lemma26(rs)),
+          lambda rs, guard, alpha: _module("cohomology").verify_lemma26(rs)),
     Check("lemma54_56", _simply_laced, _orderings,
-          lambda rs, guard, alpha: coxeter.verify_lemma54_55_56(rs)),
+          lambda rs, guard, alpha: _module("coxeter").verify_lemma54_55_56(rs)),
     Check("thmC_typeA", lambda ct: None if ct.family == "A" else "specific to type A",
-          _orderings, lambda rs, guard, alpha: coxeter.verify_thmC_typeA(rs)),
+          _orderings, lambda rs, guard, alpha: _module("coxeter").verify_thmC_typeA(rs)),
     Check("cor52_53_58", _simply_laced, _orderings,
-          lambda rs, guard, alpha: coxeter.verify_cor52_53_58(rs)),
+          lambda rs, guard, alpha: _module("coxeter").verify_cor52_53_58(rs)),
     Check("lemma61", _two_lengths, _none,
-          lambda rs, guard, alpha: cohomology.verify_lemma61(rs)),
+          lambda rs, guard, alpha: _module("cohomology").verify_lemma61(rs)),
     Check("remarkB2", lambda ct: None if str(ct) == "B2" else "specific to B2",
-          _none, lambda rs, guard, alpha: cohomology.remark_b2_check(rs)),
+          _none, lambda rs, guard, alpha: _module("cohomology").remark_b2_check(rs)),
 )
 
 

@@ -11,18 +11,21 @@ alpha_i_vee>``), which makes coroot pairings O(1) lookups.  The engine
 works on the bare ``fw`` tuples; ``Weight`` wraps them at the API edge.
 Heights and the dominance order go through D * C^-1, the inverse Cartan
 matrix scaled by the smallest common denominator D of its entries, so
-they stay in the integers; ``root_coords`` gives the exact rational
-coordinates with ``fractions.Fraction``.  No floats anywhere.
+they stay in the integers, and ``build`` finds D * C^-1 by fraction-free
+Gauss-Jordan elimination.  ``Fraction`` appears only at the API edge:
+``height`` and ``root_coords`` give exact rational values.  No floats
+anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import mul, sub
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "CartanType",
@@ -51,19 +54,63 @@ _EXCEPTIONAL_WEYL_ORDERS = {("E", 6): 51840, ("E", 7): 2903040,
                             ("E", 8): 696729600, ("F", 4): 1152, ("G", 2): 12}
 
 
-@dataclass(frozen=True)
-class CartanType:
+class Record:
+    """A slotted record: its fields are its slots, in order.
+
+    Equal only to a record of the same class with equal fields, unhashable
+    unless a subclass says otherwise, and shown as Class(field=value, ...).
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init__(self, *fields) -> None:
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        pairs = zip(self.__slots__, self._fields())
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in pairs)})"
+
+
+class _Value(Record):
+    """A frozen record.  Unpickling would assign the slots, so an instance
+    pickles as a call of its class on its fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._fields()
+
+
+class CartanType(_Value):
     """Family letter plus rank, e.g. D4.  Validates on construction."""
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        lo, hi = _RANK_BOUNDS[self.family]
-        if self.rank < lo or (hi is not None and self.rank > hi):
-            raise ValueError(f"rank {self.rank} out of range for type {self.family}")
+    def __init__(self, family: str, rank: int) -> None:
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        lo, hi = _RANK_BOUNDS[family]
+        if rank < lo or (hi is not None and rank > hi):
+            raise ValueError(f"rank {rank} out of range for type {family}")
+        super().__init__(family, rank)
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.rank))
 
     @classmethod
     def parse(cls, text: str) -> "CartanType":
@@ -95,27 +142,28 @@ class CartanType:
     @property
     def weyl_order(self) -> int:
         n = self.rank
-        fact = 1
-        for k in range(2, n + 2):
-            fact *= k
         if self.family == "A":
-            return fact  # (n+1)!
-        n_fact = fact // (n + 1)
+            return factorial(n + 1)
         if self.family in ("B", "C"):
-            return (2 ** n) * n_fact
+            return 2 ** n * factorial(n)
         if self.family == "D":
-            return (2 ** (n - 1)) * n_fact
+            return 2 ** (n - 1) * factorial(n)
         return _EXCEPTIONAL_WEYL_ORDERS[(self.family, n)]
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(_Value):
     """Integral weight in fundamental-weight coordinates."""
 
-    fw: tuple[int, ...]
+    __slots__ = ("fw",)
+
+    def __init__(self, fw: tuple[int, ...]) -> None:
+        object.__setattr__(self, "fw", fw)
+
+    def __hash__(self) -> int:
+        return hash((self.fw,))
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(tuple(a + b for a, b in zip(self.fw, other.fw)))
@@ -143,8 +191,7 @@ class Weight:
         return f"Weight{self.fw}"
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(_Value):
     """A root together with both coordinate views and length data.
 
     coords are the (integer) simple-root coordinates; weight is the same
@@ -152,13 +199,11 @@ class Root:
     in the normalization where short simple roots have d = 1.
     """
 
-    coords: tuple[int, ...]
-    weight: Weight
-    positive: bool
-    height: int
-    d: int
-    is_long: bool
-    is_short: bool
+    __slots__ = ("coords", "weight", "positive", "height", "d", "is_long", "is_short")
+
+    def __hash__(self) -> int:
+        return hash((self.coords, self.weight, self.positive, self.height, self.d,
+                     self.is_long, self.is_short))
 
     def __neg__(self) -> "Root":
         return Root(tuple(-c for c in self.coords), -self.weight,
@@ -197,39 +242,49 @@ def _cartan_matrix(ct: CartanType) -> tuple[tuple[int, ...], ...]:
 
 
 def _symmetrizers(cartan: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Smallest positive integers d with d_i C[i][j] = d_j C[j][i]."""
+    """Smallest positive integers d with d_i C[i][j] = d_j C[j][i]; each
+    d_j is first a reduced fraction (num, den) relative to d_0 = 1."""
     n = len(cartan)
-    d: list[Fraction | None] = [None] * n
-    d[0] = Fraction(1)
+    d: list[tuple[int, int] | None] = [None] * n
+    d[0] = (1, 1)
     queue = [0]
     while queue:
         i = queue.pop()
         for j in range(n):
             if i != j and cartan[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
+                num, den = d[i][0] * cartan[i][j], d[i][1] * cartan[j][i]
+                g = gcd(num, den) * (-1 if den < 0 else 1)
+                d[j] = (num // g, den // g)
                 queue.append(j)
     if any(x is None for x in d):
         raise ValueError("Dynkin diagram is not connected")
-    den = lcm(*(x.denominator for x in d))
-    ints = [int(x * den) for x in d]
+    den = lcm(*(x[1] for x in d))
+    ints = [num * (den // x_den) for num, x_den in d]
     g = gcd(*ints)
     return tuple(x // g for x in ints)
 
 
-def _invert_rational(mat: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
-    n = len(mat)
-    a = [[Fraction(mat[i][j]) for j in range(n)]
-         + [Fraction(1 if i == k else 0) for k in range(n)] for i in range(n)]
+def _scaled_inverse(cartan: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, D * C^-1) for the smallest D that makes D * C^-1 integral.
+
+    Fraction-free Gauss-Jordan on [C | I]: rows combine with integer
+    multipliers and are divided by the gcd of their entries.  Every leading
+    principal minor of a finite-type Cartan matrix is positive, so every
+    pivot is, and row i ends as p_i x_i = r_i with p_i > 0 coprime to r_i:
+    p_i is the common denominator of row i of C^-1, and D = lcm(p_i).
+    """
+    n = len(cartan)
+    a = [list(cartan[i]) + [1 if i == k else 0 for k in range(n)] for i in range(n)]
     for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
         p = a[col][col]
-        a[col] = [x / p for x in a[col]]
         for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(a[i][n + j] for j in range(n)) for i in range(n))
+            f = a[r][col]
+            if r != col and f != 0:
+                row = [p * x - f * y for x, y in zip(a[r], a[col])]
+                g = gcd(*row)
+                a[r] = [x // g for x in row]
+    den = lcm(*(a[i][i] for i in range(n)))
+    return den, tuple(tuple(x * (den // a[i][i]) for x in a[i][n:]) for i in range(n))
 
 
 class RootSystem:
@@ -246,9 +301,7 @@ class RootSystem:
         self.cartan = _cartan_matrix(ct)
         self.d = _symmetrizers(self.cartan)
         # D * C^-1 over the integers; its column sums give D * height
-        inv = _invert_rational(self.cartan)
-        self._den = lcm(*(x.denominator for row in inv for x in row))
-        self._scaled_inv = tuple(tuple(int(x * self._den) for x in row) for row in inv)
+        self._den, self._scaled_inv = _scaled_inverse(self.cartan)
         self._height_vec = tuple(map(sum, zip(*self._scaled_inv)))
         # (alpha_i, alpha_j) up to overall scale; symmetric by construction
         self._gram = tuple(tuple(self.d[i] * self.cartan[i][j] for j in range(ct.rank))
@@ -298,9 +351,8 @@ class RootSystem:
                            key=lambda r: (r.height, r.coords))
         self.positive_roots: tuple[Root, ...] = tuple(positives)
         self.roots: tuple[Root, ...] = tuple(positives) + tuple(-r for r in positives)
-        self.simple_roots: tuple[Root, ...] = tuple(
-            self._root_by_coords(tuple(1 if k == i else 0 for k in range(n)))
-            for i in range(n))
+        # the height-1 roots are the unit vectors, sorted as e_n, ..., e_1
+        self.simple_roots: tuple[Root, ...] = tuple(reversed(positives[:n]))
         self._by_fw = {r.weight.fw: r for r in self.roots}
 
         dominant = [r for r in self.roots if r.weight.is_dominant]
@@ -323,12 +375,6 @@ class RootSystem:
             raise AssertionError("odd squared length")
         return tot // 2
 
-    def _root_by_coords(self, coords: tuple[int, ...]) -> Root:
-        for r in self.roots:
-            if r.coords == coords:
-                return r
-        raise KeyError(coords)
-
     # -- weights ----------------------------------------------------------
 
     def weight(self, fw: Iterable[int]) -> Weight:
@@ -350,6 +396,7 @@ class RootSystem:
 
     def root_coords(self, lam: Weight) -> tuple[Fraction, ...]:
         """Coordinates of lam in the simple-root basis (rational, exact)."""
+        from fractions import Fraction
         return tuple(Fraction(sum(map(mul, row, lam.fw)), self._den)
                      for row in self._scaled_inv)
 
@@ -358,6 +405,7 @@ class RootSystem:
         return sum(map(mul, self._height_vec, fw))
 
     def height(self, lam: Weight) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.scaled_height(lam.fw), self._den)
 
     def root_of(self, lam: Weight) -> Root | None:
@@ -379,6 +427,7 @@ class RootSystem:
         total = sum(c * d * x for c, d, x in zip(beta.coords, self.d, lam.fw))
         q, r = divmod(total, beta.d)
         if r:
+            from fractions import Fraction
             raise AssertionError(
                 f"non-integral coroot pairing {Fraction(total, beta.d)}")
         return q

@@ -19,18 +19,20 @@ touches a group element.
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from itertools import permutations
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
+from .report import DEFAULT_GUARD, GUARD_ENV_VAR, GuardExceeded, resolve_guard
 from .rootsys import Root, RootSystem, Weight
 
 __all__ = [
     "WeylElement",
     "GuardExceeded",
     "DEFAULT_GUARD",
+    "GUARD_ENV_VAR",
+    "resolve_guard",
     "identity",
     "simple_reflection",
     "from_word",
@@ -40,26 +42,6 @@ __all__ = [
     "bruhat_leq",
     "coxeter_elements",
 ]
-
-DEFAULT_GUARD = 10 ** 6
-GUARD_ENV_VAR = "SCHUBERT_GUARD"
-
-
-class GuardExceeded(RuntimeError):
-    """Raised when a requested enumeration would exceed the |W| guard."""
-
-
-def resolve_guard(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(GUARD_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"{GUARD_ENV_VAR} must be an integer, got {env!r}") from exc
-    return DEFAULT_GUARD
-
 
 class WeylElement:
     """One Weyl-group element, represented by its action on fw coordinates."""

@@ -5,7 +5,8 @@ subword scans instead of the lifting recursion, full matrix products
 instead of the one-column reflection step, Gauss-Jordan instead of
 reversed words, plain dict arithmetic instead of Character, Freudenthal's
 recursion and the Weyl dimension formula instead of Demazure operators,
-Fraction root coordinates instead of the integer D * C^-1 rows, string
+Fraction root coordinates, symmetrizers and Cartan inverse instead of the
+integer D * C^-1 rows and fraction-free elimination, string
 steps on fw tuples instead of packed integer keys, one Coxeter element at
 a time instead of the memo over distinct powers, matrix powers instead of
 the first return of rho, one analysis per ordering instead of the table
@@ -18,6 +19,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -26,7 +28,42 @@ from schubert import (Character, CoxeterAnalysis, WeylElement, adjoint_character
                       enumerate_group, euler_char, from_word, h0_line, identity,
                       is_typeA_extremal, longest_element, simple_reflection,
                       ss_nonempty)
-from schubert.rootsys import RootSystem, Weight, _invert_rational
+from schubert.rootsys import RootSystem, Weight
+
+
+def invert_rational(mat: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
+    """mat^-1 by Gauss-Jordan over the rationals."""
+    n = len(mat)
+    a = [[Fraction(mat[i][j]) for j in range(n)]
+         + [Fraction(1 if i == k else 0) for k in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        p = a[col][col]
+        a[col] = [x / p for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return tuple(tuple(a[i][n + j] for j in range(n)) for i in range(n))
+
+
+def fraction_symmetrizers(cartan: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Smallest positive integers d with d_i C[i][j] = d_j C[j][i], in Fractions."""
+    n = len(cartan)
+    d: list[Fraction | None] = [None] * n
+    d[0] = Fraction(1)
+    queue = [0]
+    while queue:
+        i = queue.pop()
+        for j in range(n):
+            if i != j and cartan[i][j] != 0 and d[j] is None:
+                d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
+                queue.append(j)
+    den = lcm(*(x.denominator for x in d))
+    ints = [int(x * den) for x in d]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
 
 
 def mul_from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
@@ -52,7 +89,7 @@ def peel_reduced_word(w: WeylElement) -> tuple[int, ...]:
 
 def gauss_jordan_inverse(w: WeylElement) -> WeylElement:
     """Inverse of the fw-matrix over the rationals; it must be integral."""
-    inv = _invert_rational(w.matrix)
+    inv = invert_rational(w.matrix)
     if any(v.denominator != 1 for row in inv for v in row):
         raise AssertionError("non-integral Weyl matrix inverse")
     return WeylElement(w.rs, tuple(tuple(int(v) for v in row) for row in inv))
@@ -431,6 +468,4 @@ def analyze_per_ordering(rs: RootSystem, ordering: Sequence[int]) -> CoxeterAnal
 
     phi = mul_from_word(rs, [letter for pos in J for letter in phi_words[pos]])
     tau = c * gauss_jordan_inverse(phi)
-    return CoxeterAnalysis(
-        ordering=ordering, c=c, coxeter_number=h, J_prime=tuple(J_prime), a=a,
-        J=tuple(J), phi_words=phi_words, phi=phi, tau=tau)
+    return CoxeterAnalysis(ordering, c, h, tuple(J_prime), a, tuple(J), phi_words, phi, tau)

@@ -246,6 +246,42 @@ def test_cli_import_leaves_the_process_pool_out():
     assert done.stdout.strip() == "[]"
 
 
+def test_demazure_imports_only_what_it_runs():
+    # cli, rootsys, charring and report serve roots and demazure; the Weyl
+    # group, the verifiers, dataclasses and fractions load only on demand
+    src = str(Path(schubert.__file__).resolve().parents[1])
+    probe = (
+        "import sys, io, contextlib, schubert.cli\n"
+        "heavy = ('schubert.cohomology', 'schubert.coxeter', 'schubert.weyl',"
+        " 'dataclasses', 'fractions')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = schubert.cli.main(['demazure', '--type', 'E6', '--word', '1,3,4,2',"
+        " '--weight-fund', '1,0,0,0,0,1', '--format', 'json'])\n"
+        "    code += schubert.cli.main(['roots', '--type', 'G2'])\n"
+        "print(code, sorted(m for m in heavy if m in sys.modules))\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert done.stdout.splitlines() == ["[]", "0 []"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("demazure", "--type", "A2", "--word", "1", "--weight-fund", "1,0"),
+    ("verify", "thmA", "--type", "D5"),
+    ("sweep", "--type", "A3", "--workers", "2"),
+])
+def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    def no_work(_):
+        raise AssertionError("work started before --out was opened")
+
+    monkeypatch.setattr("schubert.cli.build", no_work)
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: --out") and str(target) in err
+    assert not target.exists()
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = main(["verify", "lemma61", "--type", "B2", "--format", "json",

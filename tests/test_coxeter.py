@@ -15,10 +15,10 @@ from schubert import (
     simple_reflection,
     yz_exponent,
 )
-from schubert.coxeter import verify_cor52_53_58
+from schubert.coxeter import _coxeter_data, verify_cor52_53_58, verify_lemma54_55_56
 from schubert.report import run_check
 
-from helpers import analyze_per_ordering, cor52_53_58_per_element
+from helpers import analyze_per_ordering, cor52_53_58_per_element, mul_from_word
 
 
 def test_analyze_a2_anchor():
@@ -75,6 +75,33 @@ def test_analyze_matches_the_per_ordering_oracle(name):
     rs = build(name)
     for perm in itertools.permutations(range(1, rs.rank + 1)):
         assert analyze(rs, perm) == analyze_per_ordering(rs, perm)
+
+
+@pytest.mark.parametrize("name", ["A4", "D4", "D5", "E6"])
+def test_phi_factor_commutation_is_read_per_c_and_reindexed(name):
+    # the factors and their commutation verdicts live in c's table entry,
+    # keyed by simple index; each ordering must report its own positions
+    rs = build(name)
+    expected = []
+    for perm in itertools.permutations(range(1, rs.rank + 1)):
+        a = analyze(rs, perm)
+        factors = {j: mul_from_word(rs, a.phi_words[j]) for j in a.J}
+        assert all(a.phi_factor(j) == factors[j] for j in a.J)
+        for j, k in itertools.combinations(a.J, 2):
+            assert factors[j] * factors[k] == factors[k] * factors[j]
+            expected.append({"ordering": list(perm), "clause": "factor-commutation",
+                             "j": j, "k": k})
+    assert expected
+    try:
+        # pretend no two factors commute: every pair of J must be reported
+        for c, _ in coxeter_elements(rs):
+            entry = _coxeter_data(rs, c)
+            assert not entry[5]
+            entry[5].update(frozenset(pair) for pair in itertools.combinations(entry[4], 2))
+        _, rows, _ = verify_lemma54_55_56(rs)
+        assert rows == expected
+    finally:
+        _coxeter_data.cache_clear()
 
 
 def test_yz_exponent_a2():

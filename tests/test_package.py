@@ -1,0 +1,36 @@
+"""The top-level namespace and the README's library example."""
+
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+import schubert
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize("name", sorted(set(schubert.__all__) - {"__version__"}))
+def test_namespace_name_is_its_home_module_object(name):
+    obj = getattr(schubert, name)
+    home = sys.modules[obj.__module__]
+    assert home.__name__.startswith("schubert.")
+    assert getattr(home, name) is obj
+    assert name in dir(schubert)
+
+
+def test_namespace_rejects_unknown_names():
+    assert schubert.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        schubert.no_such_name
+    assert not hasattr(schubert, "freudenthal_char")
+    with pytest.raises(ImportError):
+        exec("from schubert import no_such_name", {})
+
+
+def test_readme_library_block_runs():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, str(README), "exec"), {})

@@ -1,13 +1,16 @@
 """Root-system construction: Cartan data, root enumeration, pairings."""
 
+import pickle
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from schubert import CartanType, Weight, build
+from schubert import CartanType, Root, Weight, build
 
-from helpers import dominant_representative, fraction_dominance_leq
+from helpers import (dominant_representative, fraction_dominance_leq,
+                     fraction_symmetrizers, invert_rational)
 
 ROOT_COUNTS = {
     "A1": 2, "A2": 6, "A3": 12, "A4": 20, "A5": 30,
@@ -231,3 +234,58 @@ def test_weyl_orders():
 
 def test_build_accepts_type_or_string():
     assert build("A2") is build(CartanType.parse("A2"))
+
+
+BUILD_ORACLE_TYPES = ([f"A{n}" for n in range(1, 10)] + [f"B{n}" for n in range(2, 9)]
+                      + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(3, 10)]
+                      + ["E6", "E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("name", BUILD_ORACLE_TYPES)
+def test_integer_build_matches_fraction_oracle(name):
+    # build's symmetrizers and D * C^-1 never leave the integers; the
+    # oracle walks the diagram and inverts C in Fractions
+    rs = build(name)
+    inv = invert_rational(rs.cartan)
+    den = lcm(*(x.denominator for row in inv for x in row))
+    assert rs.d == fraction_symmetrizers(rs.cartan)
+    assert rs._den == den
+    assert rs._scaled_inv == tuple(tuple(int(x * den) for x in row) for row in inv)
+
+
+def _value_objects():
+    rs = build("B3")
+    root = rs.positive_roots[-1]
+    return [CartanType("B", 3), Weight((1, -2, 0)), root, -root]
+
+
+@pytest.mark.parametrize("obj", _value_objects(), ids=lambda obj: type(obj).__name__)
+def test_value_classes_are_frozen_hashable_and_pickle(obj):
+    twin = pickle.loads(pickle.dumps(obj))
+    assert twin is not obj and twin == obj and hash(twin) == hash(obj)
+    assert repr(twin) == repr(obj)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(obj, protocol)) == obj
+    name = type(obj).__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(obj, name, getattr(obj, name))
+    with pytest.raises(AttributeError):
+        delattr(obj, name)
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+    assert not hasattr(obj, "__dict__")
+
+
+def test_value_classes_compare_within_their_class():
+    rs = build("A2")
+    w = Weight((1, 1))
+    assert w == Weight((1, 1)) and hash(w) == hash(Weight((1, 1)))
+    assert w != Weight((1, 0)) and w != (1, 1) and w != rs.highest_root
+    assert len({w, Weight((1, 1)), Weight((1, 0))}) == 2
+    assert CartanType("A", 2) == CartanType.parse("a2") != "A2"
+    assert len({CartanType("A", 2), CartanType.parse("A2"), CartanType("A", 3)}) == 2
+    alpha = rs.highest_root
+    assert alpha == Root(*(getattr(alpha, f) for f in Root.__slots__))
+    assert alpha != -alpha and alpha != alpha.weight
+    assert repr(CartanType("D", 4)) == "CartanType(family='D', rank=4)"
+    assert repr(w) == "Weight(1, 1)" and repr(alpha) == "Root(1, 1)"
