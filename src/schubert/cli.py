@@ -19,7 +19,8 @@ from math import prod
 from . import __version__
 from .charring import char_sorted_terms, char_to_str, demazure_along_word, e
 from .report import (CHECKS, DEFAULT_GUARD, GUARD_ENV_VAR, GuardExceeded, Report,
-                     canonical_json, labeling_table, precheck, resolve_guard, run_check)
+                     canonical_json, labeling_table, pass_groups, precheck, resolve_guard,
+                     run_checks)
 from .rootsys import Root, RootSystem, Weight, build
 
 __all__ = ["main", "pool_size"]
@@ -213,7 +214,7 @@ def cmd_demazure(args) -> tuple[str, int]:
 
 
 def pool_size(workers: int, tasks: int, cpus: int | None) -> int:
-    """Processes for a sweep: never more than its checks or the CPUs."""
+    """Processes for a sweep: never more than its tasks or the CPUs."""
     if workers < 1:
         raise ValueError(f"--workers must be at least 1, got {workers}")
     return min(workers, tasks, cpus or 1)
@@ -223,16 +224,18 @@ def _run_checks(args, rs: RootSystem, check_ids: list[str],
                 alpha: int | None = None, workers: int = 1) -> tuple[str, int]:
     """Precheck every check before running any, then run and render them."""
     guard = resolve_guard(args.guard)
+    tasks = pass_groups(check_ids)
+    workers = pool_size(workers, len(tasks), os.cpu_count())
     for check_id in check_ids:
         precheck(check_id, rs.ct, guard, alpha)
     if workers > 1:
         # imported here: concurrent.futures and multiprocessing slow every start
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_check, rs, c, guard, alpha) for c in check_ids]
-            reports = [f.result() for f in futures]
+            futures = [pool.submit(run_checks, rs, ids, guard, alpha) for ids in tasks]
+            reports = [rep for f in futures for rep in f.result()]
     else:
-        reports = [run_check(rs, c, guard, alpha) for c in check_ids]
+        reports = run_checks(rs, check_ids, guard, alpha)
     return (_render_reports(reports, args.format, rs),
             0 if all(rep.passed for rep in reports) else 1)
 
@@ -244,8 +247,7 @@ def cmd_verify(args) -> tuple[str, int]:
 def cmd_sweep(args) -> tuple[str, int]:
     rs = build(args.type)
     check_ids = [c.id for c in CHECKS if c.applies(rs.ct) is None]
-    workers = pool_size(args.workers, len(check_ids), os.cpu_count())
-    return _run_checks(args, rs, check_ids, workers=workers)
+    return _run_checks(args, rs, check_ids, workers=args.workers)
 
 
 def build_parser() -> argparse.ArgumentParser:

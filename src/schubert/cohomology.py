@@ -1,8 +1,9 @@
 """Euler characteristics on Schubert varieties and the theorem verifiers.
 
-The engine computes Euler characteristics chi(tau, f) exactly.  The three
-sweeps over the whole Weyl group (thmA, thm42, thmB) read them off
-``demazure_layers``, one pass up the group by length: when
+The engine computes Euler characteristics chi(tau, f) exactly.  The
+sweeps over the whole Weyl group read them off ``demazure_layers``, one
+pass up the group by length (thmA and thm42 share one pass of the
+per-root lines, ``verify_root_lines``; thmB has its own): when
 l(s_j tau') = l(tau') + 1, chi(s_j tau', f) = D_j chi(tau', f), so every
 element costs one Demazure operator per seed (the braid relations make
 chi depend on the element only; Demazure 1974, Kumar, Kac-Moody Groups,
@@ -38,6 +39,7 @@ __all__ = [
     "demazure_layers",
     "verify_thmA",
     "verify_thm42",
+    "verify_root_lines",
     "verify_thmB_criterion",
     "verify_lemma26",
     "lemma61_search",
@@ -128,38 +130,12 @@ def verify_thmA(rs: RootSystem, guard: int | None = None) -> tuple[int, list, di
     """Sweep the whole Weyl group for the adjoint-tangent equivalence.
 
     H^0 of the restricted tangent bundle on X(tau) is the sum of the h0
-    lines of the positive roots, read off one Demazure sweep seeded with
-    every e^beta.  For every tau the check is that it has the full adjoint
-    character exactly when the semistable locus of X(tau^{-1}) is
-    nonempty, and that the kernel character stays effective throughout.
+    lines of the positive roots.  For every tau the check is that it has
+    the full adjoint character exactly when the semistable locus of
+    X(tau^{-1}) is nonempty, and that it never exceeds the adjoint
+    character (the kernel stays effective).
     """
-    adjoint = adjoint_character(rs)
-    counterexamples: list[dict] = []
-    universe = 0
-    n_equal = 0
-    n_ss = 0
-    for tau, chars in demazure_layers(rs, _root_seeds(rs), guard):
-        universe += 1
-        _certified(rs, chars)
-        tangent = char_sum(chars)
-        kernel = adjoint - tangent
-        if not kernel.is_effective():
-            raise AssertionError("engine failure: tangent exceeds adjoint")
-        is_full = tangent == adjoint
-        inv = tau.inverse()
-        criterion = ss_nonempty(rs, inv)
-        n_equal += is_full
-        n_ss += criterion
-        if is_full != criterion:
-            counterexamples.append({
-                "tau_word": list(tau.reduced_word()),
-                "tau_inv_word": list(inv.reduced_word()),
-                "tangent_equals_adjoint": is_full,
-                "ss_nonempty": criterion,
-                "kernel": char_to_str(rs, kernel),
-            })
-    return (universe, counterexamples,
-            {"full_tangent_count": n_equal, "ss_count": n_ss})
+    return verify_root_lines(rs, ("thmA",), guard=guard)[0]
 
 
 def verify_thm42(rs: RootSystem, alpha: int | None = None,
@@ -170,30 +146,68 @@ def verify_thm42(rs: RootSystem, alpha: int | None = None,
     w_alpha in Bruhat order -- the coset w0 W_P, found as tau(omega_alpha)
     = w0(omega_alpha) -- the inversion-set sum of h0 lines equals the
     adjoint character, and every other positive root contributes zero.
-    One Demazure sweep seeded with every e^beta serves all alphas; the
-    counterexamples are collected per alpha and listed in alpha order.
+    The counterexamples are collected per alpha and listed in alpha order.
 
     The coset is exactly that upper set: W_P, the parabolic dropping
     alpha, is the stabilizer of omega_alpha, w_alpha is the maximum of
     W^P, and tau -> tau^P preserves Bruhat order, so tau >= w_alpha iff
     tau^P = w_alpha (Bjorner-Brenti, Section 2.5 and Cor. 2.2.3).
     """
+    return verify_root_lines(rs, ("thm42",), alpha, guard)[0]
+
+
+def verify_root_lines(rs: RootSystem, checks: Sequence[str], alpha: int | None = None,
+                      guard: int | None = None) -> list[tuple[int, list, dict]]:
+    """thmA and thm42, those of them named in checks, from one Demazure sweep.
+
+    Both read the h0 line chi(tau, e^beta) of every positive root at every
+    tau, so one sweep seeded with every e^beta serves both, and every
+    alpha of thm42.  Each element's lines are certified once; thmA then
+    reads their sum at every tau, thm42 the inversion-set split at the
+    elements of its cosets.  Returns one (universe, counterexamples,
+    details) per name in checks, in that order.
+    """
     adjoint = adjoint_character(rs)
-    alphas = [alpha] if alpha is not None else list(range(1, rs.rank + 1))
-    w0 = longest_element(rs)
-    w_alpha = {a: min_parabolic_rep(rs, a) for a in alphas}
+    thmA = "thmA" in checks
+    tangent_rows: list[dict] = []
+    universe = n_equal = n_ss = 0
+    alphas = ([] if "thm42" not in checks
+              else [alpha] if alpha is not None else list(range(1, rs.rank + 1)))
     omega = {a: rs.fundamental_weights[a - 1].fw for a in alphas}
-    target = {a: w0.act(omega[a]) for a in alphas}
-    for a in alphas:
-        if w_alpha[a].act(omega[a]) != target[a]:
-            raise AssertionError(f"w_alpha is outside the coset w0 W_P for alpha_{a}")
-    rows: dict[int, list[dict]] = {a: [] for a in alphas}
+    target = {}
+    if alphas:
+        w0 = longest_element(rs)
+        target = {a: w0.act(omega[a]) for a in alphas}
+        for a in alphas:
+            if min_parabolic_rep(rs, a).act(omega[a]) != target[a]:
+                raise AssertionError(f"w_alpha is outside the coset w0 W_P for alpha_{a}")
+    coset_rows: dict[int, list[dict]] = {a: [] for a in alphas}
     per_alpha = {str(a): 0 for a in alphas}
     for tau, chars in demazure_layers(rs, _root_seeds(rs), guard):
         cosets = [a for a in alphas if tau.act(omega[a]) == target[a]]
-        if not cosets:
+        if not (thmA or cosets):
             continue
         _certified(rs, chars)
+        if thmA:
+            universe += 1
+            tangent = char_sum(chars)
+            if not tangent.termwise_leq(adjoint):
+                raise AssertionError("engine failure: tangent exceeds adjoint")
+            is_full = tangent == adjoint
+            inv = tau.inverse()
+            criterion = ss_nonempty(rs, inv)
+            n_equal += is_full
+            n_ss += criterion
+            if is_full != criterion:
+                tangent_rows.append({
+                    "tau_word": list(tau.reduced_word()),
+                    "tau_inv_word": list(inv.reduced_word()),
+                    "tangent_equals_adjoint": is_full,
+                    "ss_nonempty": criterion,
+                    "kernel": char_to_str(rs, adjoint - tangent),
+                })
+        if not cosets:
+            continue
         # beta is an inversion of tau iff tau(beta) is negative
         inverted = [not rs._by_fw[tau.act(beta.weight.fw)].positive
                     for beta in rs.positive_roots]
@@ -207,20 +221,25 @@ def verify_thm42(rs: RootSystem, alpha: int | None = None,
             words = {"tau_word": list(tau.reduced_word()),
                      "tau_inv_word": list(tau.inverse().reduced_word())}
             if total != adjoint:
-                rows[a].append({
+                coset_rows[a].append({
                     "alpha": a, **words,
                     "clause": "inversion-sum",
                     "difference": char_to_str(rs, adjoint - total),
                 })
             for beta, h0 in outside:
-                rows[a].append({
+                coset_rows[a].append({
                     "alpha": a, **words,
                     "clause": "outside-vanishing",
                     "beta": list(beta.coords),
                     "h0": char_to_str(rs, h0),
                 })
-    counterexamples = [row for a in alphas for row in rows[a]]
-    return sum(per_alpha.values()), counterexamples, {"elements_above_w_alpha": per_alpha}
+    results = {
+        "thmA": (universe, tangent_rows,
+                 {"full_tangent_count": n_equal, "ss_count": n_ss}),
+        "thm42": (sum(per_alpha.values()), [row for a in alphas for row in coset_rows[a]],
+                  {"elements_above_w_alpha": per_alpha}),
+    }
+    return [results[check] for check in checks]
 
 
 def verify_thmB_criterion(rs: RootSystem,

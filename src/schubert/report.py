@@ -2,8 +2,8 @@
 every Report, and report serialization.
 
 A verifier in cohomology or coxeter returns only what it computes,
-(universe size, counterexamples, details); run_check gates it, times it
-and stamps the Report.
+(universe size, counterexamples, details); run_checks gates it, times it
+and stamps the Report, and runs a pass that two checks share only once.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Any
 
 from .rootsys import CartanType, Record, RootSystem
 
-__all__ = ["Report", "Check", "CHECKS", "precheck", "run_check",
+__all__ = ["Report", "Check", "CHECKS", "precheck", "pass_groups", "run_checks", "run_check",
            "labeling_table", "canonical_json", "GuardExceeded",
            "DEFAULT_GUARD", "GUARD_ENV_VAR", "resolve_guard"]
 
@@ -74,14 +74,15 @@ class Report(Record):
         return out
 
 
-Check = namedtuple("Check", "id applies cost run")
+Check = namedtuple("Check", "id applies cost run shared", defaults=(None,))
 Check.__doc__ = """One row of the check table.
 
 applies(ct) is None when the check applies, else the reason it does
 not.  cost(ct) is the size of the universe the check enumerates, |W|
 or the n! orderings of the simple roots, or None when it only loops
 over roots.  run(rs, guard, alpha) returns (universe size,
-counterexamples, details).
+counterexamples, details).  Adjacent rows may name a pass they share;
+their run(rs, guard, alpha, ids) then gives one triple per id in ids.
 """
 
 
@@ -108,15 +109,17 @@ def _none(ct: CartanType) -> None:
 def _module(name: str):
     """schubert.<name>, imported when a check first runs.  Verifiers are
     looked up on it at call time, so a wrapper installed on
-    cohomology.verify_thmA (say) is the one that runs."""
+    cohomology.verify_thmB_criterion (say) is the one that runs."""
     return import_module(f"{__package__}.{name}")
 
 
+def _root_lines(rs: RootSystem, guard: int, alpha: int | None, ids: list[str]) -> list:
+    return _module("cohomology").verify_root_lines(rs, ids, alpha, guard)
+
+
 CHECKS = (
-    Check("thmA", _simply_laced, _weyl_order,
-          lambda rs, guard, alpha: _module("cohomology").verify_thmA(rs, guard)),
-    Check("thm42", _simply_laced, _weyl_order,
-          lambda rs, guard, alpha: _module("cohomology").verify_thm42(rs, alpha, guard)),
+    Check("thmA", _simply_laced, _weyl_order, _root_lines, "root_lines"),
+    Check("thm42", _simply_laced, _weyl_order, _root_lines, "root_lines"),
     Check("thmB", _two_lengths, _weyl_order,
           lambda rs, guard, alpha: _module("cohomology").verify_thmB_criterion(rs, guard)),
     Check("prop51", _none, _orderings,
@@ -164,15 +167,35 @@ def precheck(check_id: str, ct: CartanType, guard: int,
     return check
 
 
+def pass_groups(check_ids: list[str]) -> list[list[str]]:
+    """check_ids as tasks, in CHECKS order: one per shared pass or other check."""
+    groups: dict = {}
+    for check in (c for c in CHECKS if c.id in check_ids):
+        groups.setdefault(check.shared or check.id, []).append(check.id)
+    return list(groups.values())
+
+
+def run_checks(rs: RootSystem, check_ids: list[str], guard: int | None = None,
+               alpha: int | None = None) -> list[Report]:
+    """Precheck, run and time checks, one Report each in CHECKS order; a
+    shared pass runs once, and each of its Reports carries its time."""
+    guard = resolve_guard(guard)
+    checks = {c: precheck(c, rs.ct, guard, alpha) for c in check_ids}
+    reports = []
+    for ids in pass_groups(check_ids):
+        first, start = checks[ids[0]], time.perf_counter()
+        results = (first.run(rs, guard, alpha, ids) if first.shared
+                   else [first.run(rs, guard, alpha)])
+        elapsed = time.perf_counter() - start
+        reports += [Report(c, str(rs.ct), n, cx, elapsed, details)
+                    for c, (n, cx, details) in zip(ids, results)]
+    return reports
+
+
 def run_check(rs: RootSystem, check_id: str, guard: int | None = None,
               alpha: int | None = None) -> Report:
     """Precheck, run and time one check, and wrap its result in a Report."""
-    guard = resolve_guard(guard)
-    check = precheck(check_id, rs.ct, guard, alpha)
-    start = time.perf_counter()
-    universe, counterexamples, details = check.run(rs, guard, alpha)
-    return Report(check_id, str(rs.ct), universe, counterexamples,
-                  time.perf_counter() - start, details)
+    return run_checks(rs, [check_id], guard, alpha)[0]
 
 
 def labeling_table(rs: RootSystem) -> dict:

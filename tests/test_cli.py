@@ -13,7 +13,7 @@ import pytest
 
 import schubert
 from schubert.cli import _weyl_dimension, main, pool_size
-from schubert.report import CHECKS, run_check
+from schubert.report import CHECKS, pass_groups, run_check
 from schubert.rootsys import CartanType, RootSystem, build
 
 from helpers import dominant_representative, weyl_dim
@@ -225,15 +225,111 @@ def test_sweep_guard_blocks_e8(capsys):
 
 
 def test_sweep_workers_deterministic(capsys):
-    code1, out1, _ = run(capsys, "sweep", "--type", "A2", "--format", "json")
-    code2, out2, _ = run(capsys, "sweep", "--type", "A2", "--format", "json",
-                         "--workers", "2")
-    assert code1 == code2 == 0
-    # elapsed differs run to run; everything else must match exactly
-    doc1, doc2 = json.loads(out1), json.loads(out2)
-    for d in (*doc1, *doc2):
+    # A2 and A3 are simply laced, so thmA and thm42 share one task
+    for name in ("A2", "A3"):
+        code1, out1, _ = run(capsys, "sweep", "--type", name, "--format", "json")
+        code2, out2, _ = run(capsys, "sweep", "--type", name, "--format", "json",
+                             "--workers", "2")
+        assert code1 == code2 == 0
+        # elapsed differs run to run; everything else must match exactly
+        doc1, doc2 = json.loads(out1), json.loads(out2)
+        for d in (*doc1, *doc2):
+            d["elapsed_ms"] = 0
+        assert doc1 == doc2
+        assert [d["check"] for d in doc1] == [c.id for c in CHECKS
+                                              if c.applies(CartanType.parse(name)) is None]
+
+
+def masked_reports(capsys, *argv) -> list[dict]:
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    docs = json.loads(out)
+    docs = docs if isinstance(docs, list) else [docs]
+    for d in docs:
         d["elapsed_ms"] = 0
-    assert doc1 == doc2
+    assert code == (0 if all(d["passed"] for d in docs) else 1)
+    return docs
+
+
+def separate_root_line_reports(capsys, name: str) -> tuple[dict, dict, list[dict]]:
+    """verify thmA, verify thm42 and every verify thm42 --alpha a, run apart."""
+    rank = CartanType.parse(name).rank
+    [thmA] = masked_reports(capsys, "verify", "thmA", "--type", name)
+    [thm42] = masked_reports(capsys, "verify", "thm42", "--type", name)
+    per_alpha = [masked_reports(capsys, "verify", "thm42", "--type", name,
+                                "--alpha", str(a))[0] for a in range(1, rank + 1)]
+    return thmA, thm42, per_alpha
+
+
+def assert_sweep_matches_separate_runs(capsys, name: str, workers: str) -> dict:
+    swept = {d["check"]: d for d in masked_reports(
+        capsys, "sweep", "--type", name, "--workers", workers)}
+    thmA, thm42, per_alpha = separate_root_line_reports(capsys, name)
+    assert swept["thmA"] == thmA and swept["thm42"] == thm42
+    for a, one in enumerate(per_alpha, start=1):
+        assert one["counterexamples"] == [row for row in thm42["counterexamples"]
+                                          if row["alpha"] == a]
+        count = thm42["details"]["elements_above_w_alpha"][str(a)]
+        assert one["universe"] == count
+        assert one["details"] == {"elements_above_w_alpha": {str(a): count}}
+    return swept
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "D4", "D5"])
+def test_sweep_shared_pass_matches_separate_verify_runs(capsys, name):
+    swept = assert_sweep_matches_separate_runs(capsys, name, "1")
+    assert swept["thmA"]["passed"] and swept["thm42"]["passed"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_shared_pass_fails_like_separate_runs(capsys, monkeypatch, workers):
+    # a wrong adjoint target fails both checks; the sweep's rows must be
+    # the separate runs' rows, in the same order, with or without a pool
+    # (two processes at most: pool_size caps the pool at --workers; the
+    # pool forks, so the patch reaches its workers)
+    from schubert import cohomology
+    from schubert.charring import adjoint_character, e
+
+    rs = build("A4")
+    wrong = adjoint_character(rs) + e(rs.zero())
+    monkeypatch.setattr(cohomology, "adjoint_character", lambda rs: wrong)
+    swept = assert_sweep_matches_separate_runs(capsys, "A4", workers)
+    thmA, thm42 = swept["thmA"], swept["thm42"]
+    assert not thmA["passed"] and not thm42["passed"]
+    assert len(thmA["counterexamples"]) == thmA["details"]["ss_count"]
+    assert len(thm42["counterexamples"]) == thm42["universe"]
+
+
+def test_pool_gets_one_task_per_pass_group(capsys, monkeypatch):
+    # thmA and thm42 go to the pool as one task, so no worker runs the
+    # shared pass twice; a stand-in pool records the tasks and runs them
+    import concurrent.futures
+
+    submitted = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, rs, ids, guard, alpha):
+            submitted.append((self.max_workers, list(ids)))
+            done = concurrent.futures.Future()
+            done.set_result(fn(rs, ids, guard, alpha))
+            return done
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, _ = run(capsys, "sweep", "--type", "A3", "--workers", "2")
+    assert code == 0
+    assert submitted == [(2, ["thmA", "thm42"]), (2, ["prop51"]), (2, ["lemma26"]),
+                         (2, ["lemma54_56"]), (2, ["thmC_typeA"]), (2, ["cor52_53_58"])]
+    assert [ln.split()[0] for ln in out.splitlines()] == [
+        "thmA", "thm42", "prop51", "lemma26", "lemma54_56", "thmC_typeA", "cor52_53_58"]
 
 
 def test_cli_import_leaves_the_process_pool_out():
@@ -367,11 +463,26 @@ def test_pool_size():
     for bad in (0, -1):
         with pytest.raises(ValueError):
             pool_size(bad, 7, 2)
+    # the pool counts tasks: a simply-laced sweep's thmA and thm42 are one
+    for name, checks, tasks in (("A3", 7, 6), ("D4", 6, 5), ("B3", 3, 3), ("A1", 7, 6)):
+        ids = [c.id for c in CHECKS if c.applies(CartanType.parse(name)) is None]
+        assert (len(ids), len(pass_groups(ids))) == (checks, tasks)
+        assert pool_size(16, len(pass_groups(ids)), 32) == tasks
+    assert pass_groups(["thm42", "lemma26", "thmA"]) == [["thmA", "thm42"], ["lemma26"]]
+
+
+def test_rows_that_share_a_pass_are_adjacent():
+    # tasks read in turn are then in CHECKS order
+    shared = [c.shared for c in CHECKS]
+    for label in {s for s in shared if s}:
+        rows = [k for k, s in enumerate(shared) if s == label]
+        assert rows == list(range(rows[0], rows[-1] + 1))
 
 
 # sha256 of stdout with elapsed_ms and the table's ms column masked,
 # recorded before the check table replaced the per-check registries; the
-# E6 Coxeter entries before the table of distinct Coxeter elements
+# E6 Coxeter entries before the table of distinct Coxeter elements; D4
+# before thmA and thm42 shared one Demazure pass
 GOLDEN = {
     (("sweep", "--type", "B2"), "table"):
         "217836b8ca0cf21e431a6f15320fb059cda0171d32f4b9b1e0f0571f8356e937",
@@ -385,6 +496,10 @@ GOLDEN = {
         "517ac60b13c0db856b9bf4a8040e5b88a87c0e35357b503087ac389d8b4434e8",
     (("sweep", "--type", "A3"), "json"):
         "d80f437dd8c865baf5be33d50bf4f4d203c8358d6183b49a4445b87b3a504162",
+    (("sweep", "--type", "D4"), "table"):
+        "26a5779cac897f82e58d9ad6bf097f72e111645e86b829bdfdf69c0007917ff4",
+    (("sweep", "--type", "D4"), "json"):
+        "1cc9070acb9e14545ce49ef7e3bf4cd5d61f990a155c29804d54e9fe624bd9cb",
     (("verify", "thm42", "--type", "A3", "--alpha", "2"), "table"):
         "9d69f9bdb2722a57237c4f688883dbaf82ed4c6a3076f6048b4d71eeec725c3c",
     (("verify", "thm42", "--type", "A3", "--alpha", "2"), "json"):

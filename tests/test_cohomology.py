@@ -1,5 +1,7 @@
 """Euler characteristics, H^0 characters, and the theorem verifiers."""
 
+import json
+
 import pytest
 
 from schubert import (
@@ -17,7 +19,8 @@ from schubert import (
     ss_nonempty,
 )
 from schubert import cohomology
-from schubert.charring import char_sum
+from schubert.charring import char_sum, char_to_str
+from schubert.cli import main
 from schubert.cohomology import borel_character, demazure_layers, lemma61_search
 from schubert.report import run_check
 
@@ -141,6 +144,87 @@ def test_thm42_counterexamples_are_listed_in_alpha_order(monkeypatch):
         tau = from_word(rs, row["tau_word"])
         assert from_word(rs, row["tau_inv_word"]) == tau.inverse()
         assert tuple(row["tau_inv_word"]) == tau.inverse().reduced_word()
+
+
+@pytest.mark.parametrize("name", ["A3", "A4", "D4"])
+def test_shared_pass_matches_separate_verifiers(name):
+    # one pass for thmA and thm42 gives what each verifier gives alone, in
+    # either order, for all alphas at once and for each alpha (the CLI
+    # sweep is compared with separate verify runs in test_cli.py)
+    rs = build(name)
+    separate = [cohomology.verify_thmA(rs), cohomology.verify_thm42(rs)]
+    assert cohomology.verify_root_lines(rs, ("thmA", "thm42")) == separate
+    assert cohomology.verify_root_lines(rs, ("thm42", "thmA")) == separate[::-1]
+    for a in range(1, rs.rank + 1):
+        one = cohomology.verify_thm42(rs, alpha=a)
+        assert cohomology.verify_root_lines(rs, ("thmA", "thm42"), a) == [separate[0], one]
+    rep = run_check(rs, "thmA")
+    assert separate[0] == (rep.universe_size, rep.counterexamples, rep.details)
+
+
+def test_thmA_kernel_row_only_on_a_counterexample(monkeypatch):
+    # a target one e^0 too large makes thmA fail exactly where the
+    # criterion holds; the kernel row is adjoint - tangent, which is e^0
+    # more than the true kernel, and every other element is clean
+    rs = build("A3")
+    wrong = adjoint_character(rs) + e(rs.zero())
+    monkeypatch.setattr(cohomology, "adjoint_character", lambda rs: wrong)
+    universe, rows, details = cohomology.verify_thmA(rs)
+    assert universe == 24 and len(rows) == details["ss_count"] > 0
+    assert details["full_tangent_count"] == 0
+    for row in rows:
+        tau = from_word(rs, row["tau_word"])
+        assert row["ss_nonempty"] and not row["tangent_equals_adjoint"]
+        assert row["kernel"] == char_to_str(rs, kernel_char(rs, tau) + e(rs.zero()))
+
+
+def test_thmA_refuses_a_tangent_above_the_adjoint(monkeypatch):
+    rs = build("A2")
+    short = adjoint_character(rs) - e(rs.zero())
+    monkeypatch.setattr(cohomology, "adjoint_character", lambda rs: short)
+    with pytest.raises(AssertionError, match="tangent exceeds adjoint"):
+        cohomology.verify_thmA(rs)
+
+
+def test_each_check_alone_does_only_its_own_work(monkeypatch, capsys):
+    # verify thmA builds no coset; verify thm42 sums no tangent and reads
+    # no criterion
+    def refuse(*args, **kwargs):
+        raise AssertionError("work of the other check")
+
+    argv = ["verify", "thmA", "--type", "D4", "--format", "json"]
+    with monkeypatch.context() as m:
+        m.setattr(cohomology, "min_parabolic_rep", refuse)
+        m.setattr(cohomology, "longest_element", refuse)
+        assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["universe"] == 192
+    argv[1] = "thm42"
+    with monkeypatch.context() as m:
+        m.setattr(cohomology, "ss_nonempty", refuse)
+        m.setattr(cohomology.Character, "termwise_leq", refuse)
+        assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["universe"] > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--type", "A3"),
+    ("sweep", "--type", "B3"),  # thmB has its own pass
+    ("verify", "thmA", "--type", "A3"),
+    ("verify", "thm42", "--type", "A3"),
+])
+def test_one_enumeration_per_sweep(monkeypatch, capsys, argv):
+    # a simply-laced sweep runs thmA and thm42 from one pass
+    calls = []
+    real = cohomology.enumerate_group
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].ct)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cohomology, "enumerate_group", counted)
+    assert main(list(argv)) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 LAYER_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4",
