@@ -2,17 +2,17 @@
 
 The engine computes Euler characteristics chi(tau, f) exactly.  The
 sweeps over the whole Weyl group read them off ``demazure_layers``, one
-pass up the group by length (thmA and thm42 share one pass of the
-per-root lines, ``verify_root_lines``; thmB has its own): when
-l(s_j tau') = l(tau') + 1, chi(s_j tau', f) = D_j chi(tau', f), so every
-element costs one Demazure operator per seed (the braid relations make
-chi depend on the element only; Demazure 1974, Kumar, Kac-Moody Groups,
-ch. 8).  The criterion for X(tau) is read on X(tau^-1); ``tau.inverse()``
-is the enumerated element that ``enumerate_group`` linked to tau, word
-cached, and any other element inverts by its reversed word.  Single
-queries go along the canonical reduced word (``euler_char``,
-``h0_line``).  Individual cohomology characters are only
-ever reported in regimes where vanishing is certified:
+pass up the group by length with one seed: when l(s_j tau') = l(tau') + 1,
+chi(s_j tau', f) = D_j chi(tau', f), so every element costs one Demazure
+operator (the braid relations make chi depend on the element only;
+Demazure 1974, Kumar, Kac-Moody Groups, ch. 8).  thmB seeds the sum of
+the e^beta; thmA and thm42 share one pass (``verify_root_lines``) whose
+seed tags each e^beta with its root's index in a digit above the weight
+digits, so one operator carries every per-root line.  The criterion for
+X(tau^-1) is read off tau(rho), with no inverse.  Single queries go along
+the canonical reduced word (``euler_char``, ``h0_line``).  Individual
+cohomology characters are only ever reported in regimes where vanishing
+is certified:
 
   * dominant line bundles (all higher cohomology vanishes), and
   * positive-root line bundles on simply-laced types (higher cohomology
@@ -24,13 +24,13 @@ below is explicitly exploratory and never labels Euler data as an h^0.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
-from . import weyl
-from .charring import (Character, adjoint_character, char_sum, char_to_str,
+from .charring import (_DIGIT, Character, _pack, adjoint_character, char_to_str,
                        demazure_along_word, demazure_op, e)
 from .rootsys import RootSystem, Weight
-from .weyl import WeylElement, enumerate_group, longest_element, min_parabolic_rep
+from .weyl import WeylElement, enumerate_group, from_word, longest_element, min_parabolic_rep
 
 __all__ = [
     "euler_char",
@@ -70,14 +70,13 @@ def h0_line(rs: RootSystem, tau: WeylElement, lam: Weight) -> Character:
                 f"h0_line: positive-root weights need a simply-laced type, "
                 f"not {rs.ct}")
     out = euler_char(rs, tau, e(lam))
-    _check_effective(out, lam)
+    if not out.is_effective():
+        raise _uncertified(lam)
     return out
 
 
-def _check_effective(h0: Character, lam: Weight) -> None:
-    if not h0.is_effective():
-        raise AssertionError(
-            f"engine failure: negative multiplicity in certified h0 for {lam}")
+def _uncertified(lam: Weight) -> AssertionError:
+    return AssertionError(f"engine failure: negative multiplicity in certified h0 for {lam}")
 
 
 def ss_nonempty(rs: RootSystem, w: WeylElement) -> bool:
@@ -88,42 +87,48 @@ def ss_nonempty(rs: RootSystem, w: WeylElement) -> bool:
     return not root.positive  # w(-alpha_0) = -w(alpha_0)
 
 
-def demazure_layers(rs: RootSystem, seeds: Sequence[Character],
-                    guard: int | None = None
-                    ) -> Iterator[tuple[WeylElement, list[Character]]]:
-    """(tau, [chi(tau, f) for f in seeds]) for every tau, in enumerate_group order.
+def _ss_of_inverse(rs: RootSystem, tau: WeylElement) -> bool:
+    """``ss_nonempty(rs, tau.inverse())`` with no inverse: <tau(rho), alpha_0^vee> < 0,
+    as rho pairs positively with exactly the positive coroots and pairings are
+    W-invariant.  tau(rho) is the row sums of tau's matrix (rho = (1,...,1)),
+    and the sum below is ``pairing_root``'s numerator, of the same sign."""
+    return sum(c * d * sum(row) for c, d, row in zip(rs.highest_root.coords, rs.d, tau.matrix)) < 0
 
-    The left parent of tau is s_j tau, for j the first letter of tau's
-    canonical word.  The rest of that word is reduced, so the parent lies
-    in the previous length layer, and tau's characters are D_j of the
-    parent's.  Only the previous and the current layer are kept, keyed by
-    matrix.
+
+def _inversions(rs: RootSystem, tau: WeylElement) -> list[bool]:
+    """Per positive root beta, whether tau(beta) has negative height."""
+    heights = tuple(map(rs.scaled_height, zip(*tau.matrix)))  # of each tau(omega_j)
+    return [sum(map(mul, heights, beta.weight.fw)) < 0 for beta in rs.positive_roots]
+
+
+def demazure_layers(rs: RootSystem, seed: Character,
+                    guard: int | None = None) -> Iterator[tuple[WeylElement, Character]]:
+    """(tau, chi(tau, seed)) for every tau, in enumerate_group order.
+
+    For j the first letter of tau's canonical word, the left parent s_j tau
+    lies in the previous length layer, and chi(tau, seed) is D_j of its
+    character.  Only the previous and the current layer are kept, by matrix.
     """
-    previous: dict[tuple, list[Character]] = {}
-    current: dict[tuple, list[Character]] = {}
+    previous: dict[tuple, Character] = {}
+    current: dict[tuple, Character] = {}
     length = 0
     for tau in enumerate_group(rs, guard):
         word = tau.reduced_word()
         if len(word) != length:
             previous, current, length = current, {}, len(word)
-        if word:
-            j = word[0]
-            parent = previous[tau.simple_times(j).matrix]
-            chars = [demazure_op(rs, j, f) for f in parent]
-        else:
-            chars = list(seeds)
-        current[tau.matrix] = chars
-        yield tau, chars
+        chi = (demazure_op(rs, word[0], previous[tau.simple_times(word[0]).matrix])
+               if word else seed)
+        current[tau.matrix] = chi
+        yield tau, chi
 
 
-def _root_seeds(rs: RootSystem) -> list[Character]:
-    return [e(beta.weight) for beta in rs.positive_roots]
-
-
-def _certified(rs: RootSystem, chars: Sequence[Character]) -> None:
-    """Per-root h0 self-check: chi(tau, e^beta) must be effective."""
-    for beta, h0 in zip(rs.positive_roots, chars):
-        _check_effective(h0, beta.weight)
+def _untagged(terms: Iterable[tuple[int, int]], mask: int) -> Character:
+    """The sum of tagged terms, their tag digit masked off."""
+    out: dict[int, int] = {}
+    for k, v in terms:
+        k &= mask
+        out[k] = out.get(k, 0) + v
+    return Character._from_packed(out)
 
 
 def verify_thmA(rs: RootSystem, guard: int | None = None) -> tuple[int, list, dict]:
@@ -160,60 +165,61 @@ def verify_root_lines(rs: RootSystem, checks: Sequence[str], alpha: int | None =
                       guard: int | None = None) -> list[tuple[int, list, dict]]:
     """thmA and thm42, those of them named in checks, from one Demazure sweep.
 
-    Both read the h0 line chi(tau, e^beta) of every positive root at every
-    tau, so one sweep seeded with every e^beta serves both, and every
-    alpha of thm42.  Each element's lines are certified once; thmA then
-    reads their sum at every tau, thm42 the inversion-set split at the
-    elements of its cosets.  Returns one (universe, counterexamples,
-    details) per name in checks, in that order.
+    The seed is the sum of the e^beta_r, each tagged with its root's index
+    r in the digit above the weight digits.  ``demazure_op`` steps only the
+    weight digits, so one operator per element carries every h0 line
+    chi(tau, e^beta_r).  The lines are certified with one ``min``; thmA
+    reads their sum, tags masked off, at every tau, and thm42 their split
+    by tag into inversions and the rest in its cosets.  Returns one
+    (universe, counterexamples, details) per name in checks, in order.
     """
     adjoint = adjoint_character(rs)
     thmA = "thmA" in checks
+    roots = rs.positive_roots
+    shift = _DIGIT * rs.rank
+    mask = (1 << shift) - 1
+    seed = Character._from_packed({_pack(b.weight.fw) | r << shift: 1 for r, b in enumerate(roots)})
     tangent_rows: list[dict] = []
     universe = n_equal = n_ss = 0
     alphas = ([] if "thm42" not in checks
               else [alpha] if alpha is not None else list(range(1, rs.rank + 1)))
-    omega = {a: rs.fundamental_weights[a - 1].fw for a in alphas}
-    target = {}
-    if alphas:
-        w0 = longest_element(rs)
-        target = {a: w0.act(omega[a]) for a in alphas}
-        for a in alphas:
-            if min_parabolic_rep(rs, a).act(omega[a]) != target[a]:
-                raise AssertionError(f"w_alpha is outside the coset w0 W_P for alpha_{a}")
+    w0 = tuple(zip(*longest_element(rs).matrix)) if alphas else ()  # column a is w0(omega_a)
+    target = {a: w0[a - 1] for a in alphas}
+    for a in alphas:
+        if tuple(zip(*min_parabolic_rep(rs, a).matrix))[a - 1] != target[a]:
+            raise AssertionError(f"w_alpha is outside the coset w0 W_P for alpha_{a}")
     coset_rows: dict[int, list[dict]] = {a: [] for a in alphas}
     per_alpha = {str(a): 0 for a in alphas}
-    for tau, chars in demazure_layers(rs, _root_seeds(rs), guard):
-        cosets = [a for a in alphas if tau.act(omega[a]) == target[a]]
+    for tau, chi in demazure_layers(rs, seed, guard):
+        columns = tuple(zip(*tau.matrix))
+        cosets = [a for a in alphas if columns[a - 1] == target[a]]
         if not (thmA or cosets):
             continue
-        _certified(rs, chars)
+        terms = chi._terms
+        if min(terms.values(), default=0) < 0:  # name the first root with a negative line
+            raise _uncertified(roots[min(k for k, v in terms.items() if v < 0) >> shift].weight)
         if thmA:
             universe += 1
-            tangent = char_sum(chars)
-            if not tangent.termwise_leq(adjoint):
-                raise AssertionError("engine failure: tangent exceeds adjoint")
+            tangent = _untagged(terms.items(), mask)
             is_full = tangent == adjoint
-            inv = tau.inverse()
-            criterion = ss_nonempty(rs, inv)
+            if not (is_full or tangent.termwise_leq(adjoint)):
+                raise AssertionError("engine failure: tangent exceeds adjoint")
+            criterion = _ss_of_inverse(rs, tau)
             n_equal += is_full
             n_ss += criterion
             if is_full != criterion:
                 tangent_rows.append({
                     "tau_word": list(tau.reduced_word()),
-                    "tau_inv_word": list(inv.reduced_word()),
+                    "tau_inv_word": list(tau.inverse().reduced_word()),
                     "tangent_equals_adjoint": is_full,
                     "ss_nonempty": criterion,
                     "kernel": char_to_str(rs, adjoint - tangent),
                 })
         if not cosets:
             continue
-        # beta is an inversion of tau iff tau(beta) is negative
-        inverted = [not rs._by_fw[tau.act(beta.weight.fw)].positive
-                    for beta in rs.positive_roots]
-        total = char_sum(h0 for neg, h0 in zip(inverted, chars) if neg)
-        outside = [(beta, h0) for beta, neg, h0 in zip(rs.positive_roots, inverted, chars)
-                   if not neg and not h0.is_zero]
+        inverted = _inversions(rs, tau)
+        total = _untagged(((k, v) for k, v in terms.items() if inverted[k >> shift]), mask)
+        outside = sorted({k >> shift for k in terms if not inverted[k >> shift]})
         for a in cosets:
             per_alpha[str(a)] += 1
             if total == adjoint and not outside:
@@ -226,12 +232,13 @@ def verify_root_lines(rs: RootSystem, checks: Sequence[str], alpha: int | None =
                     "clause": "inversion-sum",
                     "difference": char_to_str(rs, adjoint - total),
                 })
-            for beta, h0 in outside:
+            for r in outside:
                 coset_rows[a].append({
                     "alpha": a, **words,
                     "clause": "outside-vanishing",
-                    "beta": list(beta.coords),
-                    "h0": char_to_str(rs, h0),
+                    "beta": list(roots[r].coords),
+                    "h0": char_to_str(rs, _untagged(
+                        ((k, v) for k, v in terms.items() if k >> shift == r), mask)),
                 })
     results = {
         "thmA": (universe, tangent_rows,
@@ -256,32 +263,24 @@ def verify_thmB_criterion(rs: RootSystem,
     """
     adjoint = adjoint_character(rs)
     seed = Character({beta.weight: 1 for beta in rs.positive_roots})
-    rows = []
-    flagged = []
-    agree_everywhere = True
-    universe = 0
-    for tau, (total,) in demazure_layers(rs, [seed], guard):
-        universe += 1
-        inv = tau.inverse()
-        criterion = ss_nonempty(rs, inv)
-        equals_adjoint = total == adjoint
+    rows, flagged = [], []
+    for tau, total in demazure_layers(rs, seed, guard):
         has_negative = not total.is_effective()
-        if equals_adjoint != criterion:
-            agree_everywhere = False
         rows.append({
             "tau_word": list(tau.reduced_word()),
-            "tau_inv_word": list(inv.reduced_word()),
-            "euler_equals_adjoint": equals_adjoint,
-            "ss_nonempty": criterion,
+            "tau_inv_word": list(tau.inverse().reduced_word()),
+            "euler_equals_adjoint": total == adjoint,
+            "ss_nonempty": _ss_of_inverse(rs, tau),
             "has_negative_multiplicity": has_negative,
         })
         if has_negative:
             flagged.append({"tau_word": list(tau.reduced_word()),
                             "euler": char_to_str(rs, total)})
-    return universe, [], {
+    return len(rows), [], {
         "rows": rows,
         "flagged_negative": flagged,
-        "criterion_matches_euler_everywhere": agree_everywhere,
+        "criterion_matches_euler_everywhere": all(
+            row["euler_equals_adjoint"] == row["ss_nonempty"] for row in rows),
     }
 
 
@@ -361,7 +360,7 @@ def remark_b2_check(rs: RootSystem) -> tuple[int, list, dict]:
     char b.  The expected E is additionally frozen in the test suite from
     an independent pre-build evaluation.
     """
-    tau = weyl.from_word(rs, (1, 2, 1))
+    tau = from_word(rs, (1, 2, 1))
     char_b = borel_character(rs)
     euler = euler_char(rs, tau, char_b)
     a1 = rs.simple_roots[0].weight

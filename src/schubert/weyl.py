@@ -311,8 +311,8 @@ def enumerate_group(rs: RootSystem, guard: int | None = None) -> Iterator[WeylEl
         for v, parent in parents:
             if v._inverse is None:
                 inv = nxt.get(parent._inverse.simple_times(v._word[-1]).matrix)
-                # rho is regular, so only e fixes it
-                if inv is None or inv.act(v.act(rho)) != rho:
+                # rho is regular, so only e fixes it; v(rho) is v's row sums
+                if inv is None or inv.act(tuple(map(sum, v.matrix))) != rho:
                     raise AssertionError(f"no enumerated inverse for {v._word}")
                 v._inverse = inv
                 inv._inverse = v

@@ -28,6 +28,7 @@ from schubert import (Character, CoxeterAnalysis, WeylElement, adjoint_character
                       enumerate_group, euler_char, from_word, h0_line, identity,
                       is_typeA_extremal, longest_element, simple_reflection,
                       ss_nonempty)
+from schubert.charring import _DIGIT
 from schubert.rootsys import RootSystem, Weight
 
 
@@ -267,6 +268,22 @@ def random_small_character(rs: RootSystem, rng: random.Random,
         fw = tuple(rng.randint(-1, 1) for _ in range(rs.rank))
         total = total + e(Weight(fw), rng.choice((-2, -1, 1, 2)))
     return total
+
+
+def tagged(rs: RootSystem, f: Character, tag: int) -> Character:
+    """f with every key carrying tag in the digit above rs's weight digits."""
+    shift = _DIGIT * rs.rank
+    return Character._from_packed({k | tag << shift: v for k, v in f._terms.items()})
+
+
+def split_by_tag(rs: RootSystem, f: Character) -> dict[int, Character]:
+    """{tag: the terms of f with that tag, the tag digit cleared}."""
+    shift = _DIGIT * rs.rank
+    mask = (1 << shift) - 1
+    parts: dict[int, dict[int, int]] = {}
+    for k, v in f._terms.items():
+        parts.setdefault(k >> shift, {})[k & mask] = v
+    return {t: Character._from_packed(terms) for t, terms in parts.items()}
 
 
 def random_element(rs: RootSystem, rng: random.Random,

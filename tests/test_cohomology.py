@@ -1,10 +1,12 @@
 """Euler characteristics, H^0 characters, and the theorem verifiers."""
 
 import json
+import re
 
 import pytest
 
 from schubert import (
+    Character,
     adjoint_character,
     build,
     demazure_along_word,
@@ -24,7 +26,8 @@ from schubert.cli import main
 from schubert.cohomology import borel_character, demazure_layers, lemma61_search
 from schubert.report import run_check
 
-from helpers import bruhat_monotonicity_findings, kernel_char, tangent_h0_char
+from helpers import (bruhat_monotonicity_findings, kernel_char, split_by_tag, tagged,
+                     tangent_h0_char)
 
 
 def test_euler_char_identity_and_w0():
@@ -196,11 +199,13 @@ def test_each_check_alone_does_only_its_own_work(monkeypatch, capsys):
     with monkeypatch.context() as m:
         m.setattr(cohomology, "min_parabolic_rep", refuse)
         m.setattr(cohomology, "longest_element", refuse)
+        m.setattr(cohomology, "_inversions", refuse)
         assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["universe"] == 192
     argv[1] = "thm42"
     with monkeypatch.context() as m:
         m.setattr(cohomology, "ss_nonempty", refuse)
+        m.setattr(cohomology, "_ss_of_inverse", refuse)
         m.setattr(cohomology.Character, "termwise_leq", refuse)
         assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["universe"] > 0
@@ -233,19 +238,99 @@ LAYER_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4",
 
 @pytest.mark.parametrize("name", LAYER_TYPES)
 def test_demazure_layers_match_word_by_word(name):
-    # every element, every positive root: the layer sweep against the
-    # composition along the canonical word; the summed seed is the sum
+    # every element, every positive root: the line carried by the root's
+    # tag in the one-seed layer sweep against the composition along the
+    # canonical word; the sweep of the summed seed is the sum of the lines
     rs = build(name)
     seeds = [e(beta.weight) for beta in rs.positive_roots]
-    summed = char_sum(seeds)
     elements = list(enumerate_group(rs))
-    swept = list(demazure_layers(rs, seeds + [summed]))
-    assert [tau for tau, _ in swept] == elements
-    for tau, chars in swept:
+    swept = list(demazure_layers(rs, char_sum(tagged(rs, f, r) for r, f in enumerate(seeds))))
+    summed = list(demazure_layers(rs, char_sum(seeds)))
+    assert [tau for tau, _ in swept] == [tau for tau, _ in summed] == elements
+    for (tau, chi), (_, total) in zip(swept, summed):
         word = tau.reduced_word()
-        for seed, chi in zip(seeds, chars):
-            assert chi == demazure_along_word(rs, word, seed)
-        assert chars[-1] == char_sum(chars[:-1])
+        lines = split_by_tag(rs, chi)
+        assert set(lines) <= set(range(len(seeds)))
+        for r, seed in enumerate(seeds):
+            assert lines.get(r, Character.zero()) == demazure_along_word(rs, word, seed)
+        assert total == char_sum(lines.values())
+
+
+@pytest.mark.parametrize("name", LAYER_TYPES)
+def test_criterion_and_inversions_read_off_tau(name):
+    # <tau(rho), alpha_0^vee> < 0 is the criterion on tau^-1, with one or
+    # two root lengths; the height split is tau's inversion set
+    rs = build(name)
+    for tau in enumerate_group(rs):
+        assert cohomology._ss_of_inverse(rs, tau) == ss_nonempty(rs, tau.inverse())
+        inverted = cohomology._inversions(rs, tau)
+        assert {b for b, neg in zip(rs.positive_roots, inverted) if neg} == tau.inversion_set()
+
+
+def _rendered_weights(rows):
+    """Every e[...] coordinate list in the string fields of rows."""
+    return [[int(x) for x in body.split(",")]
+            for row in rows for value in row.values() if isinstance(value, str)
+            for body in re.findall(r"e\[([^\]]*)\]", value)]
+
+
+@pytest.mark.parametrize("bad", [(3,), (5, 2)])
+def test_a_negative_line_fails_certification_naming_its_root(monkeypatch, bad):
+    # a wrapped operator puts a negative term into the lines of the roots
+    # in bad; the sweep must refuse, naming the first of them
+    rs = build("A3")
+    roots = rs.positive_roots
+    real = cohomology.demazure_op
+
+    def corrupt(rs, i, f):
+        return real(rs, i, f) + char_sum(tagged(rs, e(roots[r].weight, -7), r) for r in bad)
+
+    monkeypatch.setattr(cohomology, "demazure_op", corrupt)
+    first = roots[min(bad)].weight
+    for checks in (("thmA",), ("thm42",), ("thmA", "thm42")):
+        with pytest.raises(AssertionError, match=re.escape(
+                f"negative multiplicity in certified h0 for {first}")):
+            cohomology.verify_root_lines(rs, checks)
+
+
+def test_thm42_rows_under_a_wrong_adjoint_match_the_word_oracle(monkeypatch):
+    # with the target one e^0 too large, every coset element fails the
+    # inversion sum; its difference is the wrong target minus the sum of
+    # the word-by-word h0 lines over tau's inversion set
+    rs = build("A4")
+    wrong = adjoint_character(rs) + e(rs.zero())
+    monkeypatch.setattr(cohomology, "adjoint_character", lambda rs: wrong)
+    universe, rows, _ = cohomology.verify_thm42(rs)
+    assert len(rows) == universe > 0
+    for row in rows:
+        assert row["clause"] == "inversion-sum"
+        tau = from_word(rs, row["tau_word"])
+        total = char_sum(demazure_along_word(rs, tau.reduced_word(), e(beta.weight))
+                         for beta in tau.inversion_set())
+        assert row["difference"] == char_to_str(rs, wrong - total)
+    thmA_rows = cohomology.verify_thmA(rs)[1]
+    assert thmA_rows
+    assert all(len(fw) == rs.rank for fw in _rendered_weights(rows + thmA_rows))
+
+
+def test_thm42_outside_rows_render_each_root_line(monkeypatch):
+    # with no root counted as inverted, every root with a nonzero line is
+    # an outside-vanishing row; its h0 is the word-by-word line, rendered
+    # with the tag digit masked off
+    rs = build("A3")
+    monkeypatch.setattr(cohomology, "_inversions",
+                        lambda rs, tau: [False] * len(rs.positive_roots))
+    universe, rows, _ = cohomology.verify_thm42(rs, alpha=2)
+    assert universe > 0
+    for tau in {tuple(row["tau_word"]) for row in rows}:
+        lines = [(beta, demazure_along_word(rs, tau, e(beta.weight)))
+                 for beta in rs.positive_roots]
+        want = [(list(beta.coords), char_to_str(rs, line))
+                for beta, line in lines if not line.is_zero]
+        assert want == [(row["beta"], row["h0"]) for row in rows
+                        if tuple(row["tau_word"]) == tau
+                        and row["clause"] == "outside-vanishing"]
+    assert all(len(fw) == rs.rank for fw in _rendered_weights(rows))
 
 
 def test_verify_thmB_shape():

@@ -91,6 +91,18 @@ def test_enumerate_group(name, order):
     assert elements[-1] == longest_element(rs)
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda w, i: w,  # a link that leaves the layer
+    lambda w, i: w.times_simple(i),  # w s_i: an element of the layer, not the inverse
+])
+def test_corrupted_inverse_link_is_refused(monkeypatch, corrupt):
+    # enumerate_group links v^-1 = s_d (v s_d)^-1 through simple_times; a
+    # wrong step must be refused, by the lookup or by the check on rho
+    monkeypatch.setattr(WeylElement, "simple_times", corrupt)
+    with pytest.raises(AssertionError, match="no enumerated inverse"):
+        list(enumerate_group(build("A3")))
+
+
 @pytest.mark.parametrize("name", ["A3", "B2", "G2"])
 def test_inversion_count_is_length(name):
     rs = build(name)
