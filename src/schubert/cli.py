@@ -4,7 +4,8 @@ Subcommands: roots (root-system summary), demazure (evaluate one Demazure
 composite), verify (run one named check), sweep (run every check that
 applies to a type).  Exit codes: 0 all checks passed, 1 a check found a
 mathematical counterexample, 2 usage or applicability error (including a
-tripped enumeration guard).
+tripped enumeration guard), 3 engine failure (an internal consistency
+check failed, so the run proves nothing either way).
 """
 
 from __future__ import annotations
@@ -325,6 +326,10 @@ def main(argv: list[str] | None = None) -> int:
     except (GuardExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"error: engine failure: {str(exc).removeprefix('engine failure: ')}",
+              file=sys.stderr)
+        return 3
     finally:
         if out is not sys.stdout:
             out.close()

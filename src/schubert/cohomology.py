@@ -9,7 +9,8 @@ Demazure 1974, Kumar, Kac-Moody Groups, ch. 8).  thmB seeds the sum of
 the e^beta; thmA and thm42 share one pass (``verify_root_lines``) whose
 seed tags each e^beta with its root's index in a digit above the weight
 digits, so one operator carries every per-root line.  The criterion for
-X(tau^-1) is read off tau(rho), with no inverse.  Single queries go along
+X(tau^-1) is ``ss_nonempty`` on tau's enumerated inverse, and tau's
+inversions are ``tau.inverted()``.  Single queries go along
 the canonical reduced word (``euler_char``, ``h0_line``).  Individual
 cohomology characters are only ever reported in regimes where vanishing
 is certified:
@@ -24,7 +25,6 @@ below is explicitly exploratory and never labels Euler data as an h^0.
 
 from __future__ import annotations
 
-from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .charring import (_DIGIT, Character, _pack, adjoint_character, char_to_str,
@@ -37,8 +37,6 @@ __all__ = [
     "h0_line",
     "ss_nonempty",
     "demazure_layers",
-    "verify_thmA",
-    "verify_thm42",
     "verify_root_lines",
     "verify_thmB_criterion",
     "verify_lemma26",
@@ -87,38 +85,25 @@ def ss_nonempty(rs: RootSystem, w: WeylElement) -> bool:
     return not root.positive  # w(-alpha_0) = -w(alpha_0)
 
 
-def _ss_of_inverse(rs: RootSystem, tau: WeylElement) -> bool:
-    """``ss_nonempty(rs, tau.inverse())`` with no inverse: <tau(rho), alpha_0^vee> < 0,
-    as rho pairs positively with exactly the positive coroots and pairings are
-    W-invariant.  tau(rho) is the row sums of tau's matrix (rho = (1,...,1)),
-    and the sum below is ``pairing_root``'s numerator, of the same sign."""
-    return sum(c * d * sum(row) for c, d, row in zip(rs.highest_root.coords, rs.d, tau.matrix)) < 0
-
-
-def _inversions(rs: RootSystem, tau: WeylElement) -> list[bool]:
-    """Per positive root beta, whether tau(beta) has negative height."""
-    heights = tuple(map(rs.scaled_height, zip(*tau.matrix)))  # of each tau(omega_j)
-    return [sum(map(mul, heights, beta.weight.fw)) < 0 for beta in rs.positive_roots]
-
-
 def demazure_layers(rs: RootSystem, seed: Character,
                     guard: int | None = None) -> Iterator[tuple[WeylElement, Character]]:
     """(tau, chi(tau, seed)) for every tau, in enumerate_group order.
 
-    For j the first letter of tau's canonical word, the left parent s_j tau
-    lies in the previous length layer, and chi(tau, seed) is D_j of its
-    character.  Only the previous and the current layer are kept, by matrix.
+    The left parent comes from enumeration's links: tau^-1 = p s_d with p
+    its BFS parent, so tau = s_d p^-1 with p^-1 in the previous length
+    layer, and chi(tau, seed) is D_d of its character.  Only the previous
+    and the current layer are kept, keyed by element.
     """
-    previous: dict[tuple, Character] = {}
-    current: dict[tuple, Character] = {}
+    previous: dict[WeylElement, Character] = {}
+    current: dict[WeylElement, Character] = {}
     length = 0
     for tau in enumerate_group(rs, guard):
-        word = tau.reduced_word()
-        if len(word) != length:
-            previous, current, length = current, {}, len(word)
-        chi = (demazure_op(rs, word[0], previous[tau.simple_times(word[0]).matrix])
-               if word else seed)
-        current[tau.matrix] = chi
+        inv = tau._inverse
+        if len(inv._word) != length:
+            previous, current, length = current, {}, len(inv._word)
+        chi = (demazure_op(rs, inv._word[-1], previous[inv._parent._inverse])
+               if length else seed)
+        current[tau] = chi
         yield tau, chi
 
 
@@ -131,36 +116,6 @@ def _untagged(terms: Iterable[tuple[int, int]], mask: int) -> Character:
     return Character._from_packed(out)
 
 
-def verify_thmA(rs: RootSystem, guard: int | None = None) -> tuple[int, list, dict]:
-    """Sweep the whole Weyl group for the adjoint-tangent equivalence.
-
-    H^0 of the restricted tangent bundle on X(tau) is the sum of the h0
-    lines of the positive roots.  For every tau the check is that it has
-    the full adjoint character exactly when the semistable locus of
-    X(tau^{-1}) is nonempty, and that it never exceeds the adjoint
-    character (the kernel stays effective).
-    """
-    return verify_root_lines(rs, ("thmA",), guard=guard)[0]
-
-
-def verify_thm42(rs: RootSystem, alpha: int | None = None,
-                 guard: int | None = None) -> tuple[int, list, dict]:
-    """Check both clauses above the minimal parabolic representative.
-
-    For every simple alpha (or one fixed alpha) and every tau above
-    w_alpha in Bruhat order -- the coset w0 W_P, found as tau(omega_alpha)
-    = w0(omega_alpha) -- the inversion-set sum of h0 lines equals the
-    adjoint character, and every other positive root contributes zero.
-    The counterexamples are collected per alpha and listed in alpha order.
-
-    The coset is exactly that upper set: W_P, the parabolic dropping
-    alpha, is the stabilizer of omega_alpha, w_alpha is the maximum of
-    W^P, and tau -> tau^P preserves Bruhat order, so tau >= w_alpha iff
-    tau^P = w_alpha (Bjorner-Brenti, Section 2.5 and Cor. 2.2.3).
-    """
-    return verify_root_lines(rs, ("thm42",), alpha, guard)[0]
-
-
 def verify_root_lines(rs: RootSystem, checks: Sequence[str], alpha: int | None = None,
                       guard: int | None = None) -> list[tuple[int, list, dict]]:
     """thmA and thm42, those of them named in checks, from one Demazure sweep.
@@ -168,10 +123,24 @@ def verify_root_lines(rs: RootSystem, checks: Sequence[str], alpha: int | None =
     The seed is the sum of the e^beta_r, each tagged with its root's index
     r in the digit above the weight digits.  ``demazure_op`` steps only the
     weight digits, so one operator per element carries every h0 line
-    chi(tau, e^beta_r).  The lines are certified with one ``min``; thmA
-    reads their sum, tags masked off, at every tau, and thm42 their split
-    by tag into inversions and the rest in its cosets.  Returns one
-    (universe, counterexamples, details) per name in checks, in order.
+    chi(tau, e^beta_r).  The lines are certified with one ``min``.  Returns
+    one (universe, counterexamples, details) per name in checks, in order.
+
+    thmA: H^0 of the restricted tangent bundle on X(tau) is the sum of the
+    h0 lines, tags masked off.  For every tau it has the full adjoint
+    character exactly when the semistable locus of X(tau^-1) is nonempty,
+    and it never exceeds the adjoint character (the kernel stays
+    effective).
+
+    thm42: for every simple alpha (or the one given) and every tau above
+    w_alpha in Bruhat order, the lines of tau's inversions sum to the
+    adjoint character and every other positive root's line is zero.  The
+    counterexamples are listed alpha by alpha.  That upper set is the coset
+    w0 W_P, found as tau(omega_alpha) = w0(omega_alpha): W_P, the parabolic
+    dropping alpha, is the stabilizer of omega_alpha, w_alpha is the
+    maximum of W^P, and tau -> tau^P preserves Bruhat order, so tau >=
+    w_alpha iff tau^P = w_alpha (Bjorner-Brenti, Section 2.5 and Cor.
+    2.2.3).
     """
     adjoint = adjoint_character(rs)
     thmA = "thmA" in checks
@@ -204,7 +173,7 @@ def verify_root_lines(rs: RootSystem, checks: Sequence[str], alpha: int | None =
             is_full = tangent == adjoint
             if not (is_full or tangent.termwise_leq(adjoint)):
                 raise AssertionError("engine failure: tangent exceeds adjoint")
-            criterion = _ss_of_inverse(rs, tau)
+            criterion = ss_nonempty(rs, tau.inverse())
             n_equal += is_full
             n_ss += criterion
             if is_full != criterion:
@@ -217,7 +186,7 @@ def verify_root_lines(rs: RootSystem, checks: Sequence[str], alpha: int | None =
                 })
         if not cosets:
             continue
-        inverted = _inversions(rs, tau)
+        inverted = tau.inverted()
         total = _untagged(((k, v) for k, v in terms.items() if inverted[k >> shift]), mask)
         outside = sorted({k >> shift for k in terms if not inverted[k >> shift]})
         for a in cosets:
@@ -270,7 +239,7 @@ def verify_thmB_criterion(rs: RootSystem,
             "tau_word": list(tau.reduced_word()),
             "tau_inv_word": list(tau.inverse().reduced_word()),
             "euler_equals_adjoint": total == adjoint,
-            "ss_nonempty": _ss_of_inverse(rs, tau),
+            "ss_nonempty": ss_nonempty(rs, tau.inverse()),
             "has_negative_multiplicity": has_negative,
         })
         if has_negative:

@@ -45,18 +45,15 @@ class CoxeterAnalysis(Record):
     __slots__ = ("ordering", "c", "coxeter_number", "J_prime", "a", "J",
                  "phi_words", "phi", "tau")
 
-    def phi_factor(self, j: int) -> WeylElement:
-        return _coxeter_data(self.c.rs, self.c)[4][self.ordering[j - 1]]
-
 
 @lru_cache(maxsize=None)
 def _coxeter_data(rs: RootSystem, c: WeylElement) -> tuple:
-    """analyze's table: (c, h, a, phi_words, factors, clashes, splits) per
-    distinct c, keyed by matrix and by simple index, not position.
+    """analyze's table: (c, h, a, phi_words, clashes, splits) per distinct
+    c, keyed by matrix and by simple index, not position.
 
-    factors maps i to phi_i as an element; clashes holds the pairs {i, k}
-    whose factors do not commute; splits maps a phi word, whose order
-    depends on the ordering, to (phi, tau).
+    clashes holds the pairs {i, k} whose factors phi_i, phi_k do not
+    commute; splits maps a phi word, whose order depends on the ordering,
+    to (phi, tau).
     """
     h = element_order(c)
     c_inv = c.inverse()
@@ -79,7 +76,7 @@ def _coxeter_data(rs: RootSystem, c: WeylElement) -> tuple:
     factors = {i: from_word(rs, word) for i, word in phi_words.items()}
     clashes = {frozenset(pair) for pair in combinations(factors, 2)
                if factors[pair[0]] * factors[pair[1]] != factors[pair[1]] * factors[pair[0]]}
-    return c, h, a, phi_words, factors, clashes, {}
+    return c, h, a, phi_words, clashes, {}
 
 
 def analyze(rs: RootSystem, ordering: Sequence[int]) -> CoxeterAnalysis:
@@ -91,7 +88,7 @@ def analyze(rs: RootSystem, ordering: Sequence[int]) -> CoxeterAnalysis:
     ordering = tuple(ordering)
     if sorted(ordering) != list(range(1, rs.rank + 1)):
         raise ValueError(f"ordering {ordering} is not a permutation of the simples")
-    c, h, a_of, words_of, _, _, splits = _coxeter_data(
+    c, h, a_of, words_of, _, splits = _coxeter_data(
         rs, from_word(rs, tuple(reversed(ordering))))
     a = {pos: a_of[i] for pos, i in enumerate(ordering, 1) if i in a_of}
     phi_words = {pos: words_of[i] for pos, i in enumerate(ordering, 1) if i in words_of}
@@ -232,7 +229,7 @@ def verify_lemma54_55_56(rs: RootSystem) -> tuple[int, list, dict]:
                         })
 
         # the phi factors commute pairwise; the verdicts are c's, by simple index
-        clashes = _coxeter_data(rs, c)[5]
+        clashes = _coxeter_data(rs, c)[4]
         for j, k in combinations(analysis.J, 2):
             if frozenset((perm[j - 1], perm[k - 1])) in clashes:
                 counterexamples.append({

@@ -9,12 +9,13 @@ every enumeration in the engine deterministic.
 Column j of the matrix is w(omega_j), so right multiplication by a simple
 reflection changes one column and costs O(n^2) (``times_simple``); every
 walk along a word uses that step.  Left multiplication changes the rows of
-i and its Dynkin neighbours (``simple_times``), the step down the left
-weak order that the Demazure sweeps take.  ``__mul__`` is left for
-general products.  ``enumerate_group`` gives each element its canonical
-word from its BFS parent and links it to its enumerated inverse; any
-other element inverts by its reversed word, so no rational arithmetic
-touches a group element.
+i and its Dynkin neighbours (``simple_times``); enumeration takes that
+step once per element to link inverses.  ``__mul__`` is left for general
+products.  ``enumerate_group`` gives each element its canonical word from
+its BFS parent, keeps the parent as a link and links each element to its
+enumerated inverse, so a sweep finds a left parent by following links
+alone; any other element inverts by its reversed word, so no rational
+arithmetic touches a group element.
 """
 
 from __future__ import annotations
@@ -24,15 +25,11 @@ from itertools import permutations
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .report import DEFAULT_GUARD, GUARD_ENV_VAR, GuardExceeded, resolve_guard
+from .report import GuardExceeded, resolve_guard
 from .rootsys import Root, RootSystem, Weight
 
 __all__ = [
     "WeylElement",
-    "GuardExceeded",
-    "DEFAULT_GUARD",
-    "GUARD_ENV_VAR",
-    "resolve_guard",
     "identity",
     "simple_reflection",
     "from_word",
@@ -46,7 +43,7 @@ __all__ = [
 class WeylElement:
     """One Weyl-group element, represented by its action on fw coordinates."""
 
-    __slots__ = ("rs", "matrix", "_hash", "_word", "_inverse")
+    __slots__ = ("rs", "matrix", "_hash", "_word", "_inverse", "_parent")
 
     def __init__(self, rs: RootSystem, matrix: tuple[tuple[int, ...], ...]):
         self.rs = rs
@@ -54,6 +51,7 @@ class WeylElement:
         self._hash = hash(matrix)
         self._word: tuple[int, ...] | None = None
         self._inverse: "WeylElement | None" = None
+        self._parent: "WeylElement | None" = None  # w s_d, set by enumerate_group
 
     # -- group structure ----------------------------------------------------
 
@@ -176,10 +174,17 @@ class WeylElement:
     def length(self) -> int:
         return len(self.reduced_word())
 
+    def inverted(self) -> list[bool]:
+        """Per positive root beta, in ``rs.positive_roots`` order, whether
+        w(beta) is negative: the sign of its height, summed from the
+        heights of the columns w(omega_j)."""
+        heights = tuple(map(self.rs.scaled_height, zip(*self.matrix)))
+        return [sum(map(mul, heights, beta.weight.fw)) < 0 for beta in self.rs.positive_roots]
+
     def inversion_set(self) -> frozenset[Root]:
         """{beta in R+ : w(beta) in R-}; its size equals l(w)."""
-        return frozenset(beta for beta in self.rs.positive_roots
-                         if not self.apply_root(beta).positive)
+        return frozenset(beta for beta, neg in zip(self.rs.positive_roots, self.inverted())
+                         if neg)
 
     def __repr__(self) -> str:
         return f"W[{','.join(map(str, self.reduced_word())) or 'e'}]"
@@ -269,9 +274,10 @@ def enumerate_group(rs: RootSystem, guard: int | None = None) -> Iterator[WeylEl
     Breadth-first by length, stepping only along ascents, so layer k holds
     exactly the elements of length k.  A new element v gets its canonical
     word from its parent: word(v) = word(v s_d) + (d,) for d the smallest
-    right descent of v, with v s_d looked up in the previous layer.  Once a
-    layer is complete, each element is linked to its inverse in the same
-    layer, v^-1 = s_d (v s_d)^-1, and every link is checked on rho.
+    right descent of v, with v s_d looked up in the previous layer and kept
+    as ``v._parent``.  Once a layer is complete, each element is linked to
+    its inverse in the same layer, v^-1 = s_d (v s_d)^-1, and every link is
+    checked on rho.
 
     Raises GuardExceeded when |W| is larger than the guard (explicit
     argument, else the SCHUBERT_GUARD environment variable, else 10**6).
@@ -289,7 +295,6 @@ def enumerate_group(rs: RootSystem, guard: int | None = None) -> Iterator[WeylEl
     layer = {e.matrix: e}
     while layer:
         nxt: dict[tuple, WeylElement] = {}
-        parents: list[tuple[WeylElement, WeylElement]] = []
         for w in layer.values():
             for i in range(1, rs.rank + 1):
                 image = w._simple_image(i)
@@ -306,11 +311,11 @@ def enumerate_group(rs: RootSystem, guard: int | None = None) -> Iterator[WeylEl
                         d, parent = j, layer[v.times_simple(j, image).matrix]
                         break
                 v._word = parent._word + (d,)
+                v._parent = parent
                 nxt[v.matrix] = v
-                parents.append((v, parent))
-        for v, parent in parents:
+        for v in nxt.values():
             if v._inverse is None:
-                inv = nxt.get(parent._inverse.simple_times(v._word[-1]).matrix)
+                inv = nxt.get(v._parent._inverse.simple_times(v._word[-1]).matrix)
                 # rho is regular, so only e fixes it; v(rho) is v's row sums
                 if inv is None or inv.act(tuple(map(sum, v.matrix))) != rho:
                     raise AssertionError(f"no enumerated inverse for {v._word}")

@@ -31,6 +31,11 @@ from schubert import (Character, CoxeterAnalysis, WeylElement, adjoint_character
 from schubert.charring import _DIGIT
 from schubert.rootsys import RootSystem, Weight
 
+# the types the whole-group oracle tests run on: every family up to rank 5
+# that a test can sweep in about a second, both root lengths included
+LAYER_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4",
+               "D4", "D5", "F4", "G2"]
+
 
 def invert_rational(mat: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
     """mat^-1 by Gauss-Jordan over the rationals."""

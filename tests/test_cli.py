@@ -299,6 +299,32 @@ def test_sweep_shared_pass_fails_like_separate_runs(capsys, monkeypatch, workers
     assert len(thm42["counterexamples"]) == thm42["universe"]
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_engine_failure_exits_3_not_1(capsys, monkeypatch, workers):
+    # an internal consistency failure is neither a counterexample (1) nor
+    # bad input (2); under --workers it comes back from the pool (which
+    # forks, so the patch reaches its workers) and exits the same way
+    from schubert import cohomology
+    from schubert.charring import adjoint_character, e
+
+    rs = build("A2")
+    short = adjoint_character(rs) - e(rs.zero())
+    monkeypatch.setattr(cohomology, "adjoint_character", lambda rs: short)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, err = run(capsys, "sweep", "--type", "A2", "--workers", workers)
+    assert (code, out) == (3, "")
+    assert err == "error: engine failure: tangent exceeds adjoint\n"
+
+
+def test_any_internal_assertion_is_an_engine_failure(capsys, monkeypatch):
+    from schubert.weyl import WeylElement
+
+    monkeypatch.setattr(WeylElement, "simple_times", lambda w, i: w)
+    code, out, err = run(capsys, "verify", "thmA", "--type", "A3")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: engine failure: no enumerated inverse for ")
+
+
 def test_pool_gets_one_task_per_pass_group(capsys, monkeypatch):
     # thmA and thm42 go to the pool as one task, so no worker runs the
     # shared pass twice; a stand-in pool records the tasks and runs them

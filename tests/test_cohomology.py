@@ -26,8 +26,8 @@ from schubert.cli import main
 from schubert.cohomology import borel_character, demazure_layers, lemma61_search
 from schubert.report import run_check
 
-from helpers import (bruhat_monotonicity_findings, kernel_char, split_by_tag, tagged,
-                     tangent_h0_char)
+from helpers import (LAYER_TYPES, bruhat_monotonicity_findings, kernel_char, split_by_tag,
+                     tagged, tangent_h0_char)
 
 
 def test_euler_char_identity_and_w0():
@@ -155,12 +155,13 @@ def test_shared_pass_matches_separate_verifiers(name):
     # either order, for all alphas at once and for each alpha (the CLI
     # sweep is compared with separate verify runs in test_cli.py)
     rs = build(name)
-    separate = [cohomology.verify_thmA(rs), cohomology.verify_thm42(rs)]
+    separate = [*cohomology.verify_root_lines(rs, ("thmA",)),
+                *cohomology.verify_root_lines(rs, ("thm42",))]
     assert cohomology.verify_root_lines(rs, ("thmA", "thm42")) == separate
     assert cohomology.verify_root_lines(rs, ("thm42", "thmA")) == separate[::-1]
     for a in range(1, rs.rank + 1):
-        one = cohomology.verify_thm42(rs, alpha=a)
-        assert cohomology.verify_root_lines(rs, ("thmA", "thm42"), a) == [separate[0], one]
+        one = cohomology.verify_root_lines(rs, ("thm42",), a)
+        assert cohomology.verify_root_lines(rs, ("thmA", "thm42"), a) == [separate[0], *one]
     rep = run_check(rs, "thmA")
     assert separate[0] == (rep.universe_size, rep.counterexamples, rep.details)
 
@@ -172,7 +173,7 @@ def test_thmA_kernel_row_only_on_a_counterexample(monkeypatch):
     rs = build("A3")
     wrong = adjoint_character(rs) + e(rs.zero())
     monkeypatch.setattr(cohomology, "adjoint_character", lambda rs: wrong)
-    universe, rows, details = cohomology.verify_thmA(rs)
+    [(universe, rows, details)] = cohomology.verify_root_lines(rs, ("thmA",))
     assert universe == 24 and len(rows) == details["ss_count"] > 0
     assert details["full_tangent_count"] == 0
     for row in rows:
@@ -186,7 +187,7 @@ def test_thmA_refuses_a_tangent_above_the_adjoint(monkeypatch):
     short = adjoint_character(rs) - e(rs.zero())
     monkeypatch.setattr(cohomology, "adjoint_character", lambda rs: short)
     with pytest.raises(AssertionError, match="tangent exceeds adjoint"):
-        cohomology.verify_thmA(rs)
+        cohomology.verify_root_lines(rs, ("thmA",))
 
 
 def test_each_check_alone_does_only_its_own_work(monkeypatch, capsys):
@@ -199,13 +200,12 @@ def test_each_check_alone_does_only_its_own_work(monkeypatch, capsys):
     with monkeypatch.context() as m:
         m.setattr(cohomology, "min_parabolic_rep", refuse)
         m.setattr(cohomology, "longest_element", refuse)
-        m.setattr(cohomology, "_inversions", refuse)
+        m.setattr(cohomology.WeylElement, "inverted", refuse)
         assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["universe"] == 192
     argv[1] = "thm42"
     with monkeypatch.context() as m:
         m.setattr(cohomology, "ss_nonempty", refuse)
-        m.setattr(cohomology, "_ss_of_inverse", refuse)
         m.setattr(cohomology.Character, "termwise_leq", refuse)
         assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["universe"] > 0
@@ -232,10 +232,6 @@ def test_one_enumeration_per_sweep(monkeypatch, capsys, argv):
     assert len(calls) == 1
 
 
-LAYER_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4",
-               "D4", "D5", "F4", "G2"]
-
-
 @pytest.mark.parametrize("name", LAYER_TYPES)
 def test_demazure_layers_match_word_by_word(name):
     # every element, every positive root: the line carried by the root's
@@ -258,13 +254,34 @@ def test_demazure_layers_match_word_by_word(name):
 
 @pytest.mark.parametrize("name", LAYER_TYPES)
 def test_criterion_and_inversions_read_off_tau(name):
-    # <tau(rho), alpha_0^vee> < 0 is the criterion on tau^-1, with one or
-    # two root lengths; the height split is tau's inversion set
+    # the sweeps read the criterion on tau^-1 through the enumerated
+    # inverse; it is <tau(rho), alpha_0^vee> < 0, with one or two root
+    # lengths, as rho pairs positively with exactly the positive coroots.
+    # tau's inversions are the roots beta with tau(beta) negative
     rs = build(name)
     for tau in enumerate_group(rs):
-        assert cohomology._ss_of_inverse(rs, tau) == ss_nonempty(rs, tau.inverse())
-        inverted = cohomology._inversions(rs, tau)
-        assert {b for b, neg in zip(rs.positive_roots, inverted) if neg} == tau.inversion_set()
+        pairing = rs.pairing_root(tau.apply(rs.rho), rs.highest_root)
+        assert ss_nonempty(rs, tau.inverse()) == (pairing < 0)
+        assert tau.inverted() == [not tau.apply_root(b).positive for b in rs.positive_roots]
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "D4"])
+def test_demazure_layers_take_no_step_beyond_enumeration(monkeypatch, name):
+    # the left parents come from enumeration's links, so a layer sweep
+    # makes no simple_times call beyond those of enumerate_group
+    rs = build(name)
+    calls = []
+    real = cohomology.WeylElement.simple_times
+
+    def counted(w, i):
+        calls.append(i)
+        return real(w, i)
+
+    monkeypatch.setattr(cohomology.WeylElement, "simple_times", counted)
+    list(enumerate_group(rs))
+    alone, calls[:] = len(calls), []
+    list(demazure_layers(rs, e(rs.highest_root.weight)))
+    assert len(calls) <= alone
 
 
 def _rendered_weights(rows):
@@ -300,7 +317,7 @@ def test_thm42_rows_under_a_wrong_adjoint_match_the_word_oracle(monkeypatch):
     rs = build("A4")
     wrong = adjoint_character(rs) + e(rs.zero())
     monkeypatch.setattr(cohomology, "adjoint_character", lambda rs: wrong)
-    universe, rows, _ = cohomology.verify_thm42(rs)
+    [(universe, rows, _)] = cohomology.verify_root_lines(rs, ("thm42",))
     assert len(rows) == universe > 0
     for row in rows:
         assert row["clause"] == "inversion-sum"
@@ -308,7 +325,7 @@ def test_thm42_rows_under_a_wrong_adjoint_match_the_word_oracle(monkeypatch):
         total = char_sum(demazure_along_word(rs, tau.reduced_word(), e(beta.weight))
                          for beta in tau.inversion_set())
         assert row["difference"] == char_to_str(rs, wrong - total)
-    thmA_rows = cohomology.verify_thmA(rs)[1]
+    thmA_rows = cohomology.verify_root_lines(rs, ("thmA",))[0][1]
     assert thmA_rows
     assert all(len(fw) == rs.rank for fw in _rendered_weights(rows + thmA_rows))
 
@@ -317,10 +334,13 @@ def test_thm42_outside_rows_render_each_root_line(monkeypatch):
     # with no root counted as inverted, every root with a nonzero line is
     # an outside-vanishing row; its h0 is the word-by-word line, rendered
     # with the tag digit masked off
+    # (w_alpha is found first: its own check reads the inversions)
     rs = build("A3")
-    monkeypatch.setattr(cohomology, "_inversions",
-                        lambda rs, tau: [False] * len(rs.positive_roots))
-    universe, rows, _ = cohomology.verify_thm42(rs, alpha=2)
+    w_alpha = cohomology.min_parabolic_rep(rs, 2)
+    monkeypatch.setattr(cohomology, "min_parabolic_rep", lambda rs, a: w_alpha)
+    monkeypatch.setattr(cohomology.WeylElement, "inverted",
+                        lambda tau: [False] * len(tau.rs.positive_roots))
+    [(universe, rows, _)] = cohomology.verify_root_lines(rs, ("thm42",), alpha=2)
     assert universe > 0
     for tau in {tuple(row["tau_word"]) for row in rows}:
         lines = [(beta, demazure_along_word(rs, tau, e(beta.weight)))

@@ -33,7 +33,6 @@ def test_analyze_a2_anchor():
     assert a.phi_words == {2: (2, 1)}
     assert a.phi == a.c
     assert a.tau.is_identity
-    assert a.phi_factor(2) == a.c
 
 
 def test_analyze_a2_mirror_ordering():
@@ -79,14 +78,13 @@ def test_analyze_matches_the_per_ordering_oracle(name):
 
 @pytest.mark.parametrize("name", ["A4", "D4", "D5", "E6"])
 def test_phi_factor_commutation_is_read_per_c_and_reindexed(name):
-    # the factors and their commutation verdicts live in c's table entry,
+    # the commutation verdicts of the factors live in c's table entry,
     # keyed by simple index; each ordering must report its own positions
     rs = build(name)
     expected = []
     for perm in itertools.permutations(range(1, rs.rank + 1)):
         a = analyze(rs, perm)
         factors = {j: mul_from_word(rs, a.phi_words[j]) for j in a.J}
-        assert all(a.phi_factor(j) == factors[j] for j in a.J)
         for j, k in itertools.combinations(a.J, 2):
             assert factors[j] * factors[k] == factors[k] * factors[j]
             expected.append({"ordering": list(perm), "clause": "factor-commutation",
@@ -96,8 +94,8 @@ def test_phi_factor_commutation_is_read_per_c_and_reindexed(name):
         # pretend no two factors commute: every pair of J must be reported
         for c, _ in coxeter_elements(rs):
             entry = _coxeter_data(rs, c)
-            assert not entry[5]
-            entry[5].update(frozenset(pair) for pair in itertools.combinations(entry[4], 2))
+            assert not entry[4]
+            entry[4].update(frozenset(pair) for pair in itertools.combinations(entry[3], 2))
         _, rows, _ = verify_lemma54_55_56(rs)
         assert rows == expected
     finally:

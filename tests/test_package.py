@@ -1,5 +1,6 @@
-"""The top-level namespace and the README's library example."""
+"""The top-level namespace, its imports and the README's library example."""
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 
 import schubert
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 @pytest.mark.parametrize("name", sorted(set(schubert.__all__) - {"__version__"}))
@@ -34,3 +36,18 @@ def test_readme_library_block_runs():
     section = text.split("\n## Library\n", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, str(README), "exec"), {})
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "schubert").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_package_imports_the_standard_library_only(path):
+    # the engine has no runtime dependency: every absolute import names a
+    # standard-library module or schubert itself
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 0}
+    outside = {m for m in modules
+               if m.split(".")[0] not in sys.stdlib_module_names | {"schubert"}}
+    assert modules and not outside

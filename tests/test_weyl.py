@@ -18,9 +18,9 @@ from schubert import (
     min_parabolic_rep,
     simple_reflection,
 )
-from schubert.weyl import DEFAULT_GUARD, GUARD_ENV_VAR, resolve_guard
+from schubert.report import DEFAULT_GUARD, GUARD_ENV_VAR, resolve_guard
 
-from helpers import (gauss_jordan_inverse, matrix_power_order, peel_reduced_word,
+from helpers import (LAYER_TYPES, gauss_jordan_inverse, matrix_power_order, peel_reduced_word,
                      random_element, reduced_words, subword_bruhat_leq, weight_orbit)
 
 
@@ -103,7 +103,7 @@ def test_corrupted_inverse_link_is_refused(monkeypatch, corrupt):
         list(enumerate_group(build("A3")))
 
 
-@pytest.mark.parametrize("name", ["A3", "B2", "G2"])
+@pytest.mark.parametrize("name", LAYER_TYPES)
 def test_inversion_count_is_length(name):
     rs = build(name)
     for w in enumerate_group(rs):
