@@ -2,17 +2,19 @@
 
 Subcommands: roots (root-system summary), demazure (evaluate one Demazure
 composite), verify (run one named check), sweep (run every check that
-applies to a type).  Exit codes: 0 all checks passed, 1 a check found a
-mathematical counterexample, 2 usage or applicability error (including a
-tripped enumeration guard), 3 engine failure (an internal consistency
-check failed, so the run proves nothing either way).
+applies to a type).  This module parses and renders only: verify and
+sweep hand their check ids to report.run_checks, which owns the
+prechecks, the runs and the process pool.  Exit codes: 0 all checks
+passed, 1 a check found a mathematical counterexample, 2 usage or
+applicability error (including a tripped enumeration guard), 3 engine
+failure (an internal consistency check failed, so the run proves
+nothing either way).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from math import prod
@@ -20,11 +22,10 @@ from math import prod
 from . import __version__
 from .charring import char_sorted_terms, char_to_str, demazure_along_word, e
 from .report import (CHECKS, DEFAULT_GUARD, GUARD_ENV_VAR, GuardExceeded, Report,
-                     canonical_json, labeling_table, pass_groups, precheck, resolve_guard,
-                     run_checks)
+                     canonical_json, labeling_table, resolve_guard, run_checks)
 from .rootsys import Root, RootSystem, Weight, build
 
-__all__ = ["main", "pool_size"]
+__all__ = ["main"]
 
 
 # ---------------------------------------------------------------- parsing
@@ -214,41 +215,20 @@ def cmd_demazure(args) -> tuple[str, int]:
     return text, 0
 
 
-def pool_size(workers: int, tasks: int, cpus: int | None) -> int:
-    """Processes for a sweep: never more than its tasks or the CPUs."""
-    if workers < 1:
-        raise ValueError(f"--workers must be at least 1, got {workers}")
-    return min(workers, tasks, cpus or 1)
-
-
-def _run_checks(args, rs: RootSystem, check_ids: list[str],
-                alpha: int | None = None, workers: int = 1) -> tuple[str, int]:
-    """Precheck every check before running any, then run and render them."""
-    guard = resolve_guard(args.guard)
-    tasks = pass_groups(check_ids)
-    workers = pool_size(workers, len(tasks), os.cpu_count())
-    for check_id in check_ids:
-        precheck(check_id, rs.ct, guard, alpha)
-    if workers > 1:
-        # imported here: concurrent.futures and multiprocessing slow every start
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_checks, rs, ids, guard, alpha) for ids in tasks]
-            reports = [rep for f in futures for rep in f.result()]
-    else:
-        reports = run_checks(rs, check_ids, guard, alpha)
+def _render_run(args, rs: RootSystem, reports: list[Report]) -> tuple[str, int]:
     return (_render_reports(reports, args.format, rs),
             0 if all(rep.passed for rep in reports) else 1)
 
 
 def cmd_verify(args) -> tuple[str, int]:
-    return _run_checks(args, build(args.type), [args.check], alpha=args.alpha)
+    rs = build(args.type)
+    return _render_run(args, rs, run_checks(rs, [args.check], args.guard))
 
 
 def cmd_sweep(args) -> tuple[str, int]:
     rs = build(args.type)
     check_ids = [c.id for c in CHECKS if c.applies(rs.ct) is None]
-    return _run_checks(args, rs, check_ids, workers=args.workers)
+    return _render_run(args, rs, run_checks(rs, check_ids, args.guard, args.workers))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run one named check")
     sp.add_argument("check", choices=[c.id for c in CHECKS])
     add_common(sp, with_guard=True)
-    sp.add_argument("--alpha", type=int, metavar="I",
-                    help="restrict thm42 to one simple root (1-based)")
 
     sp = sub.add_parser("sweep", help="run every check applicable to the type")
     add_common(sp, with_guard=True)

@@ -116,7 +116,7 @@ def _untagged(terms: Iterable[tuple[int, int]], mask: int) -> Character:
     return Character._from_packed(out)
 
 
-def verify_root_lines(rs: RootSystem, checks: Sequence[str], alpha: int | None = None,
+def verify_root_lines(rs: RootSystem, checks: Sequence[str],
                       guard: int | None = None) -> list[tuple[int, list, dict]]:
     """thmA and thm42, those of them named in checks, from one Demazure sweep.
 
@@ -132,15 +132,15 @@ def verify_root_lines(rs: RootSystem, checks: Sequence[str], alpha: int | None =
     and it never exceeds the adjoint character (the kernel stays
     effective).
 
-    thm42: for every simple alpha (or the one given) and every tau above
-    w_alpha in Bruhat order, the lines of tau's inversions sum to the
-    adjoint character and every other positive root's line is zero.  The
-    counterexamples are listed alpha by alpha.  That upper set is the coset
-    w0 W_P, found as tau(omega_alpha) = w0(omega_alpha): W_P, the parabolic
-    dropping alpha, is the stabilizer of omega_alpha, w_alpha is the
-    maximum of W^P, and tau -> tau^P preserves Bruhat order, so tau >=
-    w_alpha iff tau^P = w_alpha (Bjorner-Brenti, Section 2.5 and Cor.
-    2.2.3).
+    thm42: for every simple alpha and every tau above w_alpha in Bruhat
+    order, the lines of tau's inversions sum to the adjoint character and
+    every other positive root's line is zero.  The counterexamples are
+    listed alpha by alpha, each row naming its alpha.  That upper set is
+    the coset w0 W_P, found as tau(omega_alpha) = w0(omega_alpha): W_P,
+    the parabolic dropping alpha, is the stabilizer of omega_alpha,
+    w_alpha is the maximum of W^P, and tau -> tau^P preserves Bruhat
+    order, so tau >= w_alpha iff tau^P = w_alpha (Bjorner-Brenti, Section
+    2.5 and Cor. 2.2.3).
     """
     adjoint = adjoint_character(rs)
     thmA = "thmA" in checks
@@ -150,8 +150,7 @@ def verify_root_lines(rs: RootSystem, checks: Sequence[str], alpha: int | None =
     seed = Character._from_packed({_pack(b.weight.fw) | r << shift: 1 for r, b in enumerate(roots)})
     tangent_rows: list[dict] = []
     universe = n_equal = n_ss = 0
-    alphas = ([] if "thm42" not in checks
-              else [alpha] if alpha is not None else list(range(1, rs.rank + 1)))
+    alphas = list(range(1, rs.rank + 1)) if "thm42" in checks else []
     w0 = tuple(zip(*longest_element(rs).matrix)) if alphas else ()  # column a is w0(omega_a)
     target = {a: w0[a - 1] for a in alphas}
     for a in alphas:

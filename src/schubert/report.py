@@ -3,7 +3,8 @@ every Report, and report serialization.
 
 A verifier in cohomology or coxeter returns only what it computes,
 (universe size, counterexamples, details); run_checks gates it, times it
-and stamps the Report, and runs a pass that two checks share only once.
+and stamps the Report, runs a pass that two checks share only once, and
+spreads the passes over a process pool when asked for workers.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import Any
 
 from .rootsys import CartanType, Record, RootSystem
 
-__all__ = ["Report", "Check", "CHECKS", "precheck", "pass_groups", "run_checks", "run_check",
-           "labeling_table", "canonical_json", "GuardExceeded",
+__all__ = ["Report", "Check", "CHECKS", "precheck", "pass_groups", "pool_size", "run_checks",
+           "run_check", "labeling_table", "canonical_json", "GuardExceeded",
            "DEFAULT_GUARD", "GUARD_ENV_VAR", "resolve_guard"]
 
 DEFAULT_GUARD = 10 ** 6
@@ -80,9 +81,9 @@ Check.__doc__ = """One row of the check table.
 applies(ct) is None when the check applies, else the reason it does
 not.  cost(ct) is the size of the universe the check enumerates, |W|
 or the n! orderings of the simple roots, or None when it only loops
-over roots.  run(rs, guard, alpha) returns (universe size,
-counterexamples, details).  Adjacent rows may name a pass they share;
-their run(rs, guard, alpha, ids) then gives one triple per id in ids.
+over roots.  run(rs, guard) returns (universe size, counterexamples,
+details).  Adjacent rows may name a pass they share; their
+run(rs, guard, ids) then gives one triple per id in ids.
 """
 
 
@@ -113,39 +114,38 @@ def _module(name: str):
     return import_module(f"{__package__}.{name}")
 
 
-def _root_lines(rs: RootSystem, guard: int, alpha: int | None, ids: list[str]) -> list:
-    return _module("cohomology").verify_root_lines(rs, ids, alpha, guard)
+def _root_lines(rs: RootSystem, guard: int, ids: list[str]) -> list:
+    return _module("cohomology").verify_root_lines(rs, ids, guard)
 
 
 CHECKS = (
     Check("thmA", _simply_laced, _weyl_order, _root_lines, "root_lines"),
     Check("thm42", _simply_laced, _weyl_order, _root_lines, "root_lines"),
     Check("thmB", _two_lengths, _weyl_order,
-          lambda rs, guard, alpha: _module("cohomology").verify_thmB_criterion(rs, guard)),
+          lambda rs, guard: _module("cohomology").verify_thmB_criterion(rs, guard)),
     Check("prop51", _none, _orderings,
-          lambda rs, guard, alpha: _module("coxeter").verify_prop51(rs)),
+          lambda rs, guard: _module("coxeter").verify_prop51(rs)),
     Check("lemma26", _simply_laced, _none,
-          lambda rs, guard, alpha: _module("cohomology").verify_lemma26(rs)),
+          lambda rs, guard: _module("cohomology").verify_lemma26(rs)),
     Check("lemma54_56", _simply_laced, _orderings,
-          lambda rs, guard, alpha: _module("coxeter").verify_lemma54_55_56(rs)),
+          lambda rs, guard: _module("coxeter").verify_lemma54_55_56(rs)),
     Check("thmC_typeA", lambda ct: None if ct.family == "A" else "specific to type A",
-          _orderings, lambda rs, guard, alpha: _module("coxeter").verify_thmC_typeA(rs)),
+          _orderings, lambda rs, guard: _module("coxeter").verify_thmC_typeA(rs)),
     Check("cor52_53_58", _simply_laced, _orderings,
-          lambda rs, guard, alpha: _module("coxeter").verify_cor52_53_58(rs)),
+          lambda rs, guard: _module("coxeter").verify_cor52_53_58(rs)),
     Check("lemma61", _two_lengths, _none,
-          lambda rs, guard, alpha: _module("cohomology").verify_lemma61(rs)),
+          lambda rs, guard: _module("cohomology").verify_lemma61(rs)),
     Check("remarkB2", lambda ct: None if str(ct) == "B2" else "specific to B2",
-          _none, lambda rs, guard, alpha: _module("cohomology").remark_b2_check(rs)),
+          _none, lambda rs, guard: _module("cohomology").remark_b2_check(rs)),
 )
 
 
-def precheck(check_id: str, ct: CartanType, guard: int,
-             alpha: int | None = None) -> Check:
+def precheck(check_id: str, ct: CartanType, guard: int) -> Check:
     """The check named check_id, once it is known to be runnable on ct.
 
-    Raises ValueError for an unknown id, an inapplicable type or a bad
-    alpha, and GuardExceeded when the check's universe is larger than the
-    guard; none of this does any enumeration.
+    Raises ValueError for an unknown id or an inapplicable type, and
+    GuardExceeded when the check's universe is larger than the guard;
+    none of this does any enumeration.
     """
     check = next((c for c in CHECKS if c.id == check_id), None)
     if check is None:
@@ -153,11 +153,6 @@ def precheck(check_id: str, ct: CartanType, guard: int,
     reason = check.applies(ct)
     if reason is not None:
         raise ValueError(f"{check_id} does not apply to {ct}: {reason}")
-    if alpha is not None:
-        if check_id != "thm42":
-            raise ValueError("--alpha applies to thm42 only")
-        if not 1 <= alpha <= ct.rank:
-            raise ValueError(f"--alpha: {alpha} outside 1..{ct.rank}")
     size = check.cost(ct)
     if size is not None and size > guard:
         raise GuardExceeded(
@@ -175,27 +170,42 @@ def pass_groups(check_ids: list[str]) -> list[list[str]]:
     return list(groups.values())
 
 
+def pool_size(workers: int, tasks: int, cpus: int | None) -> int:
+    """Processes for a run: never more than its tasks or the CPUs."""
+    if workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {workers}")
+    return min(workers, tasks, cpus or 1)
+
+
 def run_checks(rs: RootSystem, check_ids: list[str], guard: int | None = None,
-               alpha: int | None = None) -> list[Report]:
-    """Precheck, run and time checks, one Report each in CHECKS order; a
-    shared pass runs once, and each of its Reports carries its time."""
+               workers: int = 1) -> list[Report]:
+    """Precheck every check before any work, then run and time them, one
+    Report each in CHECKS order; a shared pass runs once, and each of its
+    Reports carries its time.  With more than one worker, each pass group
+    is one task of a process pool."""
     guard = resolve_guard(guard)
-    checks = {c: precheck(c, rs.ct, guard, alpha) for c in check_ids}
+    checks = {c: precheck(c, rs.ct, guard) for c in check_ids}
+    tasks = pass_groups(check_ids)
+    size = pool_size(workers, len(tasks), os.cpu_count())
+    if size > 1:
+        # imported here: concurrent.futures and multiprocessing slow every start
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            futures = [pool.submit(run_checks, rs, ids, guard) for ids in tasks]
+            return [rep for f in futures for rep in f.result()]
     reports = []
-    for ids in pass_groups(check_ids):
+    for ids in tasks:
         first, start = checks[ids[0]], time.perf_counter()
-        results = (first.run(rs, guard, alpha, ids) if first.shared
-                   else [first.run(rs, guard, alpha)])
+        results = first.run(rs, guard, ids) if first.shared else [first.run(rs, guard)]
         elapsed = time.perf_counter() - start
         reports += [Report(c, str(rs.ct), n, cx, elapsed, details)
                     for c, (n, cx, details) in zip(ids, results)]
     return reports
 
 
-def run_check(rs: RootSystem, check_id: str, guard: int | None = None,
-              alpha: int | None = None) -> Report:
+def run_check(rs: RootSystem, check_id: str, guard: int | None = None) -> Report:
     """Precheck, run and time one check, and wrap its result in a Report."""
-    return run_checks(rs, [check_id], guard, alpha)[0]
+    return run_checks(rs, [check_id], guard)[0]
 
 
 def labeling_table(rs: RootSystem) -> dict:

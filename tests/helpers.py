@@ -1,12 +1,13 @@
 """Brute-force oracles shared across test modules.
 
 Everything here is deliberately independent of the engine's algorithms:
-subword scans instead of the lifting recursion, full matrix products
-instead of the one-column reflection step, Gauss-Jordan instead of
-reversed words, plain dict arithmetic instead of Character, Freudenthal's
-recursion and the Weyl dimension formula instead of Demazure operators,
-Fraction root coordinates, symmetrizers and Cartan inverse instead of the
-integer D * C^-1 rows and fraction-free elimination, string
+subword scans instead of the lifting recursion, and their reversal by w0
+instead of the coset test for the Bruhat upper set of w_alpha, full
+matrix products instead of the one-column reflection step, Gauss-Jordan
+instead of reversed words, plain dict arithmetic instead of Character,
+Freudenthal's recursion and the Weyl dimension formula instead of Demazure
+operators, Fraction root coordinates, symmetrizers and Cartan inverse
+instead of the integer D * C^-1 rows and fraction-free elimination, string
 steps on fw tuples instead of packed integer keys, one Coxeter element at
 a time instead of the memo over distinct powers, matrix powers instead of
 the first return of rho, one analysis per ordering instead of the table
@@ -26,8 +27,8 @@ from typing import Iterable, Iterator, Sequence
 from schubert import (Character, CoxeterAnalysis, WeylElement, adjoint_character,
                       bruhat_leq, char_to_str, coxeter_elements, e, element_order,
                       enumerate_group, euler_char, from_word, h0_line, identity,
-                      is_typeA_extremal, longest_element, simple_reflection,
-                      ss_nonempty)
+                      is_typeA_extremal, longest_element, min_parabolic_rep,
+                      simple_reflection, ss_nonempty)
 from schubert.charring import _DIGIT
 from schubert.rootsys import RootSystem, Weight
 
@@ -114,8 +115,8 @@ def matrix_power_order(w: WeylElement) -> int:
     return k
 
 
-def subword_bruhat_leq(rs: RootSystem, u: WeylElement, w: WeylElement) -> bool:
-    """u <= w iff some subword of a fixed reduced word of w multiplies to u.
+def subword_lower_interval(rs: RootSystem, w: WeylElement) -> set[WeylElement]:
+    """[e, w]: the products of the subwords of a fixed reduced word of w.
 
     The products of all subwords of the word's first k letters are built
     up letter by letter, so the scan costs |[e, w]| products per letter
@@ -125,7 +126,34 @@ def subword_bruhat_leq(rs: RootSystem, u: WeylElement, w: WeylElement) -> bool:
     for i in peel_reduced_word(w):
         s = simple_reflection(rs, i)
         reached |= {x * s for x in reached}
-    return u in reached
+    return reached
+
+
+def subword_bruhat_leq(rs: RootSystem, u: WeylElement, w: WeylElement) -> bool:
+    """u <= w iff some subword of a fixed reduced word of w multiplies to u."""
+    return u in subword_lower_interval(rs, w)
+
+
+def subword_upper_set(rs: RootSystem, u: WeylElement) -> set[WeylElement]:
+    """{tau : u <= tau} by the subword scan: tau -> w0 tau reverses Bruhat
+    order, so the set is w0 [e, w0 u]."""
+    w0 = longest_element(rs)
+    return {w0 * x for x in subword_lower_interval(rs, w0 * u)}
+
+
+def assert_thm42_slices(rs: RootSystem, universe: int, rows: list[dict],
+                        per_alpha: dict[str, int]) -> None:
+    """Each alpha's slice of a thm42 result against the subword oracle.
+
+    The rows come grouped by increasing alpha; alpha's count is
+    |{tau : w_alpha <= tau}|, and its rows name only such tau.
+    """
+    assert [row["alpha"] for row in rows] == sorted(row["alpha"] for row in rows)
+    assert universe == sum(per_alpha.values())
+    for a in range(1, rs.rank + 1):
+        above = subword_upper_set(rs, min_parabolic_rep(rs, a))
+        assert per_alpha[str(a)] == len(above)
+        assert all(from_word(rs, row["tau_word"]) in above for row in rows if row["alpha"] == a)
 
 
 def weight_orbit(rs: RootSystem, lam: Weight) -> set[Weight]:

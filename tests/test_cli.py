@@ -12,11 +12,11 @@ from pathlib import Path
 import pytest
 
 import schubert
-from schubert.cli import _weyl_dimension, main, pool_size
-from schubert.report import CHECKS, pass_groups, run_check
+from schubert.cli import _weyl_dimension, build_parser, main
+from schubert.report import CHECKS, pass_groups, pool_size, run_check, run_checks
 from schubert.rootsys import CartanType, RootSystem, build
 
-from helpers import dominant_representative, weyl_dim
+from helpers import assert_thm42_slices, dominant_representative, weyl_dim
 
 ANCHOR = "1*e[1, -2] + 1*e[0, 0] + 1*e[-1, 2] + 1*e[2, -1] + 1*e[1, 1]"
 
@@ -193,12 +193,12 @@ def test_verify_guard(capsys):
     assert "guard" in err
 
 
-def test_verify_alpha_only_for_thm42(capsys):
-    code, out, _ = run(capsys, "verify", "thm42", "--type", "A2", "--alpha", "1")
-    assert code == 0
-    code, _, err = run(capsys, "verify", "thmA", "--type", "A2", "--alpha", "1")
-    assert code == 2
-    assert "thm42" in err
+def test_verify_has_no_alpha_option(capsys):
+    # thm42's one report covers every alpha; its rows carry their alpha
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "thm42", "--type", "A2", "--alpha", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --alpha 1" in capsys.readouterr().err
 
 
 def test_sweep_a2(capsys):
@@ -250,27 +250,16 @@ def masked_reports(capsys, *argv) -> list[dict]:
     return docs
 
 
-def separate_root_line_reports(capsys, name: str) -> tuple[dict, dict, list[dict]]:
-    """verify thmA, verify thm42 and every verify thm42 --alpha a, run apart."""
-    rank = CartanType.parse(name).rank
-    [thmA] = masked_reports(capsys, "verify", "thmA", "--type", name)
-    [thm42] = masked_reports(capsys, "verify", "thm42", "--type", name)
-    per_alpha = [masked_reports(capsys, "verify", "thm42", "--type", name,
-                                "--alpha", str(a))[0] for a in range(1, rank + 1)]
-    return thmA, thm42, per_alpha
-
-
 def assert_sweep_matches_separate_runs(capsys, name: str, workers: str) -> dict:
+    """The sweep's thmA and thm42 are verify thmA and verify thm42, run
+    apart, and each alpha's slice of thm42 holds against the subword oracle."""
     swept = {d["check"]: d for d in masked_reports(
         capsys, "sweep", "--type", name, "--workers", workers)}
-    thmA, thm42, per_alpha = separate_root_line_reports(capsys, name)
+    [thmA] = masked_reports(capsys, "verify", "thmA", "--type", name)
+    [thm42] = masked_reports(capsys, "verify", "thm42", "--type", name)
     assert swept["thmA"] == thmA and swept["thm42"] == thm42
-    for a, one in enumerate(per_alpha, start=1):
-        assert one["counterexamples"] == [row for row in thm42["counterexamples"]
-                                          if row["alpha"] == a]
-        count = thm42["details"]["elements_above_w_alpha"][str(a)]
-        assert one["universe"] == count
-        assert one["details"] == {"elements_above_w_alpha": {str(a): count}}
+    assert_thm42_slices(build(name), thm42["universe"], thm42["counterexamples"],
+                        thm42["details"]["elements_above_w_alpha"])
     return swept
 
 
@@ -325,9 +314,10 @@ def test_any_internal_assertion_is_an_engine_failure(capsys, monkeypatch):
     assert err.startswith("error: engine failure: no enumerated inverse for ")
 
 
-def test_pool_gets_one_task_per_pass_group(capsys, monkeypatch):
-    # thmA and thm42 go to the pool as one task, so no worker runs the
-    # shared pass twice; a stand-in pool records the tasks and runs them
+@pytest.fixture
+def inline_pool(monkeypatch) -> list:
+    """A stand-in process pool on two CPUs that runs each task in process;
+    the list it returns records (pool size, check ids) per task."""
     import concurrent.futures
 
     submitted = []
@@ -342,20 +332,39 @@ def test_pool_gets_one_task_per_pass_group(capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, rs, ids, guard, alpha):
+        def submit(self, fn, rs, ids, guard):
             submitted.append((self.max_workers, list(ids)))
             done = concurrent.futures.Future()
-            done.set_result(fn(rs, ids, guard, alpha))
+            done.set_result(fn(rs, ids, guard))
             return done
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return submitted
+
+
+def test_pool_gets_one_task_per_pass_group(capsys, inline_pool):
+    # thmA and thm42 go to the pool as one task, so no worker runs the
+    # shared pass twice
     code, out, _ = run(capsys, "sweep", "--type", "A3", "--workers", "2")
     assert code == 0
-    assert submitted == [(2, ["thmA", "thm42"]), (2, ["prop51"]), (2, ["lemma26"]),
+    assert inline_pool == [(2, ["thmA", "thm42"]), (2, ["prop51"]), (2, ["lemma26"]),
                          (2, ["lemma54_56"]), (2, ["thmC_typeA"]), (2, ["cor52_53_58"])]
     assert [ln.split()[0] for ln in out.splitlines()] == [
         "thmA", "thm42", "prop51", "lemma26", "lemma54_56", "thmC_typeA", "cor52_53_58"]
+
+
+def test_run_checks_pools_pass_groups_like_one_process(inline_pool):
+    # the library runner owns the pool: the same reports, in CHECKS order,
+    # from one task per pass group as from one process
+    rs = build("D4")
+    ids = ["lemma26", "thm42", "thmA"]
+    pooled = run_checks(rs, ids, workers=2)
+    assert inline_pool == [(2, ["thmA", "thm42"]), (2, ["lemma26"])]
+    alone = run_checks(rs, ids)
+    assert [(r.check_id, r.universe_size, r.counterexamples, r.details) for r in pooled] == [
+        (r.check_id, r.universe_size, r.counterexamples, r.details) for r in alone]
+    assert [r.check_id for r in alone] == ["thmA", "thm42", "lemma26"]
 
 
 def test_cli_import_leaves_the_process_pool_out():
@@ -415,6 +424,23 @@ def test_out_writes_file(tmp_path, capsys):
     assert doc["details"]["alpha"] == 2
 
 
+def test_readme_synopsis_lists_every_option():
+    # the fenced synopsis under README "## CLI" names, per subcommand,
+    # exactly the options the parser defines, so a flag cannot drift
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    synopsis = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    documented = {}
+    for line in synopsis.splitlines():
+        prog, command, rest = line.split(maxsplit=2)
+        assert prog == "schubert"
+        documented[command] = set(re.findall(r"--[a-z-]+", rest))
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    defined = {name: {opt for action in sp._actions for opt in action.option_strings
+                      if opt.startswith("--") and opt != "--help"}
+               for name, sp in subparsers.choices.items()}
+    assert documented == defined
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -430,13 +456,13 @@ def test_check_applicability_rejects_unknown():
     (("verify", "prop51", "--type", "A11", "--guard", "100"), "guard"),
     (("verify", "lemma54_56", "--type", "D9", "--guard", "100"), "guard"),
     (("verify", "thmC_typeA", "--type", "A10", "--guard", "100"), "guard"),
-    (("verify", "thm42", "--type", "E6", "--alpha", "0"), "outside 1..6"),
-    (("verify", "thm42", "--type", "D5", "--alpha", "9"), "outside 1..5"),
+    (("verify", "thm42", "--type", "D5", "--guard", "100"), "guard"),
+    (("verify", "thmB", "--type", "F4", "--guard", "100"), "guard"),
     (("sweep", "--type", "A2", "--workers", "0"), "--workers"),
     (("sweep", "--type", "A2", "--workers", "-3"), "--workers"),
 ])
 def test_bad_input_exits_before_any_work(capsys, argv, needle):
-    # each of these used to enumerate n! orderings or all of W first
+    # each of these would enumerate n! orderings or all of W if let through
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 5.0
@@ -526,10 +552,6 @@ GOLDEN = {
         "26a5779cac897f82e58d9ad6bf097f72e111645e86b829bdfdf69c0007917ff4",
     (("sweep", "--type", "D4"), "json"):
         "1cc9070acb9e14545ce49ef7e3bf4cd5d61f990a155c29804d54e9fe624bd9cb",
-    (("verify", "thm42", "--type", "A3", "--alpha", "2"), "table"):
-        "9d69f9bdb2722a57237c4f688883dbaf82ed4c6a3076f6048b4d71eeec725c3c",
-    (("verify", "thm42", "--type", "A3", "--alpha", "2"), "json"):
-        "8d3d2982d2c6e65c1e6ecdd2e967aa37e2881d6fea850777d4cf426aefba7f9e",
     (("verify", "lemma54_56", "--type", "E6"), "json"):
         "fa9cb5bafb0711f4c9686e2f62b0798f343be45baeab2405eacb497c0f225d78",
     (("verify", "prop51", "--type", "E6"), "json"):

@@ -26,8 +26,8 @@ from schubert.cli import main
 from schubert.cohomology import borel_character, demazure_layers, lemma61_search
 from schubert.report import run_check
 
-from helpers import (LAYER_TYPES, bruhat_monotonicity_findings, kernel_char, split_by_tag,
-                     tagged, tangent_h0_char)
+from helpers import (LAYER_TYPES, assert_thm42_slices, bruhat_monotonicity_findings,
+                     kernel_char, split_by_tag, subword_upper_set, tagged, tangent_h0_char)
 
 
 def test_euler_char_identity_and_w0():
@@ -102,47 +102,44 @@ def test_verify_thmA_rejects_two_lengths():
 
 
 def test_verify_thm42_alpha_restriction():
+    # alpha's slice of the one report: only w_alpha and w0 sit above
+    # w_alpha here
     rs = build("A2")
-    rep = run_check(rs, "thm42", alpha=1)
-    assert rep.passed
-    # only w_alpha and w0 sit above w_alpha here
-    assert rep.universe_size == 2
-    assert rep.details["elements_above_w_alpha"] == {"1": 2}
     full = run_check(rs, "thm42")
-    assert full.universe_size == 4
+    assert full.passed and full.universe_size == 4
+    assert full.details["elements_above_w_alpha"] == {"1": 2, "2": 2}
+    for a in (1, 2):
+        w_alpha = cohomology.min_parabolic_rep(rs, a)
+        assert subword_upper_set(rs, w_alpha) == {w_alpha, longest_element(rs)}
 
 
 @pytest.mark.parametrize("name, total", [("A5", 372), ("D5", 504)])
 def test_thm42_one_pass_matches_single_alpha_runs(name, total):
-    # the one-pass sweep over all alphas, sliced at alpha = a, is the run
-    # restricted to a: same universe, count and counterexamples
+    # the one pass over all alphas, sliced at alpha = a, is what a run
+    # restricted to a must give: the subword oracle's upper set of w_alpha
     rs = build(name)
     full = run_check(rs, "thm42")
-    per_alpha = full.details["elements_above_w_alpha"]
-    assert full.universe_size == sum(per_alpha.values()) == total
-    for a in range(1, rs.rank + 1):
-        one = run_check(rs, "thm42", alpha=a)
-        assert one.universe_size == per_alpha[str(a)]
-        assert one.details["elements_above_w_alpha"] == {str(a): per_alpha[str(a)]}
-        assert one.counterexamples == [row for row in full.counterexamples
-                                       if row["alpha"] == a]
+    assert full.passed and full.universe_size == total
+    assert_thm42_slices(rs, full.universe_size, full.counterexamples,
+                        full.details["elements_above_w_alpha"])
 
 
 def test_thm42_counterexamples_are_listed_in_alpha_order(monkeypatch):
     # a wrong adjoint target makes every coset element a counterexample;
-    # the one pass must list them alpha by alpha, each in enumeration order
+    # the one pass must list them alpha by alpha, each alpha's rows in
+    # enumeration order and covering exactly its coset
     rs = build("A4")
     wrong = adjoint_character(rs) + e(rs.zero())
     monkeypatch.setattr(cohomology, "adjoint_character", lambda rs: wrong)
     full = run_check(rs, "thm42")
-    singles = [run_check(rs, "thm42", alpha=a).counterexamples
-               for a in range(1, rs.rank + 1)]
-    assert full.counterexamples == [row for rows in singles for row in rows]
     assert len(full.counterexamples) == full.universe_size
-    order = {w.reduced_word(): k for k, w in enumerate(enumerate_group(rs))}
-    for rows in singles:
-        positions = [order[tuple(row["tau_word"])] for row in rows]
-        assert positions == sorted(positions)
+    alphas = [row["alpha"] for row in full.counterexamples]
+    assert alphas == sorted(alphas)
+    elements = list(enumerate_group(rs))
+    for a in range(1, rs.rank + 1):
+        above = subword_upper_set(rs, cohomology.min_parabolic_rep(rs, a))
+        assert [row["tau_word"] for row in full.counterexamples if row["alpha"] == a] == [
+            list(tau.reduced_word()) for tau in elements if tau in above]
     for row in full.counterexamples:
         tau = from_word(rs, row["tau_word"])
         assert from_word(rs, row["tau_inv_word"]) == tau.inverse()
@@ -152,16 +149,13 @@ def test_thm42_counterexamples_are_listed_in_alpha_order(monkeypatch):
 @pytest.mark.parametrize("name", ["A3", "A4", "D4"])
 def test_shared_pass_matches_separate_verifiers(name):
     # one pass for thmA and thm42 gives what each verifier gives alone, in
-    # either order, for all alphas at once and for each alpha (the CLI
-    # sweep is compared with separate verify runs in test_cli.py)
+    # either order (the CLI sweep is compared with separate verify runs in
+    # test_cli.py)
     rs = build(name)
     separate = [*cohomology.verify_root_lines(rs, ("thmA",)),
                 *cohomology.verify_root_lines(rs, ("thm42",))]
     assert cohomology.verify_root_lines(rs, ("thmA", "thm42")) == separate
     assert cohomology.verify_root_lines(rs, ("thm42", "thmA")) == separate[::-1]
-    for a in range(1, rs.rank + 1):
-        one = cohomology.verify_root_lines(rs, ("thm42",), a)
-        assert cohomology.verify_root_lines(rs, ("thmA", "thm42"), a) == [separate[0], *one]
     rep = run_check(rs, "thmA")
     assert separate[0] == (rep.universe_size, rep.counterexamples, rep.details)
 
@@ -334,14 +328,15 @@ def test_thm42_outside_rows_render_each_root_line(monkeypatch):
     # with no root counted as inverted, every root with a nonzero line is
     # an outside-vanishing row; its h0 is the word-by-word line, rendered
     # with the tag digit masked off
-    # (w_alpha is found first: its own check reads the inversions)
+    # (each w_alpha is found first: its own check reads the inversions)
     rs = build("A3")
-    w_alpha = cohomology.min_parabolic_rep(rs, 2)
-    monkeypatch.setattr(cohomology, "min_parabolic_rep", lambda rs, a: w_alpha)
+    w_alphas = {a: cohomology.min_parabolic_rep(rs, a) for a in range(1, rs.rank + 1)}
+    monkeypatch.setattr(cohomology, "min_parabolic_rep", lambda rs, a: w_alphas[a])
     monkeypatch.setattr(cohomology.WeylElement, "inverted",
                         lambda tau: [False] * len(tau.rs.positive_roots))
-    [(universe, rows, _)] = cohomology.verify_root_lines(rs, ("thm42",), alpha=2)
-    assert universe > 0
+    [(_, rows, _)] = cohomology.verify_root_lines(rs, ("thm42",))
+    rows = [row for row in rows if row["alpha"] == 2]
+    assert rows
     for tau in {tuple(row["tau_word"]) for row in rows}:
         lines = [(beta, demazure_along_word(rs, tau, e(beta.weight)))
                  for beta in rs.positive_roots]

@@ -1,6 +1,7 @@
 """Coxeter-element orbit data: the tau-phi splitting and its sweeps."""
 
 import itertools
+import json
 
 import pytest
 
@@ -15,8 +16,11 @@ from schubert import (
     simple_reflection,
     yz_exponent,
 )
+from schubert import weyl
+from schubert.cli import main
 from schubert.coxeter import _coxeter_data, verify_cor52_53_58, verify_lemma54_55_56
 from schubert.report import run_check
+from schubert.weyl import WeylElement
 
 from helpers import analyze_per_ordering, cor52_53_58_per_element, mul_from_word
 
@@ -53,8 +57,9 @@ def test_analyze_rejects_bad_ordering():
 
 @pytest.mark.parametrize("name", ["A3", "D4", "B3"])
 def test_analyze_structural_identities(name):
-    # analyze() asserts reducedness and additivity internally; drive it
-    # through every ordering and re-check the arithmetic from outside
+    # analyze() asserts that phi is reduced and tau * phi = c; additivity
+    # is lemma54_56's clause, so drive analyze through every ordering and
+    # re-check the arithmetic, additivity included, from outside
     rs = build(name)
     for perm in itertools.permutations(range(1, rs.rank + 1)):
         a = analyze(rs, perm)
@@ -155,6 +160,35 @@ def test_verify_prop51(name, n_cox):
     assert rep.universe_size == n_cox * build(name).rank
     assert all(1 <= row["j"] < rep.details["coxeter_number"]
                for row in rep.details["rows"])
+
+
+def test_prop51_engine_failure_is_not_a_counterexample(capsys, monkeypatch):
+    # a failure inside the exponent search (here the w0 search) proves
+    # nothing, so it exits 3; only a search that finds no j < h is a row
+    def broken(rs):
+        raise AssertionError("w0 search terminated early")
+
+    monkeypatch.setattr(weyl, "longest_element", broken)
+    code = main(["verify", "prop51", "--type", "A2", "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "error: engine failure: w0 search terminated early\n"
+
+
+def test_lemma54_56_reports_lengths_that_do_not_add(capsys, monkeypatch):
+    # with the identity given length 1, l(c) = l(tau) + l(phi) fails; the
+    # lemma reports it as its length-additivity row, and analyze does not
+    # stop the run first (the memo is cleared around the patched lengths)
+    real = WeylElement.length.fget
+    monkeypatch.setattr(WeylElement, "length", property(lambda w: real(w) or 1))
+    _coxeter_data.cache_clear()
+    try:
+        code = main(["verify", "lemma54_56", "--type", "A2", "--format", "json"])
+    finally:
+        _coxeter_data.cache_clear()
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1 and not doc["passed"]
+    assert "length-additivity" in {row["clause"] for row in doc["counterexamples"]}
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "D4", "A5", "D5"])
