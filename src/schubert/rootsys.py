@@ -303,6 +303,10 @@ class RootSystem:
         # D * C^-1 over the integers; its column sums give D * height
         self._den, self._scaled_inv = _scaled_inverse(self.cartan)
         self._height_vec = tuple(map(sum, zip(*self._scaled_inv)))
+        # column k of C as its nonzero (j, C[j][k]): alpha_k = sum_j C[j][k] omega_j
+        self._simple_columns = tuple(
+            tuple((j, row[k]) for j, row in enumerate(self.cartan) if row[k])
+            for k in range(ct.rank))
         # (alpha_i, alpha_j) up to overall scale; symmetric by construction
         self._gram = tuple(tuple(self.d[i] * self.cartan[i][j] for j in range(ct.rank))
                            for i in range(ct.rank))

@@ -6,14 +6,26 @@ different reduced expressions of the same element collide as they should.
 Canonical reduced words peel the smallest-index right descent, which makes
 every enumeration in the engine deterministic.
 
-Column j of the matrix is w(omega_j), so right multiplication by a simple
-reflection changes one column and costs O(n^2) (``times_simple``); every
-walk along a word uses that step.  Left multiplication changes the rows of
-i and its Dynkin neighbours (``simple_times``); enumeration takes that
-step once per element to link inverses.  ``__mul__`` is left for general
-products.  ``enumerate_group`` gives each element its canonical word from
-its BFS parent, keeps the parent as a link and links each element to its
-enumerated inverse, so a sweep finds a left parent by following links
+Column j of the matrix is w(omega_j).  Each element also carries its
+column heights H = (D ht w(omega_1), ..., D ht w(omega_n)), D the
+denominator of the inverse Cartan matrix.  H is D times the coroot
+coordinates of w^-1(rho^vee), and rho^vee is regular, so H is a faithful
+key; it also carries every descent test:
+
+  * D ht w(alpha_k) = sum_j C[j][k] H_j reads at most four Dynkin
+    neighbours, and k is a right descent of w iff it is negative
+    (Bjorner-Brenti, ch. 4);
+  * H(w s_k) differs from H(w) in H_k alone, which drops by D ht w(alpha_k);
+  * H(s_k w) = H(w) - D * row_k of the matrix (``left_heights``).
+
+So canonical words, lengths, Bruhat comparisons and the climbs to w0 walk
+on H and build no matrix.  ``times_simple`` (w s_i) changes one column of
+the matrix from at most four others, ``simple_times`` (s_i w) the rows of
+i and its neighbours, and ``__mul__`` is left for general products.
+``enumerate_group`` dedupes and finds parents on H, builds one matrix per
+element, gives each element its canonical word from its BFS parent, keeps
+the parent as a link and links each element to its enumerated inverse
+through ``left_heights``, so a sweep finds a left parent by following links
 alone; any other element inverts by its reversed word, so no rational
 arithmetic touches a group element.
 """
@@ -41,14 +53,16 @@ __all__ = [
 ]
 
 class WeylElement:
-    """One Weyl-group element, represented by its action on fw coordinates."""
+    """One Weyl-group element, represented by its action on fw coordinates,
+    with its column heights cached as ``heights``."""
 
-    __slots__ = ("rs", "matrix", "_hash", "_word", "_inverse", "_parent")
+    __slots__ = ("rs", "matrix", "_hash", "_heights", "_word", "_inverse", "_parent")
 
     def __init__(self, rs: RootSystem, matrix: tuple[tuple[int, ...], ...]):
         self.rs = rs
         self.matrix = matrix
         self._hash = hash(matrix)
+        self._heights: tuple[int, ...] | None = None
         self._word: tuple[int, ...] | None = None
         self._inverse: "WeylElement | None" = None
         self._parent: "WeylElement | None" = None  # w s_d, set by enumerate_group
@@ -86,18 +100,20 @@ class WeylElement:
             inv._inverse = self
         return self._inverse
 
-    def times_simple(self, i: int, image: tuple[int, ...] | None = None) -> "WeylElement":
-        """w * s_i in O(n^2): column i of the matrix becomes col_i - w(alpha_i).
+    def times_simple(self, i: int) -> "WeylElement":
+        """w * s_i: column i of the matrix becomes col_i - w(alpha_i), with
+        w(alpha_i) = sum_j C[j][i] w(omega_j) read from at most four columns.
 
-        ``image`` is w(alpha_i) in fw coordinates when the caller already
-        has it from a descent test.
+        Each row, and the column heights when w has them, change alike.
         """
-        if image is None:
-            image = self._simple_image(i)
         k = i - 1
-        return WeylElement(self.rs, tuple(
-            row[:k] + (row[k] - v,) + row[k + 1:]
-            for row, v in zip(self.matrix, image)))
+        col = self.rs._simple_columns[k]
+        v = WeylElement(self.rs, tuple(
+            _reflect(row, k, _root_height(row, col)) for row in self.matrix))
+        h = self._heights
+        if h is not None:
+            v._heights = _reflect(h, k, _root_height(h, col))
+        return v
 
     def simple_times(self, i: int) -> "WeylElement":
         """s_i * w in O(n^2): row a becomes row_a - C[a][i-1] * row_{i-1}.
@@ -107,9 +123,17 @@ class WeylElement:
         """
         k = i - 1
         pivot = self.matrix[k]
-        return WeylElement(self.rs, tuple(
+        v = WeylElement(self.rs, tuple(
             tuple(x - c[k] * y for x, y in zip(row, pivot)) if c[k] else row
             for row, c in zip(self.matrix, self.rs.cartan)))
+        v._heights = self.left_heights(i)
+        return v
+
+    def left_heights(self, i: int) -> tuple[int, ...]:
+        """H(s_i * w) = H(w) - D * row i of the matrix, as s_i w(omega_j) =
+        w(omega_j) - <w(omega_j), alpha_i^vee> alpha_i."""
+        den = self.rs._den
+        return tuple(h - den * x for h, x in zip(self.heights, self.matrix[i - 1]))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, WeylElement) and self.matrix == other.matrix
@@ -142,30 +166,31 @@ class WeylElement:
     def is_identity(self) -> bool:
         return self.matrix == _identity_matrix(len(self.matrix))
 
-    def _simple_image(self, i: int) -> tuple[int, ...]:
-        """w(alpha_i) in fw coordinates."""
-        return self.act(self.rs.simple_roots[i - 1].weight.fw)
-
-    def _descent_image(self, i: int) -> tuple[int, ...] | None:
-        """w(alpha_i) when i is a right descent of w, else None."""
-        image = self._simple_image(i)
-        return None if self.rs._by_fw[image].positive else image
+    @property
+    def heights(self) -> tuple[int, ...]:
+        """Column heights (D ht w(omega_1), ..., D ht w(omega_n)), a
+        faithful key of w; found from the matrix unless a step set them."""
+        if self._heights is None:
+            self._heights = tuple(map(self.rs.scaled_height, zip(*self.matrix)))
+        return self._heights
 
     def reduced_word(self) -> tuple[int, ...]:
-        """Canonical reduced word: repeatedly peel the smallest right descent."""
+        """Canonical reduced word: repeatedly peel the smallest right
+        descent, on the column heights alone."""
         if self._word is None:
             rev: list[int] = []
-            cur = self
+            h = self.heights
+            cols = self.rs._simple_columns
             while True:
-                for i in range(1, self.rs.rank + 1):
-                    image = cur._descent_image(i)
-                    if image is not None:
-                        rev.append(i)
-                        cur = cur.times_simple(i, image)
+                for k, col in enumerate(cols):
+                    x = _root_height(h, col)
+                    if x < 0:
+                        rev.append(k + 1)
+                        h = _reflect(h, k, x)
                         break
                 else:
                     break
-            if not cur.is_identity:
+            if h != self.rs._height_vec:
                 raise AssertionError("non-identity element without descent")
             self._word = tuple(reversed(rev))
         return self._word
@@ -178,7 +203,7 @@ class WeylElement:
         """Per positive root beta, in ``rs.positive_roots`` order, whether
         w(beta) is negative: the sign of its height, summed from the
         heights of the columns w(omega_j)."""
-        heights = tuple(map(self.rs.scaled_height, zip(*self.matrix)))
+        heights = self.heights
         return [sum(map(mul, heights, beta.weight.fw)) < 0 for beta in self.rs.positive_roots]
 
     def inversion_set(self) -> frozenset[Root]:
@@ -190,13 +215,34 @@ class WeylElement:
         return f"W[{','.join(map(str, self.reduced_word())) or 'e'}]"
 
 
+def _root_height(h: tuple[int, ...], col: tuple[tuple[int, int], ...]) -> int:
+    """sum_j C[j][k] h_j for col = column k of C (``rs._simple_columns``).
+
+    On w's column heights this is D ht w(alpha_k), negative iff k is a
+    right descent of w: the one descent test of this module.  On a row of
+    w's matrix it is that row's entry of w(alpha_k).
+    """
+    x = 0
+    for j, c in col:
+        x += c * h[j]
+    return x
+
+
+def _reflect(h: tuple[int, ...], k: int, x: int) -> tuple[int, ...]:
+    """The row h of w (matrix row or column heights) for w s_{k+1}, given
+    x = _root_height(h, column k of C)."""
+    return h[:k] + (h[k] - x,) + h[k + 1:]
+
+
 @lru_cache(maxsize=None)
 def _identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def identity(rs: RootSystem) -> WeylElement:
-    return WeylElement(rs, _identity_matrix(rs.rank))
+    e = WeylElement(rs, _identity_matrix(rs.rank))
+    e._heights = rs._height_vec
+    return e
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
@@ -227,17 +273,21 @@ def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
 def _climb(rs: RootSystem, letters: Sequence[int]) -> WeylElement:
     """Longest element of the subgroup generated by ``letters``.
 
-    Steps along the first ascent among the letters until none is left.
+    Steps along the first ascent among the letters until none is left,
+    on the column heights, and builds the element from the word climbed.
     """
-    cur = identity(rs)
+    h = rs._height_vec
+    cols = rs._simple_columns
+    word: list[int] = []
     while True:
         for i in letters:
-            image = cur._simple_image(i)
-            if rs._by_fw[image].positive:
-                cur = cur.times_simple(i, image)
+            x = _root_height(h, cols[i - 1])
+            if x > 0:
+                h = _reflect(h, i - 1, x)
+                word.append(i)
                 break
         else:
-            return cur
+            return from_word(rs, word)
 
 
 def longest_element(rs: RootSystem) -> WeylElement:
@@ -272,12 +322,14 @@ def enumerate_group(rs: RootSystem, guard: int | None = None) -> Iterator[WeylEl
     """Every element exactly once, ordered by (length, canonical word).
 
     Breadth-first by length, stepping only along ascents, so layer k holds
-    exactly the elements of length k.  A new element v gets its canonical
-    word from its parent: word(v) = word(v s_d) + (d,) for d the smallest
-    right descent of v, with v s_d looked up in the previous layer and kept
-    as ``v._parent``.  Once a layer is complete, each element is linked to
-    its inverse in the same layer, v^-1 = s_d (v s_d)^-1, and every link is
-    checked on rho.
+    exactly the elements of length k.  Layers are keyed by column heights,
+    so ascents, duplicates and parents are found on H, and only a new
+    element gets a matrix.  A new element v gets its canonical word from
+    its parent: word(v) = word(v s_d) + (d,) for d the smallest right
+    descent of v, with v s_d looked up in the previous layer and kept as
+    ``v._parent``.  Once a layer is complete, each element is linked to its
+    inverse in the same layer, v^-1 = s_d (v s_d)^-1, found by the key
+    ``left_heights``, and every link is checked on rho.
 
     Raises GuardExceeded when |W| is larger than the guard (explicit
     argument, else the SCHUBERT_GUARD environment variable, else 10**6).
@@ -291,31 +343,34 @@ def enumerate_group(rs: RootSystem, guard: int | None = None) -> Iterator[WeylEl
     e._word = ()
     e._inverse = e
     rho = rs.rho.fw
+    cols = rs._simple_columns
     elements = [e]
-    layer = {e.matrix: e}
+    layer = {e.heights: e}
     while layer:
-        nxt: dict[tuple, WeylElement] = {}
+        nxt: dict[tuple[int, ...], WeylElement] = {}
         for w in layer.values():
-            for i in range(1, rs.rank + 1):
-                image = w._simple_image(i)
-                if not rs._by_fw[image].positive:
+            h = w._heights
+            for k, col in enumerate(cols):
+                x = _root_height(h, col)
+                if x < 0:
                     continue
-                v = w.times_simple(i, image)
-                if v.matrix in nxt:
+                hv = _reflect(h, k, x)
+                if hv in nxt:
                     continue
-                # i is a descent of v; a smaller one names another parent
-                d, parent = i, w
-                for j in range(1, i):
-                    image = v._descent_image(j)
-                    if image is not None:
-                        d, parent = j, layer[v.times_simple(j, image).matrix]
+                # k+1 is a descent of v = w s_{k+1}; a smaller one names another parent
+                d, parent = k, w
+                for j in range(k):
+                    y = _root_height(hv, cols[j])
+                    if y < 0:
+                        d, parent = j, layer[_reflect(hv, j, y)]
                         break
-                v._word = parent._word + (d,)
+                v = w.times_simple(k + 1)
+                v._word = parent._word + (d + 1,)
                 v._parent = parent
-                nxt[v.matrix] = v
+                nxt[hv] = v
         for v in nxt.values():
             if v._inverse is None:
-                inv = nxt.get(v._parent._inverse.simple_times(v._word[-1]).matrix)
+                inv = nxt.get(v._parent._inverse.left_heights(v._word[-1]))
                 # rho is regular, so only e fixes it; v(rho) is v's row sums
                 if inv is None or inv.act(tuple(map(sum, v.matrix))) != rho:
                     raise AssertionError(f"no enumerated inverse for {v._word}")
@@ -334,22 +389,26 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
     For a right descent s of w: if s is a right descent of u too, then
     u <= w iff us <= ws, and otherwise u <= w iff u <= ws.  The letters of
     w's canonical word, read from the right, are successive right descents
-    of the shrinking w, so each step is one descent test and one or two
-    O(n^2) column updates; lengths are carried along, never recomputed.
+    of the shrinking w, so each step is one descent test on u's column
+    heights and one or two height updates, and u = w is a comparison of
+    heights; lengths are carried along, never recomputed.
     """
     word = w.reduced_word()
     lu = u.length
+    hu, hw = u.heights, w.heights
+    cols = u.rs._simple_columns
     for lw in range(len(word), 0, -1):
         if lu == 0:
             return True
         if lu >= lw:
-            return lu == lw and u == w
-        i = word[lw - 1]
-        image = u._descent_image(i)
-        if image is not None:
-            u = u.times_simple(i, image)
+            return lu == lw and hu == hw
+        k = word[lw - 1] - 1
+        col = cols[k]
+        x = _root_height(hu, col)
+        if x < 0:
+            hu = _reflect(hu, k, x)
             lu -= 1
-        w = w.times_simple(i)
+        hw = _reflect(hw, k, _root_height(hw, col))
     return lu == 0
 
 

@@ -306,12 +306,14 @@ def test_engine_failure_exits_3_not_1(capsys, monkeypatch, workers):
 
 
 def test_any_internal_assertion_is_an_engine_failure(capsys, monkeypatch):
+    # a corrupted inverse key, outside the layer or on w s_i, exits 3
     from schubert.weyl import WeylElement
 
-    monkeypatch.setattr(WeylElement, "simple_times", lambda w, i: w)
-    code, out, err = run(capsys, "verify", "thmA", "--type", "A3")
-    assert (code, out) == (3, "")
-    assert err.startswith("error: engine failure: no enumerated inverse for ")
+    for corrupt in (lambda w, i: w.heights, lambda w, i: w.times_simple(i).heights):
+        monkeypatch.setattr(WeylElement, "left_heights", corrupt)
+        code, out, err = run(capsys, "verify", "thmA", "--type", "A3")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: engine failure: no enumerated inverse for ")
 
 
 @pytest.fixture

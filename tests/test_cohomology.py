@@ -262,16 +262,17 @@ def test_criterion_and_inversions_read_off_tau(name):
 @pytest.mark.parametrize("name", ["A3", "B3", "G2", "D4"])
 def test_demazure_layers_take_no_step_beyond_enumeration(monkeypatch, name):
     # the left parents come from enumeration's links, so a layer sweep
-    # makes no simple_times call beyond those of enumerate_group
+    # takes no left step (left_heights, which simple_times calls too)
+    # beyond those of enumerate_group
     rs = build(name)
     calls = []
-    real = cohomology.WeylElement.simple_times
+    real = cohomology.WeylElement.left_heights
 
     def counted(w, i):
         calls.append(i)
         return real(w, i)
 
-    monkeypatch.setattr(cohomology.WeylElement, "simple_times", counted)
+    monkeypatch.setattr(cohomology.WeylElement, "left_heights", counted)
     list(enumerate_group(rs))
     alone, calls[:] = len(calls), []
     list(demazure_layers(rs, e(rs.highest_root.weight)))

@@ -18,10 +18,12 @@ from schubert import (
     min_parabolic_rep,
     simple_reflection,
 )
+from schubert import weyl
 from schubert.report import DEFAULT_GUARD, GUARD_ENV_VAR, resolve_guard
 
-from helpers import (LAYER_TYPES, gauss_jordan_inverse, matrix_power_order, peel_reduced_word,
-                     random_element, reduced_words, subword_bruhat_leq, weight_orbit)
+from helpers import (LAYER_TYPES, gauss_jordan_inverse, matrix_power_order, mul_from_word,
+                     peel_reduced_word, random_element, reduced_words, subword_bruhat_leq,
+                     weight_orbit)
 
 
 def test_simple_reflection_basics():
@@ -92,13 +94,14 @@ def test_enumerate_group(name, order):
 
 
 @pytest.mark.parametrize("corrupt", [
-    lambda w, i: w,  # a link that leaves the layer
-    lambda w, i: w.times_simple(i),  # w s_i: an element of the layer, not the inverse
+    lambda w, i: w.heights,  # w's own key: a link that leaves the layer
+    lambda w, i: w.times_simple(i).heights,  # w s_i: the right step, not the left
 ])
 def test_corrupted_inverse_link_is_refused(monkeypatch, corrupt):
-    # enumerate_group links v^-1 = s_d (v s_d)^-1 through simple_times; a
-    # wrong step must be refused, by the lookup or by the check on rho
-    monkeypatch.setattr(WeylElement, "simple_times", corrupt)
+    # enumerate_group links v^-1 = s_d (v s_d)^-1 by the key left_heights
+    # yields for s_d (v s_d)^-1; a wrong key must be refused, by the lookup
+    # or by the check on rho
+    monkeypatch.setattr(WeylElement, "left_heights", corrupt)
     with pytest.raises(AssertionError, match="no enumerated inverse"):
         list(enumerate_group(build("A3")))
 
@@ -267,6 +270,64 @@ def test_element_paths_match_slow_oracles(name):
         for i in range(1, rs.rank + 1):
             assert bruhat_leq(simple_reflection(rs, i), w) == (i in word)
             assert w.simple_times(i) == simple_reflection(rs, i) * w
+
+
+def column_heights(w):
+    return tuple(w.rs.scaled_height(col) for col in zip(*w.matrix))
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_column_heights_are_a_faithful_key(name):
+    # enumeration keys elements by the heights it steps, never reading the
+    # matrix: they must be the matrix's and tell every element apart
+    rs = build(name)
+    elements = list(enumerate_group(rs))
+    assert all(w._heights == column_heights(w) for w in elements)
+    assert len({w._heights for w in elements}) == len(elements)
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_height_steps_match_full_products(name):
+    # one-column and one-row steps, with the heights they carry, against
+    # full products; the height peel against peeling by full products, on
+    # random words and on the same words made non-reduced by a letter twice
+    rng = random.Random(14)
+    rs = build(name)
+    for _ in range(20):
+        word = [rng.randint(1, rs.rank) for _ in range(rng.randint(0, 12))]
+        pos, d = rng.randint(0, len(word)), rng.randint(1, rs.rank)
+        padded = mul_from_word(rs, word[:pos] + [d, d] + word[pos:])
+        assert padded.length < len(word) + 2
+        assert padded.reduced_word() == peel_reduced_word(padded)
+        w = mul_from_word(rs, word)
+        assert w.reduced_word() == peel_reduced_word(w)
+        assert w.heights == column_heights(w)
+        for i in range(1, rs.rank + 1):
+            s = simple_reflection(rs, i)
+            right, left = w.times_simple(i), w.simple_times(i)
+            assert right == w * s and right.heights == column_heights(right)
+            assert left == s * w and left.heights == column_heights(left)
+
+
+def test_height_peel_refuses_a_matrix_outside_the_group(monkeypatch):
+    # a shear has column heights (3, 6), which pair to 0 with alpha_1: no
+    # descent, so the peel stops at once and refuses to end off H(e); a
+    # peel that stepped on a zero pairing would never stop
+    rs = build("A2")
+    reflect = weyl._reflect
+    steps = []
+
+    def counted(h, k, x):
+        steps.append(k)
+        if len(steps) > len(rs.positive_roots):
+            raise RuntimeError("the peel does not stop")
+        return reflect(h, k, x)
+
+    monkeypatch.setattr(weyl, "_reflect", counted)
+    shear = WeylElement(rs, ((1, 1), (0, 1)))
+    with pytest.raises(AssertionError, match="non-identity element without descent"):
+        shear.reduced_word()
+    assert steps == []
 
 
 @pytest.mark.parametrize("name", ORACLE_TYPES)
