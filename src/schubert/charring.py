@@ -15,14 +15,14 @@ quotient, so every value is exact:
         m <= -2: -(e^{lam+alpha} + ... + e^{lam+(-m-1)*alpha})
 
 On packed keys a string step is one integer subtraction of the packed
-simple root, and m is read off digit i; digits above the rank are never
-read and pass through untouched, so a caller may tag terms there (masked
-off before unpacking).  No step borrows across digits: every term of
-D_w f lies in the convex hull of W.supp(f), and an fw coordinate of a
-W-image is at most (h-1) * max|fw_j| of the weight, as the simple-coroot
-coefficients of a coroot sum to at most h-1.  Packing therefore refuses,
-with ValueError, a weight with (h-1) * max|fw_j| >= 2^31.  A character
-does not know its type, so h is the largest Coxeter number of its rank.
+simple root, and m is read off digit i; digits above the rank would pass
+through untouched, but no engine path tags terms there.  No step borrows
+across digits: every term of D_w f lies in the convex hull of W.supp(f),
+and an fw coordinate of a W-image is at most (h-1) * max|fw_j| of the
+weight, as the simple-coroot coefficients of a coroot sum to at most h-1.
+Packing therefore refuses, with ValueError, a weight with
+(h-1) * max|fw_j| >= 2^31.  A character does not know its type, so h is
+the largest Coxeter number of its rank.
 
 For a word (i1,...,ik) the operator of the LAST letter applies first; this
 orientation is pinned by regression tests and by the agreement of the full

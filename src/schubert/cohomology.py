@@ -5,15 +5,17 @@ sweeps over the whole Weyl group read them off ``demazure_layers``, one
 pass up the group by length with one seed: when l(s_j tau') = l(tau') + 1,
 chi(s_j tau', f) = D_j chi(tau', f), so every element costs one Demazure
 operator (the braid relations make chi depend on the element only;
-Demazure 1974, Kumar, Kac-Moody Groups, ch. 8).  thmB seeds the sum of
-the e^beta; thmA and thm42 share one pass (``verify_root_lines``) whose
-seed tags each e^beta with its root's index in a digit above the weight
-digits, so one operator carries every per-root line.  The criterion for
-X(tau^-1) is ``ss_nonempty`` on tau's enumerated inverse, and tau's
-inversions are ``tau.inverted()``.  Single queries go along
-the canonical reduced word (``euler_char``, ``h0_line``).  Individual
-cohomology characters are only ever reported in regimes where vanishing
-is certified:
+Demazure 1974, Kumar, Kac-Moody Groups, ch. 8).  Every seed lies in the
+span of the e^mu, mu in R u {0}, which each D_i maps to itself, so a sweep
+carries columns indexed by those weights, and D_i is a table built once
+per root system from ``demazure_op``.  thmB seeds the sum of the e^beta;
+thmA and thm42 share one pass (``verify_root_lines``) whose columns pack
+every per-root line as a 32-bit digit; ``inversion_tangent`` steps the
+same tables along one word.  The criterion for X(tau^-1) is
+``ss_nonempty`` on tau's enumerated inverse, and tau's inversions are
+``tau.inverted()``.  Single queries go along the canonical reduced word
+(``euler_char``, ``h0_line``).  Individual cohomology characters are only
+ever reported in regimes where vanishing is certified:
 
   * dominant line bundles (all higher cohomology vanishes), and
   * positive-root line bundles on simply-laced types (higher cohomology
@@ -25,9 +27,11 @@ below is explicitly exploratory and never labels Euler data as an h^0.
 
 from __future__ import annotations
 
+from functools import lru_cache, reduce
+from operator import gt, itemgetter, or_
 from typing import Iterable, Iterator, Sequence
 
-from .charring import (_DIGIT, Character, _pack, adjoint_character, char_to_str,
+from .charring import (_DIGIT, _MASK, _OFF, Character, _pack, adjoint_character, char_to_str,
                        demazure_along_word, demazure_op, e)
 from .rootsys import RootSystem, Weight
 from .weyl import WeylElement, enumerate_group, from_word, longest_element, min_parabolic_rep
@@ -37,6 +41,7 @@ __all__ = [
     "h0_line",
     "ss_nonempty",
     "demazure_layers",
+    "inversion_tangent",
     "verify_root_lines",
     "verify_thmB_criterion",
     "verify_lemma26",
@@ -85,52 +90,96 @@ def ss_nonempty(rs: RootSystem, w: WeylElement) -> bool:
     return not root.positive  # w(-alpha_0) = -w(alpha_0)
 
 
-def demazure_layers(rs: RootSystem, seed: Character,
-                    guard: int | None = None) -> Iterator[tuple[WeylElement, Character]]:
-    """(tau, chi(tau, seed)) for every tau, in enumerate_group order.
+@lru_cache(maxsize=None)
+def _adjoint_tables(rs: RootSystem) -> tuple[tuple[int, ...], tuple]:
+    """The packed keys of the columns (0, then ``rs.roots``) and, per simple
+    root i, D_i on them: an ``itemgetter`` copies each column that takes one
+    whole, and (column, ((source, coefficient), ...)) computes each other --
+    in simply-laced types only c'_0 = c_0 + c_{alpha_i} - c_{-alpha_i}."""
+    keys = tuple(_pack(w.fw) for w in (rs.zero(), *(r.weight for r in rs.roots)))
+    index = {k: b for b, k in enumerate(keys)}
+    tables = []
+    for i in range(1, rs.rank + 1):
+        into: list[list] = [[] for _ in keys]
+        for a, k in enumerate(keys):
+            for key, c in demazure_op(rs, i, Character._from_packed({k: 1}))._terms.items():
+                if key not in index:
+                    raise AssertionError(f"engine failure: D_{i} leaves the adjoint weights")
+                into[index[key]].append((a, c))
+        copy = {b: row[0][0] for b, row in enumerate(into) if len(row) == 1 and row[0][1] == 1}
+        tables.append((itemgetter(*(copy.get(b, b) for b in range(len(keys)))),
+                       tuple((b, tuple(row)) for b, row in enumerate(into) if b not in copy)))
+    return keys, tuple(tables)
 
-    The left parent comes from enumeration's links: tau^-1 = p s_d with p
-    its BFS parent, so tau = s_d p^-1 with p^-1 in the previous length
-    layer, and chi(tau, seed) is D_d of its character.  Only the previous
-    and the current layer are kept, keyed by element.
-    """
-    previous: dict[WeylElement, Character] = {}
-    current: dict[WeylElement, Character] = {}
-    length = 0
+
+def _column_step(rs: RootSystem, i: int, cols: list[int], sign: int) -> list[int]:
+    """D_i on columns.  Adding sign, the sign bits of the 32-bit digits of a
+    computed column, leaves exactly those of its negative digits clear;
+    the lowest names the root of the refused line."""
+    gather, computed = _adjoint_tables(rs)[1][i - 1]
+    out = list(gather(cols))
+    for b, row in computed:
+        out[b] = v = sum(c * cols[a] for a, c in row)
+        if (v + sign) & sign != sign:
+            low = ~(v + sign) & sign
+            raise _uncertified(rs.positive_roots[(low & -low).bit_length() // _DIGIT - 1].weight)
+    return out
+
+
+def _line_seed(rs: RootSystem, chosen: Sequence[bool]) -> tuple[list[int], int, int]:
+    """Columns of the e^beta_r, r chosen, with line r in 32-bit digit r and
+    their sum, the tangent, in digit |R+|; that digit's shift; the sign mask."""
+    top = _DIGIT * len(chosen)
+    seed = [0, *(1 << top | 1 << _DIGIT * r if c else 0 for r, c in enumerate(chosen))]
+    return seed + [0] * len(chosen), top, sum(_OFF << d for d in range(0, top + 1, _DIGIT))
+
+
+def _character(rs: RootSystem, cols: Iterable[int]) -> Character:
+    return Character._from_packed(dict(zip(_adjoint_tables(rs)[0], cols)))
+
+
+def demazure_layers(rs: RootSystem, seed: list[int], guard: int | None = None,
+                    sign: int = 0) -> Iterator[tuple[WeylElement, list[int]]]:
+    """(tau, chi(tau, seed)) for every tau, in enumerate_group order, as
+    columns: the multiplicities at 0, then at ``rs.roots``, an entry maybe
+    packing several as 32-bit digits.  tau^-1 = p s_d for p its BFS parent,
+    so tau = s_d p^-1 with p^-1 in the previous length layer, and one
+    ``_column_step`` of p^-1's columns, certified against sign, gives
+    tau's.  Only the previous and the current layer are kept."""
+    previous, current, length = {}, {}, 0
     for tau in enumerate_group(rs, guard):
         inv = tau._inverse
         if len(inv._word) != length:
             previous, current, length = current, {}, len(inv._word)
-        chi = (demazure_op(rs, inv._word[-1], previous[inv._parent._inverse])
-               if length else seed)
-        current[tau] = chi
-        yield tau, chi
+        cols = (_column_step(rs, inv._word[-1], previous[inv._parent._inverse], sign)
+                if length else seed)
+        current[tau] = cols
+        yield tau, cols
 
 
-def _untagged(terms: Iterable[tuple[int, int]], mask: int) -> Character:
-    """The sum of tagged terms, their tag digit masked off."""
-    out: dict[int, int] = {}
-    for k, v in terms:
-        k &= mask
-        out[k] = out.get(k, 0) + v
-    return Character._from_packed(out)
+def inversion_tangent(rs: RootSystem, tau: WeylElement) -> Character:
+    """The sum of the h0 lines chi(tau, e^beta) over tau's inversions, each
+    line certified, stepped along tau's canonical word on columns."""
+    cols, top, sign = _line_seed(rs, tau.inverted())
+    for i in reversed(tau.reduced_word()):
+        cols = _column_step(rs, i, cols, sign)
+    return _character(rs, [c >> top for c in cols])
 
 
 def verify_root_lines(rs: RootSystem, checks: Sequence[str],
                       guard: int | None = None) -> list[tuple[int, list, dict]]:
     """thmA and thm42, those of them named in checks, from one Demazure sweep.
 
-    The seed is the sum of the e^beta_r, each tagged with its root's index
-    r in the digit above the weight digits.  ``demazure_op`` steps only the
-    weight digits, so one operator per element carries every h0 line
-    chi(tau, e^beta_r).  The lines are certified with one ``min``.  Returns
-    one (universe, counterexamples, details) per name in checks, in order.
+    Each column of the seed packs the e^beta_r, line r in 32-bit digit r,
+    and their sum in the top digit, so one column step per element carries
+    every h0 line chi(tau, e^beta_r) and the tangent; every line is
+    certified as the step computes it.  Returns one (universe,
+    counterexamples, details) per name in checks, in order.
 
     thmA: H^0 of the restricted tangent bundle on X(tau) is the sum of the
-    h0 lines, tags masked off.  For every tau it has the full adjoint
-    character exactly when the semistable locus of X(tau^-1) is nonempty,
-    and it never exceeds the adjoint character (the kernel stays
-    effective).
+    h0 lines.  For every tau it has the full adjoint character exactly
+    when the semistable locus of X(tau^-1) is nonempty, and it never
+    exceeds the adjoint character (the kernel stays effective).
 
     thm42: for every simple alpha and every tau above w_alpha in Bruhat
     order, the lines of tau's inversions sum to the adjoint character and
@@ -143,34 +192,30 @@ def verify_root_lines(rs: RootSystem, checks: Sequence[str],
     2.5 and Cor. 2.2.3).
     """
     adjoint = adjoint_character(rs)
+    target = [adjoint._terms.get(k, 0) for k in _adjoint_tables(rs)[0]]
     thmA = "thmA" in checks
     roots = rs.positive_roots
-    shift = _DIGIT * rs.rank
-    mask = (1 << shift) - 1
-    seed = Character._from_packed({_pack(b.weight.fw) | r << shift: 1 for r, b in enumerate(roots)})
+    seed, top, sign = _line_seed(rs, [True] * len(roots))
     tangent_rows: list[dict] = []
     universe = n_equal = n_ss = 0
     alphas = list(range(1, rs.rank + 1)) if "thm42" in checks else []
     w0 = tuple(zip(*longest_element(rs).matrix)) if alphas else ()  # column a is w0(omega_a)
-    target = {a: w0[a - 1] for a in alphas}
+    coset_of = {a: w0[a - 1] for a in alphas}
     for a in alphas:
-        if tuple(zip(*min_parabolic_rep(rs, a).matrix))[a - 1] != target[a]:
+        if tuple(zip(*min_parabolic_rep(rs, a).matrix))[a - 1] != coset_of[a]:
             raise AssertionError(f"w_alpha is outside the coset w0 W_P for alpha_{a}")
     coset_rows: dict[int, list[dict]] = {a: [] for a in alphas}
     per_alpha = {str(a): 0 for a in alphas}
-    for tau, chi in demazure_layers(rs, seed, guard):
+    for tau, cols in demazure_layers(rs, seed, guard, sign):
         columns = tuple(zip(*tau.matrix))
-        cosets = [a for a in alphas if columns[a - 1] == target[a]]
+        cosets = [a for a in alphas if columns[a - 1] == coset_of[a]]
         if not (thmA or cosets):
             continue
-        terms = chi._terms
-        if min(terms.values(), default=0) < 0:  # name the first root with a negative line
-            raise _uncertified(roots[min(k for k, v in terms.items() if v < 0) >> shift].weight)
+        tangent = [c >> top for c in cols]
         if thmA:
             universe += 1
-            tangent = _untagged(terms.items(), mask)
-            is_full = tangent == adjoint
-            if not (is_full or tangent.termwise_leq(adjoint)):
+            is_full = tangent == target
+            if not is_full and any(map(gt, tangent, target)):
                 raise AssertionError("engine failure: tangent exceeds adjoint")
             criterion = ss_nonempty(rs, tau.inverse())
             n_equal += is_full
@@ -181,32 +226,32 @@ def verify_root_lines(rs: RootSystem, checks: Sequence[str],
                     "tau_inv_word": list(tau.inverse().reduced_word()),
                     "tangent_equals_adjoint": is_full,
                     "ss_nonempty": criterion,
-                    "kernel": char_to_str(rs, adjoint - tangent),
+                    "kernel": char_to_str(rs, adjoint - _character(rs, tangent)),
                 })
         if not cosets:
             continue
-        inverted = tau.inverted()
-        total = _untagged(((k, v) for k, v in terms.items() if inverted[k >> shift]), mask)
-        outside = sorted({k >> shift for k in terms if not inverted[k >> shift]})
+        seen = reduce(or_, cols)  # every digit is certified nonnegative
+        lines = {r: [c >> _DIGIT * r & _MASK for c in cols] for r, neg in
+                 enumerate(tau.inverted()) if not neg and seen >> _DIGIT * r & _MASK}
+        total = [t - sum(off) for t, off in zip(tangent, zip(*lines.values()))] if lines else tangent
         for a in cosets:
             per_alpha[str(a)] += 1
-            if total == adjoint and not outside:
+            if total == target and not lines:
                 continue
             words = {"tau_word": list(tau.reduced_word()),
                      "tau_inv_word": list(tau.inverse().reduced_word())}
-            if total != adjoint:
+            if total != target:
                 coset_rows[a].append({
                     "alpha": a, **words,
                     "clause": "inversion-sum",
-                    "difference": char_to_str(rs, adjoint - total),
+                    "difference": char_to_str(rs, adjoint - _character(rs, total)),
                 })
-            for r in outside:
+            for r, line in lines.items():
                 coset_rows[a].append({
                     "alpha": a, **words,
                     "clause": "outside-vanishing",
                     "beta": list(roots[r].coords),
-                    "h0": char_to_str(rs, _untagged(
-                        ((k, v) for k, v in terms.items() if k >> shift == r), mask)),
+                    "h0": char_to_str(rs, _character(rs, line)),
                 })
     results = {
         "thmA": (universe, tangent_rows,
@@ -230,20 +275,20 @@ def verify_thmB_criterion(rs: RootSystem,
     never counterexamples.
     """
     adjoint = adjoint_character(rs)
-    seed = Character({beta.weight: 1 for beta in rs.positive_roots})
+    target = [adjoint._terms.get(k, 0) for k in _adjoint_tables(rs)[0]]
     rows, flagged = [], []
-    for tau, total in demazure_layers(rs, seed, guard):
-        has_negative = not total.is_effective()
+    for tau, total in demazure_layers(rs, [0, *(int(r.positive) for r in rs.roots)], guard):
+        has_negative = min(total) < 0
         rows.append({
             "tau_word": list(tau.reduced_word()),
             "tau_inv_word": list(tau.inverse().reduced_word()),
-            "euler_equals_adjoint": total == adjoint,
+            "euler_equals_adjoint": total == target,
             "ss_nonempty": ss_nonempty(rs, tau.inverse()),
             "has_negative_multiplicity": has_negative,
         })
         if has_negative:
             flagged.append({"tau_word": list(tau.reduced_word()),
-                            "euler": char_to_str(rs, total)})
+                            "euler": char_to_str(rs, _character(rs, total))})
     return len(rows), [], {
         "rows": rows,
         "flagged_negative": flagged,

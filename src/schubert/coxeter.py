@@ -16,7 +16,7 @@ from typing import Sequence
 
 from . import weyl
 from .charring import Character, adjoint_character, char_sum, char_to_str, e
-from .cohomology import euler_char, h0_line, ss_nonempty
+from .cohomology import euler_char, inversion_tangent, ss_nonempty
 from .rootsys import Record, RootSystem
 from .weyl import WeylElement, coxeter_elements, element_order, from_word
 
@@ -359,7 +359,7 @@ def verify_cor52_53_58(rs: RootSystem) -> tuple[int, list, dict]:
 
     def tangent(cj: WeylElement) -> Character:
         """The inversion-set h0 sum of cj."""
-        total = char_sum(h0_line(rs, cj, beta.weight) for beta in cj.inversion_set())
+        total = inversion_tangent(rs, cj)
         full_of[cj.matrix] = total == adjoint
         return total
 

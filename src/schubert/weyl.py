@@ -20,14 +20,13 @@ key; it also carries every descent test:
 
 So canonical words, lengths, Bruhat comparisons and the climbs to w0 walk
 on H and build no matrix.  ``times_simple`` (w s_i) changes one column of
-the matrix from at most four others, ``simple_times`` (s_i w) the rows of
-i and its neighbours, and ``__mul__`` is left for general products.
-``enumerate_group`` dedupes and finds parents on H, builds one matrix per
-element, gives each element its canonical word from its BFS parent, keeps
-the parent as a link and links each element to its enumerated inverse
-through ``left_heights``, so a sweep finds a left parent by following links
-alone; any other element inverts by its reversed word, so no rational
-arithmetic touches a group element.
+the matrix from at most four others; ``__mul__`` is left for general
+products.  ``enumerate_group`` dedupes and finds parents on H, builds one
+matrix per element, gives each element its canonical word from its BFS
+parent, keeps the parent as a link and links each element to its
+enumerated inverse through ``left_heights``, so a sweep finds a left
+parent by following links alone; any other element inverts by its
+reversed word, so no rational arithmetic touches a group element.
 """
 
 from __future__ import annotations
@@ -113,20 +112,6 @@ class WeylElement:
         h = self._heights
         if h is not None:
             v._heights = _reflect(h, k, _root_height(h, col))
-        return v
-
-    def simple_times(self, i: int) -> "WeylElement":
-        """s_i * w in O(n^2): row a becomes row_a - C[a][i-1] * row_{i-1}.
-
-        Only the rows a with C[a][i-1] != 0 change, the neighbours of i in
-        the Dynkin diagram and row i-1 itself.
-        """
-        k = i - 1
-        pivot = self.matrix[k]
-        v = WeylElement(self.rs, tuple(
-            tuple(x - c[k] * y for x, y in zip(row, pivot)) if c[k] else row
-            for row, c in zip(self.matrix, self.rs.cartan)))
-        v._heights = self.left_heights(i)
         return v
 
     def left_heights(self, i: int) -> tuple[int, ...]:

@@ -319,6 +319,30 @@ def split_by_tag(rs: RootSystem, f: Character) -> dict[int, Character]:
     return {t: Character._from_packed(terms) for t, terms in parts.items()}
 
 
+def adjoint_weights(rs: RootSystem) -> list[Weight]:
+    """The weights that index a sweep's columns: 0, then rs.roots in order."""
+    return [rs.zero(), *(root.weight for root in rs.roots)]
+
+
+def columns_char(rs: RootSystem, cols: Sequence[int]) -> Character:
+    """The character whose multiplicity at each adjoint weight is its column."""
+    return Character(dict(zip(adjoint_weights(rs), cols, strict=True)))
+
+
+def signed_digits(cols: Sequence[int], count: int) -> list[list[int]]:
+    """Per 32-bit digit, the column list it packs, digits read as signed
+    integers: the inverse of summing d_r * 2^(32 r) over r < count."""
+    out = [[] for _ in range(count)]
+    for c in cols:
+        for digits in out:
+            d = c & (1 << _DIGIT) - 1
+            d -= (d >> _DIGIT - 1) << _DIGIT  # the digit's sign bit
+            digits.append(d)
+            c = (c - d) >> _DIGIT
+        assert c == 0, "a column packs more digits than counted"
+    return out
+
+
 def random_element(rs: RootSystem, rng: random.Random,
                    max_letters: int = 12) -> WeylElement:
     word = tuple(rng.randint(1, rs.rank) for _ in range(rng.randint(0, max_letters)))

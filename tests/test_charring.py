@@ -21,6 +21,18 @@ from schubert.rootsys import Weight
 from helpers import fraction_height, freudenthal_char, random_small_character, weyl_dim
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
+                                  "D4", "F4", "G2"])
+def test_bott_at_w0_on_minus_two_rho(name):
+    # w0 . (-2 rho) = 0 with l(w0) = N = |R+|, so Bott's theorem for the
+    # flag variety gives (-1)^N D_{w0}(e^{-2 rho}) = ch V(0) = e^0, a
+    # non-dominant weight checked against no run of the same operator
+    rs = build(name)
+    out = demazure_along_word(rs, longest_element(rs).reduced_word(),
+                              e(rs.weight((-2,) * rs.rank)))
+    assert (-1) ** len(rs.positive_roots) * out == e(rs.zero())
+
+
 def test_character_algebra():
     rs = build("A2")
     a = e(rs.weight((1, 0)), 2)

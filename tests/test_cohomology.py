@@ -25,9 +25,11 @@ from schubert.charring import char_sum, char_to_str
 from schubert.cli import main
 from schubert.cohomology import borel_character, demazure_layers, lemma61_search
 from schubert.report import run_check
+from schubert.rootsys import CartanType, RootSystem
 
-from helpers import (LAYER_TYPES, assert_thm42_slices, bruhat_monotonicity_findings,
-                     kernel_char, split_by_tag, subword_upper_set, tagged, tangent_h0_char)
+from helpers import (LAYER_TYPES, adjoint_weights, assert_thm42_slices,
+                     bruhat_monotonicity_findings, columns_char, kernel_char, signed_digits,
+                     subword_upper_set, tangent_h0_char)
 
 
 def test_euler_char_identity_and_w0():
@@ -200,7 +202,7 @@ def test_each_check_alone_does_only_its_own_work(monkeypatch, capsys):
     argv[1] = "thm42"
     with monkeypatch.context() as m:
         m.setattr(cohomology, "ss_nonempty", refuse)
-        m.setattr(cohomology.Character, "termwise_leq", refuse)
+        m.setattr(cohomology, "gt", refuse)
         assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["universe"] > 0
 
@@ -228,22 +230,24 @@ def test_one_enumeration_per_sweep(monkeypatch, capsys, argv):
 
 @pytest.mark.parametrize("name", LAYER_TYPES)
 def test_demazure_layers_match_word_by_word(name):
-    # every element, every positive root: the line carried by the root's
-    # tag in the one-seed layer sweep against the composition along the
-    # canonical word; the sweep of the summed seed is the sum of the lines
+    # every element, every positive root: the line carried in the root's
+    # digit of the packed sweep against the composition along the
+    # canonical word, and the top digit against their sum; the sweep of
+    # the plain summed seed is that sum too.  Lines go negative in two
+    # root lengths, so there the digits are read signed and not certified
     rs = build(name)
-    seeds = [e(beta.weight) for beta in rs.positive_roots]
+    roots = rs.positive_roots
+    seed, _, sign = cohomology._line_seed(rs, [True] * len(roots))
     elements = list(enumerate_group(rs))
-    swept = list(demazure_layers(rs, char_sum(tagged(rs, f, r) for r, f in enumerate(seeds))))
-    summed = list(demazure_layers(rs, char_sum(seeds)))
+    swept = list(demazure_layers(rs, seed, sign=sign if rs.simply_laced else 0))
+    summed = list(demazure_layers(rs, [0, *(int(root.positive) for root in rs.roots)]))
     assert [tau for tau, _ in swept] == [tau for tau, _ in summed] == elements
-    for (tau, chi), (_, total) in zip(swept, summed):
+    for (tau, cols), (_, total) in zip(swept, summed):
         word = tau.reduced_word()
-        lines = split_by_tag(rs, chi)
-        assert set(lines) <= set(range(len(seeds)))
-        for r, seed in enumerate(seeds):
-            assert lines.get(r, Character.zero()) == demazure_along_word(rs, word, seed)
-        assert total == char_sum(lines.values())
+        *lines, tangent = signed_digits(cols, len(roots) + 1)
+        for beta, line in zip(roots, lines):
+            assert columns_char(rs, line) == demazure_along_word(rs, word, e(beta.weight))
+        assert tangent == total == [sum(col) for col in zip(*lines)]
 
 
 @pytest.mark.parametrize("name", LAYER_TYPES)
@@ -262,8 +266,7 @@ def test_criterion_and_inversions_read_off_tau(name):
 @pytest.mark.parametrize("name", ["A3", "B3", "G2", "D4"])
 def test_demazure_layers_take_no_step_beyond_enumeration(monkeypatch, name):
     # the left parents come from enumeration's links, so a layer sweep
-    # takes no left step (left_heights, which simple_times calls too)
-    # beyond those of enumerate_group
+    # takes no left step (left_heights) beyond those of enumerate_group
     rs = build(name)
     calls = []
     real = cohomology.WeylElement.left_heights
@@ -275,7 +278,7 @@ def test_demazure_layers_take_no_step_beyond_enumeration(monkeypatch, name):
     monkeypatch.setattr(cohomology.WeylElement, "left_heights", counted)
     list(enumerate_group(rs))
     alone, calls[:] = len(calls), []
-    list(demazure_layers(rs, e(rs.highest_root.weight)))
+    list(demazure_layers(rs, [int(w == rs.highest_root.weight) for w in adjoint_weights(rs)]))
     assert len(calls) <= alone
 
 
@@ -286,18 +289,26 @@ def _rendered_weights(rows):
             for body in re.findall(r"e\[([^\]]*)\]", value)]
 
 
+def _corrupt_tables(monkeypatch, rs, bad, letters=None):
+    """Make every computed column of D_i, i in letters (default all),
+    subtract twice the columns e^beta_r, r in bad: at the first such step
+    from e those lines go negative."""
+    keys, tables = cohomology._adjoint_tables(rs)
+    extra = tuple((1 + r, -2) for r in bad)  # column 1 + r is the positive root r
+    corrupt = tuple(
+        (gather, tuple((b, row + extra) for b, row in computed))
+        if letters is None or i in letters else (gather, computed)
+        for i, (gather, computed) in enumerate(tables, 1))
+    monkeypatch.setattr(cohomology, "_adjoint_tables", lambda rs: (keys, corrupt))
+
+
 @pytest.mark.parametrize("bad", [(3,), (5, 2)])
 def test_a_negative_line_fails_certification_naming_its_root(monkeypatch, bad):
-    # a wrapped operator puts a negative term into the lines of the roots
-    # in bad; the sweep must refuse, naming the first of them
+    # corrupted column tables put negative multiplicities into the lines of
+    # the roots in bad; the sweep must refuse, naming the first of them
     rs = build("A3")
     roots = rs.positive_roots
-    real = cohomology.demazure_op
-
-    def corrupt(rs, i, f):
-        return real(rs, i, f) + char_sum(tagged(rs, e(roots[r].weight, -7), r) for r in bad)
-
-    monkeypatch.setattr(cohomology, "demazure_op", corrupt)
+    _corrupt_tables(monkeypatch, rs, bad)
     first = roots[min(bad)].weight
     for checks in (("thmA",), ("thm42",), ("thmA", "thm42")):
         with pytest.raises(AssertionError, match=re.escape(
@@ -328,7 +339,7 @@ def test_thm42_rows_under_a_wrong_adjoint_match_the_word_oracle(monkeypatch):
 def test_thm42_outside_rows_render_each_root_line(monkeypatch):
     # with no root counted as inverted, every root with a nonzero line is
     # an outside-vanishing row; its h0 is the word-by-word line, rendered
-    # with the tag digit masked off
+    # from its digit of the packed columns
     # (each w_alpha is found first: its own check reads the inversions)
     rs = build("A3")
     w_alphas = {a: cohomology.min_parabolic_rep(rs, a) for a in range(1, rs.rank + 1)}
@@ -347,6 +358,53 @@ def test_thm42_outside_rows_render_each_root_line(monkeypatch):
                         if tuple(row["tau_word"]) == tau
                         and row["clause"] == "outside-vanishing"]
     assert all(len(fw) == rs.rank for fw in _rendered_weights(rows))
+
+
+def test_thm42_alone_certifies_every_element(monkeypatch):
+    # thm42 reads lines only on its cosets, but the step that computes a
+    # negative line refuses it at once: here D_1's step to s_1, the first
+    # element after e, which lies in no coset
+    rs = build("A3")
+    assert min(cohomology.min_parabolic_rep(rs, a).length for a in range(1, rs.rank + 1)) > 1
+    _corrupt_tables(monkeypatch, rs, (3,), letters={1})
+    seen = []
+    real = cohomology.enumerate_group
+    monkeypatch.setattr(cohomology, "enumerate_group",
+                        lambda *args: (seen.append(tau) or tau for tau in real(*args)))
+    with pytest.raises(AssertionError, match=re.escape(
+            f"negative multiplicity in certified h0 for {rs.positive_roots[3].weight}")):
+        cohomology.verify_root_lines(rs, ("thm42",))
+    assert [tau.reduced_word() for tau in seen] == [(), (1,)]
+
+
+def test_a_table_leaving_the_adjoint_weights_is_an_engine_failure(capsys, monkeypatch):
+    # the tables are built once per root system; a Demazure term outside
+    # R u {0} there exits 3, never a wrong column
+    rs = RootSystem(CartanType.parse("A2"))  # its own tables, built in this test
+    real = cohomology.demazure_op
+    monkeypatch.setattr(cohomology, "demazure_op",
+                        lambda rs, i, f: real(rs, i, f) + e(rs.rho + rs.rho))
+    monkeypatch.setattr("schubert.cli.build", lambda _: rs)
+    assert main(["verify", "thmA", "--type", "A2"]) == 3
+    assert "leaves the adjoint weights" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, sweep", [
+    ("D5", lambda rs: cohomology.verify_root_lines(rs, ("thmA", "thm42"))),
+    ("F4", cohomology.verify_thmB_criterion),
+])
+def test_a_sweep_runs_demazure_op_only_to_build_its_tables(monkeypatch, name, sweep):
+    # one demazure_op per adjoint weight and simple root builds the
+    # tables; then every element but e costs exactly one column step
+    rs = RootSystem(CartanType.parse(name))  # its own tables, built in this test
+    ops, steps = [], []
+    real_op, real_step = cohomology.demazure_op, cohomology._column_step
+    monkeypatch.setattr(cohomology, "demazure_op", lambda *args: ops.append(1) or real_op(*args))
+    monkeypatch.setattr(cohomology, "_column_step",
+                        lambda *args: steps.append(1) or real_step(*args))
+    sweep(rs)
+    assert len(ops) == (len(rs.roots) + 1) * rs.rank
+    assert len(steps) == rs.ct.weyl_order - 1
 
 
 def test_verify_thmB_shape():

@@ -13,7 +13,7 @@ from schubert import (Character, bruhat_leq, build, char_sorted_terms,
                       simple_reflection)
 from schubert.rootsys import Weight
 
-from helpers import (fraction_height, gauss_jordan_inverse, mul_from_word,
+from helpers import (LAYER_TYPES, fraction_height, gauss_jordan_inverse, mul_from_word,
                      peel_reduced_word, split_by_tag, string_formula_along_word,
                      string_formula_demazure_op, subword_bruhat_leq, tagged)
 
@@ -47,7 +47,7 @@ def test_element_steps_match_full_products(name, data):
     assert from_word(rs, word) == w
     for i in range(1, rs.rank + 1):
         assert w.times_simple(i) == w * simple_reflection(rs, i)
-        assert w.simple_times(i) == simple_reflection(rs, i) * w
+        assert w.left_heights(i) == (simple_reflection(rs, i) * w).heights
     assert w.reduced_word() == peel_reduced_word(w)
     inv = w.inverse()
     assert inv == gauss_jordan_inverse(w)
@@ -81,6 +81,21 @@ def test_demazure_braid_relations_on_random_characters(name, data):
                 left = demazure_op(rs, (i, j)[k % 2], left)
                 right = demazure_op(rs, (j, i)[k % 2], right)
             assert left == right
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(LAYER_TYPES), st.data())
+def test_demazure_identity_under_the_dot_action(name, data):
+    # D_i(e^{s_i . mu}) = -D_i(e^mu) (Demazure 1974), with the dot action
+    # s_i . mu = mu - (<mu, alpha_i^vee> + 1) alpha_i read off fw coordinates,
+    # on both the packed kernel and the string-formula oracle
+    rs = build(name)
+    fw = data.draw(st.lists(st.integers(-4, 4), min_size=rs.rank, max_size=rs.rank), label="mu")
+    i = data.draw(st.integers(1, rs.rank), label="i")
+    alpha = rs.simple_roots[i - 1].weight.fw
+    mu, dotted = Weight(tuple(fw)), Weight(tuple(m - (fw[i - 1] + 1) * a for m, a in zip(fw, alpha)))
+    for op in (demazure_op, string_formula_demazure_op):
+        assert op(rs, i, e(dotted)) == -op(rs, i, e(mu))
 
 
 @PROPERTY_SETTINGS
