@@ -15,8 +15,7 @@ quotient, so every value is exact:
         m <= -2: -(e^{lam+alpha} + ... + e^{lam+(-m-1)*alpha})
 
 On packed keys a string step is one integer subtraction of the packed
-simple root, and m is read off digit i; digits above the rank would pass
-through untouched, but no engine path tags terms there.  No step borrows
+simple root, and m is read off digit i.  No step borrows
 across digits: every term of D_w f lies in the convex hull of W.supp(f),
 and an fw coordinate of a W-image is at most (h-1) * max|fw_j| of the
 weight, as the simple-coroot coefficients of a coroot sum to at most h-1.

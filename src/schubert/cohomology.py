@@ -1,18 +1,18 @@
 """Euler characteristics on Schubert varieties and the theorem verifiers.
 
 The engine computes Euler characteristics chi(tau, f) exactly.  The
-sweeps over the whole Weyl group read them off ``demazure_layers``, one
-pass up the group by length with one seed: when l(s_j tau') = l(tau') + 1,
-chi(s_j tau', f) = D_j chi(tau', f), so every element costs one Demazure
+sweeps over the whole Weyl group read them off ``group_walk``, one
+depth-first walk of the group with one seed: when l(s_k tau) = l(tau) + 1,
+chi(s_k tau, f) = D_k chi(tau, f), so every element costs one Demazure
 operator (the braid relations make chi depend on the element only;
 Demazure 1974, Kumar, Kac-Moody Groups, ch. 8).  Every seed lies in the
 span of the e^mu, mu in R u {0}, which each D_i maps to itself, so a sweep
 carries columns indexed by those weights, and D_i is a table built once
 per root system from ``demazure_op``.  thmB seeds the sum of the e^beta;
-thmA and thm42 share one pass (``verify_root_lines``) whose columns pack
+thmA and thm42 share one walk (``verify_root_lines``) whose columns pack
 every per-root line as a 32-bit digit; ``inversion_tangent`` steps the
-same tables along one word.  The criterion for X(tau^-1) is
-``ss_nonempty`` on tau's enumerated inverse, and tau's inversions are
+same tables along one word.  The criterion for X(tau^-1) is read off the
+walk's x = (D ht tau^-1(alpha_k))_k, and tau's inversions are
 ``tau.inverted()``.  Single queries go along the canonical reduced word
 (``euler_char``, ``h0_line``).  Individual cohomology characters are only
 ever reported in regimes where vanishing is certified:
@@ -28,19 +28,20 @@ below is explicitly exploratory and never labels Euler data as an h^0.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from operator import gt, itemgetter, or_
+from operator import add, gt, itemgetter, mul, neg, or_
 from typing import Iterable, Iterator, Sequence
 
 from .charring import (_DIGIT, _MASK, _OFF, Character, _pack, adjoint_character, char_to_str,
                        demazure_along_word, demazure_op, e)
 from .rootsys import RootSystem, Weight
-from .weyl import WeylElement, enumerate_group, from_word, longest_element, min_parabolic_rep
+from .weyl import (WeylElement, from_word, guarded_order, identity, longest_element,
+                   min_parabolic_rep)
 
 __all__ = [
     "euler_char",
     "h0_line",
     "ss_nonempty",
-    "demazure_layers",
+    "group_walk",
     "inversion_tangent",
     "verify_root_lines",
     "verify_thmB_criterion",
@@ -138,23 +139,67 @@ def _character(rs: RootSystem, cols: Iterable[int]) -> Character:
     return Character._from_packed(dict(zip(_adjoint_tables(rs)[0], cols)))
 
 
-def demazure_layers(rs: RootSystem, seed: list[int], guard: int | None = None,
-                    sign: int = 0) -> Iterator[tuple[WeylElement, list[int]]]:
-    """(tau, chi(tau, seed)) for every tau, in enumerate_group order, as
-    columns: the multiplicities at 0, then at ``rs.roots``, an entry maybe
-    packing several as 32-bit digits.  tau^-1 = p s_d for p its BFS parent,
-    so tau = s_d p^-1 with p^-1 in the previous length layer, and one
-    ``_column_step`` of p^-1's columns, certified against sign, gives
-    tau's.  Only the previous and the current layer are kept."""
-    previous, current, length = {}, {}, 0
-    for tau in enumerate_group(rs, guard):
-        inv = tau._inverse
-        if len(inv._word) != length:
-            previous, current, length = current, {}, len(inv._word)
-        cols = (_column_step(rs, inv._word[-1], previous[inv._parent._inverse], sign)
-                if length else seed)
-        current[tau] = cols
-        yield tau, cols
+def group_walk(rs: RootSystem, seed: list[int], guard: int | None = None,
+               sign: int = 0) -> Iterator[tuple[list[int], tuple[int, ...], tuple, tuple, list[int]]]:
+    """Every tau in W once, depth first, as (x, word, matrix, heights, cols):
+
+      * x = (D ht sigma(alpha_k))_k and word, the canonical word of
+        sigma = tau^-1;
+      * tau's matrix on fw coordinates and its column heights H(tau);
+      * chi(tau, seed) as columns: the multiplicities at 0, then at
+        ``rs.roots``, an entry maybe packing several as 32-bit digits.
+
+    The walk follows the tree of canonical words of sigma (Bjorner-Brenti,
+    ch. 3-4): sigma s_k is a child of sigma when k is an ascent of sigma
+    and the smallest right descent of sigma s_k, and the smallest letter
+    goes first, so e is followed by s_1.  On tau that edge is the left step
+    s_k tau, one letter longer: its columns are one ``_column_step`` of
+    tau's, certified against sign; its matrix takes row_j -= C[j][k] row_k
+    (row k and its Dynkin neighbours), and H(s_k tau) = H(tau) - D row_k.
+    An explicit stack holds a pending child as its letter, its x and its
+    parent, so only the column lists along the current path are alive: at
+    most N + 1, N = |R+| the depth.  The guard prices |W| before the walk starts; visiting
+    any other number of elements is an engine failure.
+    """
+    order = guarded_order(rs, guard)
+    n, den, cartan = rs.rank, rs._den, rs.cartan
+    rows_of, neighbours = rs._simple_rows, rs._neighbours
+    node = ([den] * n, (), identity(rs).matrix, rs._height_vec, seed)
+    stack: list = []
+    visited = 0
+    while True:
+        visited += 1
+        yield node
+        x, word = node[0], node[1]
+        d = word[-1] - 1 if word else n  # sigma's smallest right descent
+        for k in range(n - 1, -1, -1):  # pushed last, the smallest pops first
+            xk = x[k]
+            if xk < 0 or k > d and not cartan[k][d]:  # x_d < 0 stays if d is no neighbour
+                continue
+            y = x[:]
+            for j, c in rows_of[k]:
+                y[j] -= c * xk
+            # below d every x_j > 0 and only grows; else no descent below k
+            if k < d or min(y[:k]) > 0:
+                stack.append((k, y, node))
+        if not stack:
+            break
+        k, y, (_, word, mat, h, cols) = stack.pop()
+        row = mat[k]
+        new = list(mat)
+        new[k] = tuple(map(neg, row))
+        for j, c in neighbours[k]:
+            new[j] = (tuple(map(add, mat[j], row)) if c == 1 else
+                      tuple(a + c * b for a, b in zip(mat[j], row)))
+        node = (y, word + (k + 1,), tuple(new), tuple(a - den * b for a, b in zip(h, row)),
+                _column_step(rs, k + 1, cols, sign))
+    if visited != order:
+        raise AssertionError(f"engine failure: walked {visited} elements, expected {order}")
+
+
+def _canonical(row: dict) -> tuple[int, list[int]]:
+    """The enumeration order of rows: (length, canonical word) of tau."""
+    return len(row["tau_word"]), row["tau_word"]
 
 
 def inversion_tangent(rs: RootSystem, tau: WeylElement) -> Character:
@@ -195,20 +240,20 @@ def verify_root_lines(rs: RootSystem, checks: Sequence[str],
     target = [adjoint._terms.get(k, 0) for k in _adjoint_tables(rs)[0]]
     thmA = "thmA" in checks
     roots = rs.positive_roots
+    alpha0 = rs.highest_root.coords  # D ht sigma(alpha_0) = sum_k alpha0_k x_k
     seed, top, sign = _line_seed(rs, [True] * len(roots))
     tangent_rows: list[dict] = []
     universe = n_equal = n_ss = 0
     alphas = list(range(1, rs.rank + 1)) if "thm42" in checks else []
-    w0 = tuple(zip(*longest_element(rs).matrix)) if alphas else ()  # column a is w0(omega_a)
-    coset_of = {a: w0[a - 1] for a in alphas}
+    w0 = longest_element(rs).heights if alphas else ()  # H(w0)_a = D ht w0(omega_a)
     for a in alphas:
-        if tuple(zip(*min_parabolic_rep(rs, a).matrix))[a - 1] != coset_of[a]:
+        if min_parabolic_rep(rs, a).heights[a - 1] != w0[a - 1]:
             raise AssertionError(f"w_alpha is outside the coset w0 W_P for alpha_{a}")
     coset_rows: dict[int, list[dict]] = {a: [] for a in alphas}
     per_alpha = {str(a): 0 for a in alphas}
-    for tau, cols in demazure_layers(rs, seed, guard, sign):
-        columns = tuple(zip(*tau.matrix))
-        cosets = [a for a in alphas if columns[a - 1] == coset_of[a]]
+    for x, word, mat, h, cols in group_walk(rs, seed, guard, sign):
+        # w0(omega_a) is the one weight of least height in W omega_a
+        cosets = [a for a in alphas if h[a - 1] == w0[a - 1]]
         if not (thmA or cosets):
             continue
         tangent = [c >> top for c in cols]
@@ -217,19 +262,20 @@ def verify_root_lines(rs: RootSystem, checks: Sequence[str],
             is_full = tangent == target
             if not is_full and any(map(gt, tangent, target)):
                 raise AssertionError("engine failure: tangent exceeds adjoint")
-            criterion = ss_nonempty(rs, tau.inverse())
+            criterion = sum(map(mul, alpha0, x)) < 0  # ss_nonempty(rs, sigma)
             n_equal += is_full
             n_ss += criterion
             if is_full != criterion:
                 tangent_rows.append({
-                    "tau_word": list(tau.reduced_word()),
-                    "tau_inv_word": list(tau.inverse().reduced_word()),
+                    "tau_word": list(WeylElement(rs, mat, h).reduced_word()),
+                    "tau_inv_word": list(word),
                     "tangent_equals_adjoint": is_full,
                     "ss_nonempty": criterion,
                     "kernel": char_to_str(rs, adjoint - _character(rs, tangent)),
                 })
         if not cosets:
             continue
+        tau = WeylElement(rs, mat, h)
         seen = reduce(or_, cols)  # every digit is certified nonnegative
         lines = {r: [c >> _DIGIT * r & _MASK for c in cols] for r, neg in
                  enumerate(tau.inverted()) if not neg and seen >> _DIGIT * r & _MASK}
@@ -238,8 +284,7 @@ def verify_root_lines(rs: RootSystem, checks: Sequence[str],
             per_alpha[str(a)] += 1
             if total == target and not lines:
                 continue
-            words = {"tau_word": list(tau.reduced_word()),
-                     "tau_inv_word": list(tau.inverse().reduced_word())}
+            words = {"tau_word": list(tau.reduced_word()), "tau_inv_word": list(word)}
             if total != target:
                 coset_rows[a].append({
                     "alpha": a, **words,
@@ -254,9 +299,10 @@ def verify_root_lines(rs: RootSystem, checks: Sequence[str],
                     "h0": char_to_str(rs, _character(rs, line)),
                 })
     results = {
-        "thmA": (universe, tangent_rows,
+        "thmA": (universe, sorted(tangent_rows, key=_canonical),
                  {"full_tangent_count": n_equal, "ss_count": n_ss}),
-        "thm42": (sum(per_alpha.values()), [row for a in alphas for row in coset_rows[a]],
+        "thm42": (sum(per_alpha.values()),
+                  [row for a in alphas for row in sorted(coset_rows[a], key=_canonical)],
                   {"elements_above_w_alpha": per_alpha}),
     }
     return [results[check] for check in checks]
@@ -276,19 +322,24 @@ def verify_thmB_criterion(rs: RootSystem,
     """
     adjoint = adjoint_character(rs)
     target = [adjoint._terms.get(k, 0) for k in _adjoint_tables(rs)[0]]
+    alpha0 = rs.highest_root.coords
     rows, flagged = [], []
-    for tau, total in demazure_layers(rs, [0, *(int(r.positive) for r in rs.roots)], guard):
+    for x, word, mat, h, total in group_walk(rs, [0, *(int(r.positive) for r in rs.roots)],
+                                             guard):
         has_negative = min(total) < 0
+        tau_word = list(WeylElement(rs, mat, h).reduced_word())
         rows.append({
-            "tau_word": list(tau.reduced_word()),
-            "tau_inv_word": list(tau.inverse().reduced_word()),
+            "tau_word": tau_word,
+            "tau_inv_word": list(word),
             "euler_equals_adjoint": total == target,
-            "ss_nonempty": ss_nonempty(rs, tau.inverse()),
+            "ss_nonempty": sum(map(mul, alpha0, x)) < 0,
             "has_negative_multiplicity": has_negative,
         })
         if has_negative:
-            flagged.append({"tau_word": list(tau.reduced_word()),
+            flagged.append({"tau_word": tau_word,
                             "euler": char_to_str(rs, _character(rs, total))})
+    rows.sort(key=_canonical)
+    flagged.sort(key=_canonical)
     return len(rows), [], {
         "rows": rows,
         "flagged_negative": flagged,

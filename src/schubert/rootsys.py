@@ -307,6 +307,14 @@ class RootSystem:
         self._simple_columns = tuple(
             tuple((j, row[k]) for j, row in enumerate(self.cartan) if row[k])
             for k in range(ct.rank))
+        # (j, -C[j][k]) for the Dynkin neighbours j of k: w s_k(omega_k) is
+        # -w(omega_k) plus these multiples of the w(omega_j)
+        self._neighbours = tuple(tuple((j, -c) for j, c in col if j != k)
+                                 for k, col in enumerate(self._simple_columns))
+        # row d of C as its nonzero (k, C[d][k]): on x_k = D ht w(alpha_k),
+        # w -> w s_d is x_k -= C[d][k] x_d, which negates x_d
+        self._simple_rows = tuple(
+            tuple((k, c) for k, c in enumerate(row) if c) for row in self.cartan)
         # (alpha_i, alpha_j) up to overall scale; symmetric by construction
         self._gram = tuple(tuple(self.d[i] * self.cartan[i][j] for j in range(ct.rank))
                            for i in range(ct.rank))

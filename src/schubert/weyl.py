@@ -16,24 +16,24 @@ key; it also carries every descent test:
     neighbours, and k is a right descent of w iff it is negative
     (Bjorner-Brenti, ch. 4);
   * H(w s_k) differs from H(w) in H_k alone, which drops by D ht w(alpha_k);
-  * H(s_k w) = H(w) - D * row_k of the matrix (``left_heights``).
+  * on x = (D ht w(alpha_k))_k itself, w s_d negates x_d and changes x_k
+    by -C[d][k] x_d at the Dynkin neighbours k of d alone.
 
-So canonical words, lengths, Bruhat comparisons and the climbs to w0 walk
-on H and build no matrix.  ``times_simple`` (w s_i) changes one column of
-the matrix from at most four others; ``__mul__`` is left for general
-products.  ``enumerate_group`` dedupes and finds parents on H, builds one
-matrix per element, gives each element its canonical word from its BFS
-parent, keeps the parent as a link and links each element to its
-enumerated inverse through ``left_heights``, so a sweep finds a left
-parent by following links alone; any other element inverts by its
-reversed word, so no rational arithmetic touches a group element.
+So canonical words (peeled on x), lengths, Bruhat comparisons and the
+climbs to w0 walk on H and build no matrix.  ``times_simple`` (w s_i)
+changes one column of the matrix from at most four others; ``__mul__`` is
+left for general products.  ``enumerate_group`` is a breadth-first
+enumeration that dedupes and finds canonical words on H and builds one
+matrix per element; the sweeps walk the group depth first instead
+(``cohomology.group_walk``).  Elements invert by their reversed canonical
+word, so no rational arithmetic touches a group element.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
-from operator import mul
+from itertools import permutations, repeat
+from operator import add, mul, neg
 from typing import Iterable, Iterator, Sequence
 
 from .report import GuardExceeded, resolve_guard
@@ -53,18 +53,19 @@ __all__ = [
 
 class WeylElement:
     """One Weyl-group element, represented by its action on fw coordinates,
-    with its column heights cached as ``heights``."""
+    with its column heights cached as ``heights`` (passed in by a caller
+    that has stepped them along with the matrix)."""
 
-    __slots__ = ("rs", "matrix", "_hash", "_heights", "_word", "_inverse", "_parent")
+    __slots__ = ("rs", "matrix", "_hash", "_heights", "_word", "_inverse")
 
-    def __init__(self, rs: RootSystem, matrix: tuple[tuple[int, ...], ...]):
+    def __init__(self, rs: RootSystem, matrix: tuple[tuple[int, ...], ...],
+                 heights: tuple[int, ...] | None = None):
         self.rs = rs
         self.matrix = matrix
         self._hash = hash(matrix)
-        self._heights: tuple[int, ...] | None = None
+        self._heights = heights
         self._word: tuple[int, ...] | None = None
         self._inverse: "WeylElement | None" = None
-        self._parent: "WeylElement | None" = None  # w s_d, set by enumerate_group
 
     # -- group structure ----------------------------------------------------
 
@@ -86,14 +87,12 @@ class WeylElement:
         return result
 
     def inverse(self) -> "WeylElement":
-        """w^-1: the enumerated element when ``enumerate_group`` made w.
-
-        Any other element (a Coxeter element, a product) inverts by its
-        reversed canonical word, checked by w * w^-1 = e.
-        """
+        """w^-1, by the reversed canonical word, checked by w w^-1 = e on
+        rho: rho is regular, so only e fixes it."""
         if self._inverse is None:
             inv = from_word(self.rs, reversed(self.reduced_word()))
-            if not (self * inv).is_identity:
+            rho = self.rs.rho.fw
+            if self.act(inv.act(rho)) != rho:
                 raise AssertionError("reversed word does not invert the element")
             self._inverse = inv
             inv._inverse = self
@@ -101,24 +100,22 @@ class WeylElement:
 
     def times_simple(self, i: int) -> "WeylElement":
         """w * s_i: column i of the matrix becomes col_i - w(alpha_i), with
-        w(alpha_i) = sum_j C[j][i] w(omega_j) read from at most four columns.
+        w(alpha_i) = sum_j C[j][i] w(omega_j) read from at most four columns,
+        so it is -col_i plus -C[j][i] col_j over the Dynkin neighbours j.
 
-        Each row, and the column heights when w has them, change alike.
+        The column heights, when w has them, change alike.
         """
         k = i - 1
-        col = self.rs._simple_columns[k]
-        v = WeylElement(self.rs, tuple(
-            _reflect(row, k, _root_height(row, col)) for row in self.matrix))
+        cols = list(zip(*self.matrix))
+        image = map(neg, cols[k])
+        for j, c in self.rs._neighbours[k]:
+            image = map(add, image, cols[j] if c == 1 else map(mul, cols[j], repeat(c)))
+        cols[k] = image
+        v = WeylElement(self.rs, tuple(zip(*cols)))
         h = self._heights
         if h is not None:
-            v._heights = _reflect(h, k, _root_height(h, col))
+            v._heights = _reflect(h, k, _root_height(h, self.rs._simple_columns[k]))
         return v
-
-    def left_heights(self, i: int) -> tuple[int, ...]:
-        """H(s_i * w) = H(w) - D * row i of the matrix, as s_i w(omega_j) =
-        w(omega_j) - <w(omega_j), alpha_i^vee> alpha_i."""
-        den = self.rs._den
-        return tuple(h - den * x for h, x in zip(self.heights, self.matrix[i - 1]))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, WeylElement) and self.matrix == other.matrix
@@ -161,23 +158,27 @@ class WeylElement:
 
     def reduced_word(self) -> tuple[int, ...]:
         """Canonical reduced word: repeatedly peel the smallest right
-        descent, on the column heights alone."""
+        descent d, on x_k = D ht w(alpha_k) alone: w s_d negates x_d and
+        takes C[d][k] x_d from each Dynkin neighbour x_k."""
         if self._word is None:
-            rev: list[int] = []
+            rs = self.rs
             h = self.heights
-            cols = self.rs._simple_columns
+            x = [_root_height(h, col) for col in rs._simple_columns]
+            rows = rs._simple_rows
+            rev: list[int] = []
             while True:
-                for k, col in enumerate(cols):
-                    x = _root_height(h, col)
-                    if x < 0:
-                        rev.append(k + 1)
-                        h = _reflect(h, k, x)
+                for d, xd in enumerate(x):
+                    if xd < 0:
                         break
                 else:
                     break
-            if h != self.rs._height_vec:
+                rev.append(d + 1)
+                for k, c in rows[d]:
+                    x[k] -= c * xd
+            if x != [rs._den] * rs.rank:  # x(e): every simple root has height 1
                 raise AssertionError("non-identity element without descent")
-            self._word = tuple(reversed(rev))
+            rev.reverse()
+            self._word = tuple(rev)
         return self._word
 
     @property
@@ -204,8 +205,7 @@ def _root_height(h: tuple[int, ...], col: tuple[tuple[int, int], ...]) -> int:
     """sum_j C[j][k] h_j for col = column k of C (``rs._simple_columns``).
 
     On w's column heights this is D ht w(alpha_k), negative iff k is a
-    right descent of w: the one descent test of this module.  On a row of
-    w's matrix it is that row's entry of w(alpha_k).
+    right descent of w: the one descent test of this module.
     """
     x = 0
     for j, c in col:
@@ -214,7 +214,7 @@ def _root_height(h: tuple[int, ...], col: tuple[tuple[int, int], ...]) -> int:
 
 
 def _reflect(h: tuple[int, ...], k: int, x: int) -> tuple[int, ...]:
-    """The row h of w (matrix row or column heights) for w s_{k+1}, given
+    """The column heights h of w for w s_{k+1}, given
     x = _root_height(h, column k of C)."""
     return h[:k] + (h[k] - x,) + h[k + 1:]
 
@@ -303,31 +303,31 @@ def min_parabolic_rep(rs: RootSystem, i: int) -> WeylElement:
     return w
 
 
-def enumerate_group(rs: RootSystem, guard: int | None = None) -> Iterator[WeylElement]:
-    """Every element exactly once, ordered by (length, canonical word).
-
-    Breadth-first by length, stepping only along ascents, so layer k holds
-    exactly the elements of length k.  Layers are keyed by column heights,
-    so ascents, duplicates and parents are found on H, and only a new
-    element gets a matrix.  A new element v gets its canonical word from
-    its parent: word(v) = word(v s_d) + (d,) for d the smallest right
-    descent of v, with v s_d looked up in the previous layer and kept as
-    ``v._parent``.  Once a layer is complete, each element is linked to its
-    inverse in the same layer, v^-1 = s_d (v s_d)^-1, found by the key
-    ``left_heights``, and every link is checked on rho.
-
-    Raises GuardExceeded when |W| is larger than the guard (explicit
-    argument, else the SCHUBERT_GUARD environment variable, else 10**6).
-    """
+def guarded_order(rs: RootSystem, guard: int | None = None) -> int:
+    """|W|, once it is checked against the guard (explicit argument, else
+    the SCHUBERT_GUARD environment variable, else 10**6): every sweep of
+    the whole group prices it before it starts.  Raises GuardExceeded."""
     limit = resolve_guard(guard)
     order = rs.ct.weyl_order
     if order > limit:
         raise GuardExceeded(
             f"|W({rs.ct})| = {order} exceeds guard {limit}")
+    return order
+
+
+def enumerate_group(rs: RootSystem, guard: int | None = None) -> Iterator[WeylElement]:
+    """Every element exactly once, ordered by (length, canonical word).
+
+    Breadth-first by length, stepping only along ascents, so layer k holds
+    exactly the elements of length k.  Layers are keyed by column heights,
+    so ascents and duplicates are found on H, and only a new element gets
+    a matrix.  A new element v gets its canonical word from the previous
+    layer: word(v) = word(v s_d) + (d,) for d the smallest right descent
+    of v.  Raises GuardExceeded when |W| is larger than the guard.
+    """
+    order = guarded_order(rs, guard)
     e = identity(rs)
     e._word = ()
-    e._inverse = e
-    rho = rs.rho.fw
     cols = rs._simple_columns
     elements = [e]
     layer = {e.heights: e}
@@ -351,16 +351,7 @@ def enumerate_group(rs: RootSystem, guard: int | None = None) -> Iterator[WeylEl
                         break
                 v = w.times_simple(k + 1)
                 v._word = parent._word + (d + 1,)
-                v._parent = parent
                 nxt[hv] = v
-        for v in nxt.values():
-            if v._inverse is None:
-                inv = nxt.get(v._parent._inverse.left_heights(v._word[-1]))
-                # rho is regular, so only e fixes it; v(rho) is v's row sums
-                if inv is None or inv.act(tuple(map(sum, v.matrix))) != rho:
-                    raise AssertionError(f"no enumerated inverse for {v._word}")
-                v._inverse = inv
-                inv._inverse = v
         elements.extend(sorted(nxt.values(), key=lambda w: w._word))
         layer = nxt
     if len(elements) != order:

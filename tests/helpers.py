@@ -303,22 +303,6 @@ def random_small_character(rs: RootSystem, rng: random.Random,
     return total
 
 
-def tagged(rs: RootSystem, f: Character, tag: int) -> Character:
-    """f with every key carrying tag in the digit above rs's weight digits."""
-    shift = _DIGIT * rs.rank
-    return Character._from_packed({k | tag << shift: v for k, v in f._terms.items()})
-
-
-def split_by_tag(rs: RootSystem, f: Character) -> dict[int, Character]:
-    """{tag: the terms of f with that tag, the tag digit cleared}."""
-    shift = _DIGIT * rs.rank
-    mask = (1 << shift) - 1
-    parts: dict[int, dict[int, int]] = {}
-    for k, v in f._terms.items():
-        parts.setdefault(k >> shift, {})[k & mask] = v
-    return {t: Character._from_packed(terms) for t, terms in parts.items()}
-
-
 def adjoint_weights(rs: RootSystem) -> list[Weight]:
     """The weights that index a sweep's columns: 0, then rs.roots in order."""
     return [rs.zero(), *(root.weight for root in rs.roots)]

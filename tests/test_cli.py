@@ -306,14 +306,16 @@ def test_engine_failure_exits_3_not_1(capsys, monkeypatch, workers):
 
 
 def test_any_internal_assertion_is_an_engine_failure(capsys, monkeypatch):
-    # a corrupted inverse key, outside the layer or on w s_i, exits 3
-    from schubert.weyl import WeylElement
+    # a group walk that visits one element more or fewer than the |W| it
+    # was priced at exits 3
+    from schubert import cohomology
 
-    for corrupt in (lambda w, i: w.heights, lambda w, i: w.times_simple(i).heights):
-        monkeypatch.setattr(WeylElement, "left_heights", corrupt)
+    real = cohomology.guarded_order
+    for off in (1, -1):
+        monkeypatch.setattr(cohomology, "guarded_order", lambda rs, guard: real(rs, guard) + off)
         code, out, err = run(capsys, "verify", "thmA", "--type", "A3")
         assert (code, out) == (3, "")
-        assert err.startswith("error: engine failure: no enumerated inverse for ")
+        assert err == f"error: engine failure: walked 24 elements, expected {24 + off}\n"
 
 
 @pytest.fixture

@@ -2,6 +2,8 @@
 
 import json
 import re
+import weakref
+from operator import mul
 
 import pytest
 
@@ -23,13 +25,13 @@ from schubert import (
 from schubert import cohomology
 from schubert.charring import char_sum, char_to_str
 from schubert.cli import main
-from schubert.cohomology import borel_character, demazure_layers, lemma61_search
+from schubert.cohomology import borel_character, group_walk, lemma61_search
 from schubert.report import run_check
 from schubert.rootsys import CartanType, RootSystem
 
 from helpers import (LAYER_TYPES, adjoint_weights, assert_thm42_slices,
-                     bruhat_monotonicity_findings, columns_char, kernel_char, signed_digits,
-                     subword_upper_set, tangent_h0_char)
+                     bruhat_monotonicity_findings, columns_char, gauss_jordan_inverse, kernel_char,
+                     peel_reduced_word, signed_digits, subword_upper_set, tangent_h0_char)
 
 
 def test_euler_char_identity_and_w0():
@@ -214,15 +216,15 @@ def test_each_check_alone_does_only_its_own_work(monkeypatch, capsys):
     ("verify", "thm42", "--type", "A3"),
 ])
 def test_one_enumeration_per_sweep(monkeypatch, capsys, argv):
-    # a simply-laced sweep runs thmA and thm42 from one pass
+    # a simply-laced sweep runs thmA and thm42 from one walk of the group
     calls = []
-    real = cohomology.enumerate_group
+    real = cohomology.group_walk
 
     def counted(*args, **kwargs):
         calls.append(args[0].ct)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cohomology, "enumerate_group", counted)
+    monkeypatch.setattr(cohomology, "group_walk", counted)
     assert main(list(argv)) == 0
     capsys.readouterr()
     assert len(calls) == 1
@@ -230,56 +232,75 @@ def test_one_enumeration_per_sweep(monkeypatch, capsys, argv):
 
 @pytest.mark.parametrize("name", LAYER_TYPES)
 def test_demazure_layers_match_word_by_word(name):
-    # every element, every positive root: the line carried in the root's
-    # digit of the packed sweep against the composition along the
-    # canonical word, and the top digit against their sum; the sweep of
-    # the plain summed seed is that sum too.  Lines go negative in two
-    # root lengths, so there the digits are read signed and not certified
+    # the walk against the layered oracle (enumerate_group, and Demazure
+    # composed along each canonical word), element by element: sigma's
+    # word (peeled from a Gauss-Jordan inverse), its x = D ht
+    # sigma(alpha_k) and the criterion read off x, tau's heights (the left
+    # step H(s_k tau) = H(tau) - D row_k), every positive root's line in
+    # its digit of the packed columns, and the top digit their sum; the
+    # walk of the plain summed seed is that sum too.  Lines go negative in
+    # two root lengths, so there the digits are read signed and not
+    # certified
     rs = build(name)
     roots = rs.positive_roots
     seed, _, sign = cohomology._line_seed(rs, [True] * len(roots))
+    swept = {mat: (x, word, h, cols) for x, word, mat, h, cols
+             in group_walk(rs, seed, sign=sign if rs.simply_laced else 0)}
+    summed = {mat: cols for _, _, mat, _, cols
+              in group_walk(rs, [0, *(int(root.positive) for root in rs.roots)])}
     elements = list(enumerate_group(rs))
-    swept = list(demazure_layers(rs, seed, sign=sign if rs.simply_laced else 0))
-    summed = list(demazure_layers(rs, [0, *(int(root.positive) for root in rs.roots)]))
-    assert [tau for tau, _ in swept] == [tau for tau, _ in summed] == elements
-    for (tau, cols), (_, total) in zip(swept, summed):
-        word = tau.reduced_word()
+    assert len(swept) == len(summed) == len(elements)
+    for tau in elements:
+        x, word, h, cols = swept[tau.matrix]
+        sigma = gauss_jordan_inverse(tau)
+        assert word == peel_reduced_word(sigma)
+        assert x == [rs.scaled_height(sigma.act(a.weight.fw)) for a in rs.simple_roots]
+        # the sweeps' criterion: D ht sigma(alpha_0) < 0
+        assert (sum(map(mul, rs.highest_root.coords, x)) < 0) == ss_nonempty(rs, sigma)
+        assert h == tuple(map(rs.scaled_height, zip(*tau.matrix)))
         *lines, tangent = signed_digits(cols, len(roots) + 1)
         for beta, line in zip(roots, lines):
-            assert columns_char(rs, line) == demazure_along_word(rs, word, e(beta.weight))
-        assert tangent == total == [sum(col) for col in zip(*lines)]
+            assert columns_char(rs, line) == demazure_along_word(
+                rs, tau.reduced_word(), e(beta.weight))
+        assert tangent == summed[tau.matrix] == [sum(col) for col in zip(*lines)]
+
+
+@pytest.mark.parametrize("name", ["A1", "A3", "B3", "G2", "D4", "D5", "F4"])
+def test_walk_visits_each_element_once_in_bounded_memory(monkeypatch, name):
+    # |W| visits, each to a different element, and at no step more column
+    # lists alive than the N + 1 nodes of a path, N = |R+| the depth of
+    # the walk (well inside N n, one pending child per letter and level)
+    rs = build(name)
+    alive, peak = weakref.WeakSet(), []
+    real = cohomology._column_step
+
+    class Columns(list):
+        __hash__ = object.__hash__  # a WeakSet member by identity
+
+    def tracked(*args):
+        out = Columns(real(*args))
+        alive.add(out)
+        peak.append(len(alive))
+        return out
+
+    monkeypatch.setattr(cohomology, "_column_step", tracked)
+    seed = [int(w == rs.highest_root.weight) for w in adjoint_weights(rs)]
+    matrices = [mat for _, _, mat, _, _ in group_walk(rs, seed)]
+    assert len(matrices) == len(set(matrices)) == rs.ct.weyl_order
+    assert max(peak, default=0) <= len(rs.positive_roots) + 1
 
 
 @pytest.mark.parametrize("name", LAYER_TYPES)
 def test_criterion_and_inversions_read_off_tau(name):
-    # the sweeps read the criterion on tau^-1 through the enumerated
-    # inverse; it is <tau(rho), alpha_0^vee> < 0, with one or two root
-    # lengths, as rho pairs positively with exactly the positive coroots.
-    # tau's inversions are the roots beta with tau(beta) negative
+    # the criterion on tau^-1 (which the sweeps read off the walk's x) is
+    # <tau(rho), alpha_0^vee> < 0, with one or two root lengths, as rho
+    # pairs positively with exactly the positive coroots.  tau's
+    # inversions are the roots beta with tau(beta) negative
     rs = build(name)
     for tau in enumerate_group(rs):
         pairing = rs.pairing_root(tau.apply(rs.rho), rs.highest_root)
         assert ss_nonempty(rs, tau.inverse()) == (pairing < 0)
         assert tau.inverted() == [not tau.apply_root(b).positive for b in rs.positive_roots]
-
-
-@pytest.mark.parametrize("name", ["A3", "B3", "G2", "D4"])
-def test_demazure_layers_take_no_step_beyond_enumeration(monkeypatch, name):
-    # the left parents come from enumeration's links, so a layer sweep
-    # takes no left step (left_heights) beyond those of enumerate_group
-    rs = build(name)
-    calls = []
-    real = cohomology.WeylElement.left_heights
-
-    def counted(w, i):
-        calls.append(i)
-        return real(w, i)
-
-    monkeypatch.setattr(cohomology.WeylElement, "left_heights", counted)
-    list(enumerate_group(rs))
-    alone, calls[:] = len(calls), []
-    list(demazure_layers(rs, [int(w == rs.highest_root.weight) for w in adjoint_weights(rs)]))
-    assert len(calls) <= alone
 
 
 def _rendered_weights(rows):
@@ -367,14 +388,17 @@ def test_thm42_alone_certifies_every_element(monkeypatch):
     rs = build("A3")
     assert min(cohomology.min_parabolic_rep(rs, a).length for a in range(1, rs.rank + 1)) > 1
     _corrupt_tables(monkeypatch, rs, (3,), letters={1})
-    seen = []
-    real = cohomology.enumerate_group
-    monkeypatch.setattr(cohomology, "enumerate_group",
-                        lambda *args: (seen.append(tau) or tau for tau in real(*args)))
+    seen, steps = [], []
+    real_walk, real_step = cohomology.group_walk, cohomology._column_step
+    monkeypatch.setattr(cohomology, "group_walk",
+                        lambda *args: (seen.append(node[1]) or node for node in real_walk(*args)))
+    monkeypatch.setattr(cohomology, "_column_step",
+                        lambda rs, i, *args: steps.append(i) or real_step(rs, i, *args))
     with pytest.raises(AssertionError, match=re.escape(
             f"negative multiplicity in certified h0 for {rs.positive_roots[3].weight}")):
         cohomology.verify_root_lines(rs, ("thm42",))
-    assert [tau.reduced_word() for tau in seen] == [(), (1,)]
+    # the walk yielded e alone, and its first step, D_1 to s_1, refused
+    assert seen + [tuple(steps)] == [(), (1,)]
 
 
 def test_a_table_leaving_the_adjoint_weights_is_an_engine_failure(capsys, monkeypatch):
