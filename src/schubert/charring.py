@@ -152,11 +152,19 @@ class Character:
         theirs = other._terms
         return all(v <= theirs.get(k, 0) for k, v in self._terms.items())
 
-    def _combine(self, other: "Character", sign: int) -> "Character":
-        out = dict(self._terms)
+    def add(self, other: "Character", sign: int = 1) -> None:
+        """self += sign * other in place, zero terms pruned: an accumulator
+        takes each addend without a copy of itself.  other is not self."""
+        terms = self._terms
         for k, v in other._terms.items():
-            out[k] = out.get(k, 0) + sign * v
-        return Character._from_packed(out)
+            terms[k] = v = terms.get(k, 0) + sign * v
+            if not v:
+                del terms[k]
+
+    def _combine(self, other: "Character", sign: int) -> "Character":
+        out = Character._from_packed(dict(self._terms))
+        out.add(other, sign)
+        return out
 
     def __add__(self, other: "Character") -> "Character":
         return self._combine(other, 1)
@@ -237,11 +245,10 @@ def demazure_along_word(rs: RootSystem, word: Sequence[int], f: Character) -> Ch
 
 def char_sum(fs: Iterable[Character]) -> Character:
     """Sum of characters into one accumulator, not one copy per addend."""
-    out: dict[int, int] = {}
+    out = Character()
     for f in fs:
-        for k, v in f._terms.items():
-            out[k] = out.get(k, 0) + v
-    return Character._from_packed(out)
+        out.add(f)
+    return out
 
 
 def adjoint_character(rs: RootSystem) -> Character:

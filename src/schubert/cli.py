@@ -3,12 +3,12 @@
 Subcommands: roots (root-system summary), demazure (evaluate one Demazure
 composite), verify (run one named check), sweep (run every check that
 applies to a type).  This module parses and renders only: verify and
-sweep hand their check ids to report.run_checks, which owns the
-prechecks, the runs and the process pool.  Exit codes: 0 all checks
-passed, 1 a check found a mathematical counterexample, 2 usage or
-applicability error (including a tripped enumeration guard), 3 engine
-failure (an internal consistency check failed, so the run proves
-nothing either way).
+sweep precheck their check ids on the parsed type before building its
+root system, then hand them to report.run_checks, which owns the runs
+and the process pool.  Exit codes: 0 all checks passed, 1 a check found
+a mathematical counterexample, 2 usage or applicability error (including
+a tripped enumeration guard), 3 engine failure (an internal consistency
+check failed, so the run proves nothing either way).
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from math import prod
 from . import __version__
 from .charring import char_sorted_terms, char_to_str, demazure_along_word, e
 from .report import (CHECKS, DEFAULT_GUARD, GUARD_ENV_VAR, GuardExceeded, Report,
-                     canonical_json, labeling_table, resolve_guard, run_checks)
-from .rootsys import Root, RootSystem, Weight, build
+                     canonical_json, labeling_table, precheck, resolve_guard, run_checks)
+from .rootsys import CartanType, Root, RootSystem, Weight, build
 
 __all__ = ["main"]
 
@@ -220,14 +220,23 @@ def _render_run(args, rs: RootSystem, reports: list[Report]) -> tuple[str, int]:
             0 if all(rep.passed for rep in reports) else 1)
 
 
+def _prechecked_build(ct: CartanType, check_ids: list[str], guard: int | None) -> RootSystem:
+    """The root system of ct, built only once every check passes its
+    precheck: building alone grows about as rank^4 (A120 takes a minute)."""
+    for check_id in check_ids:
+        precheck(check_id, ct, resolve_guard(guard))
+    return build(ct)
+
+
 def cmd_verify(args) -> tuple[str, int]:
-    rs = build(args.type)
+    rs = _prechecked_build(CartanType.parse(args.type), [args.check], args.guard)
     return _render_run(args, rs, run_checks(rs, [args.check], args.guard))
 
 
 def cmd_sweep(args) -> tuple[str, int]:
-    rs = build(args.type)
-    check_ids = [c.id for c in CHECKS if c.applies(rs.ct) is None]
+    ct = CartanType.parse(args.type)
+    check_ids = [c.id for c in CHECKS if c.applies(ct) is None]
+    rs = _prechecked_build(ct, check_ids, args.guard)
     return _render_run(args, rs, run_checks(rs, check_ids, args.guard, args.workers))
 
 

@@ -9,13 +9,12 @@ numbering of the roots sitting at those positions.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Sequence
 
 from . import weyl
-from .charring import Character, adjoint_character, char_sum, char_to_str, e
+from .charring import Character, adjoint_character, char_to_str, e
 from .cohomology import euler_char, inversion_tangent, ss_nonempty
 from .rootsys import Record, RootSystem
 from .weyl import WeylElement, coxeter_elements, element_order, from_word
@@ -263,6 +262,19 @@ def verify_lemma54_55_56(rs: RootSystem) -> tuple[int, list, dict]:
     return universe, counterexamples, {}
 
 
+def _cycle(c: WeylElement) -> list[WeylElement]:
+    """[e, c, ..., c^(h-1)], h the order of c; c^-j is c^(h-j), entry -j."""
+    powers = [weyl.identity(c.rs)]
+    for _ in range(1, element_order(c)):
+        powers.append(powers[-1] * c)
+    return powers
+
+
+def _dot_zero_euler(rs: RootSystem, w: WeylElement, w_inv: WeylElement) -> Character:
+    """chi(w, e^{w^-1 . 0}), which Cor. 5.8 and Thm. C weigh by (-1)^l(w)."""
+    return euler_char(rs, w, e(w_inv.dot(rs.zero())))
+
+
 def verify_thmC_typeA(rs: RootSystem) -> tuple[int, list, dict]:
     """Type A powers of the staircase Coxeter element c = s_n ... s_1.
 
@@ -272,12 +284,13 @@ def verify_thmC_typeA(rs: RootSystem) -> tuple[int, list, dict]:
     Non-extremal Coxeter elements get informational rows only.
     """
     n = rs.rank
-    c = from_word(rs, tuple(range(n, 0, -1)))
+    powers = _cycle(from_word(rs, tuple(range(n, 0, -1))))
+    h = len(powers)
     counterexamples = []
     signs = set()
     zero = rs.zero()
     for r in range(1, n + 1):
-        cr = c ** r
+        cr, cr_inv = powers[r % h], powers[-r % h]
         w_r = weyl.min_parabolic_rep(rs, r)
         if cr != w_r:
             counterexamples.append({
@@ -285,7 +298,7 @@ def verify_thmC_typeA(rs: RootSystem) -> tuple[int, list, dict]:
                 "c_power_word": list(cr.reduced_word()), "w_alpha_word": list(w_r.reduced_word()),
             })
             continue
-        lam = cr.inverse().dot(zero)
+        lam = cr_inv.dot(zero)
         omega = rs.fundamental_weights[r - 1]
         eps = None
         for cand in (1, -1):
@@ -298,9 +311,8 @@ def verify_thmC_typeA(rs: RootSystem) -> tuple[int, list, dict]:
             })
             continue
         signs.add(eps)
-        chi = euler_char(rs, cr, e(lam))
-        expected = e(zero, 1 if cr.length % 2 == 0 else -1)
-        if chi != expected:
+        chi = _dot_zero_euler(rs, cr, cr_inv)
+        if chi != e(zero, (-1) ** cr.length):
             counterexamples.append({
                 "r": r, "reason": "Euler value is not (-1)^l e^0",
                 "chi": char_to_str(rs, chi),
@@ -314,12 +326,10 @@ def verify_thmC_typeA(rs: RootSystem) -> tuple[int, list, dict]:
     for cox, word in coxeter_elements(rs):
         if is_typeA_extremal(rs, cox):
             continue
-        lam = cox.inverse().dot(zero)
-        chi = euler_char(rs, cox, e(lam))
-        expected = e(zero, 1 if cox.length % 2 == 0 else -1)
+        chi = _dot_zero_euler(rs, cox, cox.inverse())
         nonextremal_rows.append({
             "c_word": list(word),
-            "euler_is_signed_e0": chi == expected,
+            "euler_is_signed_e0": chi == e(zero, (-1) ** cox.length),
             "euler": char_to_str(rs, chi),
         })
     return n, counterexamples, {
@@ -338,61 +348,44 @@ def verify_cor52_53_58(rs: RootSystem) -> tuple[int, list, dict]:
     elements, where full degree-wise vanishing certifies them; other
     elements get informational rows.
 
-    <c> = <c^{-1}>, so both sums are kept per group, keyed by its set of
-    matrices.  A term is dropped once added unless its power lies in
-    several groups (e, or w0 = -1 on D6); a power keeps only whether its
-    tangent is the adjoint character.
+    Each distinct power is evaluated once, in first-seen order over the
+    Coxeter elements: its tangent and signed Euler term are added in
+    place into the two sums of every cyclic group <c> = <c^{-1}> that
+    holds it (e in all of them; w0 = -1 on D4 and D6), and only whether
+    its tangent is the adjoint character is kept.  The tangent of e is
+    zero, so C' and C share one walk.
     """
     adjoint = adjoint_character(rs)
-    zero = rs.zero()
+    groups: dict[frozenset, tuple[Character, Character]] = {}
     cycles = []
     for c, word in coxeter_elements(rs):
-        powers = [weyl.identity(rs)]
-        for _ in range(1, element_order(c)):
-            powers.append(powers[-1] * c)
-        cycles.append((c, word, powers, frozenset(cj.matrix for cj in powers)))
-    groups = Counter(m for group in {g for *_, g in cycles} for m in group)
-    shared = {m for m, count in groups.items() if count > 1}
-    full_of: dict[tuple, bool] = {}
-    kept: dict[tuple, Character] = {}
-    sums_of: dict[frozenset, tuple[Character, Character]] = {}
-
-    def tangent(cj: WeylElement) -> Character:
-        """The inversion-set h0 sum of cj."""
-        total = inversion_tangent(rs, cj)
-        full_of[cj.matrix] = total == adjoint
-        return total
-
-    def signed_euler(cj: WeylElement) -> Character:
-        """(-1)^l(cj) chi(cj, e^{cj^-1 . 0})."""
-        chi = euler_char(rs, cj, e(cj.inverse().dot(zero)))
-        return chi if cj.length % 2 == 0 else -chi
-
-    def term(kind, cj: WeylElement) -> Character:
-        key = kind, cj.matrix
-        if key in kept:
-            return kept[key]
-        value = kind(cj)
-        if cj.matrix in shared:
-            kept[key] = value
-        return value
+        powers = _cycle(c)
+        group = frozenset(cj.matrix for cj in powers)
+        cycles.append((c, word, powers, groups.setdefault(group, (Character(), Character()))))
+    is_full: dict[tuple, bool] = {}
 
     counterexamples = []
     rows = []
-    for c, word, powers, group in cycles:
+    for c, word, powers, (sum53, sum58) in cycles:
         h = len(powers)
-        if group not in sums_of:
-            sums_of[group] = (char_sum(term(tangent, cj) for cj in powers[1:]),
-                              char_sum(term(signed_euler, cj) for cj in powers))
-        sum53, sum58 = sums_of[group]
-        min_j = next((j for j, cj in enumerate(powers[1:], 1) if full_of[cj.matrix]), None)
+        for j, cj in enumerate(powers):
+            if cj.matrix in is_full:
+                continue
+            tangent = inversion_tangent(rs, cj)
+            is_full[cj.matrix] = tangent == adjoint
+            chi = _dot_zero_euler(rs, cj, powers[-j])
+            for group, (tangents, eulers) in groups.items():
+                if cj.matrix in group:
+                    tangents.add(tangent)
+                    eulers.add(chi, (-1) ** cj.length)
+        min_j = next((j for j, cj in enumerate(powers[1:], 1) if is_full[cj.matrix]), None)
         if min_j is None:
             counterexamples.append({
                 "c_word": list(word),
                 "reason": "no power below h has full adjoint tangent character",
             })
         eq53 = sum53 == (h - 1) * adjoint
-        eq58 = sum58 == h * e(zero)
+        eq58 = sum58 == h * e(rs.zero())
 
         extremal = rs.ct.family == "A" and is_typeA_extremal(rs, c)
         if extremal:
@@ -414,6 +407,6 @@ def verify_cor52_53_58(rs: RootSystem) -> tuple[int, list, dict]:
             "cyclic_sum_matches": eq53,
             "signed_euler_sum_matches": eq58,
             "ss_c": ss_nonempty(rs, c),
-            "ss_c_inv": ss_nonempty(rs, c.inverse()),
+            "ss_c_inv": ss_nonempty(rs, powers[-1]),
         })
     return len(cycles), counterexamples, {"rows": rows}

@@ -74,18 +74,6 @@ class WeylElement:
         return WeylElement(self.rs, tuple(
             tuple(sum(map(mul, row, col)) for col in cols) for row in self.matrix))
 
-    def __pow__(self, k: int) -> "WeylElement":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = identity(self.rs)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def inverse(self) -> "WeylElement":
         """w^-1, by the reversed canonical word, checked by w w^-1 = e on
         rho: rho is regular, so only e fixes it."""

@@ -41,6 +41,12 @@ def test_character_algebra():
     assert s.multiplicity(rs.weight((1, 0))) == 0
     assert len(s) == 1  # cancelled terms are pruned
     assert s - s == Character.zero()
+    total = a + Character.zero()  # add works in place, on this copy only
+    total.add(b)
+    total.add(a, -1)
+    assert total == b and len(total) == 2 and a == e(rs.weight((1, 0)), 2)
+    total.add(b, -1)
+    assert total == Character.zero() and len(total) == 0  # pruned in place
     assert (2 * s).dimension() == 2
     assert (-s).is_effective() is False
     assert s.termwise_leq(2 * s)

@@ -464,9 +464,12 @@ def test_check_applicability_rejects_unknown():
     (("verify", "thmB", "--type", "F4", "--guard", "100"), "guard"),
     (("sweep", "--type", "A2", "--workers", "0"), "--workers"),
     (("sweep", "--type", "A2", "--workers", "-3"), "--workers"),
+    (("verify", "prop51", "--type", "A200", "--guard", "100"), "guard"),
+    (("sweep", "--type", "A200", "--guard", "100"), "guard"),
 ])
 def test_bad_input_exits_before_any_work(capsys, argv, needle):
-    # each of these would enumerate n! orderings or all of W if let through
+    # each of these would enumerate n! orderings or all of W if let through;
+    # A200 would spend minutes building its root system first
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 5.0
@@ -560,6 +563,8 @@ GOLDEN = {
         "fa9cb5bafb0711f4c9686e2f62b0798f343be45baeab2405eacb497c0f225d78",
     (("verify", "prop51", "--type", "E6"), "json"):
         "a5e6a4aeb1c7ed7cf1a63c26b2f607d7a6f08b831d3e66f2de6fc6dff99e864e",
+    (("verify", "thmC_typeA", "--type", "A5"), "json"):
+        "69596506ffef2931a39a162b788cdbe532cf42bfa97fbb68afd4b2e7957f9054",
 }
 
 

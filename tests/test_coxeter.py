@@ -16,9 +16,11 @@ from schubert import (
     simple_reflection,
     yz_exponent,
 )
-from schubert import weyl
+from schubert import coxeter, weyl
+from schubert.charring import e
 from schubert.cli import main
-from schubert.coxeter import _coxeter_data, verify_cor52_53_58, verify_lemma54_55_56
+from schubert.coxeter import (_coxeter_data, _cycle, _dot_zero_euler, verify_cor52_53_58,
+                              verify_lemma54_55_56)
 from schubert.report import run_check
 from schubert.weyl import WeylElement
 
@@ -130,13 +132,14 @@ def test_yz_exponent_hits_w0_image():
         rs = build(name)
         w0 = longest_element(rs)
         for c, _ in coxeter_elements(rs):
+            powers = _cycle(c)
             for i in range(1, rs.rank + 1):
                 j = yz_exponent(rs, c, i)
                 omega = rs.fundamental_weights[i - 1]
-                assert (c ** j).apply(omega) == w0.apply(omega)
+                assert powers[j].apply(omega) == w0.apply(omega)
                 # minimality
                 for k in range(1, j):
-                    assert (c ** k).apply(omega) != w0.apply(omega)
+                    assert powers[k].apply(omega) != w0.apply(omega)
 
 
 def test_typeA_extremal():
@@ -230,10 +233,46 @@ def test_verify_cor52_53_58(name):
 
 
 @pytest.mark.parametrize("name", ["A3", "A4", "D4", "D5"])
-def test_cor52_53_58_memo_matches_the_per_element_loop(name):
+def test_cor52_53_58_matches_the_per_element_loop(name):
     # universe, counterexamples and details, rows in order
     rs = build(name)
     assert verify_cor52_53_58(rs) == cor52_53_58_per_element(rs)
+
+
+@pytest.mark.parametrize("name,distinct", [("D4", 18), ("D5", 51)])
+def test_cor52_53_58_evaluates_each_power_once(monkeypatch, name, distinct):
+    # one tangent and one Euler composition per distinct power over all
+    # cyclic groups; on D4, e and w0 lie in every group
+    rs = build(name)
+    powers = set()
+    for c, _ in coxeter_elements(rs):
+        cj = c
+        while cj.matrix not in powers:
+            powers.add(cj.matrix)
+            cj = cj * c
+    assert len(powers) == distinct
+    calls = {"euler_char": 0, "inversion_tangent": 0}
+    for fn in calls:
+        def counted(*args, fn=fn, real=getattr(coxeter, fn)):
+            calls[fn] += 1
+            return real(*args)
+        monkeypatch.setattr(coxeter, fn, counted)
+    assert verify_cor52_53_58(rs)[1] == []
+    assert calls == {"euler_char": distinct, "inversion_tangent": distinct}
+
+
+@pytest.mark.parametrize("name", ["D4", "D6"])
+def test_coxeter_half_power_is_w0_with_signed_euler_e0(name):
+    # -1 is in W, so c^(h/2) = w0 for every Coxeter element c, and
+    # (-1)^N chi(w0, e^{w0 . 0}) = (-1)^N chi(w0, e^{-2 rho}) = e^0
+    rs = build(name)
+    w0 = longest_element(rs)
+    for c, _ in coxeter_elements(rs):
+        powers = _cycle(c)
+        h = len(powers)
+        assert h % 2 == 0 and powers[h // 2] == w0
+        chi = _dot_zero_euler(rs, powers[h // 2], powers[h // 2])
+        assert (-1) ** w0.length * chi == e(rs.zero())
 
 
 def test_cor52_53_58_rejects_two_lengths():
