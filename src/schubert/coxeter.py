@@ -45,18 +45,31 @@ class CoxeterAnalysis(Record):
                  "phi_words", "phi", "tau")
 
 
-@lru_cache(maxsize=None)
-def _coxeter_data(rs: RootSystem, c: WeylElement) -> tuple:
-    """analyze's table: (c, h, a, phi_words, clashes, splits) per distinct
-    c, keyed by matrix and by simple index, not position.
+class _CoxeterEntry(Record):
+    """analyze's table entry for one Coxeter element c, by simple index,
+    not position.
 
-    clashes holds the pairs {i, k} whose factors phi_i, phi_k do not
-    commute; splits maps a phi word, whose order depends on the ordering,
-    to (phi, tau).
+    images[i-1] = c(alpha_i); a and phi_words map a simple index to its
+    orbit length and phi word; clashes is None until _clashes fills it;
+    splits maps a phi word, whose order depends on the ordering, to
+    (phi, tau, phi_images), where phi_images[i-1] = phi(alpha_i).
+    """
+
+    __slots__ = ("c", "h", "images", "a", "phi_words", "clashes", "splits")
+
+
+@lru_cache(maxsize=None)
+def _coxeter_data(rs: RootSystem, c: WeylElement) -> _CoxeterEntry:
+    """c's entry, built once per distinct c.
+
+    An orbit of a simple root walks on the images c(alpha_k) alone, since
+    it is followed only while it stays simple; and c^-1(alpha_i) is simple
+    iff alpha_i is one of those images.  So c acts on n roots, once each.
     """
     h = element_order(c)
-    c_inv = c.inverse()
-    simple_index = {r.coords: i + 1 for i, r in enumerate(rs.simple_roots)}
+    simple_index = {r.coords: i for i, r in enumerate(rs.simple_roots, 1)}
+    images = tuple(map(c.apply_root, rs.simple_roots))
+    image_coords = {img.coords for img in images}
     a: dict[int, int] = {}
     phi_words: dict[int, tuple[int, ...]] = {}
     for i, root in enumerate(rs.simple_roots, 1):
@@ -64,46 +77,60 @@ def _coxeter_data(rs: RootSystem, c: WeylElement) -> tuple:
         letters = []
         cur = root
         while len(letters) < h and cur.coords in simple_index:
-            letters.append(simple_index[cur.coords])
-            cur = c.apply_root(cur)
+            k = simple_index[cur.coords]
+            letters.append(k)
+            cur = images[k - 1]
             if not cur.positive:
                 break
         if len(letters) < h and not cur.positive:
             a[i] = len(letters)
-            if c_inv.apply_root(root).coords not in simple_index:
+            if root.coords not in image_coords:
                 phi_words[i] = tuple(letters)
-    factors = {i: from_word(rs, word) for i, word in phi_words.items()}
-    clashes = {frozenset(pair) for pair in combinations(factors, 2)
-               if factors[pair[0]] * factors[pair[1]] != factors[pair[1]] * factors[pair[0]]}
-    return c, h, a, phi_words, clashes, {}
+    return _CoxeterEntry(c, h, images, a, phi_words, None, {})
+
+
+def _clashes(rs: RootSystem, entry: _CoxeterEntry) -> set[frozenset[int]]:
+    """The pairs {i, k} of simple indices whose factors phi_i, phi_k of
+    entry's c do not commute, kept in the entry on first use: only
+    verify_lemma54_55_56 reads them, and prop51 reads h from the same
+    entry."""
+    if entry.clashes is None:
+        factors = {i: from_word(rs, word) for i, word in entry.phi_words.items()}
+        entry.clashes = {
+            frozenset(pair) for pair in combinations(factors, 2)
+            if factors[pair[0]] * factors[pair[1]] != factors[pair[1]] * factors[pair[0]]}
+    return entry.clashes
 
 
 def analyze(rs: RootSystem, ordering: Sequence[int]) -> CoxeterAnalysis:
     """Compute the orbit data of c = s_{alpha_n} ... s_{alpha_1}.
 
-    Asserts the structural identities on the way out: phi is reduced as
-    the concatenation of the phi_j words, and tau * phi = c.  Whether
-    l(c) = l(tau) + l(phi) is a clause of verify_lemma54_55_56, which
-    reports it.
+    c is looked up by the orientation of the ordering, so its entry is
+    found without building c.  Asserts the structural identities on the
+    way out: phi is reduced as the concatenation of the phi_j words, and
+    tau * phi = c.  Whether l(c) = l(tau) + l(phi) is a clause of
+    verify_lemma54_55_56, which reports it.
     """
     ordering = tuple(ordering)
     if sorted(ordering) != list(range(1, rs.rank + 1)):
         raise ValueError(f"ordering {ordering} is not a permutation of the simples")
-    c, h, a_of, words_of, _, splits = _coxeter_data(
-        rs, from_word(rs, tuple(reversed(ordering))))
+    entry = _coxeter_data(rs, weyl.coxeter_element(rs, ordering[::-1]))
+    c, a_of, words_of, splits = entry.c, entry.a, entry.phi_words, entry.splits
     a = {pos: a_of[i] for pos, i in enumerate(ordering, 1) if i in a_of}
     phi_words = {pos: words_of[i] for pos, i in enumerate(ordering, 1) if i in words_of}
-    phi_word = tuple(letter for word in phi_words.values() for letter in word)
+    phi_word = sum(phi_words.values(), ())
     if phi_word not in splits:
         phi = from_word(rs, phi_word)
         if phi.length != len(phi_word):
             raise AssertionError("phi word is not reduced")
-        tau = c * phi.inverse()
+        # (s_{i1} ... s_{ik})^-1 = s_{ik} ... s_{i1}
+        tau = c * from_word(rs, phi_word[::-1])
         if tau * phi != c:
             raise AssertionError("tau * phi is not c")
-        splits[phi_word] = phi, tau
-    phi, tau = splits[phi_word]
-    return CoxeterAnalysis(ordering, c, h, tuple(a), a, tuple(phi_words), phi_words, phi, tau)
+        splits[phi_word] = phi, tau, tuple(map(phi.apply_root, rs.simple_roots))
+    phi, tau, _ = splits[phi_word]
+    return CoxeterAnalysis(ordering, c, entry.h, tuple(a), a, tuple(phi_words), phi_words,
+                           phi, tau)
 
 
 def _check_coxeter(rs: RootSystem, c: WeylElement) -> None:
@@ -111,10 +138,9 @@ def _check_coxeter(rs: RootSystem, c: WeylElement) -> None:
         raise ValueError("element is not a Coxeter element")
 
 
-def _orbit_exponent(rs: RootSystem, c: WeylElement, alpha: int, h: int) -> int | None:
-    """Minimal 1 <= j < h with c^j(omega_alpha) = w0(omega_alpha), or None."""
-    omega = rs.fundamental_weights[alpha - 1].fw
-    target = weyl.longest_element(rs).act(omega)
+def _orbit_exponent(c: WeylElement, omega: tuple[int, ...], target: tuple[int, ...],
+                    h: int) -> int | None:
+    """Minimal 1 <= j < h with c^j(omega) = target, or None."""
     cur = omega
     for j in range(1, h):
         cur = c.act(cur)
@@ -131,7 +157,9 @@ def yz_exponent(rs: RootSystem, c: WeylElement, alpha: int) -> int:
     """
     rs._check_index(alpha)
     _check_coxeter(rs, c)
-    j = _orbit_exponent(rs, c, alpha, element_order(c))
+    h = element_order(c)
+    omega = rs.fundamental_weights[alpha - 1].fw
+    j = _orbit_exponent(c, omega, weyl.longest_element(rs).act(omega), h)
     if j is None:
         raise AssertionError(f"no exponent below the Coxeter number for alpha_{alpha}")
     return j
@@ -161,18 +189,21 @@ def verify_prop51(rs: RootSystem) -> tuple[int, list, dict]:
     """Orbit exponents exist below h for every Coxeter element and alpha."""
     counterexamples = []
     rows = []
+    w0 = weyl.longest_element(rs)
+    omegas = [omega.fw for omega in rs.fundamental_weights]
+    targets = [w0.act(omega) for omega in omegas]
     elements = coxeter_elements(rs)
     for c, word in elements:
-        h = element_order(c)
-        for alpha in range(1, rs.rank + 1):
-            j = _orbit_exponent(rs, c, alpha, h)
+        h = _coxeter_data(rs, c).h
+        for alpha, (omega, target) in enumerate(zip(omegas, targets), 1):
+            j = _orbit_exponent(c, omega, target, h)
             if j is None:
                 counterexamples.append({"c_word": list(word), "alpha": alpha,
                                         "reason": f"no exponent below h = {h}"})
             else:
                 rows.append({"c_word": list(word), "alpha": alpha, "j": j})
     return len(elements) * rs.rank, counterexamples, {
-        "coxeter_number": element_order(elements[0][0]),
+        "coxeter_number": _coxeter_data(rs, elements[0][0]).h,
         "rows": rows,
     }
 
@@ -192,7 +223,9 @@ def verify_lemma54_55_56(rs: RootSystem) -> tuple[int, list, dict]:
     for perm in permutations(range(1, n + 1)):
         universe += 1
         analysis = analyze(rs, perm)
-        c = analysis.c
+        entry = _coxeter_data(rs, analysis.c)
+        images = entry.images
+        phi_images = entry.splits[sum(analysis.phi_words.values(), ())][2]
         roots = [rs.simple_roots[perm[p - 1] - 1] for p in range(1, n + 1)]
 
         # c maps the position-i root to the position-j root iff j is the
@@ -203,7 +236,7 @@ def verify_lemma54_55_56(rs: RootSystem) -> tuple[int, list, dict]:
         later = {j: [k for k in range(j + 1, n + 1) if cartan[perm[k - 1] - 1][perm[j - 1] - 1]]
                  for j in range(1, n + 1)}
         for i in range(1, n + 1):
-            img = c.apply_root(roots[i - 1])
+            img = images[perm[i - 1] - 1]
             for j in range(1, n + 1):
                 if i == j:
                     continue
@@ -230,7 +263,7 @@ def verify_lemma54_55_56(rs: RootSystem) -> tuple[int, list, dict]:
                         })
 
         # the phi factors commute pairwise; the verdicts are c's, by simple index
-        clashes = _coxeter_data(rs, c)[4]
+        clashes = _clashes(rs, entry)
         for j, k in combinations(analysis.J, 2):
             if frozenset((perm[j - 1], perm[k - 1])) in clashes:
                 counterexamples.append({
@@ -252,8 +285,8 @@ def verify_lemma54_55_56(rs: RootSystem) -> tuple[int, list, dict]:
         for r in range(1, n + 1):
             if perm[r - 1] not in tau_letters:
                 continue
-            via_c = c.apply_root(roots[r - 1]).height
-            via_phi = analysis.phi.apply_root(roots[r - 1]).height
+            via_c = images[perm[r - 1] - 1].height
+            via_phi = phi_images[perm[r - 1] - 1].height
             if via_c < via_phi:
                 counterexamples.append({
                     "ordering": list(perm), "clause": "height-comparison",

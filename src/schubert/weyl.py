@@ -26,7 +26,9 @@ left for general products.  ``enumerate_group`` is a breadth-first
 enumeration that dedupes and finds canonical words on H and builds one
 matrix per element; the sweeps walk the group depth first instead
 (``cohomology.group_walk``).  Elements invert by their reversed canonical
-word, so no rational arithmetic touches a group element.
+word, so no rational arithmetic touches a group element.  A Coxeter
+element is looked up by its Dynkin orientation (``coxeter_element``), so
+it is built once however many orderings name it.
 """
 
 from __future__ import annotations
@@ -376,18 +378,60 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
     return lu == 0
 
 
+@lru_cache(maxsize=None)
+def _dynkin_edges(rs: RootSystem) -> tuple[tuple[int, int], ...]:
+    """The edges {i, k} of the Dynkin diagram as (i, k), i < k, 1-based, in
+    lexicographic order."""
+    return tuple((k + 1, j + 1) for k, nbrs in enumerate(rs._neighbours)
+                 for j, _ in nbrs if j > k)
+
+
+def orientation(rs: RootSystem, word: Sequence[int]) -> tuple[bool, ...]:
+    """Per Dynkin edge (i, k), whether s_i comes before s_k in ``word``, a
+    permutation of the simple indices.
+
+    s_{i1} ... s_{in} depends on this alone: letters with no edge between
+    them commute.  On a tree diagram, which every finite type has, distinct
+    orientations give distinct Coxeter elements (J.-Y. Shi, The enumeration
+    of Coxeter elements, J. Algebraic Combin. 6 (1997)), so the key is
+    faithful, and there are 2^(n-1) of them.
+    """
+    pos = [0] * (rs.rank + 1)
+    for p, i in enumerate(word):
+        pos[i] = p
+    return tuple(pos[i] < pos[k] for i, k in _dynkin_edges(rs))
+
+
+@lru_cache(maxsize=None)
+def _coxeter_table(rs: RootSystem) -> dict[tuple[bool, ...], WeylElement]:
+    """The Coxeter elements of rs built so far, keyed by orientation."""
+    return {}
+
+
+def coxeter_element(rs: RootSystem, word: Sequence[int]) -> WeylElement:
+    """s_{i1} ... s_{in} for ``word``, a permutation of the simple indices,
+    looked up by its orientation; built from the word only the first time
+    its orientation is seen, and the same object after that."""
+    key = orientation(rs, word)
+    table = _coxeter_table(rs)
+    c = table.get(key)
+    if c is None:
+        c = table[key] = from_word(rs, word)
+    return c
+
+
 def coxeter_elements(rs: RootSystem) -> list[tuple[WeylElement, tuple[int, ...]]]:
     """Distinct Coxeter elements with the lex-first word that produced each.
 
-    Built from every permutation of the simple reflections and deduplicated
-    by matrix, so the list order is deterministic.
+    Every permutation of the simple reflections is read in lexicographic
+    order and looked up by its orientation, so one matrix is built per
+    orientation, 2^(n-1) in all, not one per permutation; the list is
+    deduplicated by matrix in permutation order, so it is deterministic.
     """
-    found: dict[tuple, tuple[WeylElement, tuple[int, ...]]] = {}
+    found: dict[WeylElement, tuple[int, ...]] = {}
     for perm in permutations(range(1, rs.rank + 1)):
-        c = from_word(rs, perm)
-        if c.matrix not in found:
-            found[c.matrix] = (c, perm)
-    return list(found.values())
+        found.setdefault(coxeter_element(rs, perm), perm)
+    return list(found.items())
 
 
 def element_order(w: WeylElement) -> int:

@@ -11,15 +11,17 @@ instead of the integer D * C^-1 rows and fraction-free elimination, string
 steps on fw tuples instead of packed integer keys, one Coxeter element at
 a time instead of the memo over distinct powers, matrix powers instead of
 the first return of rho, one analysis per ordering instead of the table
-of distinct Coxeter elements, so agreement is evidence rather than
-tautology.
+of distinct Coxeter elements, one product per permutation instead of one
+per Dynkin orientation, and a dot-action walk to the dominant chamber
+with Freudenthal's recursion instead of the Demazure operator of w0, so
+agreement is evidence rather than tautology.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import gcd, lcm
 from operator import add, sub
 from typing import Iterable, Iterator, Sequence
@@ -527,3 +529,38 @@ def analyze_per_ordering(rs: RootSystem, ordering: Sequence[int]) -> CoxeterAnal
     phi = mul_from_word(rs, [letter for pos in J for letter in phi_words[pos]])
     tau = c * gauss_jordan_inverse(phi)
     return CoxeterAnalysis(ordering, c, h, tuple(J_prime), a, tuple(J), phi_words, phi, tau)
+
+
+def coxeter_elements_per_permutation(rs: RootSystem) -> list[tuple[WeylElement, tuple[int, ...]]]:
+    """coxeter_elements with one product per permutation of the simple
+    reflections, deduplicated by matrix in permutation order."""
+    found: dict[tuple, tuple[WeylElement, tuple[int, ...]]] = {}
+    for perm in permutations(range(1, rs.rank + 1)):
+        c = from_word(rs, perm)
+        if c.matrix not in found:
+            found[c.matrix] = (c, perm)
+    return list(found.values())
+
+
+def bott_dot_walk(rs: RootSystem, lam: Weight) -> tuple[int, Weight] | None:
+    """(l(u), u . lam) for the u with u . lam dominant, or None when lam + rho
+    is singular.
+
+    Walks mu = lam + rho on fw tuples: while a coordinate mu_i is negative,
+    mu becomes s_i(mu) = mu - mu_i alpha_i (alpha_i is column i of the
+    Cartan matrix).  Each step makes one fewer positive root pair negatively
+    with mu, so the steps count l(u); the walk ends on the dominant weight
+    of mu's orbit, which lies on a wall iff mu is singular.
+    """
+    mu = [a + 1 for a in lam.fw]
+    steps = 0
+    while True:
+        i = next((i for i, a in enumerate(mu) if a < 0), None)
+        if i is None:
+            break
+        m = mu[i]
+        mu = [x - m * rs.cartan[j][i] for j, x in enumerate(mu)]
+        steps += 1
+    if 0 in mu:
+        return None
+    return steps, Weight(tuple(x - 1 for x in mu))

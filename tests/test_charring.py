@@ -18,7 +18,8 @@ from schubert import (
 )
 from schubert.rootsys import Weight
 
-from helpers import fraction_height, freudenthal_char, random_small_character, weyl_dim
+from helpers import (bott_dot_walk, fraction_height, freudenthal_char, random_small_character,
+                     weyl_dim)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
@@ -31,6 +32,53 @@ def test_bott_at_w0_on_minus_two_rho(name):
     out = demazure_along_word(rs, longest_element(rs).reduced_word(),
                               e(rs.weight((-2,) * rs.rank)))
     assert (-1) ** len(rs.positive_roots) * out == e(rs.zero())
+
+
+# per type, a box of fw coordinates (one range per coordinate) around
+# -rho: it meets the chambers of e and w0, one between them, and walls.
+# The rank-4 boxes widen only some coordinates, F4's the fewest, so that
+# no u . lam is as large as rho there (dim V(rho) = 2^|R+|).
+BOTT_BOXES = {
+    "A1": [(-5, 3)],
+    "A2": [(-4, 2)] * 2,
+    "B2": [(-4, 2)] * 2,
+    "G2": [(-4, 2)] * 2,
+    "A3": [(-4, 2)] * 3,
+    "B3": [(-3, 1)] * 3,
+    "C3": [(-3, 1)] * 3,
+    "A4": [(-3, 1)] * 4,
+    "D4": [(-3, 1)] * 4,
+    "B4": [(-2, 1)] * 2 + [(-2, 0)] * 2,
+    "C4": [(-2, 1)] * 2 + [(-2, 0)] * 2,
+    "F4": [(-2, 0)] * 2 + [(-2, 1)] * 2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOTT_BOXES))
+def test_bott_theorem_on_a_box_of_weights(name):
+    # Bott's theorem for the flag variety: D_{w0}(e^lam) is
+    # (-1)^l(u) ch V(u . lam) for the u with u . lam dominant, and 0 when
+    # lam + rho is singular; u comes from a dot-action walk and ch V from
+    # Freudenthal's recursion, neither of which runs a Demazure operator
+    rs = build(name)
+    word = longest_element(rs).reduced_word()
+    irreducible = {}
+    lengths = set()
+    singular = 0
+    for fw in itertools.product(*(range(low, high + 1) for low, high in BOTT_BOXES[name])):
+        lam = rs.weight(fw)
+        out = demazure_along_word(rs, word, e(lam))
+        walk = bott_dot_walk(rs, lam)
+        if walk is None:
+            singular += 1
+            assert out == Character.zero(), fw
+            continue
+        length, top = walk
+        lengths.add(length)
+        if top not in irreducible:
+            irreducible[top] = freudenthal_char(rs, top)
+        assert out == (-1) ** length * irreducible[top], fw
+    assert singular and {0, 1, len(word)} <= lengths
 
 
 def test_character_algebra():

@@ -1,5 +1,7 @@
 """Coxeter-element orbit data: the tau-phi splitting and its sweeps."""
 
+import collections
+import functools
 import itertools
 import json
 
@@ -19,8 +21,8 @@ from schubert import (
 from schubert import coxeter, weyl
 from schubert.charring import e
 from schubert.cli import main
-from schubert.coxeter import (_coxeter_data, _cycle, _dot_zero_euler, verify_cor52_53_58,
-                              verify_lemma54_55_56)
+from schubert.coxeter import (_clashes, _coxeter_data, _cycle, _dot_zero_euler,
+                              verify_cor52_53_58, verify_lemma54_55_56)
 from schubert.report import run_check
 from schubert.weyl import WeylElement
 
@@ -101,12 +103,49 @@ def test_phi_factor_commutation_is_read_per_c_and_reindexed(name):
         # pretend no two factors commute: every pair of J must be reported
         for c, _ in coxeter_elements(rs):
             entry = _coxeter_data(rs, c)
-            assert not entry[4]
-            entry[4].update(frozenset(pair) for pair in itertools.combinations(entry[3], 2))
+            clashes = _clashes(rs, entry)
+            assert not clashes
+            clashes.update(frozenset(pair) for pair in itertools.combinations(entry.phi_words, 2))
         _, rows, _ = verify_lemma54_55_56(rs)
         assert rows == expected
     finally:
         _coxeter_data.cache_clear()
+
+
+@pytest.mark.parametrize("name", ["D5", "E6"])
+def test_lemma54_56_and_prop51_build_each_coxeter_element_once(monkeypatch, name):
+    # over a fresh table, one lemma54_56 and one prop51 build c once per
+    # Dynkin orientation (2^(n-1)), not once per ordering (n!); c acts on
+    # each simple root once, and each (c, phi word) split's phi once
+    rs = build(name)
+    n = rs.rank
+    monkeypatch.setattr(weyl, "_coxeter_table", functools.lru_cache(lambda rs: {}))
+    monkeypatch.setattr(coxeter, "_coxeter_data",
+                        functools.lru_cache(coxeter._coxeter_data.__wrapped__))
+    builds = []
+
+    def counted_from_word(rs, word, real=weyl.from_word):
+        word = tuple(word)
+        if sorted(word) == list(range(1, n + 1)):
+            builds.append(word)
+        return real(rs, word)
+
+    actions = collections.Counter()
+
+    def counted_apply_root(w, beta, real=WeylElement.apply_root):
+        actions[id(w)] += 1
+        return real(w, beta)
+
+    monkeypatch.setattr(weyl, "from_word", counted_from_word)
+    monkeypatch.setattr(WeylElement, "apply_root", counted_apply_root)
+    assert verify_lemma54_55_56(rs)[1] == []
+    assert coxeter.verify_prop51(rs)[1] == []
+    elements = list(weyl._coxeter_table(rs).values())
+    assert len(builds) == len(elements) == 2 ** (n - 1)
+    assert len({weyl.orientation(rs, word) for word in builds}) == len(builds)
+    assert all(actions[id(c)] == n for c in elements)
+    splits = sum(len(coxeter._coxeter_data(rs, c).splits) for c in elements)
+    assert sum(actions.values()) == n * (len(elements) + splits)
 
 
 def test_yz_exponent_a2():

@@ -19,10 +19,11 @@ from schubert import (
     simple_reflection,
 )
 from schubert.report import DEFAULT_GUARD, GUARD_ENV_VAR, resolve_guard
+from schubert.weyl import coxeter_element, orientation
 
-from helpers import (LAYER_TYPES, gauss_jordan_inverse, matrix_power_order, mul_from_word,
-                     peel_reduced_word, random_element, reduced_words, subword_bruhat_leq,
-                     weight_orbit)
+from helpers import (LAYER_TYPES, coxeter_elements_per_permutation, gauss_jordan_inverse,
+                     matrix_power_order, mul_from_word, peel_reduced_word, random_element,
+                     reduced_words, subword_bruhat_leq, weight_orbit)
 
 
 def test_simple_reflection_basics():
@@ -162,8 +163,9 @@ def test_min_parabolic_rep_inversions():
             assert {r.coords for r in w.inversion_set()} == expected
 
 
-COXETER_COUNTS = {"A2": 2, "A3": 4, "B2": 2, "G2": 2, "D4": 8}
-COXETER_NUMBERS = {"A2": 3, "A3": 4, "B2": 4, "G2": 6, "D4": 6}
+# 2^(n-1) Coxeter elements on a tree diagram: one per orientation of its edges
+COXETER_COUNTS = {"A2": 2, "A3": 4, "B2": 2, "G2": 2, "D4": 8, "E7": 64, "E8": 128}
+COXETER_NUMBERS = {"A2": 3, "A3": 4, "B2": 4, "G2": 6, "D4": 6, "E7": 18, "E8": 30}
 
 
 @pytest.mark.parametrize("name", sorted(COXETER_COUNTS))
@@ -176,6 +178,25 @@ def test_coxeter_elements(name):
         assert c == from_word(rs, word)
         assert c.length == rs.rank
         assert element_order(c) == COXETER_NUMBERS[name]
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "A6", "B3", "C4", "D4",
+                                  "D5", "E6", "F4", "G2"])
+def test_coxeter_elements_match_the_per_permutation_oracle(name):
+    # the same elements, words and order as a product per permutation
+    rs = build(name)
+    found = [(c.matrix, word) for c, word in coxeter_elements(rs)]
+    assert found == [(c.matrix, word) for c, word in coxeter_elements_per_permutation(rs)]
+
+
+def test_orientation_keys_the_coxeter_element():
+    # on A3 the edges are {1, 2} and {2, 3}; s1 s3 s2 = s3 s1 s2 and s2
+    # comes last in both, while s2 s1 s3 reverses both edges
+    rs = build("A3")
+    assert orientation(rs, (1, 3, 2)) == orientation(rs, (3, 1, 2)) == (True, False)
+    assert orientation(rs, (2, 1, 3)) == (False, True)
+    assert coxeter_element(rs, (3, 1, 2)) is coxeter_element(rs, (1, 3, 2))
+    assert coxeter_element(rs, (3, 1, 2)) == from_word(rs, (3, 1, 2))
 
 
 @pytest.mark.parametrize("name, h", [("A5", 6), ("D5", 8), ("E6", 12)])
