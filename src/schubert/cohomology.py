@@ -11,9 +11,11 @@ carries columns indexed by those weights, and D_i is a table built once
 per root system from ``demazure_op``.  thmB seeds the sum of the e^beta;
 thmA and thm42 share one walk (``verify_root_lines``) whose columns pack
 every per-root line as a 32-bit digit; ``inversion_tangent`` steps the
-same tables along one word.  The criterion for X(tau^-1) is read off the
-walk's x = (D ht tau^-1(alpha_k))_k, and tau's inversions are
-``tau.inverted()``.  Single queries go along the canonical reduced word
+same tables along one word.  The walk yields tau as its column heights,
+the one representation of a group element (``weyl``), and keeps tau's
+matrix rows to itself for the left step.  The criterion for X(tau^-1) is
+read off the walk's x = (D ht tau^-1(alpha_k))_k, and tau's inversions
+are ``tau.inverted()``.  Single queries go along the canonical reduced word
 (``euler_char``, ``h0_line``).  Individual cohomology characters are only
 ever reported in regimes where vanishing is certified:
 
@@ -34,8 +36,7 @@ from typing import Iterable, Iterator, Sequence
 from .charring import (_DIGIT, _MASK, _OFF, Character, _pack, adjoint_character, char_to_str,
                        demazure_along_word, demazure_op, e)
 from .rootsys import RootSystem, Weight
-from .weyl import (WeylElement, from_word, guarded_order, identity, longest_element,
-                   min_parabolic_rep)
+from .weyl import WeylElement, from_word, guarded_order, longest_element, min_parabolic_rep
 
 __all__ = [
     "euler_char",
@@ -140,12 +141,12 @@ def _character(rs: RootSystem, cols: Iterable[int]) -> Character:
 
 
 def group_walk(rs: RootSystem, seed: list[int], guard: int | None = None,
-               sign: int = 0) -> Iterator[tuple[list[int], tuple[int, ...], tuple, tuple, list[int]]]:
-    """Every tau in W once, depth first, as (x, word, matrix, heights, cols):
+               sign: int = 0) -> Iterator[tuple[list[int], tuple[int, ...], tuple, list[int]]]:
+    """Every tau in W once, depth first, as (x, word, heights, cols):
 
       * x = (D ht sigma(alpha_k))_k and word, the canonical word of
         sigma = tau^-1;
-      * tau's matrix on fw coordinates and its column heights H(tau);
+      * tau's column heights H(tau), which name it: ``WeylElement(rs, H)``;
       * chi(tau, seed) as columns: the multiplicities at 0, then at
         ``rs.roots``, an entry maybe packing several as 32-bit digits.
 
@@ -154,17 +155,20 @@ def group_walk(rs: RootSystem, seed: list[int], guard: int | None = None,
     and the smallest right descent of sigma s_k, and the smallest letter
     goes first, so e is followed by s_1.  On tau that edge is the left step
     s_k tau, one letter longer: its columns are one ``_column_step`` of
-    tau's, certified against sign; its matrix takes row_j -= C[j][k] row_k
-    (row k and its Dynkin neighbours), and H(s_k tau) = H(tau) - D row_k.
-    An explicit stack holds a pending child as its letter, its x and its
-    parent, so only the column lists along the current path are alive: at
-    most N + 1, N = |R+| the depth.  The guard prices |W| before the walk starts; visiting
-    any other number of elements is an engine failure.
+    tau's, certified against sign, and H(s_k tau) = H(tau) - D row_k, row k
+    of tau's matrix on fw coordinates.  Those rows are the walk's own
+    state, never yielded: s_k tau takes row_j -= C[j][k] row_k (row k and
+    its Dynkin neighbours).  An explicit stack holds a pending child as its
+    letter, its x, its parent and the parent's rows, so only the column
+    lists along the current path are alive: at most N + 1, N = |R+| the
+    depth.  The guard prices |W| before the walk starts; visiting any other
+    number of elements is an engine failure.
     """
     order = guarded_order(rs, guard)
     n, den, cartan = rs.rank, rs._den, rs.cartan
     rows_of, neighbours = rs._simple_rows, rs._neighbours
-    node = ([den] * n, (), identity(rs).matrix, rs._height_vec, seed)
+    node = ([den] * n, (), rs._height_vec, seed)
+    mat = [tuple(int(a == b) for b in range(n)) for a in range(n)]
     stack: list = []
     visited = 0
     while True:
@@ -181,17 +185,18 @@ def group_walk(rs: RootSystem, seed: list[int], guard: int | None = None,
                 y[j] -= c * xk
             # below d every x_j > 0 and only grows; else no descent below k
             if k < d or min(y[:k]) > 0:
-                stack.append((k, y, node))
+                stack.append((k, y, node, mat))
         if not stack:
             break
-        k, y, (_, word, mat, h, cols) = stack.pop()
+        k, y, (_, word, h, cols), mat = stack.pop()
         row = mat[k]
         new = list(mat)
         new[k] = tuple(map(neg, row))
         for j, c in neighbours[k]:
             new[j] = (tuple(map(add, mat[j], row)) if c == 1 else
                       tuple(a + c * b for a, b in zip(mat[j], row)))
-        node = (y, word + (k + 1,), tuple(new), tuple(a - den * b for a, b in zip(h, row)),
+        mat = new
+        node = (y, word + (k + 1,), tuple(a - den * b for a, b in zip(h, row)),
                 _column_step(rs, k + 1, cols, sign))
     if visited != order:
         raise AssertionError(f"engine failure: walked {visited} elements, expected {order}")
@@ -251,7 +256,7 @@ def verify_root_lines(rs: RootSystem, checks: Sequence[str],
             raise AssertionError(f"w_alpha is outside the coset w0 W_P for alpha_{a}")
     coset_rows: dict[int, list[dict]] = {a: [] for a in alphas}
     per_alpha = {str(a): 0 for a in alphas}
-    for x, word, mat, h, cols in group_walk(rs, seed, guard, sign):
+    for x, word, h, cols in group_walk(rs, seed, guard, sign):
         # w0(omega_a) is the one weight of least height in W omega_a
         cosets = [a for a in alphas if h[a - 1] == w0[a - 1]]
         if not (thmA or cosets):
@@ -267,7 +272,7 @@ def verify_root_lines(rs: RootSystem, checks: Sequence[str],
             n_ss += criterion
             if is_full != criterion:
                 tangent_rows.append({
-                    "tau_word": list(WeylElement(rs, mat, h).reduced_word()),
+                    "tau_word": list(WeylElement(rs, h).reduced_word()),
                     "tau_inv_word": list(word),
                     "tangent_equals_adjoint": is_full,
                     "ss_nonempty": criterion,
@@ -275,7 +280,7 @@ def verify_root_lines(rs: RootSystem, checks: Sequence[str],
                 })
         if not cosets:
             continue
-        tau = WeylElement(rs, mat, h)
+        tau = WeylElement(rs, h)
         seen = reduce(or_, cols)  # every digit is certified nonnegative
         lines = {r: [c >> _DIGIT * r & _MASK for c in cols] for r, neg in
                  enumerate(tau.inverted()) if not neg and seen >> _DIGIT * r & _MASK}
@@ -324,10 +329,9 @@ def verify_thmB_criterion(rs: RootSystem,
     target = [adjoint._terms.get(k, 0) for k in _adjoint_tables(rs)[0]]
     alpha0 = rs.highest_root.coords
     rows, flagged = [], []
-    for x, word, mat, h, total in group_walk(rs, [0, *(int(r.positive) for r in rs.roots)],
-                                             guard):
+    for x, word, h, total in group_walk(rs, [0, *(int(r.positive) for r in rs.roots)], guard):
         has_negative = min(total) < 0
-        tau_word = list(WeylElement(rs, mat, h).reduced_word())
+        tau_word = list(WeylElement(rs, h).reduced_word())
         rows.append({
             "tau_word": tau_word,
             "tau_inv_word": list(word),

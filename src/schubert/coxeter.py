@@ -393,25 +393,25 @@ def verify_cor52_53_58(rs: RootSystem) -> tuple[int, list, dict]:
     cycles = []
     for c, word in coxeter_elements(rs):
         powers = _cycle(c)
-        group = frozenset(cj.matrix for cj in powers)
+        group = frozenset(powers)
         cycles.append((c, word, powers, groups.setdefault(group, (Character(), Character()))))
-    is_full: dict[tuple, bool] = {}
+    is_full: dict[WeylElement, bool] = {}
 
     counterexamples = []
     rows = []
     for c, word, powers, (sum53, sum58) in cycles:
         h = len(powers)
         for j, cj in enumerate(powers):
-            if cj.matrix in is_full:
+            if cj in is_full:
                 continue
             tangent = inversion_tangent(rs, cj)
-            is_full[cj.matrix] = tangent == adjoint
+            is_full[cj] = tangent == adjoint
             chi = _dot_zero_euler(rs, cj, powers[-j])
             for group, (tangents, eulers) in groups.items():
-                if cj.matrix in group:
+                if cj in group:
                     tangents.add(tangent)
                     eulers.add(chi, (-1) ** cj.length)
-        min_j = next((j for j, cj in enumerate(powers[1:], 1) if is_full[cj.matrix]), None)
+        min_j = next((j for j, cj in enumerate(powers[1:], 1) if is_full[cj]), None)
         if min_j is None:
             counterexamples.append({
                 "c_word": list(word),

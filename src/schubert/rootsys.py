@@ -307,8 +307,8 @@ class RootSystem:
         self._simple_columns = tuple(
             tuple((j, row[k]) for j, row in enumerate(self.cartan) if row[k])
             for k in range(ct.rank))
-        # (j, -C[j][k]) for the Dynkin neighbours j of k: w s_k(omega_k) is
-        # -w(omega_k) plus these multiples of the w(omega_j)
+        # (j, -C[j][k]) for the Dynkin neighbours j of k: the left step
+        # s_k tau adds these multiples of row k of tau's matrix to row j
         self._neighbours = tuple(tuple((j, -c) for j, c in col if j != k)
                                  for k, col in enumerate(self._simple_columns))
         # row d of C as its nonzero (k, C[d][k]): on x_k = D ht w(alpha_k),

@@ -1,16 +1,11 @@
 """Weyl groups acting on the weight lattice.
 
-Elements are integer matrices acting on fundamental-weight coordinates;
-equality and hashing go through the matrix, never through words, so
-different reduced expressions of the same element collide as they should.
-Canonical reduced words peel the smallest-index right descent, which makes
-every enumeration in the engine deterministic.
-
-Column j of the matrix is w(omega_j).  Each element also carries its
-column heights H = (D ht w(omega_1), ..., D ht w(omega_n)), D the
-denominator of the inverse Cartan matrix.  H is D times the coroot
-coordinates of w^-1(rho^vee), and rho^vee is regular, so H is a faithful
-key; it also carries every descent test:
+An element w is its column heights H = (D ht w(omega_1), ..., D ht
+w(omega_n)), D the denominator of the inverse Cartan matrix.  H is D times
+the coroot coordinates of w^-1(rho^vee), and rho^vee is regular, so H is a
+faithful key: equality and hashing compare H, never words, so different
+reduced expressions of the same element collide as they should.  H carries
+every descent test:
 
   * D ht w(alpha_k) = sum_j C[j][k] H_j reads at most four Dynkin
     neighbours, and k is a right descent of w iff it is negative
@@ -19,23 +14,26 @@ key; it also carries every descent test:
   * on x = (D ht w(alpha_k))_k itself, w s_d negates x_d and changes x_k
     by -C[d][k] x_d at the Dynkin neighbours k of d alone.
 
-So canonical words (peeled on x), lengths, Bruhat comparisons and the
-climbs to w0 walk on H and build no matrix.  ``times_simple`` (w s_i)
-changes one column of the matrix from at most four others; ``__mul__`` is
-left for general products.  ``enumerate_group`` is a breadth-first
-enumeration that dedupes and finds canonical words on H and builds one
-matrix per element; the sweeps walk the group depth first instead
-(``cohomology.group_walk``).  Elements invert by their reversed canonical
-word, so no rational arithmetic touches a group element.  A Coxeter
-element is looked up by its Dynkin orientation (``coxeter_element``), so
-it is built once however many orderings name it.
+Canonical reduced words peel the smallest-index right descent on x, which
+makes every enumeration in the engine deterministic.  Words, lengths,
+Bruhat comparisons, the climbs to w0 and products u v (u's heights stepped
+along v's canonical word) all walk on H.  The action on fw coordinates
+applies the canonical word letter by letter, each letter touching at most
+four coordinates, and a heights tuple that names no element has no
+canonical word, so it is refused there.  ``enumerate_group`` is a
+breadth-first enumeration that dedupes and finds canonical words on H; the
+sweeps walk the group depth first instead (``cohomology.group_walk``).
+Elements invert by their reversed canonical word, so no rational
+arithmetic touches a group element.  A Coxeter element is looked up by its
+Dynkin orientation (``coxeter_element``), so it is built once however many
+orderings name it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, repeat
-from operator import add, mul, neg
+from itertools import permutations
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .report import GuardExceeded, resolve_guard
@@ -54,27 +52,28 @@ __all__ = [
 ]
 
 class WeylElement:
-    """One Weyl-group element, represented by its action on fw coordinates,
-    with its column heights cached as ``heights`` (passed in by a caller
-    that has stepped them along with the matrix)."""
+    """One Weyl-group element, represented by its column heights H (passed
+    in by a caller that has stepped them), with its canonical word and
+    inverse cached on first use."""
 
-    __slots__ = ("rs", "matrix", "_hash", "_heights", "_word", "_inverse")
+    __slots__ = ("rs", "heights", "_word", "_inverse")
 
-    def __init__(self, rs: RootSystem, matrix: tuple[tuple[int, ...], ...],
-                 heights: tuple[int, ...] | None = None):
+    def __init__(self, rs: RootSystem, heights: tuple[int, ...]):
         self.rs = rs
-        self.matrix = matrix
-        self._hash = hash(matrix)
-        self._heights = heights
+        self.heights = heights
         self._word: tuple[int, ...] | None = None
         self._inverse: "WeylElement | None" = None
 
     # -- group structure ----------------------------------------------------
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        cols = tuple(zip(*other.matrix))
-        return WeylElement(self.rs, tuple(
-            tuple(sum(map(mul, row, col)) for col in cols) for row in self.matrix))
+        """u v: u's heights stepped along v's canonical word, u -> u s_i
+        per letter."""
+        h = self.heights
+        cols = self.rs._simple_columns
+        for i in other.reduced_word():
+            h = _reflect(h, i - 1, _root_height(h, cols[i - 1]))
+        return WeylElement(self.rs, h)
 
     def inverse(self) -> "WeylElement":
         """w^-1, by the reversed canonical word, checked by w w^-1 = e on
@@ -88,36 +87,26 @@ class WeylElement:
             inv._inverse = self
         return self._inverse
 
-    def times_simple(self, i: int) -> "WeylElement":
-        """w * s_i: column i of the matrix becomes col_i - w(alpha_i), with
-        w(alpha_i) = sum_j C[j][i] w(omega_j) read from at most four columns,
-        so it is -col_i plus -C[j][i] col_j over the Dynkin neighbours j.
-
-        The column heights, when w has them, change alike.
-        """
-        k = i - 1
-        cols = list(zip(*self.matrix))
-        image = map(neg, cols[k])
-        for j, c in self.rs._neighbours[k]:
-            image = map(add, image, cols[j] if c == 1 else map(mul, cols[j], repeat(c)))
-        cols[k] = image
-        v = WeylElement(self.rs, tuple(zip(*cols)))
-        h = self._heights
-        if h is not None:
-            v._heights = _reflect(h, k, _root_height(h, self.rs._simple_columns[k]))
-        return v
-
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, WeylElement) and self.matrix == other.matrix
+        return isinstance(other, WeylElement) and self.heights == other.heights
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.heights)
 
     # -- action ---------------------------------------------------------------
 
     def act(self, fw: tuple[int, ...]) -> tuple[int, ...]:
-        """w(lam) on bare fw coordinates, the form every engine path uses."""
-        return tuple(sum(map(mul, row, fw)) for row in self.matrix)
+        """w(lam) on bare fw coordinates, the form every engine path uses:
+        the canonical word's letters from the right, s_i(lam) = lam -
+        lam_i alpha_i on the at most four entries of column i of C."""
+        lam = list(fw)
+        cols = self.rs._simple_columns
+        for i in reversed(self.reduced_word()):
+            m = lam[i - 1]
+            if m:
+                for j, c in cols[i - 1]:
+                    lam[j] -= c * m
+        return tuple(lam)
 
     def apply(self, lam: Weight) -> Weight:
         return Weight(self.act(lam.fw))
@@ -133,18 +122,6 @@ class WeylElement:
         return self.apply(lam + self.rs.rho) - self.rs.rho
 
     # -- combinatorics ---------------------------------------------------------
-
-    @property
-    def is_identity(self) -> bool:
-        return self.matrix == _identity_matrix(len(self.matrix))
-
-    @property
-    def heights(self) -> tuple[int, ...]:
-        """Column heights (D ht w(omega_1), ..., D ht w(omega_n)), a
-        faithful key of w; found from the matrix unless a step set them."""
-        if self._heights is None:
-            self._heights = tuple(map(self.rs.scaled_height, zip(*self.matrix)))
-        return self._heights
 
     def reduced_word(self) -> tuple[int, ...]:
         """Canonical reduced word: repeatedly peel the smallest right
@@ -209,60 +186,48 @@ def _reflect(h: tuple[int, ...], k: int, x: int) -> tuple[int, ...]:
     return h[:k] + (h[k] - x,) + h[k + 1:]
 
 
-@lru_cache(maxsize=None)
-def _identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def identity(rs: RootSystem) -> WeylElement:
-    e = WeylElement(rs, _identity_matrix(rs.rank))
-    e._heights = rs._height_vec
+    e = WeylElement(rs, rs._height_vec)
+    e._word = ()
     return e
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     """s_i acting on fw coordinates: lam -> lam - lam[i] alpha_i."""
-    rs._check_index(i)
-    n = rs.rank
-    k = i - 1
-    mat = tuple(
-        tuple((1 if a == b else 0) - (rs.cartan[a][k] if b == k else 0)
-              for b in range(n))
-        for a in range(n))
-    return WeylElement(rs, mat)
+    return from_word(rs, (i,))
 
 
 def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     """Product s_{i1} s_{i2} ... s_{in} for word (i1,...,in), 1-based letters.
 
     Applied to a weight, the last letter acts first, matching ordinary
-    composition of the factors as written.
+    composition of the factors as written.  Only the heights are stepped,
+    one w -> w s_i per letter.
     """
-    out = identity(rs)
+    h = rs._height_vec
+    cols = rs._simple_columns
     for i in word:
         rs._check_index(i)
-        out = out.times_simple(i)
-    return out
+        h = _reflect(h, i - 1, _root_height(h, cols[i - 1]))
+    return WeylElement(rs, h)
 
 
 def _climb(rs: RootSystem, letters: Sequence[int]) -> WeylElement:
     """Longest element of the subgroup generated by ``letters``.
 
     Steps along the first ascent among the letters until none is left,
-    on the column heights, and builds the element from the word climbed.
+    on the column heights, and is the element those heights name.
     """
     h = rs._height_vec
     cols = rs._simple_columns
-    word: list[int] = []
     while True:
         for i in letters:
             x = _root_height(h, cols[i - 1])
             if x > 0:
                 h = _reflect(h, i - 1, x)
-                word.append(i)
                 break
         else:
-            return from_word(rs, word)
+            return WeylElement(rs, h)
 
 
 def longest_element(rs: RootSystem) -> WeylElement:
@@ -310,21 +275,20 @@ def enumerate_group(rs: RootSystem, guard: int | None = None) -> Iterator[WeylEl
 
     Breadth-first by length, stepping only along ascents, so layer k holds
     exactly the elements of length k.  Layers are keyed by column heights,
-    so ascents and duplicates are found on H, and only a new element gets
-    a matrix.  A new element v gets its canonical word from the previous
+    so ascents and duplicates are found on H, and a new element is the
+    heights its step reached.  It gets its canonical word from the previous
     layer: word(v) = word(v s_d) + (d,) for d the smallest right descent
     of v.  Raises GuardExceeded when |W| is larger than the guard.
     """
     order = guarded_order(rs, guard)
     e = identity(rs)
-    e._word = ()
     cols = rs._simple_columns
     elements = [e]
     layer = {e.heights: e}
     while layer:
         nxt: dict[tuple[int, ...], WeylElement] = {}
         for w in layer.values():
-            h = w._heights
+            h = w.heights
             for k, col in enumerate(cols):
                 x = _root_height(h, col)
                 if x < 0:
@@ -339,7 +303,7 @@ def enumerate_group(rs: RootSystem, guard: int | None = None) -> Iterator[WeylEl
                     if y < 0:
                         d, parent = j, layer[_reflect(hv, j, y)]
                         break
-                v = w.times_simple(k + 1)
+                v = WeylElement(rs, hv)
                 v._word = parent._word + (d + 1,)
                 nxt[hv] = v
         elements.extend(sorted(nxt.values(), key=lambda w: w._word))
@@ -424,9 +388,9 @@ def coxeter_elements(rs: RootSystem) -> list[tuple[WeylElement, tuple[int, ...]]
     """Distinct Coxeter elements with the lex-first word that produced each.
 
     Every permutation of the simple reflections is read in lexicographic
-    order and looked up by its orientation, so one matrix is built per
+    order and looked up by its orientation, so one element is built per
     orientation, 2^(n-1) in all, not one per permutation; the list is
-    deduplicated by matrix in permutation order, so it is deterministic.
+    deduplicated by element in permutation order, so it is deterministic.
     """
     found: dict[WeylElement, tuple[int, ...]] = {}
     for perm in permutations(range(1, rs.rank + 1)):

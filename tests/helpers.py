@@ -3,7 +3,8 @@
 Everything here is deliberately independent of the engine's algorithms:
 subword scans instead of the lifting recursion, and their reversal by w0
 instead of the coset test for the Bruhat upper set of w_alpha, full
-matrix products instead of the one-column reflection step, Gauss-Jordan
+products of integer simple-reflection matrices built from the Cartan
+matrix instead of steps on column heights and the word action, Gauss-Jordan
 instead of reversed words, plain dict arithmetic instead of Character,
 Freudenthal's recursion and the Weyl dimension formula instead of Demazure
 operators, Fraction root coordinates, symmetrizers and Cartan inverse
@@ -21,18 +22,19 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from schubert import (Character, CoxeterAnalysis, WeylElement, adjoint_character,
                       bruhat_leq, char_to_str, coxeter_elements, e, element_order,
                       enumerate_group, euler_char, from_word, h0_line, identity,
                       is_typeA_extremal, longest_element, min_parabolic_rep,
-                      simple_reflection, ss_nonempty)
+                      ss_nonempty)
 from schubert.charring import _DIGIT
-from schubert.rootsys import RootSystem, Weight
+from schubert.rootsys import Root, RootSystem, Weight
 
 # the types the whole-group oracle tests run on: every family up to rank 5
 # that a test can sweep in about a second, both root lengths included
@@ -75,72 +77,126 @@ def fraction_symmetrizers(cartan: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def mul_from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
+# an integer matrix on fw coordinates, rows of tuples: column j is w(omega_j)
+Matrix = tuple[tuple[int, ...], ...]
+
+
+def identity_matrix(n: int) -> Matrix:
+    return tuple(tuple(int(a == b) for b in range(n)) for a in range(n))
+
+
+@lru_cache(maxsize=None)
+def simple_matrix(rs: RootSystem, i: int) -> Matrix:
+    """s_i on fw coordinates, from the Cartan matrix alone: lam -> lam -
+    lam_i alpha_i, and alpha_i's fw coordinates are column i of C."""
+    k = i - 1
+    return tuple(tuple(int(a == b) - (rs.cartan[a][k] if b == k else 0)
+                       for b in range(rs.rank)) for a in range(rs.rank))
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def matvec(mat: Matrix, fw: Sequence[int]) -> tuple[int, ...]:
+    return tuple(sum(map(mul, row, fw)) for row in mat)
+
+
+def word_matrix(rs: RootSystem, word: Iterable[int]) -> Matrix:
     """s_{i1} ... s_{ik} as full matrix products, one factor per letter."""
-    out = identity(rs)
+    out = identity_matrix(rs.rank)
     for i in word:
-        out = out * simple_reflection(rs, i)
+        out = matmul(out, simple_matrix(rs, i))
     return out
 
 
-def peel_reduced_word(w: WeylElement) -> tuple[int, ...]:
+def matrix_of(w: WeylElement) -> Matrix:
+    """The oracle matrix of w's canonical word."""
+    return word_matrix(w.rs, w.reduced_word())
+
+
+def element_of(rs: RootSystem, mat: Matrix) -> WeylElement:
+    """The engine element with mat's column heights D ht w(omega_j)."""
+    return WeylElement(rs, tuple(map(rs.scaled_height, zip(*mat))))
+
+
+def mul_from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
+    """s_{i1} ... s_{ik} as full matrix products, one factor per letter."""
+    return element_of(rs, word_matrix(rs, word))
+
+
+def root_image(rs: RootSystem, mat: Matrix, beta: Root) -> Root:
+    img = rs.root_of(Weight(matvec(mat, beta.weight.fw)))
+    if img is None:
+        raise AssertionError("matrix image of a root is not a root")
+    return img
+
+
+def right_descents(rs: RootSystem, mat: Matrix) -> Iterator[int]:
+    """The i with w(alpha_i) negative, i.e. l(w s_i) < l(w), in order."""
+    return (i for i, alpha in enumerate(rs.simple_roots, 1)
+            if not root_image(rs, mat, alpha).positive)
+
+
+def peel_reduced_word(rs: RootSystem, mat: Matrix) -> tuple[int, ...]:
     """Canonical word: peel the smallest right descent by full products."""
-    rs = w.rs
     rev: list[int] = []
-    cur = w
-    while not cur.is_identity:
-        i = next(i for i in range(1, rs.rank + 1)
-                 if not rs.root_of(cur.apply(rs.simple_roots[i - 1].weight)).positive)
+    e = identity_matrix(rs.rank)
+    while mat != e:
+        i = next(right_descents(rs, mat))
         rev.append(i)
-        cur = cur * simple_reflection(rs, i)
+        mat = matmul(mat, simple_matrix(rs, i))
     return tuple(reversed(rev))
 
 
-def gauss_jordan_inverse(w: WeylElement) -> WeylElement:
-    """Inverse of the fw-matrix over the rationals; it must be integral."""
-    inv = invert_rational(w.matrix)
+def gauss_jordan_inverse(mat: Matrix) -> Matrix:
+    """Inverse of an fw matrix over the rationals; it must be integral."""
+    inv = invert_rational(mat)
     if any(v.denominator != 1 for row in inv for v in row):
         raise AssertionError("non-integral Weyl matrix inverse")
-    return WeylElement(w.rs, tuple(tuple(int(v) for v in row) for row in inv))
+    return tuple(tuple(int(v) for v in row) for row in inv)
 
 
-def matrix_power_order(w: WeylElement) -> int:
-    """Smallest k >= 1 with w^k = e, by full matrix products; |W| bounds k."""
-    bound = w.rs.ct.weyl_order
-    cur = w
+def matrix_power_order(rs: RootSystem, mat: Matrix) -> int:
+    """Smallest k >= 1 with mat^k = e, by full matrix products; |W| bounds k."""
+    bound = rs.ct.weyl_order
+    e = identity_matrix(rs.rank)
+    cur = mat
     k = 1
-    while not cur.is_identity:
-        cur = cur * w
+    while cur != e:
+        cur = matmul(cur, mat)
         k += 1
         if k > bound:
             raise AssertionError(f"element order exceeds |W| = {bound}")
     return k
 
 
-def subword_lower_interval(rs: RootSystem, w: WeylElement) -> set[WeylElement]:
-    """[e, w]: the products of the subwords of a fixed reduced word of w.
+def subword_products(rs: RootSystem, mat: Matrix) -> set[Matrix]:
+    """[e, w] as matrices: the products of the subwords of w's peeled word.
 
     The products of all subwords of the word's first k letters are built
     up letter by letter, so the scan costs |[e, w]| products per letter
     instead of 2^l(w).
     """
-    reached = {identity(rs)}
-    for i in peel_reduced_word(w):
-        s = simple_reflection(rs, i)
-        reached |= {x * s for x in reached}
+    reached = {identity_matrix(rs.rank)}
+    for i in peel_reduced_word(rs, mat):
+        s = simple_matrix(rs, i)
+        reached |= {matmul(x, s) for x in reached}
     return reached
 
 
 def subword_bruhat_leq(rs: RootSystem, u: WeylElement, w: WeylElement) -> bool:
     """u <= w iff some subword of a fixed reduced word of w multiplies to u."""
-    return u in subword_lower_interval(rs, w)
+    return matrix_of(u) in subword_products(rs, matrix_of(w))
 
 
 def subword_upper_set(rs: RootSystem, u: WeylElement) -> set[WeylElement]:
     """{tau : u <= tau} by the subword scan: tau -> w0 tau reverses Bruhat
     order, so the set is w0 [e, w0 u]."""
-    w0 = longest_element(rs)
-    return {w0 * x for x in subword_lower_interval(rs, w0 * u)}
+    w0 = matrix_of(longest_element(rs))
+    return {element_of(rs, matmul(w0, x))
+            for x in subword_products(rs, matmul(w0, matrix_of(u)))}
 
 
 def assert_thm42_slices(rs: RootSystem, universe: int, rows: list[dict],
@@ -170,23 +226,18 @@ def weight_orbit(rs: RootSystem, lam: Weight) -> set[Weight]:
     return orbit
 
 
-def has_right_descent(w: WeylElement, i: int) -> bool:
-    """True iff l(w s_i) < l(w), i.e. w(alpha_i) is negative."""
-    rs = w.rs
-    return not rs.root_of(w.apply(rs.simple_roots[i - 1].weight)).positive
-
-
-def right_descents(w: WeylElement) -> list[int]:
-    return [i for i in range(1, w.rs.rank + 1) if has_right_descent(w, i)]
-
-
 def reduced_words(w: WeylElement) -> Iterator[tuple[int, ...]]:
-    """All reduced words of w, lazily, in descent-lex order."""
-    if w.is_identity:
+    """All reduced words of w, lazily, in descent-lex order, by full
+    products from the matrix of its canonical word."""
+    return _reduced_words(w.rs, matrix_of(w))
+
+
+def _reduced_words(rs: RootSystem, mat: Matrix) -> Iterator[tuple[int, ...]]:
+    if mat == identity_matrix(rs.rank):
         yield ()
         return
-    for i in right_descents(w):
-        for sub in reduced_words(w.times_simple(i)):
+    for i in right_descents(rs, mat):
+        for sub in _reduced_words(rs, matmul(mat, simple_matrix(rs, i))):
             yield sub + (i,)
 
 
@@ -368,18 +419,18 @@ def bruhat_monotonicity_findings(rs: RootSystem,
     if not rs.simply_laced:
         raise ValueError("tangent characters need a simply-laced type")
     elements = list(enumerate_group(rs, guard))
-    dims = {w.matrix: tangent_h0_char(rs, w).dimension() for w in elements}
+    dims = {w: tangent_h0_char(rs, w).dimension() for w in elements}
     findings = []
     for w in elements:
         lw = w.length
         for u in elements:
             if u.length == lw - 1 and bruhat_leq(u, w):
-                if dims[u.matrix] > dims[w.matrix]:
+                if dims[u] > dims[w]:
                     findings.append({
                         "lower_word": list(u.reduced_word()),
                         "upper_word": list(w.reduced_word()),
-                        "lower_dim": dims[u.matrix],
-                        "upper_dim": dims[w.matrix],
+                        "lower_dim": dims[u],
+                        "upper_dim": dims[w],
                     })
     return findings
 
@@ -483,12 +534,12 @@ def cor52_53_58_per_element(rs: RootSystem) -> tuple[int, list, dict]:
 def analyze_per_ordering(rs: RootSystem, ordering: Sequence[int]) -> CoxeterAnalysis:
     """analyze() from scratch for one ordering, nothing shared between c's.
 
-    Orbits are walked by position, the order by matrix powers and the
-    inverses by Gauss-Jordan.
+    Orbits are walked by position on the matrix of c, the order is found by
+    matrix powers and the inverses by Gauss-Jordan.
     """
     ordering = tuple(ordering)
-    c = from_word(rs, tuple(reversed(ordering)))
-    h = matrix_power_order(c)
+    c = word_matrix(rs, tuple(reversed(ordering)))
+    h = matrix_power_order(rs, c)
 
     simple_coords = {r.coords: i + 1 for i, r in enumerate(rs.simple_roots)}
     J_prime: list[int] = []
@@ -502,7 +553,7 @@ def analyze_per_ordering(rs: RootSystem, ordering: Sequence[int]) -> CoxeterAnal
             if cur.coords not in simple_coords:
                 prefix_simple = False
                 break
-            cur = c.apply_root(cur)
+            cur = root_image(rs, c, cur)
             steps += 1
             if not cur.positive:
                 break
@@ -514,7 +565,7 @@ def analyze_per_ordering(rs: RootSystem, ordering: Sequence[int]) -> CoxeterAnal
     J = []
     for pos in J_prime:
         root = rs.simple_roots[ordering[pos - 1] - 1]
-        if c_inv.apply_root(root).coords not in simple_coords:
+        if root_image(rs, c_inv, root).coords not in simple_coords:
             J.append(pos)
 
     phi_words: dict[int, tuple[int, ...]] = {}
@@ -523,23 +574,22 @@ def analyze_per_ordering(rs: RootSystem, ordering: Sequence[int]) -> CoxeterAnal
         letters = []
         for _ in range(a[pos]):
             letters.append(simple_coords[cur.coords])
-            cur = c.apply_root(cur)
+            cur = root_image(rs, c, cur)
         phi_words[pos] = tuple(letters)
 
-    phi = mul_from_word(rs, [letter for pos in J for letter in phi_words[pos]])
-    tau = c * gauss_jordan_inverse(phi)
-    return CoxeterAnalysis(ordering, c, h, tuple(J_prime), a, tuple(J), phi_words, phi, tau)
+    phi = word_matrix(rs, [letter for pos in J for letter in phi_words[pos]])
+    tau = matmul(c, gauss_jordan_inverse(phi))
+    return CoxeterAnalysis(ordering, element_of(rs, c), h, tuple(J_prime), a, tuple(J),
+                           phi_words, element_of(rs, phi), element_of(rs, tau))
 
 
 def coxeter_elements_per_permutation(rs: RootSystem) -> list[tuple[WeylElement, tuple[int, ...]]]:
     """coxeter_elements with one product per permutation of the simple
     reflections, deduplicated by matrix in permutation order."""
-    found: dict[tuple, tuple[WeylElement, tuple[int, ...]]] = {}
+    found: dict[Matrix, tuple[int, ...]] = {}
     for perm in permutations(range(1, rs.rank + 1)):
-        c = from_word(rs, perm)
-        if c.matrix not in found:
-            found[c.matrix] = (c, perm)
-    return list(found.values())
+        found.setdefault(word_matrix(rs, perm), perm)
+    return [(element_of(rs, mat), perm) for mat, perm in found.items()]
 
 
 def bott_dot_walk(rs: RootSystem, lam: Weight) -> tuple[int, Weight] | None:

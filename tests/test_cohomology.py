@@ -30,8 +30,9 @@ from schubert.report import run_check
 from schubert.rootsys import CartanType, RootSystem
 
 from helpers import (LAYER_TYPES, adjoint_weights, assert_thm42_slices,
-                     bruhat_monotonicity_findings, columns_char, gauss_jordan_inverse, kernel_char,
-                     peel_reduced_word, signed_digits, subword_upper_set, tangent_h0_char)
+                     bruhat_monotonicity_findings, columns_char, element_of, gauss_jordan_inverse,
+                     kernel_char, matrix_of, matvec, peel_reduced_word, signed_digits,
+                     subword_upper_set, tangent_h0_char)
 
 
 def test_euler_char_identity_and_w0():
@@ -234,35 +235,38 @@ def test_one_enumeration_per_sweep(monkeypatch, capsys, argv):
 def test_demazure_layers_match_word_by_word(name):
     # the walk against the layered oracle (enumerate_group, and Demazure
     # composed along each canonical word), element by element: sigma's
-    # word (peeled from a Gauss-Jordan inverse), its x = D ht
-    # sigma(alpha_k) and the criterion read off x, tau's heights (the left
-    # step H(s_k tau) = H(tau) - D row_k), every positive root's line in
-    # its digit of the packed columns, and the top digit their sum; the
-    # walk of the plain summed seed is that sum too.  Lines go negative in
+    # word (peeled from a Gauss-Jordan inverse of tau's oracle matrix),
+    # its x = D ht sigma(alpha_k) and the criterion read off x, tau's
+    # heights (the left step H(s_k tau) = H(tau) - D row_k; the walk is
+    # keyed by them), every positive root's line in its digit of the
+    # packed columns, and the top digit their sum; the walk of the plain
+    # summed seed is that sum too.  Lines go negative in
     # two root lengths, so there the digits are read signed and not
     # certified
     rs = build(name)
     roots = rs.positive_roots
     seed, _, sign = cohomology._line_seed(rs, [True] * len(roots))
-    swept = {mat: (x, word, h, cols) for x, word, mat, h, cols
+    swept = {h: (x, word, cols) for x, word, h, cols
              in group_walk(rs, seed, sign=sign if rs.simply_laced else 0)}
-    summed = {mat: cols for _, _, mat, _, cols
+    summed = {h: cols for _, _, h, cols
               in group_walk(rs, [0, *(int(root.positive) for root in rs.roots)])}
     elements = list(enumerate_group(rs))
     assert len(swept) == len(summed) == len(elements)
     for tau in elements:
-        x, word, h, cols = swept[tau.matrix]
-        sigma = gauss_jordan_inverse(tau)
-        assert word == peel_reduced_word(sigma)
-        assert x == [rs.scaled_height(sigma.act(a.weight.fw)) for a in rs.simple_roots]
+        x, word, cols = swept[tau.heights]
+        mat = matrix_of(tau)
+        assert element_of(rs, mat) == tau
+        sigma = gauss_jordan_inverse(mat)
+        assert word == peel_reduced_word(rs, sigma)
+        assert x == [rs.scaled_height(matvec(sigma, a.weight.fw)) for a in rs.simple_roots]
         # the sweeps' criterion: D ht sigma(alpha_0) < 0
-        assert (sum(map(mul, rs.highest_root.coords, x)) < 0) == ss_nonempty(rs, sigma)
-        assert h == tuple(map(rs.scaled_height, zip(*tau.matrix)))
+        assert (sum(map(mul, rs.highest_root.coords, x)) < 0) == ss_nonempty(
+            rs, element_of(rs, sigma))
         *lines, tangent = signed_digits(cols, len(roots) + 1)
         for beta, line in zip(roots, lines):
             assert columns_char(rs, line) == demazure_along_word(
                 rs, tau.reduced_word(), e(beta.weight))
-        assert tangent == summed[tau.matrix] == [sum(col) for col in zip(*lines)]
+        assert tangent == summed[tau.heights] == [sum(col) for col in zip(*lines)]
 
 
 @pytest.mark.parametrize("name", ["A1", "A3", "B3", "G2", "D4", "D5", "F4"])
@@ -285,8 +289,8 @@ def test_walk_visits_each_element_once_in_bounded_memory(monkeypatch, name):
 
     monkeypatch.setattr(cohomology, "_column_step", tracked)
     seed = [int(w == rs.highest_root.weight) for w in adjoint_weights(rs)]
-    matrices = [mat for _, _, mat, _, _ in group_walk(rs, seed)]
-    assert len(matrices) == len(set(matrices)) == rs.ct.weyl_order
+    heights = [h for _, _, h, _ in group_walk(rs, seed)]
+    assert len(heights) == len(set(heights)) == rs.ct.weyl_order
     assert max(peak, default=0) <= len(rs.positive_roots) + 1
 
 

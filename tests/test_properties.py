@@ -13,9 +13,9 @@ from schubert import (Character, bruhat_leq, build, char_sorted_terms,
                       simple_reflection)
 from schubert.rootsys import Weight
 
-from helpers import (LAYER_TYPES, fraction_height, gauss_jordan_inverse, mul_from_word,
-                     peel_reduced_word, string_formula_along_word, string_formula_demazure_op,
-                     subword_bruhat_leq)
+from helpers import (LAYER_TYPES, element_of, fraction_height, gauss_jordan_inverse,
+                     mul_from_word, peel_reduced_word, string_formula_along_word,
+                     string_formula_demazure_op, subword_bruhat_leq, word_matrix)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None,
                              max_examples=40)
@@ -43,13 +43,14 @@ def test_bruhat_matches_subword_oracle_on_random_pairs(name, data):
 def test_element_steps_match_full_products(name, data):
     rs = build(name)
     word = data.draw(words(rs.rank, 30), label="word")
-    w = mul_from_word(rs, word)
+    mat = word_matrix(rs, word)
+    w = element_of(rs, mat)
     assert from_word(rs, word) == w
     for i in range(1, rs.rank + 1):
-        assert w.times_simple(i) == w * simple_reflection(rs, i)
-    assert w.reduced_word() == peel_reduced_word(w)
+        assert w * simple_reflection(rs, i) == mul_from_word(rs, word + [i])
+    assert w.reduced_word() == peel_reduced_word(rs, mat)
     inv = w.inverse()
-    assert inv == gauss_jordan_inverse(w)
+    assert inv == element_of(rs, gauss_jordan_inverse(mat))
     assert inv * w == identity(rs)
 
 

@@ -21,9 +21,11 @@ from schubert import (
 from schubert.report import DEFAULT_GUARD, GUARD_ENV_VAR, resolve_guard
 from schubert.weyl import coxeter_element, orientation
 
-from helpers import (LAYER_TYPES, coxeter_elements_per_permutation, gauss_jordan_inverse,
-                     matrix_power_order, mul_from_word, peel_reduced_word, random_element,
-                     reduced_words, subword_bruhat_leq, weight_orbit)
+from helpers import (LAYER_TYPES, coxeter_elements_per_permutation, element_of,
+                     gauss_jordan_inverse, identity_matrix, matmul, matrix_of,
+                     matrix_power_order, matvec, mul_from_word, peel_reduced_word,
+                     random_element, reduced_words, simple_matrix, subword_bruhat_leq,
+                     weight_orbit, word_matrix)
 
 
 def test_simple_reflection_basics():
@@ -86,10 +88,10 @@ def test_enumerate_group(name, order):
     rs = build(name)
     elements = list(enumerate_group(rs))
     assert len(elements) == order
-    assert len({w.matrix for w in elements}) == order
+    assert len({matrix_of(w) for w in elements}) == order
     lengths = [w.length for w in elements]
     assert lengths == sorted(lengths)
-    assert elements[0].is_identity
+    assert matrix_of(elements[0]) == identity_matrix(rs.rank)
     assert elements[-1] == longest_element(rs)
 
 
@@ -185,8 +187,10 @@ def test_coxeter_elements(name):
 def test_coxeter_elements_match_the_per_permutation_oracle(name):
     # the same elements, words and order as a product per permutation
     rs = build(name)
-    found = [(c.matrix, word) for c, word in coxeter_elements(rs)]
-    assert found == [(c.matrix, word) for c, word in coxeter_elements_per_permutation(rs)]
+    found = [(matrix_of(c), word) for c, word in coxeter_elements(rs)]
+    oracle = coxeter_elements_per_permutation(rs)
+    assert found == [(matrix_of(c), word) for c, word in oracle]
+    assert coxeter_elements(rs) == oracle
 
 
 def test_orientation_keys_the_coxeter_element():
@@ -205,10 +209,18 @@ def test_coxeter_number_of_larger_types(name, h):
     assert element_order(from_word(rs, range(1, rs.rank + 1))) == h
 
 
+class Shear(WeylElement):
+    """An element whose action is the shear (a, b) -> (a + b, b): no Weyl
+    element acts so, and it never returns to e."""
+
+    def act(self, fw):
+        return (fw[0] + fw[1], fw[1])
+
+
 def test_element_order_is_bounded_by_the_weyl_order():
-    # a shear is no Weyl element and never returns to e; the loop stops at |W|
+    # a shear never returns rho to itself; the loop stops at |W|
     rs = build("A2")
-    shear = WeylElement(rs, ((1, 1), (0, 1)))
+    shear = Shear(rs, identity(rs).heights)
     with pytest.raises(AssertionError, match=r"exceeds \|W\| = 6"):
         element_order(shear)
     # the bound is never hit by a real element: every order divides |W|
@@ -259,64 +271,116 @@ ORACLE_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4",
 @pytest.mark.parametrize("name", ORACLE_TYPES)
 def test_element_paths_match_slow_oracles(name):
     # enumeration's words and reversed-word inverses against peeling by
-    # full products and Gauss-Jordan, on every element, and the height peel
+    # full products and Gauss-Jordan, on every element: the word's oracle
+    # matrix has w's heights and peels back to the word; the height peel
     # of a fresh element against the word enumeration gave it; s_i <= w
     # iff i occurs in its word
     rs = build(name)
     for w in enumerate_group(rs):
         word = w.reduced_word()
-        assert word == peel_reduced_word(w)
-        assert WeylElement(rs, w.matrix).reduced_word() == word
+        mat = matrix_of(w)
+        assert element_of(rs, mat) == w
+        assert word == peel_reduced_word(rs, mat)
+        assert WeylElement(rs, w.heights).reduced_word() == word
         assert from_word(rs, word) == w
         inv = w.inverse()
-        assert inv == gauss_jordan_inverse(w)
+        inv_mat = gauss_jordan_inverse(mat)
+        assert inv == element_of(rs, inv_mat)
         assert inv.inverse() is w
-        assert inv.reduced_word() == peel_reduced_word(gauss_jordan_inverse(w))
+        assert inv.reduced_word() == peel_reduced_word(rs, inv_mat)
         for i in range(1, rs.rank + 1):
             assert bruhat_leq(simple_reflection(rs, i), w) == (i in word)
 
 
-def column_heights(w):
-    return tuple(w.rs.scaled_height(col) for col in zip(*w.matrix))
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_column_heights_are_a_faithful_key(name):
+    # an element is its column heights: over all of W they are the column
+    # heights of the oracle matrix of its canonical word, and distinct
+    # heights <=> distinct matrices
+    rs = build(name)
+    elements = list(enumerate_group(rs))
+    mats = [matrix_of(w) for w in elements]
+    heights = [w.heights for w in elements]
+    assert heights == [element_of(rs, mat).heights for mat in mats]
+    assert (len(set(heights)) == len(set(mats)) == len(set(zip(heights, mats)))
+            == len(elements) == rs.ct.weyl_order)
 
 
 @pytest.mark.parametrize("name", ORACLE_TYPES)
-def test_column_heights_are_a_faithful_key(name):
-    # enumeration keys elements by the heights it steps, never reading the
-    # matrix: they must be the matrix's and tell every element apart
+def test_action_matches_the_oracle_matrix(name):
+    # w.act applies the canonical word letter by letter, the last letter
+    # first: on every omega_j and on rho it is the word's matrix
+    rs = build(name)
+    vectors = [omega.fw for omega in rs.fundamental_weights] + [rs.rho.fw]
+    for w in enumerate_group(rs):
+        mat = matrix_of(w)
+        assert [w.act(fw) for fw in vectors] == [matvec(mat, fw) for fw in vectors]
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_products_match_the_oracle_product(name):
+    # u v steps u's heights along v's word: against the product of the
+    # oracle matrices, each u of W with a seeded random v
+    rng = random.Random(19)
     rs = build(name)
     elements = list(enumerate_group(rs))
-    assert all(w._heights == column_heights(w) for w in elements)
-    assert len({w._heights for w in elements}) == len(elements)
+    mats = {w: matrix_of(w) for w in elements}
+    for u in elements:
+        v = rng.choice(elements)
+        assert u * v == element_of(rs, matmul(mats[u], mats[v]))
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_heights_of_no_element_are_refused(name):
+    # H(w) with one coordinate raised by 1, wherever that names no element:
+    # the height peel does not end on x(e), so reduced_word, and
+    # act through it, refuse it
+    rs = build(name)
+    elements = list(enumerate_group(rs))
+    known = {w.heights for w in elements}
+    refused = 0
+    for w in elements:
+        for j in range(rs.rank):
+            h = w.heights[:j] + (w.heights[j] + 1,) + w.heights[j + 1:]
+            if h in known:
+                continue
+            refused += 1
+            with pytest.raises(AssertionError, match="non-identity element without descent"):
+                WeylElement(rs, h).reduced_word()
+            with pytest.raises(AssertionError, match="non-identity element without descent"):
+                WeylElement(rs, h).act(rs.rho.fw)
+    assert refused
 
 
 @pytest.mark.parametrize("name", ORACLE_TYPES)
 def test_height_steps_match_full_products(name):
-    # one-column steps with the heights they carry against full products;
-    # the height peel against peeling by full products, on random words and
-    # on the same words made non-reduced by a letter twice
+    # height steps against full products; the height peel against peeling
+    # by full products, on random words and on the same words made
+    # non-reduced by a letter twice
     rng = random.Random(14)
     rs = build(name)
     for _ in range(20):
         word = [rng.randint(1, rs.rank) for _ in range(rng.randint(0, 12))]
         pos, d = rng.randint(0, len(word)), rng.randint(1, rs.rank)
-        padded = mul_from_word(rs, word[:pos] + [d, d] + word[pos:])
+        padded_word = word[:pos] + [d, d] + word[pos:]
+        padded = mul_from_word(rs, padded_word)
         assert padded.length < len(word) + 2
-        assert padded.reduced_word() == peel_reduced_word(padded)
-        w = mul_from_word(rs, word)
-        assert w.reduced_word() == peel_reduced_word(w)
-        assert w.heights == column_heights(w)
+        assert padded.reduced_word() == peel_reduced_word(rs, word_matrix(rs, padded_word))
+        mat = word_matrix(rs, word)
+        w = element_of(rs, mat)
+        assert w.reduced_word() == peel_reduced_word(rs, mat)
+        assert from_word(rs, word) == w
         for i in range(1, rs.rank + 1):
-            s = simple_reflection(rs, i)
-            right = w.times_simple(i)
-            assert right == w * s and right.heights == column_heights(right)
+            right = w * simple_reflection(rs, i)
+            assert right == from_word(rs, word + [i])
+            assert right == element_of(rs, matmul(mat, simple_matrix(rs, i)))
 
 
 def test_height_peel_refuses_a_matrix_outside_the_group(monkeypatch):
-    # a shear has column heights (3, 6), which pair to 0 with alpha_1: no
-    # descent, so the peel stops at once and refuses to end off x(e); a
-    # peel that stepped on a zero pairing would never stop.  Each step reads
-    # one row of C, so the rows count the steps
+    # the shear ((1, 1), (0, 1)) has column heights (3, 6), which pair to
+    # 0 with alpha_1: no descent, so the peel stops at once and refuses to
+    # end off x(e); a peel that stepped on a zero pairing would never stop.
+    # Each step reads one row of C, so the rows count the steps
     rs = build("A2")
     steps = []
 
@@ -330,10 +394,12 @@ def test_height_peel_refuses_a_matrix_outside_the_group(monkeypatch):
     monkeypatch.setattr(rs, "_simple_rows", Counted(rs._simple_rows))
     assert from_word(rs, (1, 2)).reduced_word() == (1, 2) and steps == [1, 0]
     steps.clear()
-    shear = WeylElement(rs, ((1, 1), (0, 1)))
+    shear = WeylElement(rs, (3, 6))
     with pytest.raises(AssertionError, match="non-identity element without descent"):
         shear.reduced_word()
     assert steps == []
+    with pytest.raises(AssertionError, match="non-identity element without descent"):
+        shear.act(rs.rho.fw)
 
 
 @pytest.mark.parametrize("name", ORACLE_TYPES)
@@ -341,7 +407,7 @@ def test_element_order_matches_the_matrix_power_oracle(name):
     # the first return of rho against the first matrix power equal to e
     rs = build(name)
     for w in enumerate_group(rs):
-        assert element_order(w) == matrix_power_order(w)
+        assert element_order(w) == matrix_power_order(rs, matrix_of(w))
 
 
 # thm42 universes: the sum over alpha of |{tau >= w_alpha}|
