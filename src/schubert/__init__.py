@@ -2,7 +2,7 @@
 
 Pure-Python, integer arithmetic throughout (``Fraction`` only at the API
 edge, for rational heights and root coordinates): root systems in Bourbaki
-numbering, Weyl groups as matrices on fundamental-weight coordinates,
+numbering, Weyl-group elements as column heights (D ht w(omega_j))_j,
 Demazure operators on formal characters, and the verification sweeps the
 `schubert` CLI exposes.
 

@@ -5,6 +5,9 @@ ordering (alpha_1, ..., alpha_n) of the simple roots, with the Coxeter
 element c = s_{alpha_n} ... s_{alpha_1}.  Position subscripts (the j in
 J, a_j, phi_j) always refer to that ordering, not to the Bourbaki
 numbering of the roots sitting at those positions.
+
+Each distinct c has one table entry holding its cycle [e, c, ...,
+c^(h-1)], from which every check reads h, c^j and c^-1 = c^(h-1).
 """
 
 from __future__ import annotations
@@ -49,24 +52,26 @@ class _CoxeterEntry(Record):
     """analyze's table entry for one Coxeter element c, by simple index,
     not position.
 
-    images[i-1] = c(alpha_i); a and phi_words map a simple index to its
-    orbit length and phi word; clashes is None until _clashes fills it;
-    splits maps a phi word, whose order depends on the ordering, to
-    (phi, tau, phi_images), where phi_images[i-1] = phi(alpha_i).
+    powers = [e, c, ..., c^(h-1)], h the order of c; images[i-1] =
+    c(alpha_i); a and phi_words map a simple index to its orbit length and
+    phi word; clashes is None until _clashes fills it; splits maps a phi
+    word, whose order depends on the ordering, to (phi, tau, phi_images),
+    where phi_images[i-1] = phi(alpha_i).
     """
 
-    __slots__ = ("c", "h", "images", "a", "phi_words", "clashes", "splits")
+    __slots__ = ("c", "powers", "images", "a", "phi_words", "clashes", "splits")
 
 
 @lru_cache(maxsize=None)
 def _coxeter_data(rs: RootSystem, c: WeylElement) -> _CoxeterEntry:
-    """c's entry, built once per distinct c.
+    """c's entry, built once per distinct c: its cycle, then its orbits.
 
     An orbit of a simple root walks on the images c(alpha_k) alone, since
     it is followed only while it stays simple; and c^-1(alpha_i) is simple
     iff alpha_i is one of those images.  So c acts on n roots, once each.
     """
-    h = element_order(c)
+    powers = _cycle(c)
+    h = len(powers)
     simple_index = {r.coords: i for i, r in enumerate(rs.simple_roots, 1)}
     images = tuple(map(c.apply_root, rs.simple_roots))
     image_coords = {img.coords for img in images}
@@ -86,14 +91,13 @@ def _coxeter_data(rs: RootSystem, c: WeylElement) -> _CoxeterEntry:
             a[i] = len(letters)
             if root.coords not in image_coords:
                 phi_words[i] = tuple(letters)
-    return _CoxeterEntry(c, h, images, a, phi_words, None, {})
+    return _CoxeterEntry(c, powers, images, a, phi_words, None, {})
 
 
 def _clashes(rs: RootSystem, entry: _CoxeterEntry) -> set[frozenset[int]]:
     """The pairs {i, k} of simple indices whose factors phi_i, phi_k of
     entry's c do not commute, kept in the entry on first use: only
-    verify_lemma54_55_56 reads them, and prop51 reads h from the same
-    entry."""
+    verify_lemma54_55_56 reads them, and prop51 reads only the cycle."""
     if entry.clashes is None:
         factors = {i: from_word(rs, word) for i, word in entry.phi_words.items()}
         entry.clashes = {
@@ -129,8 +133,8 @@ def analyze(rs: RootSystem, ordering: Sequence[int]) -> CoxeterAnalysis:
             raise AssertionError("tau * phi is not c")
         splits[phi_word] = phi, tau, tuple(map(phi.apply_root, rs.simple_roots))
     phi, tau, _ = splits[phi_word]
-    return CoxeterAnalysis(ordering, c, entry.h, tuple(a), a, tuple(phi_words), phi_words,
-                           phi, tau)
+    return CoxeterAnalysis(ordering, c, len(entry.powers), tuple(a), a, tuple(phi_words),
+                           phi_words, phi, tau)
 
 
 def _check_coxeter(rs: RootSystem, c: WeylElement) -> None:
@@ -138,51 +142,48 @@ def _check_coxeter(rs: RootSystem, c: WeylElement) -> None:
         raise ValueError("element is not a Coxeter element")
 
 
-def _orbit_exponent(c: WeylElement, omega: tuple[int, ...], target: tuple[int, ...],
-                    h: int) -> int | None:
-    """Minimal 1 <= j < h with c^j(omega) = target, or None."""
-    cur = omega
-    for j in range(1, h):
-        cur = c.act(cur)
-        if cur == target:
-            return j
-    return None
+def _w0_exponent(powers: list[WeylElement], w0: WeylElement, alpha: int) -> int | None:
+    """Minimal 1 <= j < h with c^j(omega_alpha) = w0(omega_alpha), or None.
+
+    w0(omega_alpha) is the one weight of least height in W.omega_alpha, so
+    this is the first power whose column height at alpha is w0's.
+    """
+    target = w0.heights[alpha - 1]
+    return next((j for j in range(1, len(powers))
+                 if powers[j].heights[alpha - 1] == target), None)
 
 
 def yz_exponent(rs: RootSystem, c: WeylElement, alpha: int) -> int:
-    """Minimal j >= 1 with c^j(omega_alpha) = w0(omega_alpha).
+    """Minimal j >= 1 with c^j(omega_alpha) = w0(omega_alpha), read off
+    c's cycle.
 
     Existence below the Coxeter number is a theorem; running out of the
     cyclic group without a hit is therefore a hard engine error.
     """
     rs._check_index(alpha)
     _check_coxeter(rs, c)
-    h = element_order(c)
-    omega = rs.fundamental_weights[alpha - 1].fw
-    j = _orbit_exponent(c, omega, weyl.longest_element(rs).act(omega), h)
+    j = _w0_exponent(_coxeter_data(rs, c).powers, weyl.longest_element(rs), alpha)
     if j is None:
         raise AssertionError(f"no exponent below the Coxeter number for alpha_{alpha}")
     return j
 
 
 def is_typeA_extremal(rs: RootSystem, c: WeylElement) -> bool:
-    """True iff c or c^{-1} is the monotone-path Coxeter element of A_n.
+    """True iff c or c^{-1} is the monotone-path Coxeter element s_n ...
+    s_1 of A_n: iff c's Dynkin orientation points every edge one way.
 
     Asserted on the way out: this agrees with the semistability criterion
-    holding for both c and c^{-1}.
+    holding for both c and c^{-1} = c^(h-1).
     """
     if rs.ct.family != "A":
         raise ValueError("extremality in this sense is a type A notion")
     _check_coxeter(rs, c)
-    n = rs.rank
-    down = from_word(rs, tuple(range(n, 0, -1)))
-    up = from_word(rs, tuple(range(1, n + 1)))
-    by_word = c == down or c == up
-    by_ss = ss_nonempty(rs, c) and ss_nonempty(rs, c.inverse())
-    if by_word != by_ss:
+    by_path = len(set(weyl.orientation(rs, c.reduced_word()))) <= 1
+    by_ss = ss_nonempty(rs, c) and ss_nonempty(rs, _coxeter_data(rs, c).powers[-1])
+    if by_path != by_ss:
         raise AssertionError(
             "path-word extremality disagrees with the semistability criterion")
-    return by_word
+    return by_path
 
 
 def verify_prop51(rs: RootSystem) -> tuple[int, list, dict]:
@@ -190,20 +191,18 @@ def verify_prop51(rs: RootSystem) -> tuple[int, list, dict]:
     counterexamples = []
     rows = []
     w0 = weyl.longest_element(rs)
-    omegas = [omega.fw for omega in rs.fundamental_weights]
-    targets = [w0.act(omega) for omega in omegas]
     elements = coxeter_elements(rs)
     for c, word in elements:
-        h = _coxeter_data(rs, c).h
-        for alpha, (omega, target) in enumerate(zip(omegas, targets), 1):
-            j = _orbit_exponent(c, omega, target, h)
+        powers = _coxeter_data(rs, c).powers
+        for alpha in range(1, rs.rank + 1):
+            j = _w0_exponent(powers, w0, alpha)
             if j is None:
                 counterexamples.append({"c_word": list(word), "alpha": alpha,
-                                        "reason": f"no exponent below h = {h}"})
+                                        "reason": f"no exponent below h = {len(powers)}"})
             else:
                 rows.append({"c_word": list(word), "alpha": alpha, "j": j})
     return len(elements) * rs.rank, counterexamples, {
-        "coxeter_number": _coxeter_data(rs, elements[0][0]).h,
+        "coxeter_number": len(_coxeter_data(rs, elements[0][0]).powers),
         "rows": rows,
     }
 
@@ -296,7 +295,8 @@ def verify_lemma54_55_56(rs: RootSystem) -> tuple[int, list, dict]:
 
 
 def _cycle(c: WeylElement) -> list[WeylElement]:
-    """[e, c, ..., c^(h-1)], h the order of c; c^-j is c^(h-j), entry -j."""
+    """[e, c, ..., c^(h-1)], h the order of c, the one order computation
+    of this module; c^-j is c^(h-j), entry -j."""
     powers = [weyl.identity(c.rs)]
     for _ in range(1, element_order(c)):
         powers.append(powers[-1] * c)
@@ -317,13 +317,12 @@ def verify_thmC_typeA(rs: RootSystem) -> tuple[int, list, dict]:
     Non-extremal Coxeter elements get informational rows only.
     """
     n = rs.rank
-    powers = _cycle(from_word(rs, tuple(range(n, 0, -1))))
-    h = len(powers)
+    powers = _coxeter_data(rs, weyl.coxeter_element(rs, range(n, 0, -1))).powers
     counterexamples = []
     signs = set()
     zero = rs.zero()
     for r in range(1, n + 1):
-        cr, cr_inv = powers[r % h], powers[-r % h]
+        cr, cr_inv = powers[r], powers[-r]
         w_r = weyl.min_parabolic_rep(rs, r)
         if cr != w_r:
             counterexamples.append({
@@ -359,7 +358,7 @@ def verify_thmC_typeA(rs: RootSystem) -> tuple[int, list, dict]:
     for cox, word in coxeter_elements(rs):
         if is_typeA_extremal(rs, cox):
             continue
-        chi = _dot_zero_euler(rs, cox, cox.inverse())
+        chi = _dot_zero_euler(rs, cox, _coxeter_data(rs, cox).powers[-1])
         nonextremal_rows.append({
             "c_word": list(word),
             "euler_is_signed_e0": chi == e(zero, (-1) ** cox.length),
@@ -381,18 +380,18 @@ def verify_cor52_53_58(rs: RootSystem) -> tuple[int, list, dict]:
     elements, where full degree-wise vanishing certifies them; other
     elements get informational rows.
 
-    Each distinct power is evaluated once, in first-seen order over the
-    Coxeter elements: its tangent and signed Euler term are added in
-    place into the two sums of every cyclic group <c> = <c^{-1}> that
-    holds it (e in all of them; w0 = -1 on D4 and D6), and only whether
-    its tangent is the adjoint character is kept.  The tangent of e is
-    zero, so C' and C share one walk.
+    Each distinct power of the cycles is evaluated once, in first-seen
+    order over the Coxeter elements: its tangent and signed Euler term are
+    added in place into the two sums of every cyclic group <c> = <c^{-1}>
+    that holds it (e in all of them; w0 = -1 on D4 and D6), and only
+    whether its tangent is the adjoint character is kept.  The tangent of
+    e is zero, so C' and C share one walk.
     """
     adjoint = adjoint_character(rs)
     groups: dict[frozenset, tuple[Character, Character]] = {}
     cycles = []
     for c, word in coxeter_elements(rs):
-        powers = _cycle(c)
+        powers = _coxeter_data(rs, c).powers
         group = frozenset(powers)
         cycles.append((c, word, powers, groups.setdefault(group, (Character(), Character()))))
     is_full: dict[WeylElement, bool] = {}

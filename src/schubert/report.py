@@ -58,7 +58,7 @@ class Report(Record):
     def passed(self) -> bool:
         return not self.counterexamples
 
-    def as_json_dict(self, engine_version: str, rs: RootSystem | None = None) -> dict:
+    def as_json_dict(self, engine_version: str, rs: RootSystem) -> dict:
         out: dict[str, Any] = {
             "check": self.check_id,
             "type": self.cartan_type,
@@ -67,9 +67,8 @@ class Report(Record):
             "counterexamples": self.counterexamples,
             "elapsed_ms": int(self.elapsed * 1000),
             "engine_version": engine_version,
+            "labeling": labeling_table(rs),
         }
-        if rs is not None:
-            out["labeling"] = labeling_table(rs)
         if self.details:
             out["details"] = self.details
         return out

@@ -23,11 +23,11 @@ from schubert.charring import e
 from schubert.cli import main
 from schubert.coxeter import (_clashes, _coxeter_data, _cycle, _dot_zero_euler,
                               verify_cor52_53_58, verify_lemma54_55_56)
-from schubert.report import run_check
+from schubert.report import run_check, run_checks
 from schubert.weyl import WeylElement
 
 from helpers import (analyze_per_ordering, cor52_53_58_per_element, matmul, matrix_of,
-                     mul_from_word)
+                     matvec, mul_from_word, word_matrix)
 
 
 def test_analyze_a2_anchor():
@@ -149,6 +149,59 @@ def test_lemma54_56_and_prop51_build_each_coxeter_element_once(monkeypatch, name
     assert sum(actions.values()) == n * (len(elements) + splits)
 
 
+@pytest.mark.parametrize("name,checks", [
+    ("A5", ["prop51", "lemma54_56", "thmC_typeA", "cor52_53_58"]),
+    ("D5", ["prop51", "lemma54_56", "cor52_53_58"]),
+])
+def test_coxeter_checks_read_one_cycle_per_element(monkeypatch, name, checks):
+    # over a fresh table, the Coxeter checks of one run read h, c^j and
+    # c^-1 from c's entry: one order computation per distinct c, and no
+    # element is inverted
+    rs = build(name)
+    monkeypatch.setattr(weyl, "_coxeter_table", functools.lru_cache(lambda rs: {}))
+    monkeypatch.setattr(coxeter, "_coxeter_data",
+                        functools.lru_cache(coxeter._coxeter_data.__wrapped__))
+    orders = []
+    inverses = []
+
+    def counted_order(w, real=weyl.element_order):
+        orders.append(w)
+        return real(w)
+
+    def counted_inverse(w, real=WeylElement.inverse):
+        inverses.append(w)
+        return real(w)
+
+    monkeypatch.setattr(coxeter, "element_order", counted_order)
+    monkeypatch.setattr(WeylElement, "inverse", counted_inverse)
+    assert all(rep.passed for rep in run_checks(rs, checks))
+    elements = list(weyl._coxeter_table(rs).values())
+    assert len(orders) == len(set(orders)) == len(elements) == 16
+    assert set(orders) == set(elements)
+    assert inverses == []
+
+
+def test_prop51_acts_only_for_the_order_and_the_simple_images(monkeypatch):
+    # c acts h times on rho (its order) and once on each simple root; the
+    # exponents themselves are read from the cycle's column heights
+    rs = build("E6")
+    monkeypatch.setattr(weyl, "_coxeter_table", functools.lru_cache(lambda rs: {}))
+    monkeypatch.setattr(coxeter, "_coxeter_data",
+                        functools.lru_cache(coxeter._coxeter_data.__wrapped__))
+    actions = collections.Counter()
+
+    def counted_act(w, fw, real=WeylElement.act):
+        actions[w] += 1
+        return real(w, fw)
+
+    monkeypatch.setattr(WeylElement, "act", counted_act)
+    assert coxeter.verify_prop51(rs)[1] == []
+    monkeypatch.undo()
+    elements = [c for c, _ in coxeter_elements(rs)]
+    assert actions == {c: 12 + rs.rank for c in elements}
+    assert sum(actions.values()) == 576
+
+
 def test_yz_exponent_a2():
     rs = build("A2")
     c = from_word(rs, (2, 1))
@@ -203,6 +256,26 @@ def test_verify_prop51(name, n_cox):
     assert rep.universe_size == n_cox * build(name).rank
     assert all(1 <= row["j"] < rep.details["coxeter_number"]
                for row in rep.details["rows"])
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B3", "C4", "D4", "D5", "E6",
+                                  "F4", "G2"])
+def test_prop51_rows_match_the_matrix_oracle(name):
+    # each row's j is the least k >= 1 with c^k(omega_alpha) =
+    # w0(omega_alpha), on full matrix products of its c_word
+    rs = build(name)
+    _, counterexamples, details = coxeter.verify_prop51(rs)
+    assert counterexamples == []
+    assert len(details["rows"]) == len(coxeter_elements(rs)) * rs.rank
+    w0 = matrix_of(longest_element(rs))
+    for row in details["rows"]:
+        c = word_matrix(rs, row["c_word"])
+        omega = rs.fundamental_weights[row["alpha"] - 1].fw
+        target = matvec(w0, omega)
+        cur = omega
+        for k in range(1, row["j"] + 1):
+            cur = matvec(c, cur)
+            assert (cur == target) == (k == row["j"]), (row, k)
 
 
 def test_prop51_engine_failure_is_not_a_counterexample(capsys, monkeypatch):

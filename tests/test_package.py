@@ -1,7 +1,9 @@
 """The top-level namespace, its imports and the README's library example."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -51,3 +53,14 @@ def test_package_imports_the_standard_library_only(path):
     outside = {m for m in modules
                if m.split(".")[0] not in sys.stdlib_module_names | {"schubert"}}
     assert modules and not outside
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # trace_entry.install looks each name it wraps up with getattr, so a
+    # renamed or deleted engine name fails here, not in every traced op
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "benchmarks")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import trace_entry; trace_entry.install(trace_entry.Tracer())"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
