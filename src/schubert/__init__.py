@@ -18,9 +18,9 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _HOME = {
     **dict.fromkeys(("CartanType", "Root", "RootSystem", "Weight", "build"), "rootsys"),
-    **dict.fromkeys(("WeylElement", "bruhat_leq", "coxeter_elements",
-                     "element_order", "enumerate_group", "from_word", "identity",
-                     "longest_element", "min_parabolic_rep", "simple_reflection"), "weyl"),
+    **dict.fromkeys(("WeylElement", "bruhat_leq", "coxeter_elements", "enumerate_group",
+                     "from_word", "identity", "longest_element", "min_parabolic_rep",
+                     "simple_reflection"), "weyl"),
     **dict.fromkeys(("Character", "adjoint_character", "char_sorted_terms", "char_to_str",
                      "demazure_along_word", "demazure_op", "e"), "charring"),
     **dict.fromkeys(("euler_char", "h0_line", "ss_nonempty"), "cohomology"),

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from struct import Struct
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .rootsys import CartanType, RootSystem, Weight
 
@@ -42,7 +42,6 @@ __all__ = [
     "e",
     "demazure_op",
     "demazure_along_word",
-    "char_sum",
     "adjoint_character",
     "char_sorted_terms",
     "char_to_str",
@@ -241,14 +240,6 @@ def demazure_along_word(rs: RootSystem, word: Sequence[int], f: Character) -> Ch
     for i in reversed(word):
         f = demazure_op(rs, i, f)
     return f
-
-
-def char_sum(fs: Iterable[Character]) -> Character:
-    """Sum of characters into one accumulator, not one copy per addend."""
-    out = Character()
-    for f in fs:
-        out.add(f)
-    return out
 
 
 def adjoint_character(rs: RootSystem) -> Character:

@@ -6,8 +6,9 @@ element c = s_{alpha_n} ... s_{alpha_1}.  Position subscripts (the j in
 J, a_j, phi_j) always refer to that ordering, not to the Bourbaki
 numbering of the roots sitting at those positions.
 
-Each distinct c has one table entry holding its cycle [e, c, ...,
-c^(h-1)], from which every check reads h, c^j and c^-1 = c^(h-1).
+Each Coxeter element has one entry in a table keyed by its Dynkin
+orientation.  Its cycle [e, c, ..., c^(h-1)], h = ``ct.coxeter_number``,
+is built on first use with c's order checked to be h.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import weyl
 from .charring import Character, adjoint_character, char_to_str, e
 from .cohomology import euler_char, inversion_tangent, ss_nonempty
 from .rootsys import Record, RootSystem
-from .weyl import WeylElement, coxeter_elements, element_order, from_word
+from .weyl import WeylElement, coxeter_elements, from_word
 
 __all__ = [
     "CoxeterAnalysis",
@@ -49,29 +50,38 @@ class CoxeterAnalysis(Record):
 
 
 class _CoxeterEntry(Record):
-    """analyze's table entry for one Coxeter element c, by simple index,
-    not position.
+    """One Coxeter element c's table entry, by simple index, not position.
 
-    powers = [e, c, ..., c^(h-1)], h the order of c; images[i-1] =
-    c(alpha_i); a and phi_words map a simple index to its orbit length and
-    phi word; clashes is None until _clashes fills it; splits maps a phi
-    word, whose order depends on the ordering, to (phi, tau, phi_images),
-    where phi_images[i-1] = phi(alpha_i).
+    images[i-1] = c(alpha_i); a and phi_words map a simple index to its
+    orbit length and phi word; powers and clashes are None until _cycle
+    and _clashes fill them; splits maps a phi word, whose order depends on
+    the ordering, to (phi, tau, phi_images), where phi_images[i-1] =
+    phi(alpha_i).
     """
 
-    __slots__ = ("c", "powers", "images", "a", "phi_words", "clashes", "splits")
+    __slots__ = ("c", "images", "a", "phi_words", "powers", "clashes", "splits")
 
 
 @lru_cache(maxsize=None)
-def _coxeter_data(rs: RootSystem, c: WeylElement) -> _CoxeterEntry:
-    """c's entry, built once per distinct c: its cycle, then its orbits.
+def _coxeter_table(rs: RootSystem) -> dict[tuple[bool, ...], _CoxeterEntry]:
+    """The Coxeter entries of rs built so far, keyed by Dynkin orientation."""
+    return {}
+
+
+def _entry(rs: RootSystem, word: Sequence[int], c: WeylElement | None = None) -> _CoxeterEntry:
+    """The entry of c = s_{i1} ... s_{in}, ``word`` a permutation of the
+    simples, by orientation; built (from c if given) when first seen.
 
     An orbit of a simple root walks on the images c(alpha_k) alone, since
     it is followed only while it stays simple; and c^-1(alpha_i) is simple
     iff alpha_i is one of those images.  So c acts on n roots, once each.
     """
-    powers = _cycle(c)
-    h = len(powers)
+    table = _coxeter_table(rs)
+    key = weyl.orientation(rs, word)
+    if key in table:
+        return table[key]
+    c = from_word(rs, word) if c is None else c
+    h = rs.ct.coxeter_number
     simple_index = {r.coords: i for i, r in enumerate(rs.simple_roots, 1)}
     images = tuple(map(c.apply_root, rs.simple_roots))
     image_coords = {img.coords for img in images}
@@ -91,7 +101,8 @@ def _coxeter_data(rs: RootSystem, c: WeylElement) -> _CoxeterEntry:
             a[i] = len(letters)
             if root.coords not in image_coords:
                 phi_words[i] = tuple(letters)
-    return _CoxeterEntry(c, powers, images, a, phi_words, None, {})
+    table[key] = entry = _CoxeterEntry(c, images, a, phi_words, None, None, {})
+    return entry
 
 
 def _clashes(rs: RootSystem, entry: _CoxeterEntry) -> set[frozenset[int]]:
@@ -106,19 +117,39 @@ def _clashes(rs: RootSystem, entry: _CoxeterEntry) -> set[frozenset[int]]:
     return entry.clashes
 
 
+def _cycle(entry: _CoxeterEntry) -> list[WeylElement]:
+    """[e, c, ..., c^(h-1)] for entry's c, h = ct.coxeter_number, kept in
+    the entry on first use; c^-j is c^(h-j), entry -j.  Asserting c^h = e
+    and h distinct powers proves that c has order h."""
+    if entry.powers is None:
+        c, powers = entry.c, [weyl.identity(entry.c.rs)]
+        for _ in range(1, c.rs.ct.coxeter_number):
+            powers.append(powers[-1] * c)
+        if powers[-1] * c != powers[0] or len(set(powers)) != len(powers):
+            raise AssertionError(f"Coxeter element {c!r} does not have order h = {len(powers)}")
+        entry.powers = powers
+    return entry.powers
+
+
 def analyze(rs: RootSystem, ordering: Sequence[int]) -> CoxeterAnalysis:
     """Compute the orbit data of c = s_{alpha_n} ... s_{alpha_1}.
 
-    c is looked up by the orientation of the ordering, so its entry is
-    found without building c.  Asserts the structural identities on the
-    way out: phi is reduced as the concatenation of the phi_j words, and
-    tau * phi = c.  Whether l(c) = l(tau) + l(phi) is a clause of
-    verify_lemma54_55_56, which reports it.
+    c's entry is looked up by the orientation of the ordering, so c is
+    built once however many orderings name it, and h is the Coxeter
+    number.  Asserts the structural identities on the way out: phi is
+    reduced as the concatenation of the phi_j words, and tau * phi = c.
+    Whether l(c) = l(tau) + l(phi) is a clause of verify_lemma54_55_56,
+    which reports it.
     """
     ordering = tuple(ordering)
     if sorted(ordering) != list(range(1, rs.rank + 1)):
         raise ValueError(f"ordering {ordering} is not a permutation of the simples")
-    entry = _coxeter_data(rs, weyl.coxeter_element(rs, ordering[::-1]))
+    return _analysis(rs, ordering, _entry(rs, ordering[::-1]))
+
+
+def _analysis(rs: RootSystem, ordering: tuple[int, ...],
+              entry: _CoxeterEntry) -> CoxeterAnalysis:
+    """analyze for a valid ordering, given c's entry."""
     c, a_of, words_of, splits = entry.c, entry.a, entry.phi_words, entry.splits
     a = {pos: a_of[i] for pos, i in enumerate(ordering, 1) if i in a_of}
     phi_words = {pos: words_of[i] for pos, i in enumerate(ordering, 1) if i in words_of}
@@ -133,7 +164,7 @@ def analyze(rs: RootSystem, ordering: Sequence[int]) -> CoxeterAnalysis:
             raise AssertionError("tau * phi is not c")
         splits[phi_word] = phi, tau, tuple(map(phi.apply_root, rs.simple_roots))
     phi, tau, _ = splits[phi_word]
-    return CoxeterAnalysis(ordering, c, len(entry.powers), tuple(a), a, tuple(phi_words),
+    return CoxeterAnalysis(ordering, c, rs.ct.coxeter_number, tuple(a), a, tuple(phi_words),
                            phi_words, phi, tau)
 
 
@@ -162,7 +193,8 @@ def yz_exponent(rs: RootSystem, c: WeylElement, alpha: int) -> int:
     """
     rs._check_index(alpha)
     _check_coxeter(rs, c)
-    j = _w0_exponent(_coxeter_data(rs, c).powers, weyl.longest_element(rs), alpha)
+    powers = _cycle(_entry(rs, c.reduced_word(), c))
+    j = _w0_exponent(powers, weyl.longest_element(rs), alpha)
     if j is None:
         raise AssertionError(f"no exponent below the Coxeter number for alpha_{alpha}")
     return j
@@ -178,8 +210,9 @@ def is_typeA_extremal(rs: RootSystem, c: WeylElement) -> bool:
     if rs.ct.family != "A":
         raise ValueError("extremality in this sense is a type A notion")
     _check_coxeter(rs, c)
-    by_path = len(set(weyl.orientation(rs, c.reduced_word()))) <= 1
-    by_ss = ss_nonempty(rs, c) and ss_nonempty(rs, _coxeter_data(rs, c).powers[-1])
+    word = c.reduced_word()
+    by_path = len(set(weyl.orientation(rs, word))) <= 1
+    by_ss = ss_nonempty(rs, c) and ss_nonempty(rs, _cycle(_entry(rs, word, c))[-1])
     if by_path != by_ss:
         raise AssertionError(
             "path-word extremality disagrees with the semistability criterion")
@@ -193,7 +226,7 @@ def verify_prop51(rs: RootSystem) -> tuple[int, list, dict]:
     w0 = weyl.longest_element(rs)
     elements = coxeter_elements(rs)
     for c, word in elements:
-        powers = _coxeter_data(rs, c).powers
+        powers = _cycle(_entry(rs, word, c))
         for alpha in range(1, rs.rank + 1):
             j = _w0_exponent(powers, w0, alpha)
             if j is None:
@@ -202,7 +235,7 @@ def verify_prop51(rs: RootSystem) -> tuple[int, list, dict]:
             else:
                 rows.append({"c_word": list(word), "alpha": alpha, "j": j})
     return len(elements) * rs.rank, counterexamples, {
-        "coxeter_number": len(_coxeter_data(rs, elements[0][0]).powers),
+        "coxeter_number": rs.ct.coxeter_number,
         "rows": rows,
     }
 
@@ -221,8 +254,8 @@ def verify_lemma54_55_56(rs: RootSystem) -> tuple[int, list, dict]:
     universe = 0
     for perm in permutations(range(1, n + 1)):
         universe += 1
-        analysis = analyze(rs, perm)
-        entry = _coxeter_data(rs, analysis.c)
+        entry = _entry(rs, perm[::-1])
+        analysis = _analysis(rs, perm, entry)
         images = entry.images
         phi_images = entry.splits[sum(analysis.phi_words.values(), ())][2]
         roots = [rs.simple_roots[perm[p - 1] - 1] for p in range(1, n + 1)]
@@ -294,15 +327,6 @@ def verify_lemma54_55_56(rs: RootSystem) -> tuple[int, list, dict]:
     return universe, counterexamples, {}
 
 
-def _cycle(c: WeylElement) -> list[WeylElement]:
-    """[e, c, ..., c^(h-1)], h the order of c, the one order computation
-    of this module; c^-j is c^(h-j), entry -j."""
-    powers = [weyl.identity(c.rs)]
-    for _ in range(1, element_order(c)):
-        powers.append(powers[-1] * c)
-    return powers
-
-
 def _dot_zero_euler(rs: RootSystem, w: WeylElement, w_inv: WeylElement) -> Character:
     """chi(w, e^{w^-1 . 0}), which Cor. 5.8 and Thm. C weigh by (-1)^l(w)."""
     return euler_char(rs, w, e(w_inv.dot(rs.zero())))
@@ -317,7 +341,7 @@ def verify_thmC_typeA(rs: RootSystem) -> tuple[int, list, dict]:
     Non-extremal Coxeter elements get informational rows only.
     """
     n = rs.rank
-    powers = _coxeter_data(rs, weyl.coxeter_element(rs, range(n, 0, -1))).powers
+    powers = _cycle(_entry(rs, range(n, 0, -1)))
     counterexamples = []
     signs = set()
     zero = rs.zero()
@@ -358,7 +382,7 @@ def verify_thmC_typeA(rs: RootSystem) -> tuple[int, list, dict]:
     for cox, word in coxeter_elements(rs):
         if is_typeA_extremal(rs, cox):
             continue
-        chi = _dot_zero_euler(rs, cox, _coxeter_data(rs, cox).powers[-1])
+        chi = _dot_zero_euler(rs, cox, _cycle(_entry(rs, word, cox))[-1])
         nonextremal_rows.append({
             "c_word": list(word),
             "euler_is_signed_e0": chi == e(zero, (-1) ** cox.length),
@@ -391,7 +415,7 @@ def verify_cor52_53_58(rs: RootSystem) -> tuple[int, list, dict]:
     groups: dict[frozenset, tuple[Character, Character]] = {}
     cycles = []
     for c, word in coxeter_elements(rs):
-        powers = _coxeter_data(rs, c).powers
+        powers = _cycle(_entry(rs, word, c))
         group = frozenset(powers)
         cycles.append((c, word, powers, groups.setdefault(group, (Character(), Character()))))
     is_full: dict[WeylElement, bool] = {}

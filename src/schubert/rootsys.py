@@ -444,10 +444,6 @@ class RootSystem:
                 f"non-integral coroot pairing {Fraction(total, beta.d)}")
         return q
 
-    def reflect(self, lam: Weight, beta: Root) -> Weight:
-        """s_beta(lam) = lam - <lam, beta_vee> beta."""
-        return lam - self.pairing_root(lam, beta) * beta.weight
-
     def reflect_simple(self, lam: Weight, i: int) -> Weight:
         self._check_index(i)
         return lam - lam.fw[i - 1] * self.simple_roots[i - 1].weight

@@ -24,9 +24,9 @@ canonical word, so it is refused there.  ``enumerate_group`` is a
 breadth-first enumeration that dedupes and finds canonical words on H; the
 sweeps walk the group depth first instead (``cohomology.group_walk``).
 Elements invert by their reversed canonical word, so no rational
-arithmetic touches a group element.  A Coxeter element is looked up by its
-Dynkin orientation (``coxeter_element``), so it is built once however many
-orderings name it.
+arithmetic touches a group element.  A Coxeter element depends only on
+its Dynkin orientation (``orientation``), so ``coxeter_elements`` builds
+one per orientation, however many permutations name it.
 """
 
 from __future__ import annotations
@@ -366,46 +366,15 @@ def orientation(rs: RootSystem, word: Sequence[int]) -> tuple[bool, ...]:
     return tuple(pos[i] < pos[k] for i, k in _dynkin_edges(rs))
 
 
-@lru_cache(maxsize=None)
-def _coxeter_table(rs: RootSystem) -> dict[tuple[bool, ...], WeylElement]:
-    """The Coxeter elements of rs built so far, keyed by orientation."""
-    return {}
-
-
-def coxeter_element(rs: RootSystem, word: Sequence[int]) -> WeylElement:
-    """s_{i1} ... s_{in} for ``word``, a permutation of the simple indices,
-    looked up by its orientation; built from the word only the first time
-    its orientation is seen, and the same object after that."""
-    key = orientation(rs, word)
-    table = _coxeter_table(rs)
-    c = table.get(key)
-    if c is None:
-        c = table[key] = from_word(rs, word)
-    return c
-
-
 def coxeter_elements(rs: RootSystem) -> list[tuple[WeylElement, tuple[int, ...]]]:
     """Distinct Coxeter elements with the lex-first word that produced each.
 
     Every permutation of the simple reflections is read in lexicographic
-    order and looked up by its orientation, so one element is built per
-    orientation, 2^(n-1) in all, not one per permutation; the list is
-    deduplicated by element in permutation order, so it is deterministic.
+    order and keyed by its orientation, and one element is built from the
+    first permutation of each orientation, 2^(n-1) in all, not one per
+    permutation; the list is in permutation order, so it is deterministic.
     """
-    found: dict[WeylElement, tuple[int, ...]] = {}
+    words: dict[tuple[bool, ...], tuple[int, ...]] = {}
     for perm in permutations(range(1, rs.rank + 1)):
-        found.setdefault(coxeter_element(rs, perm), perm)
-    return list(found.items())
-
-
-def element_order(w: WeylElement) -> int:
-    """Smallest k >= 1 with w^k = e, the first return of rho (only e fixes
-    the regular rho); k divides |W|, so |W| bounds the loop."""
-    bound = w.rs.ct.weyl_order
-    rho = w.rs.rho.fw
-    cur = w.act(rho)
-    for k in range(1, bound + 1):
-        if cur == rho:
-            return k
-        cur = w.act(cur)
-    raise AssertionError(f"element order exceeds |W| = {bound}")
+        words.setdefault(orientation(rs, perm), perm)
+    return [(from_word(rs, word), word) for word in words.values()]

@@ -10,8 +10,9 @@ Freudenthal's recursion and the Weyl dimension formula instead of Demazure
 operators, Fraction root coordinates, symmetrizers and Cartan inverse
 instead of the integer D * C^-1 rows and fraction-free elimination, string
 steps on fw tuples instead of packed integer keys, one Coxeter element at
-a time instead of the memo over distinct powers, matrix powers instead of
-the first return of rho, one analysis per ordering instead of the table
+a time instead of the memo over distinct powers, the first return of rho
+(``element_order``) and matrix powers instead of the Coxeter number with
+its checked cycle, one analysis per ordering instead of the table
 of distinct Coxeter elements, one product per permutation instead of one
 per Dynkin orientation, and a dot-action walk to the dominant chamber
 with Freudenthal's recursion instead of the Demazure operator of w0, so
@@ -29,8 +30,7 @@ from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from schubert import (Character, CoxeterAnalysis, WeylElement, adjoint_character,
-                      bruhat_leq, char_to_str, coxeter_elements, e, element_order,
-                      enumerate_group, euler_char, from_word, h0_line, identity,
+                      bruhat_leq, char_to_str, coxeter_elements, e, enumerate_group, euler_char, from_word, h0_line, identity,
                       is_typeA_extremal, longest_element, min_parabolic_rep,
                       ss_nonempty)
 from schubert.charring import _DIGIT
@@ -156,6 +156,19 @@ def gauss_jordan_inverse(mat: Matrix) -> Matrix:
     if any(v.denominator != 1 for row in inv for v in row):
         raise AssertionError("non-integral Weyl matrix inverse")
     return tuple(tuple(int(v) for v in row) for row in inv)
+
+
+def element_order(w: WeylElement) -> int:
+    """Smallest k >= 1 with w^k = e, the first return of rho (only e fixes
+    the regular rho); k divides |W|, so |W| bounds the loop."""
+    bound = w.rs.ct.weyl_order
+    rho = w.rs.rho.fw
+    cur = w.act(rho)
+    for k in range(1, bound + 1):
+        if cur == rho:
+            return k
+        cur = w.act(cur)
+    raise AssertionError(f"element order exceeds |W| = {bound}")
 
 
 def matrix_power_order(rs: RootSystem, mat: Matrix) -> int:

@@ -4,6 +4,7 @@ import collections
 import functools
 import itertools
 import json
+import re
 
 import pytest
 
@@ -21,13 +22,22 @@ from schubert import (
 from schubert import coxeter, weyl
 from schubert.charring import e
 from schubert.cli import main
-from schubert.coxeter import (_clashes, _coxeter_data, _cycle, _dot_zero_euler,
+from schubert.coxeter import (_clashes, _coxeter_table, _cycle, _dot_zero_euler, _entry,
                               verify_cor52_53_58, verify_lemma54_55_56)
 from schubert.report import run_check, run_checks
+from schubert.rootsys import CartanType
 from schubert.weyl import WeylElement
 
 from helpers import (analyze_per_ordering, cor52_53_58_per_element, matmul, matrix_of,
                      matvec, mul_from_word, word_matrix)
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    """An empty Coxeter table for the test, so it builds every entry and
+    cycle it reads; called on a root system, it gives that table."""
+    monkeypatch.setattr(coxeter, "_coxeter_table", functools.lru_cache(lambda rs: {}))
+    return coxeter._coxeter_table
 
 
 def test_analyze_a2_anchor():
@@ -87,7 +97,7 @@ def test_analyze_matches_the_per_ordering_oracle(name):
 
 
 @pytest.mark.parametrize("name", ["A4", "D4", "D5", "E6"])
-def test_phi_factor_commutation_is_read_per_c_and_reindexed(name):
+def test_phi_factor_commutation_is_read_per_c_and_reindexed(fresh_table, name):
     # the commutation verdicts of the factors live in c's table entry,
     # keyed by simple index; each ordering must report its own positions
     rs = build(name)
@@ -100,36 +110,32 @@ def test_phi_factor_commutation_is_read_per_c_and_reindexed(name):
             expected.append({"ordering": list(perm), "clause": "factor-commutation",
                              "j": j, "k": k})
     assert expected
-    try:
-        # pretend no two factors commute: every pair of J must be reported
-        for c, _ in coxeter_elements(rs):
-            entry = _coxeter_data(rs, c)
-            clashes = _clashes(rs, entry)
-            assert not clashes
-            clashes.update(frozenset(pair) for pair in itertools.combinations(entry.phi_words, 2))
-        _, rows, _ = verify_lemma54_55_56(rs)
-        assert rows == expected
-    finally:
-        _coxeter_data.cache_clear()
+    # pretend no two factors commute: every pair of J must be reported
+    for c, word in coxeter_elements(rs):
+        entry = _entry(rs, word, c)
+        clashes = _clashes(rs, entry)
+        assert not clashes
+        clashes.update(frozenset(pair) for pair in itertools.combinations(entry.phi_words, 2))
+    _, rows, _ = verify_lemma54_55_56(rs)
+    assert rows == expected
 
 
 @pytest.mark.parametrize("name", ["D5", "E6"])
-def test_lemma54_56_and_prop51_build_each_coxeter_element_once(monkeypatch, name):
-    # over a fresh table, one lemma54_56 and one prop51 build c once per
-    # Dynkin orientation (2^(n-1)), not once per ordering (n!); c acts on
-    # each simple root once, and each (c, phi word) split's phi once
+def test_lemma54_56_and_prop51_build_each_coxeter_element_once(fresh_table, monkeypatch,
+                                                              name):
+    # over a fresh table, lemma54_56 builds c once per Dynkin orientation
+    # (2^(n-1)), not once per ordering (n!); prop51 then lists the
+    # elements with one build per orientation and builds no entry; c acts
+    # on each simple root once, and each (c, phi word) split's phi once
     rs = build(name)
     n = rs.rank
-    monkeypatch.setattr(weyl, "_coxeter_table", functools.lru_cache(lambda rs: {}))
-    monkeypatch.setattr(coxeter, "_coxeter_data",
-                        functools.lru_cache(coxeter._coxeter_data.__wrapped__))
-    builds = []
+    made = {coxeter: [], weyl: []}
 
-    def counted_from_word(rs, word, real=weyl.from_word):
-        word = tuple(word)
-        if sorted(word) == list(range(1, n + 1)):
-            builds.append(word)
-        return real(rs, word)
+    def counted_from_word(log):
+        def from_word(rs, word, real=weyl.from_word):
+            log.append(real(rs, tuple(word)))
+            return log[-1]
+        return from_word
 
     actions = collections.Counter()
 
@@ -137,57 +143,106 @@ def test_lemma54_56_and_prop51_build_each_coxeter_element_once(monkeypatch, name
         actions[id(w)] += 1
         return real(w, beta)
 
-    monkeypatch.setattr(weyl, "from_word", counted_from_word)
+    for module, log in made.items():
+        monkeypatch.setattr(module, "from_word", counted_from_word(log))
     monkeypatch.setattr(WeylElement, "apply_root", counted_apply_root)
     assert verify_lemma54_55_56(rs)[1] == []
+    entries = list(fresh_table(rs).values())
+    cs = {id(entry.c) for entry in entries}
+    builds = [w for w in made[coxeter] if id(w) in cs]
+    assert len(builds) == len(entries) == 2 ** (n - 1)
+    assert len({weyl.orientation(rs, w.reduced_word()) for w in builds}) == len(builds)
+    assert made[weyl] == []
     assert coxeter.verify_prop51(rs)[1] == []
-    elements = list(weyl._coxeter_table(rs).values())
-    assert len(builds) == len(elements) == 2 ** (n - 1)
-    assert len({weyl.orientation(rs, word) for word in builds}) == len(builds)
-    assert all(actions[id(c)] == n for c in elements)
-    splits = sum(len(coxeter._coxeter_data(rs, c).splits) for c in elements)
-    assert sum(actions.values()) == n * (len(elements) + splits)
+    assert [id(entry) for entry in fresh_table(rs).values()] == list(map(id, entries))
+    assert len(made[weyl]) == 2 ** (n - 1)
+    assert all(actions[id(c)] == n for c in builds)
+    splits = sum(len(entry.splits) for entry in entries)
+    assert sum(actions.values()) == n * (len(entries) + splits)
 
 
 @pytest.mark.parametrize("name,checks", [
     ("A5", ["prop51", "lemma54_56", "thmC_typeA", "cor52_53_58"]),
     ("D5", ["prop51", "lemma54_56", "cor52_53_58"]),
 ])
-def test_coxeter_checks_read_one_cycle_per_element(monkeypatch, name, checks):
-    # over a fresh table, the Coxeter checks of one run read h, c^j and
-    # c^-1 from c's entry: one order computation per distinct c, and no
-    # element is inverted
+def test_coxeter_checks_read_one_cycle_per_element(fresh_table, monkeypatch, name, checks):
+    # over a fresh table, the Coxeter checks of one run read c^j and c^-1
+    # from c's entry: one cycle built per distinct c, and no element is
+    # inverted
     rs = build(name)
-    monkeypatch.setattr(weyl, "_coxeter_table", functools.lru_cache(lambda rs: {}))
-    monkeypatch.setattr(coxeter, "_coxeter_data",
-                        functools.lru_cache(coxeter._coxeter_data.__wrapped__))
-    orders = []
+    cycles = []
     inverses = []
 
-    def counted_order(w, real=weyl.element_order):
-        orders.append(w)
-        return real(w)
+    def counted_cycle(entry, real=coxeter._cycle):
+        if entry.powers is None:
+            cycles.append(entry)
+        return real(entry)
 
     def counted_inverse(w, real=WeylElement.inverse):
         inverses.append(w)
         return real(w)
 
-    monkeypatch.setattr(coxeter, "element_order", counted_order)
+    monkeypatch.setattr(coxeter, "_cycle", counted_cycle)
     monkeypatch.setattr(WeylElement, "inverse", counted_inverse)
     assert all(rep.passed for rep in run_checks(rs, checks))
-    elements = list(weyl._coxeter_table(rs).values())
-    assert len(orders) == len(set(orders)) == len(elements) == 16
-    assert set(orders) == set(elements)
+    entries = list(fresh_table(rs).values())
+    assert len(cycles) == len({entry.c for entry in cycles}) == len(entries) == 16
+    assert {id(entry) for entry in cycles} == {id(entry) for entry in entries}
     assert inverses == []
 
 
-def test_prop51_acts_only_for_the_order_and_the_simple_images(monkeypatch):
-    # c acts h times on rho (its order) and once on each simple root; the
-    # exponents themselves are read from the cycle's column heights
+@pytest.mark.parametrize("name", ["D5", "E6"])
+def test_analyze_and_lemma54_56_build_no_cycle(fresh_table, monkeypatch, name):
+    # both read h as the Coxeter number and never a power of c, so over a
+    # fresh table neither builds a cycle
+    rs = build(name)
+    cycles = []
+    monkeypatch.setattr(coxeter, "_cycle",
+                        lambda entry, real=coxeter._cycle: cycles.append(entry) or real(entry))
+    for perm in itertools.permutations(range(1, rs.rank + 1)):
+        assert analyze(rs, perm).coxeter_number == rs.ct.coxeter_number
+    assert verify_lemma54_55_56(rs)[1] == []
+    entries = list(fresh_table(rs).values())
+    assert len(entries) == 2 ** (rs.rank - 1)
+    assert cycles == [] and all(entry.powers is None for entry in entries)
+
+
+def test_prop51_builds_one_element_and_cycle_per_orientation(fresh_table, monkeypatch):
+    # E8 has 8! orderings and 2^7 orientations: prop51 builds one element
+    # and one cycle for each orientation
+    rs = build("E8")
+    builds = []
+
+    def counted_from_word(rs, word, real=weyl.from_word):
+        builds.append(tuple(word))
+        return real(rs, builds[-1])
+
+    monkeypatch.setattr(weyl, "from_word", counted_from_word)
+    monkeypatch.setattr(coxeter, "from_word", counted_from_word)
+    assert coxeter.verify_prop51(rs)[1] == []
+    entries = list(fresh_table(rs).values())
+    assert len(builds) == len(entries) == 128
+    assert len({weyl.orientation(rs, word) for word in builds}) == 128
+    assert all(len(entry.powers) == rs.ct.coxeter_number == 30 for entry in entries)
+
+
+def test_coxeter_order_is_checked_against_h(fresh_table, monkeypatch, capsys):
+    # the cycle asserts c^h = e and h distinct powers, so with h one too
+    # large every Coxeter element fails it: an engine failure, not a report
+    real = CartanType.coxeter_number.fget
+    monkeypatch.setattr(CartanType, "coxeter_number", property(lambda ct: real(ct) + 1))
+    code = main(["verify", "prop51", "--type", "A3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert re.fullmatch(r"error: engine failure: Coxeter element W\[[\d,]+\] "
+                        r"does not have order h = 5\n", captured.err)
+
+
+def test_prop51_acts_only_for_the_order_and_the_simple_images(fresh_table, monkeypatch):
+    # c acts once on each simple root and never for its order, which the
+    # cycle checks on column heights; the exponents are read from those
+    # heights too
     rs = build("E6")
-    monkeypatch.setattr(weyl, "_coxeter_table", functools.lru_cache(lambda rs: {}))
-    monkeypatch.setattr(coxeter, "_coxeter_data",
-                        functools.lru_cache(coxeter._coxeter_data.__wrapped__))
     actions = collections.Counter()
 
     def counted_act(w, fw, real=WeylElement.act):
@@ -198,8 +253,8 @@ def test_prop51_acts_only_for_the_order_and_the_simple_images(monkeypatch):
     assert coxeter.verify_prop51(rs)[1] == []
     monkeypatch.undo()
     elements = [c for c, _ in coxeter_elements(rs)]
-    assert actions == {c: 12 + rs.rank for c in elements}
-    assert sum(actions.values()) == 576
+    assert actions == {c: rs.rank for c in elements}
+    assert sum(actions.values()) == 192
 
 
 def test_yz_exponent_a2():
@@ -224,8 +279,8 @@ def test_yz_exponent_hits_w0_image():
     for name in ("A3", "B3", "D4"):
         rs = build(name)
         w0 = longest_element(rs)
-        for c, _ in coxeter_elements(rs):
-            powers = _cycle(c)
+        for c, word in coxeter_elements(rs):
+            powers = _cycle(_entry(rs, word, c))
             for i in range(1, rs.rank + 1):
                 j = yz_exponent(rs, c, i)
                 omega = rs.fundamental_weights[i - 1]
@@ -297,11 +352,11 @@ def test_lemma54_56_reports_lengths_that_do_not_add(capsys, monkeypatch):
     # stop the run first (the memo is cleared around the patched lengths)
     real = WeylElement.length.fget
     monkeypatch.setattr(WeylElement, "length", property(lambda w: real(w) or 1))
-    _coxeter_data.cache_clear()
+    _coxeter_table.cache_clear()
     try:
         code = main(["verify", "lemma54_56", "--type", "A2", "--format", "json"])
     finally:
-        _coxeter_data.cache_clear()
+        _coxeter_table.cache_clear()
     doc = json.loads(capsys.readouterr().out)
     assert code == 1 and not doc["passed"]
     assert "length-additivity" in {row["clause"] for row in doc["counterexamples"]}
@@ -380,8 +435,8 @@ def test_coxeter_half_power_is_w0_with_signed_euler_e0(name):
     # (-1)^N chi(w0, e^{w0 . 0}) = (-1)^N chi(w0, e^{-2 rho}) = e^0
     rs = build(name)
     w0 = longest_element(rs)
-    for c, _ in coxeter_elements(rs):
-        powers = _cycle(c)
+    for c, word in coxeter_elements(rs):
+        powers = _cycle(_entry(rs, word, c))
         h = len(powers)
         assert h % 2 == 0 and powers[h // 2] == w0
         chi = _dot_zero_euler(rs, powers[h // 2], powers[h // 2])

@@ -172,10 +172,11 @@ def test_reflections_permute_roots(name):
         alpha = rs.simple_roots[i - 1]
         images = set()
         for root in rs.roots:
-            img = rs.reflect(root.weight, alpha)
+            # s_alpha(lam) = lam - <lam, alpha_vee> alpha
+            img = root.weight - rs.pairing_root(root.weight, alpha) * alpha.weight
             assert rs.root_of(img) is not None
             images.add(img.fw)
-            assert rs.reflect(img, alpha) == root.weight
+            assert img - rs.pairing_root(img, alpha) * alpha.weight == root.weight
         assert len(images) == len(rs.roots)
         # s_i permutes the positive roots other than alpha_i
         flipped = [r for r in rs.positive_roots

@@ -10,7 +10,6 @@ from schubert import (
     bruhat_leq,
     build,
     coxeter_elements,
-    element_order,
     enumerate_group,
     from_word,
     identity,
@@ -18,11 +17,12 @@ from schubert import (
     min_parabolic_rep,
     simple_reflection,
 )
+from schubert.coxeter import _entry
 from schubert.report import DEFAULT_GUARD, GUARD_ENV_VAR, resolve_guard
-from schubert.weyl import coxeter_element, orientation
+from schubert.weyl import orientation
 
 from helpers import (LAYER_TYPES, coxeter_elements_per_permutation, element_of,
-                     gauss_jordan_inverse, identity_matrix, matmul, matrix_of,
+                     element_order, gauss_jordan_inverse, identity_matrix, matmul, matrix_of,
                      matrix_power_order, matvec, mul_from_word, peel_reduced_word,
                      random_element, reduced_words, simple_matrix, subword_bruhat_leq,
                      weight_orbit, word_matrix)
@@ -199,8 +199,9 @@ def test_orientation_keys_the_coxeter_element():
     rs = build("A3")
     assert orientation(rs, (1, 3, 2)) == orientation(rs, (3, 1, 2)) == (True, False)
     assert orientation(rs, (2, 1, 3)) == (False, True)
-    assert coxeter_element(rs, (3, 1, 2)) is coxeter_element(rs, (1, 3, 2))
-    assert coxeter_element(rs, (3, 1, 2)) == from_word(rs, (3, 1, 2))
+    # one table entry serves both words, and it holds their product
+    assert _entry(rs, (3, 1, 2)) is _entry(rs, (1, 3, 2))
+    assert _entry(rs, (3, 1, 2)).c == from_word(rs, (3, 1, 2))
 
 
 @pytest.mark.parametrize("name, h", [("A5", 6), ("D5", 8), ("E6", 12)])
