@@ -5,7 +5,9 @@ composite), verify (run one named check), sweep (run every check that
 applies to a type).  This module parses and renders only: verify and
 sweep precheck their check ids on the parsed type before building its
 root system, then hand them to report.run_checks, which owns the runs
-and the process pool.  Exit codes: 0 all checks passed, 1 a check found
+and the process pool.  Engine modules load only where a subcommand
+runs them: demazure imports charring in its handler, so verify prop51
+or lemma54_56 loads neither charring nor cohomology.  Exit codes: 0 all checks passed, 1 a check found
 a mathematical counterexample, 2 usage or applicability error (including
 a tripped enumeration guard), 3 engine failure (an internal consistency
 check failed, so the run proves nothing either way).
@@ -20,7 +22,6 @@ import sys
 from math import prod
 
 from . import __version__
-from .charring import char_sorted_terms, char_to_str, demazure_along_word, e
 from .report import (CHECKS, DEFAULT_GUARD, GUARD_ENV_VAR, GuardExceeded, Report,
                      canonical_json, labeling_table, precheck, resolve_guard, run_checks)
 from .rootsys import CartanType, Root, RootSystem, Weight, build
@@ -190,6 +191,9 @@ def _weyl_dimension(rs: RootSystem, lam: Weight) -> int:
 
 
 def cmd_demazure(args) -> tuple[str, int]:
+    # imported here: verify and sweep of the Coxeter checks never load charring
+    from .charring import char_sorted_terms, char_to_str, demazure_along_word, e
+
     rs = build(args.type)
     word = _parse_word(rs, args.word)
     lam = _parse_weight(rs, args)

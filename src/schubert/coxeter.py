@@ -7,21 +7,25 @@ J, a_j, phi_j) always refer to that ordering, not to the Bourbaki
 numbering of the roots sitting at those positions.
 
 Each Coxeter element has one entry in a table keyed by its Dynkin
-orientation.  Its cycle [e, c, ..., c^(h-1)], h = ``ct.coxeter_number``,
-is built on first use with c's order checked to be h.
+orientation.  The entry holds c; its simple-root images and orbits, its
+cycle [e, c, ..., c^(h-1)] (h = ``ct.coxeter_number``, c's order checked
+to be h) and lemma54_56's verdicts are built on first use, so prop51
+acts on no root.  Only the Euler-character checks load ``charring`` and
+``cohomology``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import weyl
-from .charring import Character, adjoint_character, char_to_str, e
-from .cohomology import euler_char, inversion_tangent, ss_nonempty
 from .rootsys import Record, RootSystem
 from .weyl import WeylElement, coxeter_elements, from_word
+
+if TYPE_CHECKING:
+    from .charring import Character
 
 __all__ = [
     "CoxeterAnalysis",
@@ -50,16 +54,18 @@ class CoxeterAnalysis(Record):
 
 
 class _CoxeterEntry(Record):
-    """One Coxeter element c's table entry, by simple index, not position.
+    """One Coxeter element c = s_{word[0]} ... s_{word[-1]}'s table entry,
+    by simple index, not position.
 
-    images[i-1] = c(alpha_i); a and phi_words map a simple index to its
-    orbit length and phi word; powers and clashes are None until _cycle
-    and _clashes fill them; splits maps a phi word, whose order depends on
-    the ordering, to (phi, tau, phi_images), where phi_images[i-1] =
-    phi(alpha_i).
+    Only c and its word are set when the entry is made; the rest is None
+    until first read.  images[i-1] = c(alpha_i), and a and phi_words map a
+    simple index to its orbit length and phi word (_orbits); powers is c's
+    cycle (_cycle); verdicts are lemma54_56's failures that depend on c
+    alone (_verdicts).  splits maps a J order, J's simple indices in the
+    order an ordering meets them, to what depends on phi (_split).
     """
 
-    __slots__ = ("c", "images", "a", "phi_words", "powers", "clashes", "splits")
+    __slots__ = ("c", "word", "images", "a", "phi_words", "powers", "verdicts", "splits")
 
 
 @lru_cache(maxsize=None)
@@ -70,51 +76,120 @@ def _coxeter_table(rs: RootSystem) -> dict[tuple[bool, ...], _CoxeterEntry]:
 
 def _entry(rs: RootSystem, word: Sequence[int], c: WeylElement | None = None) -> _CoxeterEntry:
     """The entry of c = s_{i1} ... s_{in}, ``word`` a permutation of the
-    simples, by orientation; built (from c if given) when first seen.
+    simples, by orientation; made (from c if given) when first seen."""
+    table = _coxeter_table(rs)
+    key = weyl.orientation(rs, word)
+    if key not in table:
+        word = tuple(word)
+        c = from_word(rs, word) if c is None else c
+        table[key] = _CoxeterEntry(c, word, None, None, None, None, None, {})
+    return table[key]
+
+
+def _orbits(rs: RootSystem, entry: _CoxeterEntry) -> tuple[tuple, dict, dict]:
+    """(images, a, phi_words) of entry's c, kept in the entry on first use.
 
     An orbit of a simple root walks on the images c(alpha_k) alone, since
     it is followed only while it stays simple; and c^-1(alpha_i) is simple
     iff alpha_i is one of those images.  So c acts on n roots, once each.
     """
-    table = _coxeter_table(rs)
-    key = weyl.orientation(rs, word)
-    if key in table:
-        return table[key]
-    c = from_word(rs, word) if c is None else c
-    h = rs.ct.coxeter_number
-    simple_index = {r.coords: i for i, r in enumerate(rs.simple_roots, 1)}
-    images = tuple(map(c.apply_root, rs.simple_roots))
-    image_coords = {img.coords for img in images}
-    a: dict[int, int] = {}
-    phi_words: dict[int, tuple[int, ...]] = {}
-    for i, root in enumerate(rs.simple_roots, 1):
-        # i is in J' when its orbit stays simple until it turns negative, within h
-        letters = []
-        cur = root
-        while len(letters) < h and cur.coords in simple_index:
-            k = simple_index[cur.coords]
-            letters.append(k)
-            cur = images[k - 1]
-            if not cur.positive:
-                break
-        if len(letters) < h and not cur.positive:
-            a[i] = len(letters)
-            if root.coords not in image_coords:
-                phi_words[i] = tuple(letters)
-    table[key] = entry = _CoxeterEntry(c, images, a, phi_words, None, None, {})
-    return entry
+    if entry.images is None:
+        h = rs.ct.coxeter_number
+        simple_index = {r.coords: i for i, r in enumerate(rs.simple_roots, 1)}
+        images = tuple(map(entry.c.apply_root, rs.simple_roots))
+        image_coords = {img.coords for img in images}
+        a: dict[int, int] = {}
+        phi_words: dict[int, tuple[int, ...]] = {}
+        for i, root in enumerate(rs.simple_roots, 1):
+            # i is in J' when its orbit stays simple until it turns negative, within h
+            letters = []
+            cur = root
+            while len(letters) < h and cur.coords in simple_index:
+                k = simple_index[cur.coords]
+                letters.append(k)
+                cur = images[k - 1]
+                if not cur.positive:
+                    break
+            if len(letters) < h and not cur.positive:
+                a[i] = len(letters)
+                if root.coords not in image_coords:
+                    phi_words[i] = tuple(letters)
+        entry.images, entry.a, entry.phi_words = images, a, phi_words
+    return entry.images, entry.a, entry.phi_words
 
 
-def _clashes(rs: RootSystem, entry: _CoxeterEntry) -> set[frozenset[int]]:
-    """The pairs {i, k} of simple indices whose factors phi_i, phi_k of
-    entry's c do not commute, kept in the entry on first use: only
-    verify_lemma54_55_56 reads them, and prop51 reads only the cycle."""
-    if entry.clashes is None:
-        factors = {i: from_word(rs, word) for i, word in entry.phi_words.items()}
-        entry.clashes = {
-            frozenset(pair) for pair in combinations(factors, 2)
-            if factors[pair[0]] * factors[pair[1]] != factors[pair[1]] * factors[pair[0]]}
-    return entry.clashes
+def _verdicts(rs: RootSystem, entry: _CoxeterEntry) -> tuple[list, set, set]:
+    """lemma54_56's failures that depend on entry's c alone, by simple
+    index, kept in the entry on first use: (image, apart, clashes).
+
+    image lists (u, v, c(alpha_u) = alpha_v, conditions) for each pair
+    u != v at which the simple-image biconditional fails; its conditions
+    ask that v be u's one Dynkin neighbour before it in the ordering, and
+    u v's one neighbour after it, which c's orientation fixes.  apart and
+    clashes hold the pairs {u, w} of J whose orbits are not orthogonal
+    while they stay simple, and whose phi factors do not commute.
+    """
+    if entry.verdicts is None:
+        images, _, words = _orbits(rs, entry)
+        n, cartan = rs.rank, rs.cartan
+        # an ordering of c is its word reversed; <alpha_k, alpha_u_vee> = cartan[u][k]
+        at = {i: p for p, i in enumerate(reversed(entry.word))}
+        nbrs = {u: {k for k in range(1, n + 1) if k != u and cartan[u - 1][k - 1]}
+                for u in range(1, n + 1)}
+        earlier = {u: {k for k in nbrs[u] if at[k] < at[u]} for u in nbrs}
+        later = {u: nbrs[u] - earlier[u] for u in nbrs}
+        image = []
+        for u in range(1, n + 1):
+            for v in range(1, n + 1):
+                if u != v:
+                    lhs = images[u - 1].coords == rs.simple_roots[v - 1].coords
+                    rhs = earlier[u] == {v} and later[v] == {u}
+                    if lhs != rhs:
+                        image.append((u, v, lhs, rhs))
+        # phi_u's letters are the simple roots u's orbit passes through
+        apart = {frozenset(pair) for pair in combinations(words, 2)
+                 if any(cartan[y - 1][x - 1] for x in words[pair[0]] for y in words[pair[1]])}
+        factors = {i: from_word(rs, word) for i, word in words.items()}
+        clashes = {frozenset(pair) for pair in combinations(factors, 2)
+                   if factors[pair[0]] * factors[pair[1]] != factors[pair[1]] * factors[pair[0]]}
+        entry.verdicts = image, apart, clashes
+    return entry.verdicts
+
+
+def _split(rs: RootSystem, entry: _CoxeterEntry,
+           order: tuple[int, ...]) -> tuple[WeylElement, WeylElement, dict | None, list]:
+    """(phi, tau, length, low) for the J order ``order`` of entry's c,
+    kept in the entry on first use.
+
+    phi is the product of the phi words in that order and c = tau * phi;
+    asserted on the way: phi's word is reduced and tau * phi = c.  length
+    is lemma54_56's length-additivity row, or None when l(c) = l(tau) +
+    l(phi); low lists (u, ht c(alpha_u), ht phi(alpha_u)) for each letter u
+    of tau at which the first height is the smaller.
+    """
+    split = entry.splits.get(order)
+    if split is None:
+        images, _, words = _orbits(rs, entry)
+        c = entry.c
+        phi_word = sum((words[i] for i in order), ())
+        phi = from_word(rs, phi_word)
+        if len(phi.reduced_word()) != len(phi_word):
+            raise AssertionError("phi word is not reduced")
+        # (s_{i1} ... s_{ik})^-1 = s_{ik} ... s_{i1}
+        tau = c * from_word(rs, phi_word[::-1])
+        if tau * phi != c:
+            raise AssertionError("tau * phi is not c")
+        length = None
+        if c.length != tau.length + phi.length:
+            length = {"clause": "length-additivity", "tau_word": list(tau.reduced_word()),
+                      "phi_word": list(phi.reduced_word())}
+        # s_u <= tau iff the letter u occurs in a reduced word of tau
+        tau_letters = set(tau.reduced_word())
+        pairs = zip(images, map(phi.apply_root, rs.simple_roots))
+        low = [(u, via_c.height, via_phi.height) for u, (via_c, via_phi) in enumerate(pairs, 1)
+               if u in tau_letters and via_c.height < via_phi.height]
+        entry.splits[order] = split = phi, tau, length, low
+    return split
 
 
 def _cycle(entry: _CoxeterEntry) -> list[WeylElement]:
@@ -150,22 +225,12 @@ def analyze(rs: RootSystem, ordering: Sequence[int]) -> CoxeterAnalysis:
 def _analysis(rs: RootSystem, ordering: tuple[int, ...],
               entry: _CoxeterEntry) -> CoxeterAnalysis:
     """analyze for a valid ordering, given c's entry."""
-    c, a_of, words_of, splits = entry.c, entry.a, entry.phi_words, entry.splits
+    _, a_of, words_of = _orbits(rs, entry)
     a = {pos: a_of[i] for pos, i in enumerate(ordering, 1) if i in a_of}
     phi_words = {pos: words_of[i] for pos, i in enumerate(ordering, 1) if i in words_of}
-    phi_word = sum(phi_words.values(), ())
-    if phi_word not in splits:
-        phi = from_word(rs, phi_word)
-        if phi.length != len(phi_word):
-            raise AssertionError("phi word is not reduced")
-        # (s_{i1} ... s_{ik})^-1 = s_{ik} ... s_{i1}
-        tau = c * from_word(rs, phi_word[::-1])
-        if tau * phi != c:
-            raise AssertionError("tau * phi is not c")
-        splits[phi_word] = phi, tau, tuple(map(phi.apply_root, rs.simple_roots))
-    phi, tau, _ = splits[phi_word]
-    return CoxeterAnalysis(ordering, c, rs.ct.coxeter_number, tuple(a), a, tuple(phi_words),
-                           phi_words, phi, tau)
+    phi, tau, _, _ = _split(rs, entry, tuple(i for i in ordering if i in words_of))
+    return CoxeterAnalysis(ordering, entry.c, rs.ct.coxeter_number, tuple(a), a,
+                           tuple(phi_words), phi_words, phi, tau)
 
 
 def _check_coxeter(rs: RootSystem, c: WeylElement) -> None:
@@ -207,6 +272,9 @@ def is_typeA_extremal(rs: RootSystem, c: WeylElement) -> bool:
     Asserted on the way out: this agrees with the semistability criterion
     holding for both c and c^{-1} = c^(h-1).
     """
+    # imported here: prop51 and lemma54_56 never load the Euler-character modules
+    from .cohomology import ss_nonempty
+
     if rs.ct.family != "A":
         raise ValueError("extremality in this sense is a type A notion")
     _check_coxeter(rs, c)
@@ -247,88 +315,59 @@ def verify_lemma54_55_56(rs: RootSystem) -> tuple[int, list, dict]:
     orthogonality of the J-orbits, commutation of the phi factors, length
     additivity of c = tau * phi, and the height inequality for positions
     whose reflection lies below tau.
+
+    The first three depend on c alone, the last two on c and the order in
+    which the ordering meets J (its split), so each is decided once, by
+    simple index, in c's entry.  An ordering finds c's entry by its
+    orientation and then its split, and re-indexes any failures by
+    position.
     """
     counterexamples = []
-    n = rs.rank
-    cartan = rs.cartan
     universe = 0
-    for perm in permutations(range(1, n + 1)):
+    for perm in permutations(range(1, rs.rank + 1)):
         universe += 1
         entry = _entry(rs, perm[::-1])
-        analysis = _analysis(rs, perm, entry)
-        images = entry.images
-        phi_images = entry.splits[sum(analysis.phi_words.values(), ())][2]
-        roots = [rs.simple_roots[perm[p - 1] - 1] for p in range(1, n + 1)]
-
-        # c maps the position-i root to the position-j root iff j is the
-        # unique earlier neighbor of i and i the unique later neighbor of j;
-        # <alpha_k, alpha_i_vee> = cartan[i][k]
-        earlier = {i: [k for k in range(1, i) if cartan[perm[i - 1] - 1][perm[k - 1] - 1]]
-                   for i in range(1, n + 1)}
-        later = {j: [k for k in range(j + 1, n + 1) if cartan[perm[k - 1] - 1][perm[j - 1] - 1]]
-                 for j in range(1, n + 1)}
-        for i in range(1, n + 1):
-            img = images[perm[i - 1] - 1]
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                lhs = img.coords == roots[j - 1].coords
-                rhs = earlier[i] == [j] and later[j] == [i]
-                if lhs != rhs:
-                    counterexamples.append({
-                        "ordering": list(perm), "clause": "simple-image",
-                        "i": i, "j": j, "image": lhs, "conditions": rhs,
-                    })
-
-        # distinct J-orbits are orthogonal while they stay simple; phi_j's
-        # letters are the simple roots that orbit passes through
-        words = analysis.phi_words
-        for j, k in combinations(analysis.J, 2):
-            for x in words[j]:
-                for y in words[k]:
-                    if cartan[y - 1][x - 1]:
-                        counterexamples.append({
-                            "ordering": list(perm), "clause": "orbit-orthogonality",
-                            "j": j, "k": k,
-                            "beta_j": list(rs.simple_roots[x - 1].coords),
-                            "beta_k": list(rs.simple_roots[y - 1].coords),
-                        })
-
-        # the phi factors commute pairwise; the verdicts are c's, by simple index
-        clashes = _clashes(rs, entry)
-        for j, k in combinations(analysis.J, 2):
-            if frozenset((perm[j - 1], perm[k - 1])) in clashes:
-                counterexamples.append({
-                    "ordering": list(perm), "clause": "factor-commutation",
-                    "j": j, "k": k,
-                })
-
-        # lengths add in c = tau * phi
-        if analysis.c.length != analysis.tau.length + analysis.phi.length:
-            counterexamples.append({
-                "ordering": list(perm), "clause": "length-additivity",
-                "tau_word": list(analysis.tau.reduced_word()),
-                "phi_word": list(analysis.phi.reduced_word()),
-            })
-
-        # height comparison for positions whose reflection is below tau;
-        # s_i <= tau iff the letter i occurs in a reduced word of tau
-        tau_letters = set(analysis.tau.reduced_word())
-        for r in range(1, n + 1):
-            if perm[r - 1] not in tau_letters:
-                continue
-            via_c = images[perm[r - 1] - 1].height
-            via_phi = phi_images[perm[r - 1] - 1].height
-            if via_c < via_phi:
-                counterexamples.append({
-                    "ordering": list(perm), "clause": "height-comparison",
-                    "r": r, "height_c": via_c, "height_phi": via_phi,
-                })
+        verdicts = entry.verdicts or _verdicts(rs, entry)
+        words = entry.phi_words
+        order = tuple([i for i in perm if i in words])
+        _, _, length, low = entry.splits.get(order) or _split(rs, entry, order)
+        if any(verdicts) or length or low:
+            counterexamples += _failures(rs, perm, entry, order)
     return universe, counterexamples, {}
+
+
+def _failures(rs: RootSystem, perm: tuple[int, ...], entry: _CoxeterEntry,
+              order: tuple[int, ...]) -> list[dict]:
+    """lemma54_56's rows for the ordering perm: c's verdicts and those of
+    its split, re-indexed by position, clause by clause in position order."""
+    image, apart, clashes = entry.verdicts
+    _, _, length, low = entry.splits[order]
+    words, roots = entry.phi_words, rs.simple_roots
+    ordering, pos = list(perm), {i: p for p, i in enumerate(perm, 1)}
+    rows = [{"ordering": ordering, "clause": "simple-image", "i": pos[u], "j": pos[v],
+             "image": lhs, "conditions": rhs}
+            for u, v, lhs, rhs in sorted(image, key=lambda f: (pos[f[0]], pos[f[1]]))]
+    # combinations of the J order come in position order
+    rows += [{"ordering": ordering, "clause": "orbit-orthogonality", "j": pos[u], "k": pos[w],
+              "beta_j": list(roots[x - 1].coords), "beta_k": list(roots[y - 1].coords)}
+             for u, w in combinations(order, 2) if frozenset((u, w)) in apart
+             for x in words[u] for y in words[w] if rs.cartan[y - 1][x - 1]]
+    rows += [{"ordering": ordering, "clause": "factor-commutation", "j": pos[u], "k": pos[w]}
+             for u, w in combinations(order, 2) if frozenset((u, w)) in clashes]
+    if length:
+        rows.append({"ordering": ordering, **length})
+    rows += [{"ordering": ordering, "clause": "height-comparison", "r": pos[u],
+              "height_c": via_c, "height_phi": via_phi}
+             for u, via_c, via_phi in sorted(low, key=lambda f: pos[f[0]])]
+    return rows
 
 
 def _dot_zero_euler(rs: RootSystem, w: WeylElement, w_inv: WeylElement) -> Character:
     """chi(w, e^{w^-1 . 0}), which Cor. 5.8 and Thm. C weigh by (-1)^l(w)."""
+    # imported here: prop51 and lemma54_56 never load the Euler-character modules
+    from .charring import e
+    from .cohomology import euler_char
+
     return euler_char(rs, w, e(w_inv.dot(rs.zero())))
 
 
@@ -340,6 +379,9 @@ def verify_thmC_typeA(rs: RootSystem) -> tuple[int, list, dict]:
     epsilon, and confirms chi(c^r, e^{that weight}) = (-1)^{l(c^r)} e^0.
     Non-extremal Coxeter elements get informational rows only.
     """
+    # imported here: prop51 and lemma54_56 never load the Euler-character modules
+    from .charring import char_to_str, e
+
     n = rs.rank
     powers = _cycle(_entry(rs, range(n, 0, -1)))
     counterexamples = []
@@ -411,6 +453,10 @@ def verify_cor52_53_58(rs: RootSystem) -> tuple[int, list, dict]:
     whether its tangent is the adjoint character is kept.  The tangent of
     e is zero, so C' and C share one walk.
     """
+    # imported here: prop51 and lemma54_56 never load the Euler-character modules
+    from .charring import Character, adjoint_character, char_to_str, e
+    from .cohomology import inversion_tangent, ss_nonempty
+
     adjoint = adjoint_character(rs)
     groups: dict[frozenset, tuple[Character, Character]] = {}
     cycles = []

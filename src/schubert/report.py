@@ -78,9 +78,9 @@ Check = namedtuple("Check", "id applies cost run shared", defaults=(None,))
 Check.__doc__ = """One row of the check table.
 
 applies(ct) is None when the check applies, else the reason it does
-not.  cost(ct) is the size of the universe the check enumerates, |W|
-or the n! orderings of the simple roots, or None when it only loops
-over roots.  run(rs, guard) returns (universe size, counterexamples,
+not.  cost(ct) is the size of the universe the check enumerates, |W|,
+the n! orderings of the simple roots or the 2^(n-1) Coxeter elements,
+or None when it only loops over roots.  run(rs, guard) returns (universe size, counterexamples,
 details).  Adjacent rows may name a pass they share; their
 run(rs, guard, ids) then gives one triple per id in ids.
 """
@@ -100,6 +100,11 @@ def _weyl_order(ct: CartanType) -> int:
 
 def _orderings(ct: CartanType) -> int:
     return factorial(ct.rank)
+
+
+def _coxeter_elements(ct: CartanType) -> int:
+    """One Coxeter element per orientation of the Dynkin diagram, a tree."""
+    return 2 ** (ct.rank - 1)
 
 
 def _none(ct: CartanType) -> None:
@@ -122,7 +127,7 @@ CHECKS = (
     Check("thm42", _simply_laced, _weyl_order, _root_lines, "root_lines"),
     Check("thmB", _two_lengths, _weyl_order,
           lambda rs, guard: _module("cohomology").verify_thmB_criterion(rs, guard)),
-    Check("prop51", _none, _orderings,
+    Check("prop51", _none, _coxeter_elements,
           lambda rs, guard: _module("coxeter").verify_prop51(rs)),
     Check("lemma26", _simply_laced, _none,
           lambda rs, guard: _module("cohomology").verify_lemma26(rs)),
@@ -155,9 +160,9 @@ def precheck(check_id: str, ct: CartanType, guard: int) -> Check:
     size = check.cost(ct)
     if size is not None and size > guard:
         raise GuardExceeded(
-            f"{check_id} on {ct} walks a universe of {size} (|W| or n! "
-            f"orderings), above the guard {guard}; raise --guard or "
-            f"{GUARD_ENV_VAR} to proceed")
+            f"{check_id} on {ct} walks a universe of {size} (|W|, n! orderings "
+            f"or 2^(n-1) Coxeter elements), above the guard {guard}; raise "
+            f"--guard or {GUARD_ENV_VAR} to proceed")
     return check
 
 

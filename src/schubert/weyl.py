@@ -26,13 +26,14 @@ sweeps walk the group depth first instead (``cohomology.group_walk``).
 Elements invert by their reversed canonical word, so no rational
 arithmetic touches a group element.  A Coxeter element depends only on
 its Dynkin orientation (``orientation``), so ``coxeter_elements`` builds
-one per orientation, however many permutations name it.
+one per orientation, 2^(n-1) of them, and reads no permutation.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from heapq import heappop, heappush
+from itertools import product
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -367,14 +368,31 @@ def orientation(rs: RootSystem, word: Sequence[int]) -> tuple[bool, ...]:
 
 
 def coxeter_elements(rs: RootSystem) -> list[tuple[WeylElement, tuple[int, ...]]]:
-    """Distinct Coxeter elements with the lex-first word that produced each.
+    """Distinct Coxeter elements with the lex-first word that produces each.
 
-    Every permutation of the simple reflections is read in lexicographic
-    order and keyed by its orientation, and one element is built from the
-    first permutation of each orientation, 2^(n-1) in all, not one per
-    permutation; the list is in permutation order, so it is deterministic.
+    One per orientation of the Dynkin diagram, 2^(n-1) in all: the
+    lex-first word of an orientation is its topological order that takes
+    the smallest source first, and the words are sorted, so the list is in
+    the order of the first permutation naming each element.
     """
-    words: dict[tuple[bool, ...], tuple[int, ...]] = {}
-    for perm in permutations(range(1, rs.rank + 1)):
-        words.setdefault(orientation(rs, perm), perm)
-    return [(from_word(rs, word), word) for word in words.values()]
+    edges = _dynkin_edges(rs)
+    words = []
+    for key in product((True, False), repeat=len(edges)):
+        after: list[list[int]] = [[] for _ in range(rs.rank + 1)]
+        before = [0] * (rs.rank + 1)
+        for (i, k), i_first in zip(edges, key):
+            first, then = (i, k) if i_first else (k, i)
+            after[first].append(then)
+            before[then] += 1
+        sources = [i for i in range(1, rs.rank + 1) if not before[i]]  # sorted: a heap
+        word = []
+        while sources:
+            i = heappop(sources)
+            word.append(i)
+            for k in after[i]:
+                before[k] -= 1
+                if not before[k]:
+                    heappush(sources, k)
+        words.append(tuple(word))
+    words.sort()
+    return [(from_word(rs, word), word) for word in words]

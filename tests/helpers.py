@@ -13,8 +13,10 @@ steps on fw tuples instead of packed integer keys, one Coxeter element at
 a time instead of the memo over distinct powers, the first return of rho
 (``element_order``) and matrix powers instead of the Coxeter number with
 its checked cycle, one analysis per ordering instead of the table
-of distinct Coxeter elements, one product per permutation instead of one
-per Dynkin orientation, and a dot-action walk to the dominant chamber
+of distinct Coxeter elements, every lemma54_56 clause decided per ordering
+and by position instead of once per Coxeter element or split, one product
+per permutation instead of one topological order per Dynkin orientation,
+and a dot-action walk to the dominant chamber
 with Freudenthal's recursion instead of the Demazure operator of w0, so
 agreement is evidence rather than tautology.
 """
@@ -24,12 +26,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
-from schubert import (Character, CoxeterAnalysis, WeylElement, adjoint_character,
+from schubert import (Character, CoxeterAnalysis, WeylElement, adjoint_character, analyze,
                       bruhat_leq, char_to_str, coxeter_elements, e, enumerate_group, euler_char, from_word, h0_line, identity,
                       is_typeA_extremal, longest_element, min_parabolic_rep,
                       ss_nonempty)
@@ -594,6 +596,88 @@ def analyze_per_ordering(rs: RootSystem, ordering: Sequence[int]) -> CoxeterAnal
     tau = matmul(c, gauss_jordan_inverse(phi))
     return CoxeterAnalysis(ordering, element_of(rs, c), h, tuple(J_prime), a, tuple(J),
                            phi_words, element_of(rs, phi), element_of(rs, tau))
+
+
+def lemma54_56_per_ordering(rs: RootSystem) -> tuple[int, list, dict]:
+    """verify_lemma54_55_56 with every clause decided afresh per ordering,
+    by position: c's and phi's simple-root images, the Dynkin neighbours
+    before and after each position, and the products of the phi factors.
+    Only the analysis itself comes from ``analyze``."""
+    counterexamples = []
+    n = rs.rank
+    cartan = rs.cartan
+    universe = 0
+    for perm in permutations(range(1, n + 1)):
+        universe += 1
+        analysis = analyze(rs, perm)
+        images = [analysis.c.apply_root(rs.simple_roots[perm[p] - 1]) for p in range(n)]
+        phi_images = [analysis.phi.apply_root(rs.simple_roots[perm[p] - 1]) for p in range(n)]
+        roots = [rs.simple_roots[perm[p] - 1] for p in range(n)]
+
+        # c maps the position-i root to the position-j root iff j is the
+        # unique earlier neighbor of i and i the unique later neighbor of j;
+        # <alpha_k, alpha_i_vee> = cartan[i][k]
+        earlier = {i: [k for k in range(1, i) if cartan[perm[i - 1] - 1][perm[k - 1] - 1]]
+                   for i in range(1, n + 1)}
+        later = {j: [k for k in range(j + 1, n + 1) if cartan[perm[k - 1] - 1][perm[j - 1] - 1]]
+                 for j in range(1, n + 1)}
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i == j:
+                    continue
+                lhs = images[i - 1].coords == roots[j - 1].coords
+                rhs = earlier[i] == [j] and later[j] == [i]
+                if lhs != rhs:
+                    counterexamples.append({
+                        "ordering": list(perm), "clause": "simple-image",
+                        "i": i, "j": j, "image": lhs, "conditions": rhs,
+                    })
+
+        # distinct J-orbits are orthogonal while they stay simple; phi_j's
+        # letters are the simple roots that orbit passes through
+        words = analysis.phi_words
+        for j, k in combinations(analysis.J, 2):
+            for x in words[j]:
+                for y in words[k]:
+                    if cartan[y - 1][x - 1]:
+                        counterexamples.append({
+                            "ordering": list(perm), "clause": "orbit-orthogonality",
+                            "j": j, "k": k,
+                            "beta_j": list(rs.simple_roots[x - 1].coords),
+                            "beta_k": list(rs.simple_roots[y - 1].coords),
+                        })
+
+        # the phi factors commute pairwise
+        factors = {j: from_word(rs, words[j]) for j in analysis.J}
+        for j, k in combinations(analysis.J, 2):
+            if factors[j] * factors[k] != factors[k] * factors[j]:
+                counterexamples.append({
+                    "ordering": list(perm), "clause": "factor-commutation",
+                    "j": j, "k": k,
+                })
+
+        # lengths add in c = tau * phi
+        if analysis.c.length != analysis.tau.length + analysis.phi.length:
+            counterexamples.append({
+                "ordering": list(perm), "clause": "length-additivity",
+                "tau_word": list(analysis.tau.reduced_word()),
+                "phi_word": list(analysis.phi.reduced_word()),
+            })
+
+        # height comparison for positions whose reflection is below tau;
+        # s_i <= tau iff the letter i occurs in a reduced word of tau
+        tau_letters = set(analysis.tau.reduced_word())
+        for r in range(1, n + 1):
+            if perm[r - 1] not in tau_letters:
+                continue
+            via_c = images[r - 1].height
+            via_phi = phi_images[r - 1].height
+            if via_c < via_phi:
+                counterexamples.append({
+                    "ordering": list(perm), "clause": "height-comparison",
+                    "r": r, "height_c": via_c, "height_phi": via_phi,
+                })
+    return universe, counterexamples, {}
 
 
 def coxeter_elements_per_permutation(rs: RootSystem) -> list[tuple[WeylElement, tuple[int, ...]]]:

@@ -13,7 +13,7 @@ import pytest
 
 import schubert
 from schubert.cli import _weyl_dimension, build_parser, main
-from schubert.report import CHECKS, pass_groups, pool_size, run_check, run_checks
+from schubert.report import CHECKS, GUARD_ENV_VAR, pass_groups, pool_size, run_check, run_checks
 from schubert.rootsys import CartanType, RootSystem, build
 
 from helpers import assert_thm42_slices, dominant_representative, weyl_dim
@@ -400,6 +400,31 @@ def test_demazure_imports_only_what_it_runs():
     assert done.stdout.splitlines() == ["[]", "0 []"]
 
 
+@pytest.mark.parametrize("check", ["prop51", "lemma54_56"])
+def test_coxeter_checks_import_no_euler_modules(check):
+    # prop51 and lemma54_56 read Coxeter elements and roots alone, so a
+    # process running one loads neither charring nor cohomology
+    src = str(Path(schubert.__file__).resolve().parents[1])
+    probe = (
+        "import sys, io, contextlib, schubert.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = schubert.cli.main(['verify', '{check}', '--type', 'E6'])\n"
+        "print(code, sorted(m for m in ('schubert.charring', 'schubert.cohomology')"
+        " if m in sys.modules))\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert done.stdout.splitlines() == ["0 []"]
+
+
+def test_prop51_on_a12_passes_at_the_default_guard(capsys, monkeypatch):
+    # 2^11 Coxeter elements against 12! orderings: priced by orientation,
+    # prop51 on A12 is under the default guard
+    monkeypatch.delenv(GUARD_ENV_VAR, raising=False)
+    code, out, err = run(capsys, "verify", "prop51", "--type", "A12")
+    assert (code, err) == (0, "")
+    assert re.match(r"prop51 +A12 +universe +24576 +passed", out)
+
+
 @pytest.mark.parametrize("argv", [
     ("demazure", "--type", "A2", "--word", "1", "--weight-fund", "1,0"),
     ("verify", "thmA", "--type", "D5"),
@@ -481,7 +506,7 @@ def test_check_costs():
     costs = {c.id: c.cost(CartanType.parse("A4")) for c in CHECKS}
     assert costs == {
         "thmA": 120, "thm42": 120, "thmB": 120,
-        "prop51": 24, "lemma54_56": 24, "thmC_typeA": 24, "cor52_53_58": 24,
+        "prop51": 8, "lemma54_56": 24, "thmC_typeA": 24, "cor52_53_58": 24,
         "lemma26": None, "lemma61": None, "remarkB2": None,
     }
 

@@ -4,6 +4,7 @@ import collections
 import functools
 import itertools
 import json
+import math
 import re
 
 import pytest
@@ -19,17 +20,17 @@ from schubert import (
     simple_reflection,
     yz_exponent,
 )
-from schubert import coxeter, weyl
+from schubert import cohomology, coxeter, weyl
 from schubert.charring import e
 from schubert.cli import main
-from schubert.coxeter import (_clashes, _coxeter_table, _cycle, _dot_zero_euler, _entry,
+from schubert.coxeter import (_coxeter_table, _cycle, _dot_zero_euler, _entry, _verdicts,
                               verify_cor52_53_58, verify_lemma54_55_56)
 from schubert.report import run_check, run_checks
 from schubert.rootsys import CartanType
 from schubert.weyl import WeylElement
 
-from helpers import (analyze_per_ordering, cor52_53_58_per_element, matmul, matrix_of,
-                     matvec, mul_from_word, word_matrix)
+from helpers import (analyze_per_ordering, cor52_53_58_per_element, lemma54_56_per_ordering,
+                     matmul, matrix_of, matvec, mul_from_word, word_matrix)
 
 
 @pytest.fixture
@@ -112,12 +113,74 @@ def test_phi_factor_commutation_is_read_per_c_and_reindexed(fresh_table, name):
     assert expected
     # pretend no two factors commute: every pair of J must be reported
     for c, word in coxeter_elements(rs):
-        entry = _entry(rs, word, c)
-        clashes = _clashes(rs, entry)
+        clashes = _verdicts(rs, _entry(rs, word, c))[2]
         assert not clashes
-        clashes.update(frozenset(pair) for pair in itertools.combinations(entry.phi_words, 2))
+        clashes.update(frozenset(pair) for pair in itertools.combinations(
+            _entry(rs, word, c).phi_words, 2))
     _, rows, _ = verify_lemma54_55_56(rs)
     assert rows == expected
+
+
+def _force(rs, monkeypatch, clause):
+    """Patch the engine so that lemma54_56's clause fails on rs: c's simple
+    images all alpha_1; every two simple roots Dynkin neighbours; every
+    pair of phi factors reported as clashing, once the entries hold their
+    orbits and splits; every length one too long; phi's images all the
+    highest root."""
+    real_apply_root, real_length = WeylElement.apply_root, WeylElement.length.fget
+    if clause == "simple-image":
+        monkeypatch.setattr(WeylElement, "apply_root", lambda w, beta: (
+            rs.simple_roots[0] if w.length == rs.rank else real_apply_root(w, beta)))
+    elif clause == "orbit-orthogonality":
+        monkeypatch.setattr(rs, "cartan", tuple((1,) * rs.rank for _ in range(rs.rank)))
+    elif clause == "factor-commutation":
+        verify_lemma54_55_56(rs)
+        for entry in coxeter._coxeter_table(rs).values():
+            entry.verdicts = None
+        monkeypatch.setattr(WeylElement, "__ne__", lambda u, v: True)
+    elif clause == "length-additivity":
+        monkeypatch.setattr(WeylElement, "length", property(lambda w: real_length(w) + 1))
+    elif clause == "height-comparison":
+        monkeypatch.setattr(WeylElement, "apply_root", lambda w, beta: (
+            rs.highest_root if w.length < rs.rank else real_apply_root(w, beta)))
+
+
+@pytest.mark.parametrize("clause", [None, "simple-image", "orbit-orthogonality",
+                                    "factor-commutation", "length-additivity",
+                                    "height-comparison"])
+@pytest.mark.parametrize("name", ["A4", "D4", "D5", "E6"])
+def test_lemma54_56_rows_match_the_per_ordering_oracle(fresh_table, monkeypatch, name, clause):
+    # the verdicts are kept once per c and per split, by simple index; with
+    # a clause forced to fail, every ordering must still report its own
+    # rows, by position and in order, as a check of each ordering would
+    rs = build(name)
+    _force(rs, monkeypatch, clause)
+    universe, rows, details = verify_lemma54_55_56(rs)
+    assert (universe, rows, details) == lemma54_56_per_ordering(rs)
+    assert universe == math.factorial(rs.rank)
+    assert {row["clause"] for row in rows} >= ({clause} if clause else set())
+    assert bool(rows) == bool(clause)
+
+
+@pytest.mark.parametrize("name", ["D5", "E6"])
+def test_prop51_alone_builds_no_orbit_data(fresh_table, monkeypatch, name):
+    # prop51 reads only c's cycle, so over a fresh table it builds no
+    # image, orbit, verdict or split; lemma54_56 then acts n times per c
+    rs = build(name)
+    actions = collections.Counter()
+
+    def counted_apply_root(w, beta, real=WeylElement.apply_root):
+        actions[w] += 1
+        return real(w, beta)
+
+    monkeypatch.setattr(WeylElement, "apply_root", counted_apply_root)
+    assert coxeter.verify_prop51(rs)[1] == []
+    entries = list(fresh_table(rs).values())
+    assert len(entries) == 2 ** (rs.rank - 1) and actions == {}
+    assert all(entry.images is entry.a is entry.phi_words is entry.verdicts is None
+               and entry.splits == {} for entry in entries)
+    assert verify_lemma54_55_56(rs)[1] == []
+    assert all(actions[entry.c] == rs.rank for entry in entries)
 
 
 @pytest.mark.parametrize("name", ["D5", "E6"])
@@ -126,7 +189,7 @@ def test_lemma54_56_and_prop51_build_each_coxeter_element_once(fresh_table, monk
     # over a fresh table, lemma54_56 builds c once per Dynkin orientation
     # (2^(n-1)), not once per ordering (n!); prop51 then lists the
     # elements with one build per orientation and builds no entry; c acts
-    # on each simple root once, and each (c, phi word) split's phi once
+    # on each simple root once, and each (c, J order) split's phi once
     rs = build(name)
     n = rs.rank
     made = {coxeter: [], weyl: []}
@@ -239,9 +302,9 @@ def test_coxeter_order_is_checked_against_h(fresh_table, monkeypatch, capsys):
 
 
 def test_prop51_acts_only_for_the_order_and_the_simple_images(fresh_table, monkeypatch):
-    # c acts once on each simple root and never for its order, which the
-    # cycle checks on column heights; the exponents are read from those
-    # heights too
+    # c acts on no weight: its order is checked on the cycle's column
+    # heights, the exponents are read from those heights too, and the
+    # simple images, which only lemma54_56 and analyze read, are not built
     rs = build("E6")
     actions = collections.Counter()
 
@@ -252,9 +315,8 @@ def test_prop51_acts_only_for_the_order_and_the_simple_images(fresh_table, monke
     monkeypatch.setattr(WeylElement, "act", counted_act)
     assert coxeter.verify_prop51(rs)[1] == []
     monkeypatch.undo()
-    elements = [c for c, _ in coxeter_elements(rs)]
-    assert actions == {c: rs.rank for c in elements}
-    assert sum(actions.values()) == 192
+    assert actions == {}
+    assert len(fresh_table(rs)) == len(coxeter_elements(rs)) == 32
 
 
 def test_yz_exponent_a2():
@@ -421,10 +483,11 @@ def test_cor52_53_58_evaluates_each_power_once(monkeypatch, name, distinct):
     assert len(powers) == distinct
     calls = {"euler_char": 0, "inversion_tangent": 0}
     for fn in calls:
-        def counted(*args, fn=fn, real=getattr(coxeter, fn)):
+        # coxeter looks both up on cohomology when the check runs
+        def counted(*args, fn=fn, real=getattr(cohomology, fn)):
             calls[fn] += 1
             return real(*args)
-        monkeypatch.setattr(coxeter, fn, counted)
+        monkeypatch.setattr(cohomology, fn, counted)
     assert verify_cor52_53_58(rs)[1] == []
     assert calls == {"euler_char": distinct, "inversion_tangent": distinct}
 
