@@ -23,7 +23,7 @@ from math import prod
 
 from . import __version__
 from .report import (CHECKS, DEFAULT_GUARD, GUARD_ENV_VAR, GuardExceeded, Report,
-                     canonical_json, labeling_table, precheck, resolve_guard, run_checks)
+                     labeling_table, precheck, resolve_guard, run_checks, write_json)
 from .rootsys import CartanType, Root, RootSystem, Weight, build
 
 __all__ = ["main"]
@@ -131,8 +131,8 @@ def _root_dict(root: Root) -> dict:
     }
 
 
-def _render_roots_json(rs: RootSystem) -> str:
-    doc = {
+def _render_roots_json(rs: RootSystem) -> dict:
+    return {
         "type": str(rs.ct),
         "rank": rs.rank,
         "root_count": len(rs.roots),
@@ -144,7 +144,6 @@ def _render_roots_json(rs: RootSystem) -> str:
         "rho": list(rs.rho.fw),
         "engine_version": __version__,
     }
-    return canonical_json(doc)
 
 
 def _render_report_table(rep: Report) -> list[str]:
@@ -161,20 +160,19 @@ def _render_report_table(rep: Report) -> list[str]:
     return lines
 
 
-def _render_reports(reports: list[Report], fmt: str, rs: RootSystem) -> str:
-    if fmt == "json":
+def _render_reports(args, rs: RootSystem, reports: list[Report]) -> tuple[str | dict | list, int]:
+    code = 0 if all(rep.passed for rep in reports) else 1
+    if args.format == "json":
         docs = [rep.as_json_dict(__version__, rs) for rep in reports]
-        return canonical_json(docs[0] if len(docs) == 1 else docs)
-    lines: list[str] = []
-    for rep in reports:
-        lines.extend(_render_report_table(rep))
-    return "\n".join(lines) + "\n"
+        return (docs[0] if len(docs) == 1 else docs), code
+    return "\n".join(line for rep in reports for line in _render_report_table(rep)) + "\n", code
 
 
 # ------------------------------------------------------------ subcommands
-# Each handler returns (output text, exit code); main writes the text.
+# Each handler returns (output, exit code), the output a text or, for
+# --format json, a document that main streams through write_json.
 
-def cmd_roots(args) -> tuple[str, int]:
+def cmd_roots(args) -> tuple[str | dict, int]:
     rs = build(args.type)
     return (_render_roots_json(rs) if args.format == "json"
             else _render_roots_table(rs)), 0
@@ -190,7 +188,7 @@ def _weyl_dimension(rs: RootSystem, lam: Weight) -> int:
             // prod(rs.pairing_root(rs.rho, beta) for beta in rs.positive_roots))
 
 
-def cmd_demazure(args) -> tuple[str, int]:
+def cmd_demazure(args) -> tuple[str | dict, int]:
     # imported here: verify and sweep of the Coxeter checks never load charring
     from .charring import char_sorted_terms, char_to_str, demazure_along_word, e
 
@@ -204,7 +202,7 @@ def cmd_demazure(args) -> tuple[str, int]:
                          f"{guard}, and a Demazure character of it may have that many terms")
     result = demazure_along_word(rs, word, seed)
     if args.format == "json":
-        doc = {
+        return {
             "type": str(rs.ct),
             "word": list(word),
             "weight_fw": list(lam.fw),
@@ -212,16 +210,8 @@ def cmd_demazure(args) -> tuple[str, int]:
                       for w, m in char_sorted_terms(rs, result)],
             "term_count": len(result),
             "engine_version": __version__,
-        }
-        text = canonical_json(doc)
-    else:
-        text = char_to_str(rs, result) + "\n"
-    return text, 0
-
-
-def _render_run(args, rs: RootSystem, reports: list[Report]) -> tuple[str, int]:
-    return (_render_reports(reports, args.format, rs),
-            0 if all(rep.passed for rep in reports) else 1)
+        }, 0
+    return char_to_str(rs, result) + "\n", 0
 
 
 def _prechecked_build(ct: CartanType, check_ids: list[str], guard: int | None) -> RootSystem:
@@ -232,16 +222,16 @@ def _prechecked_build(ct: CartanType, check_ids: list[str], guard: int | None) -
     return build(ct)
 
 
-def cmd_verify(args) -> tuple[str, int]:
+def cmd_verify(args) -> tuple[str | dict | list, int]:
     rs = _prechecked_build(CartanType.parse(args.type), [args.check], args.guard)
-    return _render_run(args, rs, run_checks(rs, [args.check], args.guard))
+    return _render_reports(args, rs, run_checks(rs, [args.check], args.guard))
 
 
-def cmd_sweep(args) -> tuple[str, int]:
+def cmd_sweep(args) -> tuple[str | dict | list, int]:
     ct = CartanType.parse(args.type)
     check_ids = [c.id for c in CHECKS if c.applies(ct) is None]
     rs = _prechecked_build(ct, check_ids, args.guard)
-    return _render_run(args, rs, run_checks(rs, check_ids, args.guard, args.workers))
+    return _render_reports(args, rs, run_checks(rs, check_ids, args.guard, args.workers))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,8 +301,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: --out: {exc}", file=sys.stderr)
         return 2
     try:
-        text, code = handlers[args.command](args)
-        out.write(text)
+        output, code = handlers[args.command](args)
+        # every check and refusal is done: a document streams in blocks
+        if isinstance(output, str):
+            out.write(output)
+        else:
+            write_json(output, out.write)
         return code
     except (GuardExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

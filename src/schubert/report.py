@@ -9,18 +9,18 @@ spreads the passes over a process pool when asked for workers.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from collections import namedtuple
 from importlib import import_module
+from json.encoder import encode_basestring_ascii as _str
 from math import factorial
-from typing import Any
+from typing import Any, Callable
 
 from .rootsys import CartanType, Record, RootSystem
 
 __all__ = ["Report", "Check", "CHECKS", "precheck", "pass_groups", "pool_size", "run_checks",
-           "run_check", "labeling_table", "canonical_json", "GuardExceeded",
+           "run_check", "labeling_table", "canonical_json", "write_json", "GuardExceeded",
            "DEFAULT_GUARD", "GUARD_ENV_VAR", "resolve_guard"]
 
 DEFAULT_GUARD = 10 ** 6
@@ -222,6 +222,72 @@ def labeling_table(rs: RootSystem) -> dict:
     }
 
 
+_BLOCK = 4096  # pieces per write() call, so a report is never held whole
+_KEYWORDS = {None: "null", True: "true", False: "false"}
+_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _scalar(o: Any) -> str | None:
+    """o as json writes it if o is None, a bool, an int or a float, else None."""
+    if o is None or o is True or o is False:
+        return _KEYWORDS[o]
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _FLOATS.get(text, text)
+    return None
+
+
+def write_json(obj: Any, write: Callable[[str], Any]) -> None:
+    """Pass write json.dumps(obj, sort_keys=True, indent=2) + "\n" in blocks of
+    about _BLOCK pieces, dispatching types in json.encoder's order: str; None,
+    bools; int; float; list or tuple; dict, keys converted as json does;
+    anything else is a TypeError."""
+    parts: list[str] = []
+    append = parts.append
+
+    def emit(o: Any, nl: str) -> None:  # nl: a newline and the indent of o's line
+        if len(parts) >= _BLOCK:
+            write("".join(parts))
+            parts.clear()
+        text = _str(o) if isinstance(o, str) else _scalar(o)
+        if text is not None:
+            return append(text)
+        if not isinstance(o, (list, tuple, dict)):
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        if not o:
+            return append("{}" if isinstance(o, dict) else "[]")
+        inner = nl + "  "
+        if isinstance(o, dict):
+            sep = "{" + inner
+            for k, v in sorted(o.items()):
+                key = k if isinstance(k, str) else _scalar(k)
+                if key is None:
+                    raise TypeError("keys must be str, int, float, bool or None, "
+                                    f"not {k.__class__.__name__}")
+                append(f"{sep}{_str(key)}: ")
+                emit(v, inner)
+                sep = "," + inner
+            append(nl + "}")
+        elif set(map(type, o)) == {int}:  # a list of plain ints is one join
+            append(f"[{inner}{(',' + inner).join(map(int.__repr__, o))}{nl}]")
+        else:
+            sep = "[" + inner
+            for x in o:
+                append(sep)
+                emit(x, inner)
+                sep = "," + inner
+            append(nl + "]")
+
+    emit(obj, "\n")
+    append("\n")
+    write("".join(parts))
+
+
 def canonical_json(obj: Any) -> str:
-    """Deterministic serialization; parse-then-dump round-trips byte-identically."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic serialization, the join of write_json's blocks;
+    parse-then-dump round-trips byte-identically."""
+    blocks: list[str] = []
+    write_json(obj, blocks.append)
+    return "".join(blocks)

@@ -1,5 +1,6 @@
 """CLI surface: parsing, rendering, exit codes, JSON schema."""
 
+import functools
 import hashlib
 import json
 import os
@@ -13,7 +14,8 @@ import pytest
 
 import schubert
 from schubert.cli import _weyl_dimension, build_parser, main
-from schubert.report import CHECKS, GUARD_ENV_VAR, pass_groups, pool_size, run_check, run_checks
+from schubert.report import (CHECKS, GUARD_ENV_VAR, pass_groups, pool_size, run_check,
+                             run_checks, write_json)
 from schubert.rootsys import CartanType, RootSystem, build
 
 from helpers import assert_thm42_slices, dominant_representative, weyl_dim
@@ -451,6 +453,53 @@ def test_out_writes_file(tmp_path, capsys):
     assert captured.out == ""
     doc = json.loads(target.read_text())
     assert doc["details"]["alpha"] == 2
+
+
+def test_write_json_streams_a_large_report_in_bounded_blocks():
+    rows = [{"euler_equals_adjoint": n % 3 == 0, "ss_nonempty": False,
+             "tau_word": [1, 2, 3][: 1 + n % 3], "tau": n} for n in range(50_000)]
+    doc = {"check": "thmB", "details": {"rows": rows}}
+    blocks = []
+    write_json(doc, blocks.append)
+    text = "".join(blocks)
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # an 8 MB document never reaches write as one string
+    assert len(blocks) > 50
+    assert max(map(len, blocks)) <= 2 ** 17 < len(text) // 50
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--type", "F4"),
+    ("verify", "thmB", "--type", "B3"),
+    ("demazure", "--type", "B3", "--word", "1,2,3,2,1", "--weight-fund", "1,0,1"),
+])
+def test_out_bytes_equal_stdout_bytes(tmp_path, capsys, argv):
+    target = tmp_path / "report.json"
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert run(capsys, *argv, "--format", "json", "--out", str(target)) == (0, "", "")
+    mask = functools.partial(re.sub, rb'"elapsed_ms": \d+', b'"elapsed_ms": 0')
+    assert mask(target.read_bytes()) == mask(out.encode())
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "--out"])
+def test_refusal_and_engine_failure_write_no_json(tmp_path, capsys, monkeypatch, to_file):
+    # every check and refusal ends before the first byte of a document
+    from schubert import cohomology
+    from schubert.charring import adjoint_character, e
+
+    target = tmp_path / "report.json"
+    out_args = ("--out", str(target)) if to_file else ()
+    code, out, err = run(capsys, "verify", "thmB", "--type", "B3", "--guard", "47",
+                         "--format", "json", *out_args)
+    assert (code, out) == (2, "") and err.startswith("error: thmB on B3 walks")
+    assert not to_file or target.read_bytes() == b""
+    rs = build("A2")
+    short = adjoint_character(rs) - e(rs.zero())
+    monkeypatch.setattr(cohomology, "adjoint_character", lambda rs: short)
+    code, out, err = run(capsys, "sweep", "--type", "A2", "--format", "json", *out_args)
+    assert (code, out) == (3, "") and err.startswith("error: engine failure")
+    assert not to_file or target.read_bytes() == b""
 
 
 def test_readme_synopsis_lists_every_option():

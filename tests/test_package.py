@@ -55,6 +55,19 @@ def test_package_imports_the_standard_library_only(path):
     assert modules and not outside
 
 
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "schubert").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_package_never_indents_through_json_dumps(path):
+    # json.dump(s) with indent= runs the pure-Python encoder, one string per
+    # token; reports go through report.write_json instead
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    indented = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute) and node.func.attr in ("dump", "dumps")
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+                and any(kw.arg == "indent" for kw in node.keywords)]
+    assert not indented
+
+
 def test_benchmark_tracer_finds_every_name_it_wraps():
     # trace_entry.install looks each name it wraps up with getattr, so a
     # renamed or deleted engine name fails here, not in every traced op

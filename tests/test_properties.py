@@ -1,16 +1,22 @@
-"""Property tests: the fast Weyl-element paths against slow oracles, and
-the braid relations of the Demazure operators.
+"""Property tests: the fast Weyl-element paths against slow oracles, the
+braid relations of the Demazure operators, and the streaming JSON writer
+against json.dumps.
 
 Random words come from hypothesis with a fixed derandomized seed and a
 small example budget, so the suite stays deterministic and quick.
 """
 
+import json
+from collections import namedtuple
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schubert import (Character, bruhat_leq, build, char_sorted_terms,
                       demazure_along_word, demazure_op, e, from_word, identity,
                       simple_reflection)
+from schubert.report import canonical_json, write_json
 from schubert.rootsys import Weight
 
 from helpers import (LAYER_TYPES, element_of, fraction_height, gauss_jordan_inverse,
@@ -117,3 +123,46 @@ def test_packed_kernel_matches_the_string_formula_oracle(name, data):
     assert demazure_op(rs, i, f) == string_formula_demazure_op(rs, i, f)
     word = data.draw(words(rs.rank, 4), label="word")
     assert demazure_along_word(rs, word, f) == string_formula_along_word(rs, word, f)
+
+
+Pair = namedtuple("Pair", "first second")
+
+
+class Row(list):
+    pass
+
+
+# Every scalar json writes, str with any code point but surrogates (control
+# and non-ASCII characters included), big ints and nan/inf floats; dict
+# keys of one sortable kind per dict, as sort_keys needs.
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-2 ** 80, 2 ** 80)
+                | st.floats() | st.text())
+JSON_KEYS = [st.text(), st.integers() | st.booleans() | st.floats(), st.none()]
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple) | st.lists(inner).map(Row)
+                   | st.builds(Pair, inner, inner)
+                   | st.one_of(*(st.dictionaries(key, inner) for key in JSON_KEYS))),
+    max_leaves=40)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(JSON_VALUES)
+def test_write_json_matches_json_dumps(doc):
+    expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    blocks = []
+    write_json(doc, blocks.append)
+    assert "".join(blocks) == expected
+    assert canonical_json(doc) == expected
+
+
+@pytest.mark.parametrize("doc", [{1, 2}, object(), [1, [{2}]], {"a": {"b": object()}},
+                                 {(1, 2): 3}, {1: 2, "1": 3}],
+                         ids=["set", "object", "nested set", "nested object", "tuple key",
+                              "mixed keys"])
+def test_write_json_refuses_what_json_refuses(doc):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(doc, sort_keys=True, indent=2)
+    with pytest.raises(TypeError) as got:
+        canonical_json(doc)
+    assert str(got.value) == str(expected.value)
