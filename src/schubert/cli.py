@@ -11,11 +11,18 @@ or lemma54_56 loads neither charring nor cohomology.  Exit codes: 0 all checks p
 a mathematical counterexample, 2 usage or applicability error (including
 a tripped enumeration guard), 3 engine failure (an internal consistency
 check failed, so the run proves nothing either way).
+
+main registers gc.freeze with atexit, once per process, so the
+interpreter's shutdown collections skip the heap a run leaves behind;
+output, exit codes and an in-process caller's heap are unchanged until
+that process exits.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import re
 import sys
@@ -216,7 +223,7 @@ def cmd_demazure(args) -> tuple[str | dict, int]:
 
 def _prechecked_build(ct: CartanType, check_ids: list[str], guard: int | None) -> RootSystem:
     """The root system of ct, built only once every check passes its
-    precheck: building alone grows about as rank^4 (A120 takes a minute)."""
+    precheck: building alone grows about as rank^3 (A120 takes over a second)."""
     for check_id in check_ids:
         precheck(check_id, ct, resolve_guard(guard))
     return build(ct)
@@ -286,6 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    atexit.unregister(gc.freeze)  # registered once however often main runs
+    atexit.register(gc.freeze)
     raw = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(_fuse_negative_values(raw))
     handlers = {

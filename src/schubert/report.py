@@ -74,15 +74,19 @@ class Report(Record):
         return out
 
 
-Check = namedtuple("Check", "id applies cost run shared", defaults=(None,))
+Check = namedtuple("Check", "id applies cost module run shared", defaults=(None,))
 Check.__doc__ = """One row of the check table.
 
 applies(ct) is None when the check applies, else the reason it does
 not.  cost(ct) is the size of the universe the check enumerates, |W|,
 the n! orderings of the simple roots or the 2^(n-1) Coxeter elements,
-or None when it only loops over roots.  run(rs, guard) returns (universe size, counterexamples,
-details).  Adjacent rows may name a pass they share; their
-run(rs, guard, ids) then gives one triple per id in ids.
+or None when it only loops over roots.  module names the engine module
+that holds the verifier, imported before the check's clock starts; run(m,
+rs, guard) looks the verifier up on that module m at call time, so a
+wrapper installed on cohomology.verify_thmB_criterion (say) is the one
+that runs, and returns (universe size, counterexamples, details).
+Adjacent rows may name a pass they share; their run(m, rs, guard, ids)
+then gives one triple per id in ids.
 """
 
 
@@ -111,36 +115,29 @@ def _none(ct: CartanType) -> None:
     return None
 
 
-def _module(name: str):
-    """schubert.<name>, imported when a check first runs.  Verifiers are
-    looked up on it at call time, so a wrapper installed on
-    cohomology.verify_thmB_criterion (say) is the one that runs."""
-    return import_module(f"{__package__}.{name}")
-
-
-def _root_lines(rs: RootSystem, guard: int, ids: list[str]) -> list:
-    return _module("cohomology").verify_root_lines(rs, ids, guard)
+def _root_lines(m, rs: RootSystem, guard: int, ids: list[str]) -> list:
+    return m.verify_root_lines(rs, ids, guard)
 
 
 CHECKS = (
-    Check("thmA", _simply_laced, _weyl_order, _root_lines, "root_lines"),
-    Check("thm42", _simply_laced, _weyl_order, _root_lines, "root_lines"),
-    Check("thmB", _two_lengths, _weyl_order,
-          lambda rs, guard: _module("cohomology").verify_thmB_criterion(rs, guard)),
-    Check("prop51", _none, _coxeter_elements,
-          lambda rs, guard: _module("coxeter").verify_prop51(rs)),
-    Check("lemma26", _simply_laced, _none,
-          lambda rs, guard: _module("cohomology").verify_lemma26(rs)),
-    Check("lemma54_56", _simply_laced, _orderings,
-          lambda rs, guard: _module("coxeter").verify_lemma54_55_56(rs)),
+    Check("thmA", _simply_laced, _weyl_order, "cohomology", _root_lines, "root_lines"),
+    Check("thm42", _simply_laced, _weyl_order, "cohomology", _root_lines, "root_lines"),
+    Check("thmB", _two_lengths, _weyl_order, "cohomology",
+          lambda m, rs, guard: m.verify_thmB_criterion(rs, guard)),
+    Check("prop51", _none, _coxeter_elements, "coxeter",
+          lambda m, rs, guard: m.verify_prop51(rs)),
+    Check("lemma26", _simply_laced, _none, "cohomology",
+          lambda m, rs, guard: m.verify_lemma26(rs)),
+    Check("lemma54_56", _simply_laced, _orderings, "coxeter",
+          lambda m, rs, guard: m.verify_lemma54_55_56(rs)),
     Check("thmC_typeA", lambda ct: None if ct.family == "A" else "specific to type A",
-          _orderings, lambda rs, guard: _module("coxeter").verify_thmC_typeA(rs)),
-    Check("cor52_53_58", _simply_laced, _orderings,
-          lambda rs, guard: _module("coxeter").verify_cor52_53_58(rs)),
-    Check("lemma61", _two_lengths, _none,
-          lambda rs, guard: _module("cohomology").verify_lemma61(rs)),
+          _orderings, "coxeter", lambda m, rs, guard: m.verify_thmC_typeA(rs)),
+    Check("cor52_53_58", _simply_laced, _orderings, "coxeter",
+          lambda m, rs, guard: m.verify_cor52_53_58(rs)),
+    Check("lemma61", _two_lengths, _none, "cohomology",
+          lambda m, rs, guard: m.verify_lemma61(rs)),
     Check("remarkB2", lambda ct: None if str(ct) == "B2" else "specific to B2",
-          _none, lambda rs, guard: _module("cohomology").remark_b2_check(rs)),
+          _none, "cohomology", lambda m, rs, guard: m.remark_b2_check(rs)),
 )
 
 
@@ -199,8 +196,11 @@ def run_checks(rs: RootSystem, check_ids: list[str], guard: int | None = None,
             return [rep for f in futures for rep in f.result()]
     reports = []
     for ids in tasks:
-        first, start = checks[ids[0]], time.perf_counter()
-        results = first.run(rs, guard, ids) if first.shared else [first.run(rs, guard)]
+        first = checks[ids[0]]
+        # imported before the clock starts: a check's time is its own work
+        m = import_module(f"{__package__}.{first.module}")
+        start = time.perf_counter()
+        results = first.run(m, rs, guard, ids) if first.shared else [first.run(m, rs, guard)]
         elapsed = time.perf_counter() - start
         reports += [Report(c, str(rs.ct), n, cx, elapsed, details)
                     for c, (n, cx, details) in zip(ids, results)]

@@ -315,9 +315,6 @@ class RootSystem:
         # w -> w s_d is x_k -= C[d][k] x_d, which negates x_d
         self._simple_rows = tuple(
             tuple((k, c) for k, c in enumerate(row) if c) for row in self.cartan)
-        # (alpha_i, alpha_j) up to overall scale; symmetric by construction
-        self._gram = tuple(tuple(self.d[i] * self.cartan[i][j] for j in range(ct.rank))
-                           for i in range(ct.rank))
         self.rho = Weight((1,) * ct.rank)
         self.fundamental_weights = tuple(
             Weight(tuple(1 if k == i else 0 for k in range(ct.rank)))
@@ -328,39 +325,44 @@ class RootSystem:
     # -- construction -----------------------------------------------------
 
     def _build_roots(self) -> None:
-        n = self.rank
-        cartan = self.cartan
-        seen: set[tuple[int, ...]] = set()
-        frontier = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-        seen.update(frontier)
+        # close the simple roots under simple reflections in fw coordinates:
+        # s_i beta = beta - fw_i alpha_i, and beta keeps the d of the simple
+        # root it came from, since a reflection preserves the invariant form
+        n, cols = self.rank, self._simple_columns
+        found = {tuple(int(j == k) for j in range(n)): (tuple(row[k] for row in self.cartan), d)
+                 for k, d in enumerate(self.d)}
+        frontier = list(found.items())
         while frontier:
             nxt = []
-            for c in frontier:
-                for i in range(n):
-                    pair = sum(cartan[i][j] * c[j] for j in range(n))
-                    img = tuple(c[k] - pair if k == i else c[k] for k in range(n))
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
+            for c, (fw, d) in frontier:
+                for i, a in enumerate(fw):
+                    if a:
+                        img = list(c)
+                        img[i] -= a
+                        img = tuple(img)
+                        if img not in found:
+                            f = list(fw)
+                            for j, x in cols[i]:
+                                f[j] -= a * x
+                            found[img] = value = (tuple(f), d)
+                            nxt.append((img, value))
             frontier = nxt
-        if len(seen) != self.ct.root_count:
+        if len(found) != self.ct.root_count:
             raise AssertionError(
-                f"{self.ct}: generated {len(seen)} roots, expected {self.ct.root_count}")
+                f"{self.ct}: generated {len(found)} roots, expected {self.ct.root_count}")
 
         max_d = max(self.d)
-        roots = []
-        for c in seen:
-            pos = all(x >= 0 for x in c)
-            neg = all(x <= 0 for x in c)
-            if not (pos or neg) or (pos and neg):
+        positives = []
+        for c, (fw, d) in found.items():
+            # <beta, beta_vee> = 2: sum_j c_j d_j fw_j is twice beta's d
+            if sum(map(mul, c, map(mul, self.d, fw))) != 2 * d:
+                raise AssertionError(f"root {c}: squared length is not 2d for d = {d}")
+            pos, neg = min(c) >= 0, max(c) <= 0
+            if pos == neg:
                 raise AssertionError(f"root {c} is neither positive nor negative")
-            dd = self._d_of(c)
-            fw = Weight(tuple(sum(cartan[i][j] * c[j] for j in range(n))
-                              for i in range(n)))
-            roots.append(Root(c, fw, pos, sum(c), dd,
-                              dd == max_d, dd == 1))
-        positives = sorted((r for r in roots if r.positive),
-                           key=lambda r: (r.height, r.coords))
+            if pos:
+                positives.append(Root(c, Weight(fw), True, sum(c), d, d == max_d, d == 1))
+        positives.sort(key=lambda r: (r.height, r.coords))
         self.positive_roots: tuple[Root, ...] = tuple(positives)
         self.roots: tuple[Root, ...] = tuple(positives) + tuple(-r for r in positives)
         # the height-1 roots are the unit vectors, sorted as e_n, ..., e_1
@@ -373,19 +375,6 @@ class RootSystem:
         self.highest_root: Root = max(dominant, key=lambda r: r.height)
         shorts = [r for r in dominant if r.is_short]
         self.highest_short_root: Root = max(shorts, key=lambda r: r.height)
-
-    def _d_of(self, coords: Sequence[int]) -> int:
-        n = self.rank
-        g = self._gram
-        tot = 0
-        for i in range(n):
-            if coords[i]:
-                for j in range(n):
-                    if coords[j]:
-                        tot += coords[i] * coords[j] * g[i][j]
-        if tot % 2:
-            raise AssertionError("odd squared length")
-        return tot // 2
 
     # -- weights ----------------------------------------------------------
 

@@ -8,7 +8,9 @@ matrix instead of steps on column heights and the word action, Gauss-Jordan
 instead of reversed words, plain dict arithmetic instead of Character,
 Freudenthal's recursion and the Weyl dimension formula instead of Demazure
 operators, Fraction root coordinates, symmetrizers and Cartan inverse
-instead of the integer D * C^-1 rows and fraction-free elimination, string
+instead of the integer D * C^-1 rows and fraction-free elimination, the
+root closure in simple-root coordinates with Gram lengths instead of the
+closure in fw coordinates with inherited lengths, string
 steps on fw tuples instead of packed integer keys, one Coxeter element at
 a time instead of the memo over distinct powers, the first return of rho
 (``element_order``) and matrix powers instead of the Coxeter number with
@@ -278,11 +280,62 @@ def dominant_representative(rs: RootSystem, lam: Weight) -> Weight:
             return cur
 
 
+def gram(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """(alpha_i, alpha_j) = d_i C[i][j], short simple roots of length 2."""
+    return tuple(tuple(d * x for x in row) for d, row in zip(rs.d, rs.cartan))
+
+
+def gram_d(rs: RootSystem, coords: Sequence[int]) -> int:
+    """Half the squared Gram length of the root with simple-root coordinates coords."""
+    g = gram(rs)
+    tot = sum(coords[i] * coords[j] * g[i][j]
+              for i in range(rs.rank) if coords[i] for j in range(rs.rank) if coords[j])
+    assert tot % 2 == 0, f"odd squared length {tot}"
+    return tot // 2
+
+
+def coordinate_closure(rs: RootSystem) -> dict:
+    """The root data of rs by attribute name (roots: positives by (height,
+    coords), then their negatives): the simple roots closed under simple
+    reflections in simple-root coordinates, each length from the Gram form."""
+    n, cartan = rs.rank, rs.cartan
+    seen = {tuple(int(k == i) for k in range(n)) for i in range(n)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for i in range(n):
+                pair = sum(cartan[i][j] * c[j] for j in range(n))
+                img = tuple(c[k] - pair if k == i else c[k] for k in range(n))
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    max_d = max(rs.d)
+    positives = []
+    for c in seen:
+        if all(x >= 0 for x in c):
+            d = gram_d(rs, c)
+            fw = tuple(sum(cartan[i][j] * c[j] for j in range(n)) for i in range(n))
+            positives.append(Root(c, Weight(fw), True, sum(c), d, d == max_d, d == 1))
+    positives.sort(key=lambda r: (r.height, r.coords))
+    roots = tuple(positives) + tuple(-r for r in positives)
+    by_coords = {r.coords: r for r in roots}
+    return {"roots": roots,
+            "simple_roots": tuple(by_coords[tuple(int(k == i) for k in range(n))]
+                                  for i in range(n)),
+            "highest_root": max(positives, key=lambda r: r.height),
+            "highest_short_root": max((r for r in positives if r.is_short),
+                                      key=lambda r: r.height),
+            "_by_fw": {r.weight.fw: r for r in roots}}
+
+
 def _bilinear(rs: RootSystem, mu: Weight, nu: Weight) -> Fraction:
     """W-invariant symmetric form, normalized so short simple roots have (a,a)=2."""
     a = rs.root_coords(mu)
     b = rs.root_coords(nu)
-    return sum((a[i] * b[j] * rs._gram[i][j]
+    g = gram(rs)
+    return sum((a[i] * b[j] * g[i][j]
                 for i in range(rs.rank) if a[i] for j in range(rs.rank) if b[j]),
                Fraction(0))
 

@@ -1,6 +1,7 @@
 """CLI surface: parsing, rendering, exit codes, JSON schema."""
 
 import functools
+import gc
 import hashlib
 import json
 import os
@@ -27,6 +28,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SRC = str(Path(schubert.__file__).resolve().parents[1])
+MASK_ELAPSED = functools.partial(re.sub, rb'"elapsed_ms": \d+', b'"elapsed_ms": 0')
+
+
+def cli_process(*argv):
+    """One CLI process, run as the console script runs it: (code, stdout, stderr)."""
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from schubert.cli import main; sys.exit(main())",
+         *argv], capture_output=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+    return done.returncode, done.stdout, done.stderr
 
 
 def test_roots_table(capsys):
@@ -478,8 +491,7 @@ def test_out_bytes_equal_stdout_bytes(tmp_path, capsys, argv):
     code, out, err = run(capsys, *argv, "--format", "json")
     assert (code, err) == (0, "")
     assert run(capsys, *argv, "--format", "json", "--out", str(target)) == (0, "", "")
-    mask = functools.partial(re.sub, rb'"elapsed_ms": \d+', b'"elapsed_ms": 0')
-    assert mask(target.read_bytes()) == mask(out.encode())
+    assert MASK_ELAPSED(target.read_bytes()) == MASK_ELAPSED(out.encode())
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "--out"])
@@ -500,6 +512,66 @@ def test_refusal_and_engine_failure_write_no_json(tmp_path, capsys, monkeypatch,
     code, out, err = run(capsys, "sweep", "--type", "A2", "--format", "json", *out_args)
     assert (code, out) == (3, "") and err.startswith("error: engine failure")
     assert not to_file or target.read_bytes() == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ("demazure", "--type", "B3", "--word", "1,2,3,2,1", "--weight-fund", "1,0,1"),
+    ("sweep", "--type", "G2"),
+])
+def test_a_process_writes_what_main_writes_in_process(tmp_path, capsys, argv):
+    # the exit-time heap freeze leaves stdout, --out and the exit code alone
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    code, stdout, stderr = cli_process(*argv, "--format", "json")
+    assert (code, stderr) == (0, b"")
+    assert MASK_ELAPSED(stdout) == MASK_ELAPSED(out.encode())
+    target = tmp_path / "report.json"
+    assert cli_process(*argv, "--format", "json", "--out", str(target)) == (0, b"", b"")
+    assert MASK_ELAPSED(target.read_bytes()) == MASK_ELAPSED(out.encode())
+
+
+def test_a_process_refuses_as_main_refuses(capsys):
+    argv = ("verify", "thmB", "--type", "B3", "--guard", "47", "--format", "json")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: thmB on B3 walks")
+    assert cli_process(*argv) == (2, b"", err.encode())
+
+
+def test_the_heap_is_frozen_once_before_earlier_exit_handlers_run():
+    # atexit runs handlers last-registered first, so one registered before
+    # main runs after main's gc.freeze, as the interpreter's shutdown does;
+    # two calls of main leave one freeze handler
+    probe = ("import atexit, gc, io, contextlib\n"
+             "freezes, freeze = [], gc.freeze\n"
+             "gc.freeze = lambda: freezes.append(freeze())\n"
+             "atexit.register(lambda: print(len(freezes), gc.get_freeze_count() > 0))\n"
+             "from schubert.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = main(['roots', '--type', 'E6']) + main(['roots', '--type', 'A2'])\n"
+             "print(code, gc.get_freeze_count())\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=60, check=True)
+    assert done.stdout.splitlines() == ["0 0", "1 True"]
+
+
+def test_in_process_main_leaves_the_heap_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert run(capsys, "roots", "--type", "A2")[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_a_check_s_elapsed_leaves_its_module_import_out(monkeypatch):
+    # the verifier's module is imported before the check's clock starts
+    from schubert import report
+    real_import = report.import_module
+
+    def slow_import(name):
+        time.sleep(0.2)
+        return real_import(name)
+
+    monkeypatch.setattr(report, "import_module", slow_import)
+    rep = run_check(build("A1"), "thmA")
+    assert rep.passed and rep.elapsed < 0.1
 
 
 def test_readme_synopsis_lists_every_option():

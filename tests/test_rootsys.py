@@ -9,8 +9,8 @@ import pytest
 
 from schubert import CartanType, Root, Weight, build
 
-from helpers import (dominant_representative, fraction_dominance_leq,
-                     fraction_symmetrizers, invert_rational)
+from helpers import (coordinate_closure, dominant_representative, fraction_dominance_leq,
+                     fraction_symmetrizers, gram_d, invert_rational)
 
 ROOT_COUNTS = {
     "A1": 2, "A2": 6, "A3": 12, "A4": 20, "A5": 30,
@@ -252,6 +252,24 @@ def test_integer_build_matches_fraction_oracle(name):
     assert rs.d == fraction_symmetrizers(rs.cartan)
     assert rs._den == den
     assert rs._scaled_inv == tuple(tuple(int(x * den) for x in row) for row in inv)
+
+
+CLOSURE_ORACLE_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+                        + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(3, 9)]
+                        + ["E6", "E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("name", CLOSURE_ORACLE_TYPES)
+def test_fw_closure_matches_the_coordinate_closure_oracle(name):
+    # the engine reflects in fw coordinates and inherits each root's d; the
+    # oracle reflects simple-root coordinates and measures d by the Gram form
+    rs = build(name)
+    oracle = coordinate_closure(rs)
+    for attr, expected in oracle.items():  # Root == compares every field
+        assert getattr(rs, attr) == expected, attr
+    for beta in rs.roots:
+        identity = sum(c * d * x for c, d, x in zip(beta.coords, rs.d, beta.weight.fw))
+        assert identity == 2 * gram_d(rs, beta.coords) == 2 * beta.d
 
 
 def _value_objects():
