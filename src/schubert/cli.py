@@ -258,9 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write output to PATH instead of stdout")
         if with_guard:
             sp.add_argument("--guard", type=int, metavar="N",
-                            help=f"largest universe a check may enumerate, "
-                                 f"|W| or n! (default {DEFAULT_GUARD}, "
-                                 f"env {GUARD_ENV_VAR})")
+                            help=f"largest universe a check may enumerate: |W|, "
+                                 f"n! orderings or 2^(n-1) Coxeter elements "
+                                 f"(default {DEFAULT_GUARD}, env {GUARD_ENV_VAR})")
 
     sp = sub.add_parser("roots", help="print the root-system summary")
     add_common(sp)

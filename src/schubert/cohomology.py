@@ -86,10 +86,7 @@ def _uncertified(lam: Weight) -> AssertionError:
 
 def ss_nonempty(rs: RootSystem, w: WeylElement) -> bool:
     """Semistable-locus criterion for X(w): w(-alpha_0) is a positive root."""
-    root = rs._by_fw.get(w.act(rs.highest_root.weight.fw))
-    if root is None:
-        raise AssertionError("Weyl image of the highest root is not a root")
-    return not root.positive  # w(-alpha_0) = -w(alpha_0)
+    return not w.apply_root(rs.highest_root).positive  # w(-alpha_0) = -w(alpha_0)
 
 
 @lru_cache(maxsize=None)

@@ -30,7 +30,6 @@ if TYPE_CHECKING:
 __all__ = [
     "CoxeterAnalysis",
     "analyze",
-    "yz_exponent",
     "is_typeA_extremal",
     "verify_prop51",
     "verify_lemma54_55_56",
@@ -219,50 +218,13 @@ def analyze(rs: RootSystem, ordering: Sequence[int]) -> CoxeterAnalysis:
     ordering = tuple(ordering)
     if sorted(ordering) != list(range(1, rs.rank + 1)):
         raise ValueError(f"ordering {ordering} is not a permutation of the simples")
-    return _analysis(rs, ordering, _entry(rs, ordering[::-1]))
-
-
-def _analysis(rs: RootSystem, ordering: tuple[int, ...],
-              entry: _CoxeterEntry) -> CoxeterAnalysis:
-    """analyze for a valid ordering, given c's entry."""
+    entry = _entry(rs, ordering[::-1])
     _, a_of, words_of = _orbits(rs, entry)
     a = {pos: a_of[i] for pos, i in enumerate(ordering, 1) if i in a_of}
     phi_words = {pos: words_of[i] for pos, i in enumerate(ordering, 1) if i in words_of}
     phi, tau, _, _ = _split(rs, entry, tuple(i for i in ordering if i in words_of))
     return CoxeterAnalysis(ordering, entry.c, rs.ct.coxeter_number, tuple(a), a,
                            tuple(phi_words), phi_words, phi, tau)
-
-
-def _check_coxeter(rs: RootSystem, c: WeylElement) -> None:
-    if sorted(c.reduced_word()) != list(range(1, rs.rank + 1)):
-        raise ValueError("element is not a Coxeter element")
-
-
-def _w0_exponent(powers: list[WeylElement], w0: WeylElement, alpha: int) -> int | None:
-    """Minimal 1 <= j < h with c^j(omega_alpha) = w0(omega_alpha), or None.
-
-    w0(omega_alpha) is the one weight of least height in W.omega_alpha, so
-    this is the first power whose column height at alpha is w0's.
-    """
-    target = w0.heights[alpha - 1]
-    return next((j for j in range(1, len(powers))
-                 if powers[j].heights[alpha - 1] == target), None)
-
-
-def yz_exponent(rs: RootSystem, c: WeylElement, alpha: int) -> int:
-    """Minimal j >= 1 with c^j(omega_alpha) = w0(omega_alpha), read off
-    c's cycle.
-
-    Existence below the Coxeter number is a theorem; running out of the
-    cyclic group without a hit is therefore a hard engine error.
-    """
-    rs._check_index(alpha)
-    _check_coxeter(rs, c)
-    powers = _cycle(_entry(rs, c.reduced_word(), c))
-    j = _w0_exponent(powers, weyl.longest_element(rs), alpha)
-    if j is None:
-        raise AssertionError(f"no exponent below the Coxeter number for alpha_{alpha}")
-    return j
 
 
 def is_typeA_extremal(rs: RootSystem, c: WeylElement) -> bool:
@@ -277,8 +239,9 @@ def is_typeA_extremal(rs: RootSystem, c: WeylElement) -> bool:
 
     if rs.ct.family != "A":
         raise ValueError("extremality in this sense is a type A notion")
-    _check_coxeter(rs, c)
     word = c.reduced_word()
+    if sorted(word) != list(range(1, rs.rank + 1)):
+        raise ValueError("element is not a Coxeter element")
     by_path = len(set(weyl.orientation(rs, word))) <= 1
     by_ss = ss_nonempty(rs, c) and ss_nonempty(rs, _cycle(_entry(rs, word, c))[-1])
     if by_path != by_ss:
@@ -288,15 +251,21 @@ def is_typeA_extremal(rs: RootSystem, c: WeylElement) -> bool:
 
 
 def verify_prop51(rs: RootSystem) -> tuple[int, list, dict]:
-    """Orbit exponents exist below h for every Coxeter element and alpha."""
+    """Orbit exponents exist below h for every Coxeter element and alpha:
+    a least 1 <= j < h with c^j(omega_alpha) = w0(omega_alpha).
+
+    w0(omega_alpha) is the one weight of least height in W.omega_alpha, so
+    j is the first power whose column height at alpha is w0's.
+    """
     counterexamples = []
     rows = []
-    w0 = weyl.longest_element(rs)
+    w0 = weyl.longest_element(rs).heights
     elements = coxeter_elements(rs)
     for c, word in elements:
         powers = _cycle(_entry(rs, word, c))
         for alpha in range(1, rs.rank + 1):
-            j = _w0_exponent(powers, w0, alpha)
+            j = next((j for j in range(1, len(powers))
+                      if powers[j].heights[alpha - 1] == w0[alpha - 1]), None)
             if j is None:
                 counterexamples.append({"c_word": list(word), "alpha": alpha,
                                         "reason": f"no exponent below h = {len(powers)}"})

@@ -291,8 +291,8 @@ class RootSystem:
     """Immutable root-system data for one Cartan type.
 
     Build through :func:`build`, which caches instances per type.  All
-    attributes are fixed after construction, apart from ``_w0`` found on
-    first use, so no table grows with the weights a process has seen.
+    attributes are fixed after construction, so no table grows with the
+    weights a process has seen.
     """
 
     def __init__(self, ct: CartanType):
@@ -320,7 +320,6 @@ class RootSystem:
             Weight(tuple(1 if k == i else 0 for k in range(ct.rank)))
             for i in range(ct.rank))
         self._build_roots()
-        self._w0 = None
 
     # -- construction -----------------------------------------------------
 

@@ -21,12 +21,13 @@ along v's canonical word) all walk on H.  The action on fw coordinates
 applies the canonical word letter by letter, each letter touching at most
 four coordinates, and a heights tuple that names no element has no
 canonical word, so it is refused there.  ``enumerate_group`` is a
-breadth-first enumeration that dedupes and finds canonical words on H; the
-sweeps walk the group depth first instead (``cohomology.group_walk``).
-Elements invert by their reversed canonical word, so no rational
-arithmetic touches a group element.  A Coxeter element depends only on
-its Dynkin orientation (``orientation``), so ``coxeter_elements`` builds
-one per orientation, 2^(n-1) of them, and reads no permutation.
+breadth-first enumeration that dedupes on H and reads each word by that
+one peel (``reduced_word``); the sweeps walk the group depth first
+instead (``cohomology.group_walk``).  Elements invert by their reversed
+canonical word, so no rational arithmetic touches a group element.  A
+Coxeter element depends only on its Dynkin orientation (``orientation``),
+so ``coxeter_elements`` builds one per orientation, 2^(n-1) of them, and
+reads no permutation.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .rootsys import Root, RootSystem, Weight
 __all__ = [
     "WeylElement",
     "identity",
-    "simple_reflection",
     "from_word",
     "longest_element",
     "min_parabolic_rep",
@@ -54,16 +54,15 @@ __all__ = [
 
 class WeylElement:
     """One Weyl-group element, represented by its column heights H (passed
-    in by a caller that has stepped them), with its canonical word and
-    inverse cached on first use."""
+    in by a caller that has stepped them), with its canonical word cached
+    on first use."""
 
-    __slots__ = ("rs", "heights", "_word", "_inverse")
+    __slots__ = ("rs", "heights", "_word")
 
     def __init__(self, rs: RootSystem, heights: tuple[int, ...]):
         self.rs = rs
         self.heights = heights
         self._word: tuple[int, ...] | None = None
-        self._inverse: "WeylElement | None" = None
 
     # -- group structure ----------------------------------------------------
 
@@ -79,14 +78,11 @@ class WeylElement:
     def inverse(self) -> "WeylElement":
         """w^-1, by the reversed canonical word, checked by w w^-1 = e on
         rho: rho is regular, so only e fixes it."""
-        if self._inverse is None:
-            inv = from_word(self.rs, reversed(self.reduced_word()))
-            rho = self.rs.rho.fw
-            if self.act(inv.act(rho)) != rho:
-                raise AssertionError("reversed word does not invert the element")
-            self._inverse = inv
-            inv._inverse = self
-        return self._inverse
+        inv = from_word(self.rs, reversed(self.reduced_word()))
+        rho = self.rs.rho.fw
+        if self.act(inv.act(rho)) != rho:
+            raise AssertionError("reversed word does not invert the element")
+        return inv
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, WeylElement) and self.heights == other.heights
@@ -193,11 +189,6 @@ def identity(rs: RootSystem) -> WeylElement:
     return e
 
 
-def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    """s_i acting on fw coordinates: lam -> lam - lam[i] alpha_i."""
-    return from_word(rs, (i,))
-
-
 def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     """Product s_{i1} s_{i2} ... s_{in} for word (i1,...,in), 1-based letters.
 
@@ -231,14 +222,13 @@ def _climb(rs: RootSystem, letters: Sequence[int]) -> WeylElement:
             return WeylElement(rs, h)
 
 
+@lru_cache(maxsize=None)
 def longest_element(rs: RootSystem) -> WeylElement:
     """w0, found by climbing ascents; length must equal |R+|."""
-    if rs._w0 is None:
-        cur = _climb(rs, range(1, rs.rank + 1))
-        if len(cur.inversion_set()) != len(rs.positive_roots):
-            raise AssertionError("w0 search terminated early")
-        rs._w0 = cur
-    return rs._w0
+    w0 = _climb(rs, range(1, rs.rank + 1))
+    if len(w0.inversion_set()) != len(rs.positive_roots):
+        raise AssertionError("w0 search terminated early")
+    return w0
 
 
 def min_parabolic_rep(rs: RootSystem, i: int) -> WeylElement:
@@ -276,10 +266,8 @@ def enumerate_group(rs: RootSystem, guard: int | None = None) -> Iterator[WeylEl
 
     Breadth-first by length, stepping only along ascents, so layer k holds
     exactly the elements of length k.  Layers are keyed by column heights,
-    so ascents and duplicates are found on H, and a new element is the
-    heights its step reached.  It gets its canonical word from the previous
-    layer: word(v) = word(v s_d) + (d,) for d the smallest right descent
-    of v.  Raises GuardExceeded when |W| is larger than the guard.
+    so ascents and duplicates are found on H; each element's canonical word
+    is ``reduced_word``'s.  Raises GuardExceeded when |W| exceeds the guard.
     """
     order = guarded_order(rs, guard)
     e = identity(rs)
@@ -292,22 +280,11 @@ def enumerate_group(rs: RootSystem, guard: int | None = None) -> Iterator[WeylEl
             h = w.heights
             for k, col in enumerate(cols):
                 x = _root_height(h, col)
-                if x < 0:
-                    continue
-                hv = _reflect(h, k, x)
-                if hv in nxt:
-                    continue
-                # k+1 is a descent of v = w s_{k+1}; a smaller one names another parent
-                d, parent = k, w
-                for j in range(k):
-                    y = _root_height(hv, cols[j])
-                    if y < 0:
-                        d, parent = j, layer[_reflect(hv, j, y)]
-                        break
-                v = WeylElement(rs, hv)
-                v._word = parent._word + (d + 1,)
-                nxt[hv] = v
-        elements.extend(sorted(nxt.values(), key=lambda w: w._word))
+                if x > 0:
+                    hv = _reflect(h, k, x)
+                    if hv not in nxt:
+                        nxt[hv] = WeylElement(rs, hv)
+        elements.extend(sorted(nxt.values(), key=lambda w: w.reduced_word()))
         layer = nxt
     if len(elements) != order:
         raise AssertionError(f"enumerated {len(elements)} elements, expected {order}")

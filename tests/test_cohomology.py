@@ -19,7 +19,6 @@ from schubert import (
     h0_line,
     identity,
     longest_element,
-    simple_reflection,
     ss_nonempty,
 )
 from schubert import cohomology
@@ -50,7 +49,7 @@ def test_tangent_char_a2_anchor_element():
     assert tangent_h0_char(rs, w) == adjoint_character(rs)
     assert kernel_char(rs, w).is_zero
     # one step down it does not
-    s2 = simple_reflection(rs, 2)
+    s2 = from_word(rs, (2,))
     kernel = kernel_char(rs, s2)
     assert not kernel.is_zero
     assert kernel.is_effective()

@@ -17,8 +17,6 @@ from schubert import (
     identity,
     is_typeA_extremal,
     longest_element,
-    simple_reflection,
-    yz_exponent,
 )
 from schubert import cohomology, coxeter, weyl
 from schubert.charring import e
@@ -319,39 +317,6 @@ def test_prop51_acts_only_for_the_order_and_the_simple_images(fresh_table, monke
     assert len(fresh_table(rs)) == len(coxeter_elements(rs)) == 32
 
 
-def test_yz_exponent_a2():
-    rs = build("A2")
-    c = from_word(rs, (2, 1))
-    assert yz_exponent(rs, c, 1) == 1
-    assert yz_exponent(rs, c, 2) == 2
-    ci = c.inverse()
-    assert yz_exponent(rs, ci, 1) == 2
-    assert yz_exponent(rs, ci, 2) == 1
-
-
-def test_yz_exponent_rejects_non_coxeter():
-    rs = build("A2")
-    with pytest.raises(ValueError):
-        yz_exponent(rs, simple_reflection(rs, 1), 1)
-    with pytest.raises(ValueError):
-        yz_exponent(rs, longest_element(rs), 1)
-
-
-def test_yz_exponent_hits_w0_image():
-    for name in ("A3", "B3", "D4"):
-        rs = build(name)
-        w0 = longest_element(rs)
-        for c, word in coxeter_elements(rs):
-            powers = _cycle(_entry(rs, word, c))
-            for i in range(1, rs.rank + 1):
-                j = yz_exponent(rs, c, i)
-                omega = rs.fundamental_weights[i - 1]
-                assert powers[j].apply(omega) == w0.apply(omega)
-                # minimality
-                for k in range(1, j):
-                    assert powers[k].apply(omega) != w0.apply(omega)
-
-
 def test_typeA_extremal():
     rs = build("A2")
     for c, _ in coxeter_elements(rs):
@@ -364,6 +329,15 @@ def test_typeA_extremal():
     assert not is_typeA_extremal(rs3, from_word(rs3, (1, 3, 2)))
     with pytest.raises(ValueError):
         is_typeA_extremal(build("B2"), from_word(build("B2"), (2, 1)))
+
+
+def test_typeA_extremal_rejects_non_coxeter_elements():
+    # s_1 misses letters and w0's canonical word repeats them: neither is
+    # a product of each simple reflection once
+    rs = build("A3")
+    for w in (from_word(rs, (1,)), longest_element(rs)):
+        with pytest.raises(ValueError, match="not a Coxeter element"):
+            is_typeA_extremal(rs, w)
 
 
 @pytest.mark.parametrize("name,n_cox", [("A2", 2), ("A3", 4), ("B2", 2), ("B3", 4), ("D4", 8)])

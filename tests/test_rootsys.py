@@ -1,5 +1,6 @@
 """Root-system construction: Cartan data, root enumeration, pairings."""
 
+import copy
 import pickle
 import random
 from fractions import Fraction
@@ -7,7 +8,8 @@ from math import lcm
 
 import pytest
 
-from schubert import CartanType, Root, Weight, build
+from schubert import CartanType, Root, RootSystem, Weight, build, longest_element
+from schubert.report import CHECKS, run_checks
 
 from helpers import (coordinate_closure, dominant_representative, fraction_dominance_leq,
                      fraction_symmetrizers, gram_d, invert_rational)
@@ -21,6 +23,23 @@ ROOT_COUNTS = {
     "F4": 48,
     "G2": 12,
 }
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_a_root_system_is_unchanged_by_use(name):
+    # a fresh instance, not build's, so nothing has been found on it yet:
+    # w0 and every applicable check leave each attribute bound to the same,
+    # unchanged object, and w0 is found once
+    rs = RootSystem(CartanType.parse(name))
+    bound = dict(vars(rs))
+    values = copy.deepcopy(bound)
+    w0 = longest_element(rs)
+    ids = [check.id for check in CHECKS if check.applies(rs.ct) is None]
+    assert all(rep.passed for rep in run_checks(rs, ids))
+    assert longest_element(rs) is w0
+    assert vars(rs).keys() == bound.keys()
+    assert all(vars(rs)[k] is v for k, v in bound.items())
+    assert vars(rs) == values
 
 
 @pytest.mark.parametrize("name,count", sorted(ROOT_COUNTS.items()))

@@ -15,7 +15,6 @@ from schubert import (
     identity,
     longest_element,
     min_parabolic_rep,
-    simple_reflection,
 )
 from schubert.coxeter import _entry
 from schubert.report import DEFAULT_GUARD, GUARD_ENV_VAR, resolve_guard
@@ -30,7 +29,7 @@ from helpers import (LAYER_TYPES, coxeter_elements_per_permutation, element_of,
 
 def test_simple_reflection_basics():
     rs = build("A2")
-    s1 = simple_reflection(rs, 1)
+    s1 = from_word(rs, (1,))
     assert s1 * s1 == identity(rs)
     assert s1.length == 1
     assert s1.reduced_word() == (1,)
@@ -47,7 +46,7 @@ def test_braid_relations():
     }.items():
         rs = build(name)
         for (i, j), m in pairs.items():
-            si, sj = simple_reflection(rs, i), simple_reflection(rs, j)
+            si, sj = from_word(rs, (i,)), from_word(rs, (j,))
             assert element_order(si * sj) == m
 
 
@@ -55,7 +54,7 @@ def test_from_word_orientation():
     # the last letter acts first on weights
     rs = build("A2")
     w = from_word(rs, (2, 1))
-    s1, s2 = simple_reflection(rs, 1), simple_reflection(rs, 2)
+    s1, s2 = from_word(rs, (1,)), from_word(rs, (2,))
     lam = rs.weight((1, 0))
     assert w.apply(lam) == s2.apply(s1.apply(lam))
     assert w == s2 * s1
@@ -259,7 +258,7 @@ def test_apply_root_tracks_weights():
 
 def test_dot_action():
     rs = build("A2")
-    s1 = simple_reflection(rs, 1)
+    s1 = from_word(rs, (1,))
     zero = rs.zero()
     # s_1 . 0 = -alpha_1
     assert s1.dot(zero) == -rs.simple_roots[0].weight
@@ -275,9 +274,8 @@ ORACLE_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4",
 def test_element_paths_match_slow_oracles(name):
     # enumeration's words and reversed-word inverses against peeling by
     # full products and Gauss-Jordan, on every element: the word's oracle
-    # matrix has w's heights and peels back to the word; the height peel
-    # of a fresh element against the word enumeration gave it; s_i <= w
-    # iff i occurs in its word
+    # matrix has w's heights and peels back to the word, as does a fresh
+    # element's height peel; s_i <= w iff i occurs in its word
     rs = build(name)
     for w in enumerate_group(rs):
         word = w.reduced_word()
@@ -289,10 +287,10 @@ def test_element_paths_match_slow_oracles(name):
         inv = w.inverse()
         inv_mat = gauss_jordan_inverse(mat)
         assert inv == element_of(rs, inv_mat)
-        assert inv.inverse() is w
+        assert inv.inverse() == w
         assert inv.reduced_word() == peel_reduced_word(rs, inv_mat)
         for i in range(1, rs.rank + 1):
-            assert bruhat_leq(simple_reflection(rs, i), w) == (i in word)
+            assert bruhat_leq(from_word(rs, (i,)), w) == (i in word)
 
 
 @pytest.mark.parametrize("name", ORACLE_TYPES)
@@ -374,7 +372,7 @@ def test_height_steps_match_full_products(name):
         assert w.reduced_word() == peel_reduced_word(rs, mat)
         assert from_word(rs, word) == w
         for i in range(1, rs.rank + 1):
-            right = w * simple_reflection(rs, i)
+            right = w * from_word(rs, (i,))
             assert right == from_word(rs, word + [i])
             assert right == element_of(rs, matmul(mat, simple_matrix(rs, i)))
 
