@@ -17,15 +17,16 @@ __version__ = "0.1.0"
 
 # public name -> the submodule that defines it
 _HOME = {
-    **dict.fromkeys(("CartanType", "Root", "RootSystem", "Weight", "build"), "rootsys"),
+    **dict.fromkeys(("CartanType", "GuardExceeded", "Root", "RootSystem", "Weight", "build"),
+                    "rootsys"),
     **dict.fromkeys(("WeylElement", "bruhat_leq", "coxeter_elements", "enumerate_group",
-                     "from_word", "identity", "longest_element", "min_parabolic_rep"), "weyl"),
+                     "from_word", "identity", "longest_element", "min_parabolic_rep",
+                     "ss_nonempty"), "weyl"),
     **dict.fromkeys(("Character", "adjoint_character", "char_sorted_terms", "char_to_str",
                      "demazure_along_word", "demazure_op", "e"), "charring"),
-    **dict.fromkeys(("euler_char", "h0_line", "ss_nonempty"), "cohomology"),
+    **dict.fromkeys(("euler_char", "h0_line"), "cohomology"),
     **dict.fromkeys(("CoxeterAnalysis", "analyze", "is_typeA_extremal"), "coxeter"),
-    **dict.fromkeys(("GuardExceeded", "Report", "canonical_json", "labeling_table"),
-                    "report"),
+    **dict.fromkeys(("Report", "canonical_json", "labeling_table"), "report"),
 }
 
 __all__ = ["__version__", *_HOME]

@@ -29,9 +29,9 @@ import sys
 from math import prod
 
 from . import __version__
-from .report import (CHECKS, DEFAULT_GUARD, GUARD_ENV_VAR, GuardExceeded, Report,
-                     labeling_table, precheck, resolve_guard, run_checks, write_json)
-from .rootsys import CartanType, Root, RootSystem, Weight, build
+from .report import CHECKS, Report, labeling_table, precheck, run_checks, write_json
+from .rootsys import (DEFAULT_GUARD, GUARD_ENV_VAR, CartanType, GuardExceeded, Root, RootSystem,
+                      Weight, build, resolve_guard)
 
 __all__ = ["main"]
 

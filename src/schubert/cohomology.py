@@ -16,7 +16,9 @@ the one representation of a group element (``weyl``), and keeps tau's
 matrix rows to itself for the left step.  The criterion for X(tau^-1) is
 read off the walk's x = (D ht tau^-1(alpha_k))_k, and tau's inversions
 are ``tau.inverted()``.  Single queries go along the canonical reduced word
-(``euler_char``, ``h0_line``).  Individual cohomology characters are only
+(``euler_char``, ``h0_line``); so do the Euler checks of Coxeter elements,
+thmC_typeA and cor52_53_58, which take each c and its powers from its
+``coxeter`` entry.  Individual cohomology characters are only
 ever reported in regimes where vanishing is certified:
 
   * dominant line bundles (all higher cohomology vanishes), and
@@ -33,20 +35,23 @@ from functools import lru_cache, reduce
 from operator import add, gt, itemgetter, mul, neg, or_
 from typing import Iterable, Iterator, Sequence
 
+from . import coxeter
 from .charring import (_DIGIT, _MASK, _OFF, Character, _pack, adjoint_character, char_to_str,
                        demazure_along_word, demazure_op, e)
 from .rootsys import RootSystem, Weight
-from .weyl import WeylElement, from_word, guarded_order, longest_element, min_parabolic_rep
+from .weyl import (WeylElement, coxeter_elements, from_word, guarded_order, longest_element,
+                   min_parabolic_rep, ss_nonempty)
 
 __all__ = [
     "euler_char",
     "h0_line",
-    "ss_nonempty",
     "group_walk",
     "inversion_tangent",
     "verify_root_lines",
     "verify_thmB_criterion",
     "verify_lemma26",
+    "verify_thmC_typeA",
+    "verify_cor52_53_58",
     "lemma61_search",
     "verify_lemma61",
     "remark_b2_check",
@@ -82,11 +87,6 @@ def h0_line(rs: RootSystem, tau: WeylElement, lam: Weight) -> Character:
 
 def _uncertified(lam: Weight) -> AssertionError:
     return AssertionError(f"engine failure: negative multiplicity in certified h0 for {lam}")
-
-
-def ss_nonempty(rs: RootSystem, w: WeylElement) -> bool:
-    """Semistable-locus criterion for X(w): w(-alpha_0) is a positive root."""
-    return not w.apply_root(rs.highest_root).positive  # w(-alpha_0) = -w(alpha_0)
 
 
 @lru_cache(maxsize=None)
@@ -367,6 +367,147 @@ def verify_lemma26(rs: RootSystem) -> tuple[int, list, dict]:
                     "pairing": val,
                 })
     return universe, counterexamples, {}
+
+
+def _dot_zero_euler(rs: RootSystem, w: WeylElement, w_inv: WeylElement) -> Character:
+    """chi(w, e^{w^-1 . 0}), which Cor. 5.8 and Thm. C weigh by (-1)^l(w)."""
+    return euler_char(rs, w, e(w_inv.dot(rs.zero())))
+
+
+def verify_thmC_typeA(rs: RootSystem) -> tuple[int, list, dict]:
+    """Type A powers of the staircase Coxeter element c = s_n ... s_1.
+
+    Checks c^r = w_{alpha_r}, reads off the dot-action weight
+    (c^r)^{-1} . 0 = epsilon (n+1) omega_r recording the single sign
+    epsilon, and confirms chi(c^r, e^{that weight}) = (-1)^{l(c^r)} e^0.
+    Non-extremal Coxeter elements get informational rows only.
+    """
+    n = rs.rank
+    powers = coxeter._cycle(coxeter._entry(rs, range(n, 0, -1)))
+    counterexamples = []
+    signs = set()
+    zero = rs.zero()
+    for r in range(1, n + 1):
+        cr, cr_inv = powers[r], powers[-r]
+        w_r = min_parabolic_rep(rs, r)
+        if cr != w_r:
+            counterexamples.append({
+                "r": r, "reason": "c^r is not the minimal representative",
+                "c_power_word": list(cr.reduced_word()), "w_alpha_word": list(w_r.reduced_word()),
+            })
+            continue
+        lam = cr_inv.dot(zero)
+        omega = rs.fundamental_weights[r - 1]
+        eps = None
+        for cand in (1, -1):
+            if lam == cand * (n + 1) * omega:
+                eps = cand
+        if eps is None:
+            counterexamples.append({
+                "r": r, "reason": "dot weight is not +-(n+1) omega_r",
+                "weight_fw": list(lam.fw),
+            })
+            continue
+        signs.add(eps)
+        chi = _dot_zero_euler(rs, cr, cr_inv)
+        if chi != e(zero, (-1) ** cr.length):
+            counterexamples.append({
+                "r": r, "reason": "Euler value is not (-1)^l e^0",
+                "chi": char_to_str(rs, chi),
+            })
+    if len(signs) > 1:
+        counterexamples.append({
+            "reason": "inconsistent sign across r", "signs": sorted(signs),
+        })
+
+    nonextremal_rows = []
+    for cox, word in coxeter_elements(rs):
+        if coxeter.is_typeA_extremal(rs, cox):
+            continue
+        chi = _dot_zero_euler(rs, cox, coxeter._cycle(coxeter._entry(rs, word, cox))[-1])
+        nonextremal_rows.append({
+            "c_word": list(word),
+            "euler_is_signed_e0": chi == e(zero, (-1) ** cox.length),
+            "euler": char_to_str(rs, chi),
+        })
+    return n, counterexamples, {
+        "epsilon": sorted(signs)[0] if len(signs) == 1 else None,
+        "nonextremal_rows": nonextremal_rows,
+    }
+
+
+def verify_cor52_53_58(rs: RootSystem) -> tuple[int, list, dict]:
+    """Cyclic-group sweeps attached to each Coxeter element.
+
+    Asserts for every Coxeter element that some power c^j (1 <= j < h)
+    has full adjoint tangent character over its inversion set.  The two
+    summed identities (over C' = {c,...,c^{h-1}} and the signed Euler sum
+    over C = {e,...,c^{h-1}}) are asserted only for type A extremal
+    elements, where full degree-wise vanishing certifies them; other
+    elements get informational rows.
+
+    Each distinct power of the cycles is evaluated once, in first-seen
+    order over the Coxeter elements: its tangent and signed Euler term are
+    added in place into the two sums of every cyclic group <c> = <c^{-1}>
+    that holds it (e in all of them; w0 = -1 on D4 and D6), and only
+    whether its tangent is the adjoint character is kept.  The tangent of
+    e is zero, so C' and C share one walk.
+    """
+    adjoint = adjoint_character(rs)
+    groups: dict[frozenset, tuple[Character, Character]] = {}
+    cycles = []
+    for c, word in coxeter_elements(rs):
+        powers = coxeter._cycle(coxeter._entry(rs, word, c))
+        group = frozenset(powers)
+        cycles.append((c, word, powers, groups.setdefault(group, (Character(), Character()))))
+    is_full: dict[WeylElement, bool] = {}
+
+    counterexamples = []
+    rows = []
+    for c, word, powers, (sum53, sum58) in cycles:
+        h = len(powers)
+        for j, cj in enumerate(powers):
+            if cj in is_full:
+                continue
+            tangent = inversion_tangent(rs, cj)
+            is_full[cj] = tangent == adjoint
+            chi = _dot_zero_euler(rs, cj, powers[-j])
+            for group, (tangents, eulers) in groups.items():
+                if cj in group:
+                    tangents.add(tangent)
+                    eulers.add(chi, (-1) ** cj.length)
+        min_j = next((j for j, cj in enumerate(powers[1:], 1) if is_full[cj]), None)
+        if min_j is None:
+            counterexamples.append({
+                "c_word": list(word),
+                "reason": "no power below h has full adjoint tangent character",
+            })
+        eq53 = sum53 == (h - 1) * adjoint
+        eq58 = sum58 == h * e(rs.zero())
+
+        extremal = rs.ct.family == "A" and coxeter.is_typeA_extremal(rs, c)
+        if extremal:
+            if not eq53:
+                counterexamples.append({
+                    "c_word": list(word), "clause": "cyclic-sum",
+                    "difference": char_to_str(rs, (h - 1) * adjoint - sum53),
+                })
+            if not eq58:
+                counterexamples.append({
+                    "c_word": list(word), "clause": "signed-euler-sum",
+                    "sum": char_to_str(rs, sum58),
+                })
+        rows.append({
+            "c_word": list(word),
+            "h": h,
+            "extremal": extremal,
+            "min_full_power": min_j,
+            "cyclic_sum_matches": eq53,
+            "signed_euler_sum_matches": eq58,
+            "ss_c": ss_nonempty(rs, c),
+            "ss_c_inv": ss_nonempty(rs, powers[-1]),
+        })
+    return len(cycles), counterexamples, {"rows": rows}
 
 
 def lemma61_search(rs: RootSystem) -> dict | None:

@@ -10,22 +10,20 @@ Each Coxeter element has one entry in a table keyed by its Dynkin
 orientation.  The entry holds c; its simple-root images and orbits, its
 cycle [e, c, ..., c^(h-1)] (h = ``ct.coxeter_number``, c's order checked
 to be h) and lemma54_56's verdicts are built on first use, so prop51
-acts on no root.  Only the Euler-character checks load ``charring`` and
-``cohomology``.
+acts on no root.  This module computes no character: the Euler-character
+checks of Coxeter elements (thmC_typeA, cor52_53_58) live in
+``cohomology`` and read c's cycle from its entry here.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from . import weyl
 from .rootsys import Record, RootSystem
-from .weyl import WeylElement, coxeter_elements, from_word
-
-if TYPE_CHECKING:
-    from .charring import Character
+from .weyl import WeylElement, coxeter_elements, from_word, ss_nonempty
 
 __all__ = [
     "CoxeterAnalysis",
@@ -33,8 +31,6 @@ __all__ = [
     "is_typeA_extremal",
     "verify_prop51",
     "verify_lemma54_55_56",
-    "verify_thmC_typeA",
-    "verify_cor52_53_58",
 ]
 
 
@@ -234,9 +230,6 @@ def is_typeA_extremal(rs: RootSystem, c: WeylElement) -> bool:
     Asserted on the way out: this agrees with the semistability criterion
     holding for both c and c^{-1} = c^(h-1).
     """
-    # imported here: prop51 and lemma54_56 never load the Euler-character modules
-    from .cohomology import ss_nonempty
-
     if rs.ct.family != "A":
         raise ValueError("extremality in this sense is a type A notion")
     word = c.reduced_word()
@@ -329,155 +322,3 @@ def _failures(rs: RootSystem, perm: tuple[int, ...], entry: _CoxeterEntry,
               "height_c": via_c, "height_phi": via_phi}
              for u, via_c, via_phi in sorted(low, key=lambda f: pos[f[0]])]
     return rows
-
-
-def _dot_zero_euler(rs: RootSystem, w: WeylElement, w_inv: WeylElement) -> Character:
-    """chi(w, e^{w^-1 . 0}), which Cor. 5.8 and Thm. C weigh by (-1)^l(w)."""
-    # imported here: prop51 and lemma54_56 never load the Euler-character modules
-    from .charring import e
-    from .cohomology import euler_char
-
-    return euler_char(rs, w, e(w_inv.dot(rs.zero())))
-
-
-def verify_thmC_typeA(rs: RootSystem) -> tuple[int, list, dict]:
-    """Type A powers of the staircase Coxeter element c = s_n ... s_1.
-
-    Checks c^r = w_{alpha_r}, reads off the dot-action weight
-    (c^r)^{-1} . 0 = epsilon (n+1) omega_r recording the single sign
-    epsilon, and confirms chi(c^r, e^{that weight}) = (-1)^{l(c^r)} e^0.
-    Non-extremal Coxeter elements get informational rows only.
-    """
-    # imported here: prop51 and lemma54_56 never load the Euler-character modules
-    from .charring import char_to_str, e
-
-    n = rs.rank
-    powers = _cycle(_entry(rs, range(n, 0, -1)))
-    counterexamples = []
-    signs = set()
-    zero = rs.zero()
-    for r in range(1, n + 1):
-        cr, cr_inv = powers[r], powers[-r]
-        w_r = weyl.min_parabolic_rep(rs, r)
-        if cr != w_r:
-            counterexamples.append({
-                "r": r, "reason": "c^r is not the minimal representative",
-                "c_power_word": list(cr.reduced_word()), "w_alpha_word": list(w_r.reduced_word()),
-            })
-            continue
-        lam = cr_inv.dot(zero)
-        omega = rs.fundamental_weights[r - 1]
-        eps = None
-        for cand in (1, -1):
-            if lam == cand * (n + 1) * omega:
-                eps = cand
-        if eps is None:
-            counterexamples.append({
-                "r": r, "reason": "dot weight is not +-(n+1) omega_r",
-                "weight_fw": list(lam.fw),
-            })
-            continue
-        signs.add(eps)
-        chi = _dot_zero_euler(rs, cr, cr_inv)
-        if chi != e(zero, (-1) ** cr.length):
-            counterexamples.append({
-                "r": r, "reason": "Euler value is not (-1)^l e^0",
-                "chi": char_to_str(rs, chi),
-            })
-    if len(signs) > 1:
-        counterexamples.append({
-            "reason": "inconsistent sign across r", "signs": sorted(signs),
-        })
-
-    nonextremal_rows = []
-    for cox, word in coxeter_elements(rs):
-        if is_typeA_extremal(rs, cox):
-            continue
-        chi = _dot_zero_euler(rs, cox, _cycle(_entry(rs, word, cox))[-1])
-        nonextremal_rows.append({
-            "c_word": list(word),
-            "euler_is_signed_e0": chi == e(zero, (-1) ** cox.length),
-            "euler": char_to_str(rs, chi),
-        })
-    return n, counterexamples, {
-        "epsilon": sorted(signs)[0] if len(signs) == 1 else None,
-        "nonextremal_rows": nonextremal_rows,
-    }
-
-
-def verify_cor52_53_58(rs: RootSystem) -> tuple[int, list, dict]:
-    """Cyclic-group sweeps attached to each Coxeter element.
-
-    Asserts for every Coxeter element that some power c^j (1 <= j < h)
-    has full adjoint tangent character over its inversion set.  The two
-    summed identities (over C' = {c,...,c^{h-1}} and the signed Euler sum
-    over C = {e,...,c^{h-1}}) are asserted only for type A extremal
-    elements, where full degree-wise vanishing certifies them; other
-    elements get informational rows.
-
-    Each distinct power of the cycles is evaluated once, in first-seen
-    order over the Coxeter elements: its tangent and signed Euler term are
-    added in place into the two sums of every cyclic group <c> = <c^{-1}>
-    that holds it (e in all of them; w0 = -1 on D4 and D6), and only
-    whether its tangent is the adjoint character is kept.  The tangent of
-    e is zero, so C' and C share one walk.
-    """
-    # imported here: prop51 and lemma54_56 never load the Euler-character modules
-    from .charring import Character, adjoint_character, char_to_str, e
-    from .cohomology import inversion_tangent, ss_nonempty
-
-    adjoint = adjoint_character(rs)
-    groups: dict[frozenset, tuple[Character, Character]] = {}
-    cycles = []
-    for c, word in coxeter_elements(rs):
-        powers = _cycle(_entry(rs, word, c))
-        group = frozenset(powers)
-        cycles.append((c, word, powers, groups.setdefault(group, (Character(), Character()))))
-    is_full: dict[WeylElement, bool] = {}
-
-    counterexamples = []
-    rows = []
-    for c, word, powers, (sum53, sum58) in cycles:
-        h = len(powers)
-        for j, cj in enumerate(powers):
-            if cj in is_full:
-                continue
-            tangent = inversion_tangent(rs, cj)
-            is_full[cj] = tangent == adjoint
-            chi = _dot_zero_euler(rs, cj, powers[-j])
-            for group, (tangents, eulers) in groups.items():
-                if cj in group:
-                    tangents.add(tangent)
-                    eulers.add(chi, (-1) ** cj.length)
-        min_j = next((j for j, cj in enumerate(powers[1:], 1) if is_full[cj]), None)
-        if min_j is None:
-            counterexamples.append({
-                "c_word": list(word),
-                "reason": "no power below h has full adjoint tangent character",
-            })
-        eq53 = sum53 == (h - 1) * adjoint
-        eq58 = sum58 == h * e(rs.zero())
-
-        extremal = rs.ct.family == "A" and is_typeA_extremal(rs, c)
-        if extremal:
-            if not eq53:
-                counterexamples.append({
-                    "c_word": list(word), "clause": "cyclic-sum",
-                    "difference": char_to_str(rs, (h - 1) * adjoint - sum53),
-                })
-            if not eq58:
-                counterexamples.append({
-                    "c_word": list(word), "clause": "signed-euler-sum",
-                    "sum": char_to_str(rs, sum58),
-                })
-        rows.append({
-            "c_word": list(word),
-            "h": h,
-            "extremal": extremal,
-            "min_full_power": min_j,
-            "cyclic_sum_matches": eq53,
-            "signed_euler_sum_matches": eq58,
-            "ss_c": ss_nonempty(rs, c),
-            "ss_c_inv": ss_nonempty(rs, powers[-1]),
-        })
-    return len(cycles), counterexamples, {"rows": rows}

@@ -1,5 +1,6 @@
-"""The table of checks, the enumeration guard, the one runner that builds
-every Report, and report serialization.
+"""The table of checks, the one runner that builds every Report, and
+report serialization.  The checks' prices are held to the enumeration
+guard of ``rootsys``.
 
 A verifier in cohomology or coxeter returns only what it computes,
 (universe size, counterexamples, details); run_checks gates it, times it
@@ -17,31 +18,10 @@ from json.encoder import encode_basestring_ascii as _str
 from math import factorial
 from typing import Any, Callable
 
-from .rootsys import CartanType, Record, RootSystem
+from .rootsys import GUARD_ENV_VAR, CartanType, GuardExceeded, Record, RootSystem, resolve_guard
 
 __all__ = ["Report", "Check", "CHECKS", "precheck", "pass_groups", "pool_size", "run_checks",
-           "run_check", "labeling_table", "canonical_json", "write_json", "GuardExceeded",
-           "DEFAULT_GUARD", "GUARD_ENV_VAR", "resolve_guard"]
-
-DEFAULT_GUARD = 10 ** 6
-GUARD_ENV_VAR = "SCHUBERT_GUARD"
-
-
-class GuardExceeded(RuntimeError):
-    """Raised when a requested enumeration would exceed the |W| guard."""
-
-
-def resolve_guard(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(GUARD_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"{GUARD_ENV_VAR} must be an integer, got {env!r}") from exc
-    return DEFAULT_GUARD
-
+           "run_check", "labeling_table", "canonical_json", "write_json"]
 
 class Report(Record):
     """Outcome of one verification sweep; passed means no counterexample.
@@ -131,8 +111,8 @@ CHECKS = (
     Check("lemma54_56", _simply_laced, _orderings, "coxeter",
           lambda m, rs, guard: m.verify_lemma54_55_56(rs)),
     Check("thmC_typeA", lambda ct: None if ct.family == "A" else "specific to type A",
-          _orderings, "coxeter", lambda m, rs, guard: m.verify_thmC_typeA(rs)),
-    Check("cor52_53_58", _simply_laced, _orderings, "coxeter",
+          _orderings, "cohomology", lambda m, rs, guard: m.verify_thmC_typeA(rs)),
+    Check("cor52_53_58", _simply_laced, _orderings, "cohomology",
           lambda m, rs, guard: m.verify_cor52_53_58(rs)),
     Check("lemma61", _two_lengths, _none, "cohomology",
           lambda m, rs, guard: m.verify_lemma61(rs)),

@@ -13,12 +13,16 @@ Heights and the dominance order go through D * C^-1, the inverse Cartan
 matrix scaled by the smallest common denominator D of its entries, so
 they stay in the integers, and ``build`` finds D * C^-1 by fraction-free
 Gauss-Jordan elimination.  ``Fraction`` appears only at the API edge:
-``height`` and ``root_coords`` give exact rational values.  No floats
-anywhere.
+``root_coords`` gives exact rational values.  No floats anywhere.
+
+The enumeration guard lives here too, next to the |W| it bounds
+(``CartanType.weyl_order``): ``resolve_guard`` reads it, and ``weyl`` and
+``report`` raise ``GuardExceeded`` when a universe is larger.
 """
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
 from math import factorial, gcd, lcm
 from operator import mul, sub
@@ -33,6 +37,10 @@ __all__ = [
     "Root",
     "RootSystem",
     "build",
+    "DEFAULT_GUARD",
+    "GUARD_ENV_VAR",
+    "GuardExceeded",
+    "resolve_guard",
 ]
 
 _FAMILIES = {"A", "B", "C", "D", "E", "F", "G"}
@@ -152,6 +160,26 @@ class CartanType(_Value):
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
+
+
+DEFAULT_GUARD = 10 ** 6
+GUARD_ENV_VAR = "SCHUBERT_GUARD"
+
+
+class GuardExceeded(RuntimeError):
+    """Raised when a requested enumeration would exceed the |W| guard."""
+
+
+def resolve_guard(explicit: int | None = None) -> int:
+    if explicit is not None:
+        return explicit
+    env = os.environ.get(GUARD_ENV_VAR)
+    if env is not None:
+        try:
+            return int(env)
+        except ValueError as exc:
+            raise ValueError(f"{GUARD_ENV_VAR} must be an integer, got {env!r}") from exc
+    return DEFAULT_GUARD
 
 
 class Weight(_Value):
@@ -403,10 +431,6 @@ class RootSystem:
     def scaled_height(self, fw: tuple[int, ...]) -> int:
         """D times the height of the weight with fw coordinates ``fw``."""
         return sum(map(mul, self._height_vec, fw))
-
-    def height(self, lam: Weight) -> Fraction:
-        from fractions import Fraction
-        return Fraction(self.scaled_height(lam.fw), self._den)
 
     def root_of(self, lam: Weight) -> Root | None:
         return self._by_fw.get(lam.fw)

@@ -27,7 +27,8 @@ instead (``cohomology.group_walk``).  Elements invert by their reversed
 canonical word, so no rational arithmetic touches a group element.  A
 Coxeter element depends only on its Dynkin orientation (``orientation``),
 so ``coxeter_elements`` builds one per orientation, 2^(n-1) of them, and
-reads no permutation.
+reads no permutation.  The semistability criterion ``ss_nonempty`` is one
+root action.  The |W| guard comes from ``rootsys``.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ from itertools import product
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .report import GuardExceeded, resolve_guard
-from .rootsys import Root, RootSystem, Weight
+from .rootsys import GuardExceeded, Root, RootSystem, Weight, resolve_guard
 
 __all__ = [
     "WeylElement",
@@ -50,6 +50,7 @@ __all__ = [
     "enumerate_group",
     "bruhat_leq",
     "coxeter_elements",
+    "ss_nonempty",
 ]
 
 class WeylElement:
@@ -163,6 +164,11 @@ class WeylElement:
 
     def __repr__(self) -> str:
         return f"W[{','.join(map(str, self.reduced_word())) or 'e'}]"
+
+
+def ss_nonempty(rs: RootSystem, w: WeylElement) -> bool:
+    """Semistable-locus criterion for X(w): w(-alpha_0) is a positive root."""
+    return not w.apply_root(rs.highest_root).positive  # w(-alpha_0) = -w(alpha_0)
 
 
 def _root_height(h: tuple[int, ...], col: tuple[tuple[int, int], ...]) -> int:

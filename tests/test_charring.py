@@ -274,7 +274,7 @@ def test_sorted_terms_order():
     rs = build("A2")
     f = e(rs.weight((1, 1))) + e(rs.zero(), 2) + e(rs.weight((1, -2)), -1)
     terms = char_sorted_terms(rs, f)
-    heights = [rs.height(wt) for wt, _ in terms]
+    heights = [fraction_height(rs, wt) for wt, _ in terms]
     assert heights == sorted(heights)
     assert char_to_str(rs, f) == "-1*e[1, -2] + 2*e[0, 0] + 1*e[1, 1]"
 

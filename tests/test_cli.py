@@ -687,7 +687,8 @@ def test_rows_that_share_a_pass_are_adjacent():
 # sha256 of stdout with elapsed_ms and the table's ms column masked,
 # recorded before the check table replaced the per-check registries; the
 # E6 Coxeter entries before the table of distinct Coxeter elements; D4
-# before thmA and thm42 shared one Demazure pass
+# before thmA and thm42 shared one Demazure pass; D5 cor52_53_58, 51
+# distinct powers, before its verifier moved from coxeter to cohomology
 GOLDEN = {
     (("sweep", "--type", "B2"), "table"):
         "217836b8ca0cf21e431a6f15320fb059cda0171d32f4b9b1e0f0571f8356e937",
@@ -711,6 +712,8 @@ GOLDEN = {
         "a5e6a4aeb1c7ed7cf1a63c26b2f607d7a6f08b831d3e66f2de6fc6dff99e864e",
     (("verify", "thmC_typeA", "--type", "A5"), "json"):
         "69596506ffef2931a39a162b788cdbe532cf42bfa97fbb68afd4b2e7957f9054",
+    (("verify", "cor52_53_58", "--type", "D5"), "json"):
+        "5f0352fb63b468bf8e2fb4d5ab07c511690a3a7b0b95c604a08593e5acb625e7",
 }
 
 

@@ -21,8 +21,8 @@ from schubert import (
 from schubert import cohomology, coxeter, weyl
 from schubert.charring import e
 from schubert.cli import main
-from schubert.coxeter import (_coxeter_table, _cycle, _dot_zero_euler, _entry, _verdicts,
-                              verify_cor52_53_58, verify_lemma54_55_56)
+from schubert.cohomology import _dot_zero_euler, verify_cor52_53_58
+from schubert.coxeter import _coxeter_table, _cycle, _entry, _verdicts, verify_lemma54_55_56
 from schubert.report import run_check, run_checks
 from schubert.rootsys import CartanType
 from schubert.weyl import WeylElement
@@ -457,7 +457,7 @@ def test_cor52_53_58_evaluates_each_power_once(monkeypatch, name, distinct):
     assert len(powers) == distinct
     calls = {"euler_char": 0, "inversion_tangent": 0}
     for fn in calls:
-        # coxeter looks both up on cohomology when the check runs
+        # the check looks both up on its module, cohomology, when it runs
         def counted(*args, fn=fn, real=getattr(cohomology, fn)):
             calls[fn] += 1
             return real(*args)

@@ -68,6 +68,44 @@ def test_package_never_indents_through_json_dumps(path):
     assert not indented
 
 
+# the engine's layers, lowest first: a module imports only modules before it
+LAYERS = ("rootsys", "charring", "weyl", "coxeter", "cohomology", "report", "cli")
+# (module, function, imported module): the one engine import inside a
+# function, so that verify and sweep never load the character ring
+DEFERRED = {("cli", "cmd_demazure", "charring")}
+
+
+def _engine_imports(path: Path) -> list[tuple[str | None, str]]:
+    """(where, module) for each `from .module import` or `from . import
+    module` in path: where is None at module level, else the name (or
+    kind) of the top-level statement holding the import."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    found = []
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                where = None if node is stmt else getattr(stmt, "name", type(stmt).__name__)
+                names = [node.module] if node.module else [alias.name for alias in node.names]
+                found += [(where, name) for name in names if name in LAYERS]
+    return found
+
+
+def test_engine_layers_name_every_module():
+    modules = {path.stem for path in (ROOT / "src" / "schubert").glob("*.py")}
+    assert modules == {"__init__", *LAYERS}
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_engine_imports_are_top_level_and_point_down(name):
+    below = LAYERS[:LAYERS.index(name)]
+    imports = _engine_imports(ROOT / "src" / "schubert" / f"{name}.py")
+    wrong = [(where, module) for where, module in imports if module not in below
+             or where is not None and (name, where, module) not in DEFERRED]
+    assert wrong == []
+    assert {(name, *found) for found in imports if found[0]} == {
+        row for row in DEFERRED if row[0] == name}
+
+
 def test_benchmark_tracer_finds_every_name_it_wraps():
     # trace_entry.install looks each name it wraps up with getattr, so a
     # renamed or deleted engine name fails here, not in every traced op

@@ -12,7 +12,7 @@ from schubert import CartanType, Root, RootSystem, Weight, build, longest_elemen
 from schubert.report import CHECKS, run_checks
 
 from helpers import (coordinate_closure, dominant_representative, fraction_dominance_leq,
-                     fraction_symmetrizers, gram_d, invert_rational)
+                     fraction_height, fraction_symmetrizers, gram_d, invert_rational)
 
 ROOT_COUNTS = {
     "A1": 2, "A2": 6, "A3": 12, "A4": 20, "A5": 30,
@@ -150,7 +150,7 @@ def test_root_coordinate_round_trip(name):
     for root in rs.roots:
         assert rs.root_coords(root.weight) == tuple(Fraction(c) for c in root.coords)
         assert rs.weight_from_root_coords(root.coords) == root.weight
-        assert rs.height(root.weight) == root.height
+        assert fraction_height(rs, root.weight) == root.height
         # both coordinate systems agree on negation
         assert (-root).weight == -root.weight
 

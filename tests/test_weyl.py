@@ -17,7 +17,7 @@ from schubert import (
     min_parabolic_rep,
 )
 from schubert.coxeter import _entry
-from schubert.report import DEFAULT_GUARD, GUARD_ENV_VAR, resolve_guard
+from schubert.rootsys import DEFAULT_GUARD, GUARD_ENV_VAR, resolve_guard
 from schubert.weyl import orientation
 
 from helpers import (LAYER_TYPES, coxeter_elements_per_permutation, element_of,
