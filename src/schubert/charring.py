@@ -234,9 +234,35 @@ def demazure_along_word(rs: RootSystem, word: Sequence[int], f: Character) -> Ch
 
     For reduced words the result depends only on the group element, which
     the word-independence tests check on random elements.
+
+    A seed c*e^lam with lam dominant applies only the letters that move
+    its weight.  The operators satisfy D_i^2 = D_i and the braid
+    relations, so D_i D_v = D_v when s_i v < v, for any word, reduced or
+    not.  Walking the word from the right, f = D_v e^lam with v minimal
+    in v W_lam, and mu = v lam (fw coordinates) is kept up to date:
+      mu_i > 0:  s_i v > v and s_i v is again minimal; apply D_i and
+                 set mu = s_i mu.
+      mu_i < 0:  s_i v < v, so D_i f = f.
+      mu_i == 0: either s_i v < v, or s_i v = v s_j with s_j in the
+                 stabilizer W_lam, so D_i f = D_v D_j e^lam = f, as
+                 D_j e^lam = e^lam when <lam, alpha_j_vee> = 0.
+    A dominant seed thus costs as much as the coset of the word's
+    Demazure product in W/W_lam, not as its letters.  Any other seed
+    takes every letter.
     """
     for i in word:
         rs._check_index(i)
+    if len(f._terms) == 1:
+        mu = list(_unpack(next(iter(f._terms))))
+        if min(mu) >= 0:
+            cols = rs._simple_columns
+            for i in reversed(word):
+                m = mu[i - 1]
+                if m > 0:
+                    f = demazure_op(rs, i, f)
+                    for j, c in cols[i - 1]:
+                        mu[j] -= c * m
+            return f
     for i in reversed(word):
         f = demazure_op(rs, i, f)
     return f
@@ -252,13 +278,18 @@ def adjoint_character(rs: RootSystem) -> Character:
 def char_sorted_terms(rs: RootSystem, f: Character) -> list[tuple[Weight, int]]:
     """Terms in the canonical report order: by height, then fw coordinates.
 
-    The key is D times the height (``RootSystem.scaled_height``), an
-    integer with the same order as the rational height.
+    The first sort key is D times the height (``RootSystem.scaled_height``),
+    an integer with the same order as the rational height.  Every key is
+    unpacked by one iter_unpack over the joined digit bytes, and the
+    (height, fw, mult) rows sort as plain tuples: fw is unique, so mult
+    never decides.
     """
-    height = rs.scaled_height
-    terms = [(_unpack(k), m) for k, m in f._terms.items()]
-    return [(Weight(fw), m) for fw, m in
-            sorted(terms, key=lambda kv: (height(kv[0]), kv[0]))]
+    layout, flip = _layout(rs.rank)
+    size, height = layout.size, rs.scaled_height
+    digits = b"".join([(k ^ flip).to_bytes(size, "little") for k in f._terms])
+    rows = sorted([(height(fw), fw, m)
+                   for fw, m in zip(layout.iter_unpack(digits), f._terms.values())])
+    return [(Weight(fw), m) for _, fw, m in rows]
 
 
 def char_to_str(rs: RootSystem, f: Character) -> str:

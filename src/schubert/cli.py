@@ -7,10 +7,11 @@ sweep precheck their check ids on the parsed type before building its
 root system, then hand them to report.run_checks, which owns the runs
 and the process pool.  Engine modules load only where a subcommand
 runs them: demazure imports charring in its handler, so verify prop51
-or lemma54_56 loads neither charring nor cohomology.  Exit codes: 0 all checks passed, 1 a check found
-a mathematical counterexample, 2 usage or applicability error (including
-a tripped enumeration guard), 3 engine failure (an internal consistency
-check failed, so the run proves nothing either way).
+or lemma54_56 loads neither charring nor cohomology.  Exit codes: 0 all
+checks passed, 1 a check found a mathematical counterexample, 2 usage or
+applicability error (including a tripped enumeration guard), 3 engine
+failure (an internal consistency check failed, so the run proves nothing
+either way).
 
 main registers gc.freeze with atexit, once per process, so the
 interpreter's shutdown collections skip the heap a run leaves behind;

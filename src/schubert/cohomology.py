@@ -281,7 +281,8 @@ def verify_root_lines(rs: RootSystem, checks: Sequence[str],
         seen = reduce(or_, cols)  # every digit is certified nonnegative
         lines = {r: [c >> _DIGIT * r & _MASK for c in cols] for r, neg in
                  enumerate(tau.inverted()) if not neg and seen >> _DIGIT * r & _MASK}
-        total = [t - sum(off) for t, off in zip(tangent, zip(*lines.values()))] if lines else tangent
+        total = ([t - sum(off) for t, off in zip(tangent, zip(*lines.values()))]
+                 if lines else tangent)
         for a in cosets:
             per_alpha[str(a)] += 1
             if total == target and not lines:

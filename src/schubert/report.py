@@ -219,11 +219,19 @@ def _scalar(o: Any) -> str | None:
     return None
 
 
+def _int_list(o: list | tuple, nl: str) -> str:
+    """A non-empty list of plain ints as json writes it, in one join."""
+    inner = nl + "  "
+    return f"[{inner}{(',' + inner).join(map(int.__repr__, o))}{nl}]"
+
+
 def write_json(obj: Any, write: Callable[[str], Any]) -> None:
     """Pass write json.dumps(obj, sort_keys=True, indent=2) + "\n" in blocks of
     about _BLOCK pieces, dispatching types in json.encoder's order: str; None,
     bools; int; float; list or tuple; dict, keys converted as json does;
-    anything else is a TypeError."""
+    anything else is a TypeError.  A dict writes a value of exact type int,
+    or a non-empty list of exact ints, in the piece of its key; every other
+    value goes through emit."""
     parts: list[str] = []
     append = parts.append
 
@@ -246,12 +254,18 @@ def write_json(obj: Any, write: Callable[[str], Any]) -> None:
                 if key is None:
                     raise TypeError("keys must be str, int, float, bool or None, "
                                     f"not {k.__class__.__name__}")
-                append(f"{sep}{_str(key)}: ")
-                emit(v, inner)
+                kind = type(v)
+                if kind is int:
+                    append(f"{sep}{_str(key)}: {int.__repr__(v)}")
+                elif kind is list and v and set(map(type, v)) == {int}:
+                    append(f"{sep}{_str(key)}: {_int_list(v, inner)}")
+                else:
+                    append(f"{sep}{_str(key)}: ")
+                    emit(v, inner)
                 sep = "," + inner
             append(nl + "}")
-        elif set(map(type, o)) == {int}:  # a list of plain ints is one join
-            append(f"[{inner}{(',' + inner).join(map(int.__repr__, o))}{nl}]")
+        elif set(map(type, o)) == {int}:
+            append(_int_list(o, nl))
         else:
             sep = "[" + inner
             for x in o:

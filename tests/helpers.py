@@ -40,6 +40,10 @@ from schubert import (Character, CoxeterAnalysis, WeylElement, adjoint_character
 from schubert.charring import _DIGIT
 from schubert.rootsys import Root, RootSystem, Weight
 
+# A reduced word of w0 in E6 (36 letters), not the canonical one.
+E6_W0_WORD = (3, 2, 4, 2, 6, 3, 5, 4, 6, 5, 2, 3, 4, 1, 3, 4, 2, 5, 6, 4, 5, 3, 4, 1, 2, 3,
+              4, 6, 5, 3, 2, 1, 4, 3, 4, 6)
+
 # the types the whole-group oracle tests run on: every family up to rank 5
 # that a test can sweep in about a second, both root lengths included
 LAYER_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4",

@@ -14,12 +14,14 @@ from schubert import (
     demazure_along_word,
     demazure_op,
     e,
+    from_word,
     longest_element,
 )
+from schubert import charring
 from schubert.rootsys import Weight
 
-from helpers import (bott_dot_walk, fraction_height, freudenthal_char, random_small_character,
-                     weyl_dim)
+from helpers import (E6_W0_WORD, bott_dot_walk, fraction_height, freudenthal_char,
+                     random_element, random_small_character, string_formula_along_word, weyl_dim)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
@@ -206,6 +208,53 @@ def test_along_word_edge_cases():
         demazure_along_word(rs, (3,), f)
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B3", "B4", "C3", "D4", "G2", "F4"])
+def test_dominant_seed_skips_letters_yet_matches_the_oracle(name):
+    # the skip of letters that fix the weight against the letter-by-letter
+    # string formula, on reduced and non-reduced words, repeats and ()
+    rs = build(name)
+    rng = random.Random(name)
+    top = 2 if rs.rank <= 3 else 1
+    for trial in range(12):
+        lam = rs.weight(rng.randint(0, top) for _ in range(rs.rank))
+        kind = trial % 4
+        if kind == 0:
+            word = random_element(rs, rng).reduced_word()
+        elif kind == 1:
+            word = tuple(rng.randint(1, rs.rank) for _ in range(rng.randint(1, 12)))
+        elif kind == 2:  # a reduced word with letters doubled in place
+            word = tuple(i for i in random_element(rs, rng, 8).reduced_word()
+                         for _ in range(rng.randint(1, 2)))
+        else:
+            word = ()
+        seed = e(lam, rng.choice((1, -2, 3)))
+        assert demazure_along_word(rs, word, seed) == string_formula_along_word(rs, word, seed), (
+            lam, word)
+
+
+def test_dominant_seed_applies_one_operator_per_step_of_its_coset(monkeypatch):
+    rs = build("E6")
+    calls = []
+
+    def counted(rs, i, f):
+        calls.append(i)
+        return demazure_op(rs, i, f)
+
+    monkeypatch.setattr(charring, "demazure_op", counted)
+    omega1 = rs.fundamental_weights[0]
+    assert from_word(rs, E6_W0_WORD) == longest_element(rs)
+    for word in (E6_W0_WORD, longest_element(rs).reduced_word()):
+        # w0 has length 36 and the stabilizer of omega1, W(D5), length 20
+        calls.clear()
+        assert demazure_along_word(rs, word, e(omega1)) == freudenthal_char(rs, omega1)
+        assert len(calls) == 36 - 20
+        # a non-dominant seed and a two-term seed take every letter
+        for seed in (e(rs.weight((1, 0, 0, 0, 0, -1))), e(omega1) + e(rs.zero())):
+            calls.clear()
+            demazure_along_word(rs, word, seed)
+            assert len(calls) == 36
+
+
 @pytest.mark.parametrize("name,dim", [("A2", 8), ("B2", 10), ("G2", 14), ("D4", 28), ("A3", 15)])
 def test_adjoint_character(name, dim):
     rs = build(name)
@@ -277,6 +326,15 @@ def test_sorted_terms_order():
     heights = [fraction_height(rs, wt) for wt, _ in terms]
     assert heights == sorted(heights)
     assert char_to_str(rs, f) == "-1*e[1, -2] + 2*e[0, 0] + 1*e[1, 1]"
+
+
+def test_sorted_terms_of_zero_and_of_rank_one():
+    assert char_sorted_terms(build("A2"), Character.zero()) == []
+    a1 = build("A1")
+    f = e(a1.weight((2,))) + e(a1.weight((-1,)), -3) + e(a1.zero(), 4)
+    assert char_sorted_terms(a1, f) == [(Weight((-1,)), -3), (Weight((0,)), 4),
+                                        (Weight((2,)), 1)]
+    assert all(type(fw) is Weight and type(m) is int for fw, m in char_sorted_terms(a1, f))
 
 
 def fraction_sorted_terms(rs, f):

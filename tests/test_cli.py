@@ -19,7 +19,7 @@ from schubert.report import (CHECKS, GUARD_ENV_VAR, pass_groups, pool_size, run_
                              run_checks, write_json)
 from schubert.rootsys import CartanType, RootSystem, build
 
-from helpers import assert_thm42_slices, dominant_representative, weyl_dim
+from helpers import E6_W0_WORD, assert_thm42_slices, dominant_representative, weyl_dim
 
 ANCHOR = "1*e[1, -2] + 1*e[0, 0] + 1*e[-1, 2] + 1*e[2, -1] + 1*e[1, 1]"
 
@@ -684,11 +684,16 @@ def test_rows_that_share_a_pass_are_adjacent():
         assert rows == list(range(rows[0], rows[-1] + 1))
 
 
+E6_W0 = ",".join(map(str, E6_W0_WORD))
+
 # sha256 of stdout with elapsed_ms and the table's ms column masked,
 # recorded before the check table replaced the per-check registries; the
 # E6 Coxeter entries before the table of distinct Coxeter elements; D4
 # before thmA and thm42 shared one Demazure pass; D5 cor52_53_58, 51
-# distinct powers, before its verifier moved from coxeter to cohomology
+# distinct powers, before its verifier moved from coxeter to cohomology;
+# the demazure entries (E6 omega3 + omega6 along a non-canonical w0 word, a
+# non-dominant B3 seed) before dominant seeds skipped the letters that
+# fix their weight
 GOLDEN = {
     (("sweep", "--type", "B2"), "table"):
         "217836b8ca0cf21e431a6f15320fb059cda0171d32f4b9b1e0f0571f8356e937",
@@ -714,6 +719,13 @@ GOLDEN = {
         "69596506ffef2931a39a162b788cdbe532cf42bfa97fbb68afd4b2e7957f9054",
     (("verify", "cor52_53_58", "--type", "D5"), "json"):
         "5f0352fb63b468bf8e2fb4d5ab07c511690a3a7b0b95c604a08593e5acb625e7",
+    (("demazure", "--type", "E6", "--word", E6_W0, "--weight-fund", "0,0,1,0,0,1"), "json"):
+        "672de33cc8173672972288b476c951a3123bb85a2c6b223aaaf0dac4ac55a7cc",
+    (("demazure", "--type", "E6", "--word", E6_W0, "--weight-fund", "0,0,1,0,0,1"), "table"):
+        "e24268926993122e30b226eb28c9c81fbe2c520b1131792e057c2e2c82cda2a3",
+    (("demazure", "--type", "B3", "--word", "3,2,3,1,2,3,1,2,1", "--weight-fund", "-2,1,3"),
+     "json"):
+        "dd19d089c7296ccd9d2066ed7eada0b5b9857ab1db60f3e5ff091b0c192a5233",
 }
 
 

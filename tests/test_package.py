@@ -68,6 +68,13 @@ def test_package_never_indents_through_json_dumps(path):
     assert not indented
 
 
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "schubert").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_package_lines_fit_in_100_columns(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [n for n, line in enumerate(lines, 1) if len(line) > 100] == []
+
+
 # the engine's layers, lowest first: a module imports only modules before it
 LAYERS = ("rootsys", "charring", "weyl", "coxeter", "cohomology", "report", "cli")
 # (module, function, imported module): the one engine import inside a

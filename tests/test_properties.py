@@ -8,6 +8,7 @@ small example budget, so the suite stays deterministic and quick.
 
 import json
 from collections import namedtuple
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -153,6 +154,22 @@ def test_write_json_matches_json_dumps(doc):
     write_json(doc, blocks.append)
     assert "".join(blocks) == expected
     assert canonical_json(doc) == expected
+
+
+class Small(IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize("value", [True, False, Small.ONE, [], [True, False], [1, True, 2],
+                                   [1, Small.ONE], (1, 2, 3), 7, [3, -1, 2 ** 70]],
+                         ids=["true", "false", "IntEnum", "empty list", "bools",
+                              "ints and a bool", "int and IntEnum", "tuple of ints", "int",
+                              "ints"])
+def test_write_json_dict_leaves_match_json_dumps(value):
+    # a dict writes exact ints and non-empty lists of exact ints in the
+    # piece of their key; bools, int subclasses, tuples and [] go through emit
+    for doc in ({"k": value}, {"a": [{"b": value, "c": 0}], "k": value}):
+        assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("doc", [{1, 2}, object(), [1, [{2}]], {"a": {"b": object()}},
