@@ -203,6 +203,7 @@ def labeling_table(rs: RootSystem) -> dict:
 
 
 _BLOCK = 4096  # pieces per write() call, so a report is never held whole
+_BLOCK_CHARS = 1 << 16  # characters of record pieces per write() call
 _KEYWORDS = {None: "null", True: "true", False: "false"}
 _FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -225,20 +226,92 @@ def _int_list(o: list | tuple, nl: str) -> str:
     return f"[{inner}{(',' + inner).join(map(int.__repr__, o))}{nl}]"
 
 
+def _shape(o: Any) -> tuple | None:
+    """A record's shape: o's sorted (key, list length or None for an int)
+    pairs when o is a non-empty dict with str keys whose values are all
+    exact ints or non-empty lists of exact ints, else None."""
+    if type(o) is not dict or not o or {type(k) for k in o} != {str}:
+        return None
+    shape = []
+    for k, v in sorted(o.items()):
+        if type(v) is int:
+            shape.append((k, None))
+        elif type(v) is list and v and set(map(type, v)) == {int}:
+            shape.append((k, len(v)))
+        else:
+            return None
+    return tuple(shape)
+
+
+def _template(shape: tuple, nl: str) -> str:
+    """A % template that writes a record of this shape on a line indented
+    by nl, as json does, from its ints in key order."""
+    inner = nl + "  "
+    fields = []
+    for k, n in shape:
+        value = "%s" if n is None else f"[{inner}  " + f",{inner}  ".join(["%s"] * n) + f"{inner}]"
+        fields.append(f"{_str(k).replace('%', '%%')}: {value}")
+    return "{" + inner + ("," + inner).join(fields) + nl + "}"
+
+
+def _record_values(x: Any, keys, shape: tuple) -> tuple | None:
+    """x's ints in key order when x is a dict with these keys and this
+    shape, else None."""
+    if type(x) is not dict or x.keys() != keys:
+        return None
+    values: list[int] = []
+    for k, n in shape:
+        v = x[k]
+        if n is None and type(v) is int:
+            values.append(v)
+        elif type(v) is list and len(v) == n and set(map(type, v)) == {int}:
+            values += v
+        else:
+            return None
+    return tuple(values)
+
+
 def write_json(obj: Any, write: Callable[[str], Any]) -> None:
     """Pass write json.dumps(obj, sort_keys=True, indent=2) + "\n" in blocks of
     about _BLOCK pieces, dispatching types in json.encoder's order: str; None,
     bools; int; float; list or tuple; dict, keys converted as json does;
     anything else is a TypeError.  A dict writes a value of exact type int,
     or a non-empty list of exact ints, in the piece of its key; every other
-    value goes through emit."""
+    value goes through emit.
+
+    A list whose first item is a record (see _shape) writes that item, and
+    every later item of the same keys, value types and list lengths, by one
+    % template; any other item goes through emit.  Record pieces are long,
+    so the block is also cut at _BLOCK_CHARS characters of them."""
     parts: list[str] = []
     append = parts.append
 
+    def flush() -> None:
+        write("".join(parts))
+        parts.clear()
+
+    def records(o: list | tuple, shape: tuple, nl: str) -> None:
+        inner = nl + "  "
+        template, keys = _template(shape, inner), o[0].keys()
+        sep, size = "[" + inner, 0
+        for x in o:
+            append(sep)
+            sep = "," + inner
+            values = _record_values(x, keys, shape)
+            if values is None:
+                emit(x, inner)
+                continue
+            piece = template % values
+            append(piece)
+            size += len(piece)
+            if size >= _BLOCK_CHARS:
+                flush()
+                size = 0
+        append(nl + "]")
+
     def emit(o: Any, nl: str) -> None:  # nl: a newline and the indent of o's line
         if len(parts) >= _BLOCK:
-            write("".join(parts))
-            parts.clear()
+            flush()
         text = _str(o) if isinstance(o, str) else _scalar(o)
         if text is not None:
             return append(text)
@@ -266,6 +339,8 @@ def write_json(obj: Any, write: Callable[[str], Any]) -> None:
             append(nl + "}")
         elif set(map(type, o)) == {int}:
             append(_int_list(o, nl))
+        elif (shape := _shape(o[0])) is not None:
+            records(o, shape, nl)
         else:
             sep = "[" + inner
             for x in o:

@@ -17,7 +17,9 @@ Gauss-Jordan elimination.  ``Fraction`` appears only at the API edge:
 
 The enumeration guard lives here too, next to the |W| it bounds
 (``CartanType.weyl_order``): ``resolve_guard`` reads it, and ``weyl`` and
-``report`` raise ``GuardExceeded`` when a universe is larger.
+``report`` raise ``GuardExceeded`` when a universe is larger.  ``build``
+raises it too, before any work, for a type with more than
+``BUILD_ROOT_BOUND`` roots.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "RootSystem",
     "build",
     "DEFAULT_GUARD",
+    "BUILD_ROOT_BOUND",
     "GUARD_ENV_VAR",
     "GuardExceeded",
     "resolve_guard",
@@ -164,10 +167,14 @@ class CartanType(_Value):
 
 DEFAULT_GUARD = 10 ** 6
 GUARD_ENV_VAR = "SCHUBERT_GUARD"
+# A fixed bound, not an option: A140 (19,740 roots) builds in about 1.4 s
+# on a 2-core x86-64 host, and A141 is refused at once.
+BUILD_ROOT_BOUND = 20_000
 
 
 class GuardExceeded(RuntimeError):
-    """Raised when a requested enumeration would exceed the |W| guard."""
+    """Raised when a requested enumeration would exceed the |W| guard, or a
+    root system would exceed BUILD_ROOT_BOUND."""
 
 
 def resolve_guard(explicit: int | None = None) -> int:
@@ -492,7 +499,16 @@ def _build_cached(ct: CartanType) -> RootSystem:
 
 
 def build(ct: CartanType | str) -> RootSystem:
-    """Build (or fetch the cached) root system for the given Cartan type."""
+    """Build (or fetch the cached) root system for the given Cartan type.
+
+    A type with more than BUILD_ROOT_BOUND roots is refused with
+    GuardExceeded before any root is closed: the closure grows about as
+    |R| * rank, n^3 on A_n.
+    """
     if isinstance(ct, str):
         ct = CartanType.parse(ct)
+    if ct.root_count > BUILD_ROOT_BOUND:
+        raise GuardExceeded(
+            f"{ct} has {ct.root_count} roots; a root system with more than "
+            f"{BUILD_ROOT_BOUND} is not built")
     return _build_cached(ct)

@@ -232,27 +232,54 @@ def test_dominant_seed_skips_letters_yet_matches_the_oracle(name):
             lam, word)
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B3", "C3", "D4", "G2", "F4", "E6"])
+def test_mirror_form_equals_the_string_formula(name):
+    # random characters of every sign, each term with no mirror, its
+    # mirror at the same multiplicity (a whole string, T = 0) or at
+    # another; the zero character and characters that cancel to zero
+    rs = build(name)
+    rng = random.Random(name)
+    for i in range(1, rs.rank + 1):
+        zero = e(rs.zero()) - e(rs.zero())
+        assert charring._demazure_mirror(rs, i, zero) == demazure_op(rs, i, zero) == zero
+        for _ in range(40):
+            terms = {}
+            for _ in range(rng.randint(1, 8)):
+                lam = rs.weight(rng.randint(-3, 3) for _ in range(rs.rank))
+                c = terms[lam] = rng.choice((-3, -2, -1, 1, 2, 3))
+                kind = rng.randrange(3)
+                if kind:
+                    terms[rs.reflect_simple(lam, i)] = c if kind == 1 else rng.choice((-2, 1, 4))
+            f = Character(terms)
+            assert charring._demazure_mirror(rs, i, f) == demazure_op(rs, i, f), (i, f)
+            assert charring._demazure_mirror(rs, i, f - f) == zero
+
+
 def test_dominant_seed_applies_one_operator_per_step_of_its_coset(monkeypatch):
     rs = build("E6")
-    calls = []
+    calls = {"demazure_op": [], "_demazure_mirror": []}
+    for name, log in calls.items():
+        def counted(rs, i, f, kernel=getattr(charring, name), log=log):
+            log.append(i)
+            return kernel(rs, i, f)
 
-    def counted(rs, i, f):
-        calls.append(i)
-        return demazure_op(rs, i, f)
-
-    monkeypatch.setattr(charring, "demazure_op", counted)
+        monkeypatch.setattr(charring, name, counted)
     omega1 = rs.fundamental_weights[0]
     assert from_word(rs, E6_W0_WORD) == longest_element(rs)
     for word in (E6_W0_WORD, longest_element(rs).reduced_word()):
-        # w0 has length 36 and the stabilizer of omega1, W(D5), length 20
-        calls.clear()
+        # w0 has length 36 and the stabilizer of omega1, W(D5), length 20;
+        # the dominant walk applies each of its operators in mirror form
+        for log in calls.values():
+            log.clear()
         assert demazure_along_word(rs, word, e(omega1)) == freudenthal_char(rs, omega1)
-        assert len(calls) == 36 - 20
-        # a non-dominant seed and a two-term seed take every letter
+        assert (len(calls["_demazure_mirror"]), len(calls["demazure_op"])) == (36 - 20, 0)
+        # a non-dominant seed and a two-term seed take every letter, each
+        # by the string formula
         for seed in (e(rs.weight((1, 0, 0, 0, 0, -1))), e(omega1) + e(rs.zero())):
-            calls.clear()
+            for log in calls.values():
+                log.clear()
             demazure_along_word(rs, word, seed)
-            assert len(calls) == 36
+            assert (len(calls["_demazure_mirror"]), len(calls["demazure_op"])) == (0, 36)
 
 
 @pytest.mark.parametrize("name,dim", [("A2", 8), ("B2", 10), ("G2", 14), ("D4", 28), ("A3", 15)])

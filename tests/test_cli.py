@@ -17,7 +17,7 @@ import schubert
 from schubert.cli import _weyl_dimension, build_parser, main
 from schubert.report import (CHECKS, GUARD_ENV_VAR, pass_groups, pool_size, run_check,
                              run_checks, write_json)
-from schubert.rootsys import CartanType, RootSystem, build
+from schubert.rootsys import BUILD_ROOT_BOUND, CartanType, RootSystem, build
 
 from helpers import E6_W0_WORD, assert_thm42_slices, dominant_representative, weyl_dim
 
@@ -479,6 +479,32 @@ def test_write_json_streams_a_large_report_in_bounded_blocks():
     # an 8 MB document never reaches write as one string
     assert len(blocks) > 50
     assert max(map(len, blocks)) <= 2 ** 17 < len(text) // 50
+    # records of one shape, as demazure writes its terms, are filled from
+    # one template; their blocks are bounded in characters all the same
+    terms = [{"fw": [n % 7 - 3, -n, 0, 2 ** 40, n // 3, 1, -1, n], "mult": n % 5 - 2}
+             for n in range(50_000)]
+    doc = {"terms": terms, "term_count": len(terms)}
+    blocks = []
+    write_json(doc, blocks.append)
+    text = "".join(blocks)
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert len(blocks) > 50
+    assert max(map(len, blocks)) <= 2 ** 17 < len(text) // 50
+
+
+@pytest.mark.parametrize("argv", [
+    ("roots", "--type", "A500"),
+    ("demazure", "--type", "A500", "--word", "1,2", "--weight-fund", ",".join(["1"] * 500)),
+])
+def test_a_type_past_the_build_bound_exits_2_before_it_builds(capsys, argv):
+    # A500 has 250,500 roots, refused before any closure; the bound
+    # admits A140 (19,740 roots, about 1.4 s to build)
+    assert CartanType("A", 140).root_count <= BUILD_ROOT_BOUND < CartanType("A", 141).root_count
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: A500 has 250500 roots; a root system with more than 20000 is not built\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -172,10 +172,47 @@ def test_write_json_dict_leaves_match_json_dumps(value):
         assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+RECORD = {"fw": [1, -2, 0], "mult": 3}
+LATER = [
+    ("same shape", {"fw": [0, 5, -7], "mult": -1}),
+    ("an extra key", {"fw": [0, 5, -7], "mult": -1, "x": 2}),
+    ("a missing key", {"fw": [0, 5, -7]}),
+    ("a bool", {"fw": [0, 5, -7], "mult": True}),
+    ("an IntEnum", {"fw": [0, 5, -7], "mult": Small.ONE}),
+    ("an IntEnum in a list", {"fw": [0, Small.ONE, -7], "mult": 1}),
+    ("a tuple", {"fw": (0, 5, -7), "mult": 1}),
+    ("a shorter list", {"fw": [0, 5], "mult": 1}),
+    ("an empty list", {"fw": [], "mult": 1}),
+    ("a float", {"fw": [0, 5, -7], "mult": 1.0}),
+    ("keys in another order", {"mult": 2, "fw": [2 ** 70, 5, -7]}),
+    ("not a dict", [1, 2, 3]),
+    ("an empty dict", {}),
+]
+
+
+@pytest.mark.parametrize("later", [item for _, item in LATER], ids=[k for k, _ in LATER])
+def test_write_json_records_match_json_dumps(later):
+    # the first record's template fills only later records of its exact
+    # shape; every other item goes through emit
+    for doc in ([RECORD, later, RECORD], {"terms": [RECORD, RECORD, later, None, RECORD]}):
+        assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("first", [[1, 2], "fw", {1: 2, 3: [4]}, {"fw": [1, True], "mult": 1},
+                                   {"fw": [], "mult": 1}, {}, {"a%s": [1], "%%": 2}],
+                         ids=["a list", "a str", "non-str keys", "a bool in a list",
+                              "an empty list", "an empty dict", "% in keys"])
+def test_write_json_first_items_of_every_kind(first):
+    for doc in ([first, RECORD, RECORD], [first, first, first]):
+        assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("doc", [{1, 2}, object(), [1, [{2}]], {"a": {"b": object()}},
-                                 {(1, 2): 3}, {1: 2, "1": 3}],
+                                 {(1, 2): 3}, {1: 2, "1": 3}, [{"a": 1}, {"a": {1}}],
+                                 [{"a": 1}, {1: 2, "1": 3}]],
                          ids=["set", "object", "nested set", "nested object", "tuple key",
-                              "mixed keys"])
+                              "mixed keys", "a set after a record",
+                              "mixed keys after a record"])
 def test_write_json_refuses_what_json_refuses(doc):
     with pytest.raises(TypeError) as expected:
         json.dumps(doc, sort_keys=True, indent=2)
