@@ -1,46 +1,45 @@
 """Euler characteristics on Schubert varieties and the theorem verifiers.
 
 The engine computes Euler characteristics chi(tau, f) exactly.  The
-sweeps over the whole Weyl group read them off ``group_walk``, one
-depth-first walk of the group with one seed: when l(s_k tau) = l(tau) + 1,
-chi(s_k tau, f) = D_k chi(tau, f), so every element costs one Demazure
-operator (the braid relations make chi depend on the element only;
-Demazure 1974, Kumar, Kac-Moody Groups, ch. 8).  Every seed lies in the
-span of the e^mu, mu in R u {0}, which each D_i maps to itself, so a sweep
-carries columns indexed by those weights, and D_i is a table built once
-per root system from ``demazure_op``.  thmB seeds the sum of the e^beta;
-thmA and thm42 share one walk (``verify_root_lines``) whose columns pack
-every per-root line as a 32-bit digit; ``inversion_tangent`` steps the
-same tables along one word.  The walk yields tau as its column heights,
-the one representation of a group element (``weyl``), and keeps tau's
-matrix rows to itself for the left step.  The criterion for X(tau^-1) is
-read off the walk's x = (D ht tau^-1(alpha_k))_k, and tau's inversions
-are ``tau.inverted()``.  Single queries go along the canonical reduced word
-(``euler_char``, ``h0_line``); so do the Euler checks of Coxeter elements,
-thmC_typeA and cor52_53_58, which take each c and its powers from its
-``coxeter`` entry.  Individual cohomology characters are only
-ever reported in regimes where vanishing is certified:
+sweeps over the whole Weyl group read them off ``group_walk``, the one
+walk of the group (``weyl.walk``) with one seed as its payload: when
+l(s_k tau) = l(tau) + 1, chi(s_k tau, f) = D_k chi(tau, f), so every
+element costs one Demazure operator (the braid relations make chi depend
+on the element only; Demazure 1974, Kumar, Kac-Moody Groups, ch. 8).
+Every seed lies in the span of the e^mu, mu in R u {0}, which each D_i
+maps to itself, so a sweep carries columns indexed by those weights, and
+D_i is a table built once per root system from ``demazure_op``.  thmB
+seeds the sum of the e^beta; thmA and thm42 share one walk
+(``verify_root_lines``) whose columns pack every per-root line as a
+32-bit digit; ``inversion_tangent`` steps the same tables along one
+word.  The criterion for X(tau^-1) is read off the walk's x, and tau's
+inversions are ``tau.inverted()``.  Single queries go along the canonical
+reduced word (``euler_char``, ``h0_line``); so do the Euler checks of
+Coxeter elements, thmC_typeA and cor52_53_58, which take each c and its
+powers from its ``coxeter`` entry.  Individual cohomology characters
+are only ever reported in regimes where vanishing is certified:
 
   * dominant line bundles (all higher cohomology vanishes), and
   * positive-root line bundles on simply-laced types (higher cohomology
     vanishes and chi is effective).
 
 Everything else is refused rather than guessed; the non-simply-laced sweep
-below is explicitly exploratory and never labels Euler data as an h^0.
+below asserts a necessary condition only and never labels Euler data as
+an h^0.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from operator import add, gt, itemgetter, mul, neg, or_
+from operator import gt, itemgetter, mul, or_, sub
 from typing import Iterable, Iterator, Sequence
 
 from . import coxeter
 from .charring import (_DIGIT, _MASK, _OFF, Character, _pack, adjoint_character, char_to_str,
                        demazure_along_word, demazure_op, e)
 from .rootsys import RootSystem, Weight
-from .weyl import (WeylElement, coxeter_elements, from_word, guarded_order, longest_element,
-                   min_parabolic_rep, ss_nonempty)
+from .weyl import (WeylElement, coxeter_elements, from_word, longest_element, min_parabolic_rep,
+                   ss_nonempty, walk)
 
 __all__ = [
     "euler_char",
@@ -90,11 +89,12 @@ def _uncertified(lam: Weight) -> AssertionError:
 
 
 @lru_cache(maxsize=None)
-def _adjoint_tables(rs: RootSystem) -> tuple[tuple[int, ...], tuple]:
-    """The packed keys of the columns (0, then ``rs.roots``) and, per simple
+def _adjoint_tables(rs: RootSystem) -> tuple[tuple[int, ...], tuple, list[int]]:
+    """The packed keys of the columns (0, then ``rs.roots``); per simple
     root i, D_i on them: an ``itemgetter`` copies each column that takes one
     whole, and (column, ((source, coefficient), ...)) computes each other --
-    in simply-laced types only c'_0 = c_0 + c_{alpha_i} - c_{-alpha_i}."""
+    in simply-laced types only c'_0 = c_0 + c_{alpha_i} - c_{-alpha_i}; and
+    the adjoint character as columns, the sweeps' target."""
     keys = tuple(_pack(w.fw) for w in (rs.zero(), *(r.weight for r in rs.roots)))
     index = {k: b for b, k in enumerate(keys)}
     tables = []
@@ -108,7 +108,8 @@ def _adjoint_tables(rs: RootSystem) -> tuple[tuple[int, ...], tuple]:
         copy = {b: row[0][0] for b, row in enumerate(into) if len(row) == 1 and row[0][1] == 1}
         tables.append((itemgetter(*(copy.get(b, b) for b in range(len(keys)))),
                        tuple((b, tuple(row)) for b, row in enumerate(into) if b not in copy)))
-    return keys, tuple(tables)
+    adjoint = adjoint_character(rs)._terms
+    return keys, tuple(tables), [adjoint.get(k, 0) for k in keys]
 
 
 def _column_step(rs: RootSystem, i: int, cols: list[int], sign: int) -> list[int]:
@@ -139,64 +140,11 @@ def _character(rs: RootSystem, cols: Iterable[int]) -> Character:
 
 def group_walk(rs: RootSystem, seed: list[int], guard: int | None = None,
                sign: int = 0) -> Iterator[tuple[list[int], tuple[int, ...], tuple, list[int]]]:
-    """Every tau in W once, depth first, as (x, word, heights, cols):
-
-      * x = (D ht sigma(alpha_k))_k and word, the canonical word of
-        sigma = tau^-1;
-      * tau's column heights H(tau), which name it: ``WeylElement(rs, H)``;
-      * chi(tau, seed) as columns: the multiplicities at 0, then at
-        ``rs.roots``, an entry maybe packing several as 32-bit digits.
-
-    The walk follows the tree of canonical words of sigma (Bjorner-Brenti,
-    ch. 3-4): sigma s_k is a child of sigma when k is an ascent of sigma
-    and the smallest right descent of sigma s_k, and the smallest letter
-    goes first, so e is followed by s_1.  On tau that edge is the left step
-    s_k tau, one letter longer: its columns are one ``_column_step`` of
-    tau's, certified against sign, and H(s_k tau) = H(tau) - D row_k, row k
-    of tau's matrix on fw coordinates.  Those rows are the walk's own
-    state, never yielded: s_k tau takes row_j -= C[j][k] row_k (row k and
-    its Dynkin neighbours).  An explicit stack holds a pending child as its
-    letter, its x, its parent and the parent's rows, so only the column
-    lists along the current path are alive: at most N + 1, N = |R+| the
-    depth.  The guard prices |W| before the walk starts; visiting any other
-    number of elements is an engine failure.
-    """
-    order = guarded_order(rs, guard)
-    n, den, cartan = rs.rank, rs._den, rs.cartan
-    rows_of, neighbours = rs._simple_rows, rs._neighbours
-    node = ([den] * n, (), rs._height_vec, seed)
-    mat = [tuple(int(a == b) for b in range(n)) for a in range(n)]
-    stack: list = []
-    visited = 0
-    while True:
-        visited += 1
-        yield node
-        x, word = node[0], node[1]
-        d = word[-1] - 1 if word else n  # sigma's smallest right descent
-        for k in range(n - 1, -1, -1):  # pushed last, the smallest pops first
-            xk = x[k]
-            if xk < 0 or k > d and not cartan[k][d]:  # x_d < 0 stays if d is no neighbour
-                continue
-            y = x[:]
-            for j, c in rows_of[k]:
-                y[j] -= c * xk
-            # below d every x_j > 0 and only grows; else no descent below k
-            if k < d or min(y[:k]) > 0:
-                stack.append((k, y, node, mat))
-        if not stack:
-            break
-        k, y, (_, word, h, cols), mat = stack.pop()
-        row = mat[k]
-        new = list(mat)
-        new[k] = tuple(map(neg, row))
-        for j, c in neighbours[k]:
-            new[j] = (tuple(map(add, mat[j], row)) if c == 1 else
-                      tuple(a + c * b for a, b in zip(mat[j], row)))
-        mat = new
-        node = (y, word + (k + 1,), tuple(a - den * b for a, b in zip(h, row)),
-                _column_step(rs, k + 1, cols, sign))
-    if visited != order:
-        raise AssertionError(f"engine failure: walked {visited} elements, expected {order}")
+    """``weyl.walk`` with chi(tau, seed) as columns for payload: the
+    multiplicities at 0, then at ``rs.roots``, an entry maybe packing
+    several as 32-bit digits.  Each left step s_k tau is one
+    ``_column_step`` of tau's columns, certified against sign."""
+    return walk(rs, seed, lambda i, cols: _column_step(rs, i, cols, sign), guard)
 
 
 def _canonical(row: dict) -> tuple[int, list[int]]:
@@ -238,8 +186,7 @@ def verify_root_lines(rs: RootSystem, checks: Sequence[str],
     order, so tau >= w_alpha iff tau^P = w_alpha (Bjorner-Brenti, Section
     2.5 and Cor. 2.2.3).
     """
-    adjoint = adjoint_character(rs)
-    target = [adjoint._terms.get(k, 0) for k in _adjoint_tables(rs)[0]]
+    target = _adjoint_tables(rs)[2]
     thmA = "thmA" in checks
     roots = rs.positive_roots
     alpha0 = rs.highest_root.coords  # D ht sigma(alpha_0) = sum_k alpha0_k x_k
@@ -273,7 +220,7 @@ def verify_root_lines(rs: RootSystem, checks: Sequence[str],
                     "tau_inv_word": list(word),
                     "tangent_equals_adjoint": is_full,
                     "ss_nonempty": criterion,
-                    "kernel": char_to_str(rs, adjoint - _character(rs, tangent)),
+                    "kernel": char_to_str(rs, _character(rs, map(sub, target, tangent))),
                 })
         if not cosets:
             continue
@@ -292,7 +239,7 @@ def verify_root_lines(rs: RootSystem, checks: Sequence[str],
                 coset_rows[a].append({
                     "alpha": a, **words,
                     "clause": "inversion-sum",
-                    "difference": char_to_str(rs, adjoint - _character(rs, total)),
+                    "difference": char_to_str(rs, _character(rs, map(sub, target, total))),
                 })
             for r, line in lines.items():
                 coset_rows[a].append({
@@ -313,36 +260,47 @@ def verify_root_lines(rs: RootSystem, checks: Sequence[str],
 
 def verify_thmB_criterion(rs: RootSystem,
                           guard: int | None = None) -> tuple[int, list, dict]:
-    """Exploratory non-simply-laced sweep of Euler data against the criterion.
+    """Non-simply-laced sweep of Euler data against the criterion.
 
     Computes E(tau) = sum of chi(tau, e^beta) over positive beta for every
     tau -- by linearity one Demazure sweep of the single seed
     sum_beta e^beta -- and records, per element, whether E equals the
     adjoint character, whether the semistable criterion holds for
     tau^{-1}, and whether E has a negative multiplicity (which certifies
-    nonvanishing H^1).  No theorem equivalence is asserted, so there are
-    never counterexamples.
+    nonvanishing H^1).  It asserts the two consequences of Theorem B that
+    a sweep can check, a necessary condition only: H^i = 0 for i >= 1, so
+    E = ch H^0 has no negative multiplicity; and where the criterion holds,
+    g is a B-submodule of H^0, so char g <= E termwise.  Each failure is a
+    counterexample row naming its clause.  The converse, E = char g
+    exactly where the criterion holds, stays informational.
     """
-    adjoint = adjoint_character(rs)
-    target = [adjoint._terms.get(k, 0) for k in _adjoint_tables(rs)[0]]
+    target = _adjoint_tables(rs)[2]
     alpha0 = rs.highest_root.coords
-    rows, flagged = [], []
+    rows, flagged, counterexamples = [], [], []
     for x, word, h, total in group_walk(rs, [0, *(int(r.positive) for r in rs.roots)], guard):
         has_negative = min(total) < 0
+        ss = sum(map(mul, alpha0, x)) < 0
         tau_word = list(WeylElement(rs, h).reduced_word())
         rows.append({
             "tau_word": tau_word,
             "tau_inv_word": list(word),
             "euler_equals_adjoint": total == target,
-            "ss_nonempty": sum(map(mul, alpha0, x)) < 0,
+            "ss_nonempty": ss,
             "has_negative_multiplicity": has_negative,
         })
-        if has_negative:
-            flagged.append({"tau_word": tau_word,
-                            "euler": char_to_str(rs, _character(rs, total))})
+        clauses = [clause for clause, failed in (
+            ("negative-multiplicity", has_negative),
+            ("adjoint-not-contained", ss and any(map(gt, target, total)))) if failed]
+        if clauses:
+            euler = char_to_str(rs, _character(rs, total))
+            if has_negative:
+                flagged.append({"tau_word": tau_word, "euler": euler})
+            counterexamples += ({"tau_word": tau_word, "tau_inv_word": list(word),
+                                 "clause": clause, "euler": euler} for clause in clauses)
     rows.sort(key=_canonical)
     flagged.sort(key=_canonical)
-    return len(rows), [], {
+    counterexamples.sort(key=_canonical)
+    return len(rows), counterexamples, {
         "rows": rows,
         "flagged_negative": flagged,
         "criterion_matches_euler_everywhere": all(

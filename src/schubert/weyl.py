@@ -20,15 +20,15 @@ Bruhat comparisons, the climbs to w0 and products u v (u's heights stepped
 along v's canonical word) all walk on H.  The action on fw coordinates
 applies the canonical word letter by letter, each letter touching at most
 four coordinates, and a heights tuple that names no element has no
-canonical word, so it is refused there.  ``enumerate_group`` is a
-breadth-first enumeration that dedupes on H and reads each word by that
-one peel (``reduced_word``); the sweeps walk the group depth first
-instead (``cohomology.group_walk``).  Elements invert by their reversed
-canonical word, so no rational arithmetic touches a group element.  A
-Coxeter element depends only on its Dynkin orientation (``orientation``),
-so ``coxeter_elements`` builds one per orientation, 2^(n-1) of them, and
-reads no permutation.  The semistability criterion ``ss_nonempty`` is one
-root action.  The |W| guard comes from ``rootsys``.
+canonical word, so it is refused there.  ``walk`` is the one walk of the
+group, depth first along the canonical words of the inverses, stepping H
+and a caller's payload; ``enumerate_group`` is its elements, sorted.
+Elements invert by their reversed canonical word, so no rational
+arithmetic touches a group element.  A Coxeter element depends only on
+its Dynkin orientation (``orientation``), so ``coxeter_elements`` builds
+one per orientation, 2^(n-1) of them, and reads no permutation.  The
+semistability criterion ``ss_nonempty`` is one root action.  The |W|
+guard comes from ``rootsys``.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from __future__ import annotations
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import product
-from operator import mul
-from typing import Iterable, Iterator, Sequence
+from operator import add, mul, neg
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .rootsys import GuardExceeded, Root, RootSystem, Weight, resolve_guard
 
@@ -267,34 +267,62 @@ def guarded_order(rs: RootSystem, guard: int | None = None) -> int:
     return order
 
 
-def enumerate_group(rs: RootSystem, guard: int | None = None) -> Iterator[WeylElement]:
-    """Every element exactly once, ordered by (length, canonical word).
+def walk(rs: RootSystem, seed: object, step: Callable[[int, object], object],
+         guard: int | None = None) -> Iterator[tuple[list[int], tuple[int, ...], tuple, object]]:
+    """Every tau in W once, depth first, as (x, word, heights, payload):
+    x = (D ht sigma(alpha_k))_k and the canonical word of sigma = tau^-1,
+    H(tau), and seed at e, ``step(k, payload of tau)`` at s_k tau.
 
-    Breadth-first by length, stepping only along ascents, so layer k holds
-    exactly the elements of length k.  Layers are keyed by column heights,
-    so ascents and duplicates are found on H; each element's canonical word
-    is ``reduced_word``'s.  Raises GuardExceeded when |W| exceeds the guard.
-    """
+    sigma s_k is a child of sigma when k is an ascent of sigma and the
+    smallest right descent of sigma s_k (Bjorner-Brenti, ch. 3-4), the
+    smallest k first.  On tau that is the left step s_k tau: H drops by D
+    times row k of tau's matrix on fw coordinates, the walk's own state,
+    which s_k tau changes at k and its Dynkin neighbours.  The explicit
+    stack keeps at most N + 1 payloads alive, N = |R+| the depth.  The
+    guard prices |W| first; any other visit count is an engine failure."""
     order = guarded_order(rs, guard)
-    e = identity(rs)
-    cols = rs._simple_columns
-    elements = [e]
-    layer = {e.heights: e}
-    while layer:
-        nxt: dict[tuple[int, ...], WeylElement] = {}
-        for w in layer.values():
-            h = w.heights
-            for k, col in enumerate(cols):
-                x = _root_height(h, col)
-                if x > 0:
-                    hv = _reflect(h, k, x)
-                    if hv not in nxt:
-                        nxt[hv] = WeylElement(rs, hv)
-        elements.extend(sorted(nxt.values(), key=lambda w: w.reduced_word()))
-        layer = nxt
-    if len(elements) != order:
-        raise AssertionError(f"enumerated {len(elements)} elements, expected {order}")
-    return iter(elements)
+    n, den, cartan = rs.rank, rs._den, rs.cartan
+    rows_of, neighbours = rs._simple_rows, rs._neighbours
+    node = ([den] * n, (), rs._height_vec, seed)
+    mat = [tuple(int(a == b) for b in range(n)) for a in range(n)]
+    stack: list = []
+    visited = 0
+    while True:
+        visited += 1
+        yield node
+        x, word = node[0], node[1]
+        d = word[-1] - 1 if word else n  # sigma's smallest right descent
+        for k in range(n - 1, -1, -1):  # pushed last, the smallest pops first
+            xk = x[k]
+            if xk < 0 or k > d and not cartan[k][d]:  # x_d < 0 stays if d is no neighbour
+                continue
+            y = x[:]
+            for j, c in rows_of[k]:
+                y[j] -= c * xk
+            # below d every x_j > 0 and only grows; else no descent below k
+            if k < d or min(y[:k]) > 0:
+                stack.append((k, y, node, mat))
+        if not stack:
+            break
+        k, y, (_, word, h, payload), mat = stack.pop()
+        row = mat[k]
+        new = list(mat)
+        new[k] = tuple(map(neg, row))
+        for j, c in neighbours[k]:
+            new[j] = (tuple(map(add, mat[j], row)) if c == 1 else
+                      tuple(a + c * b for a, b in zip(mat[j], row)))
+        mat = new
+        node = (y, word + (k + 1,), tuple(a - den * b for a, b in zip(h, row)),
+                step(k + 1, payload))
+    if visited != order:
+        raise AssertionError(f"engine failure: walked {visited} elements, expected {order}")
+
+
+def enumerate_group(rs: RootSystem, guard: int | None = None) -> Iterator[WeylElement]:
+    """Every element once, ordered by (length, canonical word): ``walk``'s
+    elements, sorted.  Raises GuardExceeded when |W| exceeds the guard."""
+    elements = [WeylElement(rs, h) for _, _, h, _ in walk(rs, None, lambda k, p: p, guard)]
+    return iter(sorted(elements, key=lambda w: (w.length, w.reduced_word())))
 
 
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:

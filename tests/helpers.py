@@ -438,6 +438,18 @@ def columns_char(rs: RootSystem, cols: Sequence[int]) -> Character:
     return Character(dict(zip(adjoint_weights(rs), cols, strict=True)))
 
 
+def shift_adjoint_target(monkeypatch, rs: RootSystem, shift: int) -> Character:
+    """Make the target the walk verifiers compare against the adjoint
+    character plus shift e^0 (column 0 is the weight 0), for every root
+    system; returns that wrong target as a character."""
+    from schubert import cohomology
+
+    keys, tables, target = cohomology._adjoint_tables(rs)
+    wrong = [target[0] + shift, *target[1:]]
+    monkeypatch.setattr(cohomology, "_adjoint_tables", lambda rs: (keys, tables, wrong))
+    return adjoint_character(rs) + e(rs.zero(), shift)
+
+
 def signed_digits(cols: Sequence[int], count: int) -> list[list[int]]:
     """Per 32-bit digit, the column list it packs, digits read as signed
     integers: the inverse of summing d_r * 2^(32 r) over r < count."""

@@ -19,7 +19,8 @@ from schubert.report import (CHECKS, GUARD_ENV_VAR, pass_groups, pool_size, run_
                              run_checks, write_json)
 from schubert.rootsys import BUILD_ROOT_BOUND, CartanType, RootSystem, build
 
-from helpers import E6_W0_WORD, assert_thm42_slices, dominant_representative, weyl_dim
+from helpers import (E6_W0_WORD, assert_thm42_slices, dominant_representative,
+                     shift_adjoint_target, weyl_dim)
 
 ANCHOR = "1*e[1, -2] + 1*e[0, 0] + 1*e[-1, 2] + 1*e[2, -1] + 1*e[1, 1]"
 
@@ -290,12 +291,7 @@ def test_sweep_shared_pass_fails_like_separate_runs(capsys, monkeypatch, workers
     # the separate runs' rows, in the same order, with or without a pool
     # (two processes at most: pool_size caps the pool at --workers; the
     # pool forks, so the patch reaches its workers)
-    from schubert import cohomology
-    from schubert.charring import adjoint_character, e
-
-    rs = build("A4")
-    wrong = adjoint_character(rs) + e(rs.zero())
-    monkeypatch.setattr(cohomology, "adjoint_character", lambda rs: wrong)
+    shift_adjoint_target(monkeypatch, build("A4"), 1)
     swept = assert_sweep_matches_separate_runs(capsys, "A4", workers)
     thmA, thm42 = swept["thmA"], swept["thm42"]
     assert not thmA["passed"] and not thm42["passed"]
@@ -308,12 +304,7 @@ def test_engine_failure_exits_3_not_1(capsys, monkeypatch, workers):
     # an internal consistency failure is neither a counterexample (1) nor
     # bad input (2); under --workers it comes back from the pool (which
     # forks, so the patch reaches its workers) and exits the same way
-    from schubert import cohomology
-    from schubert.charring import adjoint_character, e
-
-    rs = build("A2")
-    short = adjoint_character(rs) - e(rs.zero())
-    monkeypatch.setattr(cohomology, "adjoint_character", lambda rs: short)
+    shift_adjoint_target(monkeypatch, build("A2"), -1)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     code, out, err = run(capsys, "sweep", "--type", "A2", "--workers", workers)
     assert (code, out) == (3, "")
@@ -323,11 +314,11 @@ def test_engine_failure_exits_3_not_1(capsys, monkeypatch, workers):
 def test_any_internal_assertion_is_an_engine_failure(capsys, monkeypatch):
     # a group walk that visits one element more or fewer than the |W| it
     # was priced at exits 3
-    from schubert import cohomology
+    from schubert import weyl
 
-    real = cohomology.guarded_order
+    real = weyl.guarded_order
     for off in (1, -1):
-        monkeypatch.setattr(cohomology, "guarded_order", lambda rs, guard: real(rs, guard) + off)
+        monkeypatch.setattr(weyl, "guarded_order", lambda rs, guard: real(rs, guard) + off)
         code, out, err = run(capsys, "verify", "thmA", "--type", "A3")
         assert (code, out) == (3, "")
         assert err == f"error: engine failure: walked 24 elements, expected {24 + off}\n"
@@ -523,18 +514,13 @@ def test_out_bytes_equal_stdout_bytes(tmp_path, capsys, argv):
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "--out"])
 def test_refusal_and_engine_failure_write_no_json(tmp_path, capsys, monkeypatch, to_file):
     # every check and refusal ends before the first byte of a document
-    from schubert import cohomology
-    from schubert.charring import adjoint_character, e
-
     target = tmp_path / "report.json"
     out_args = ("--out", str(target)) if to_file else ()
     code, out, err = run(capsys, "verify", "thmB", "--type", "B3", "--guard", "47",
                          "--format", "json", *out_args)
     assert (code, out) == (2, "") and err.startswith("error: thmB on B3 walks")
     assert not to_file or target.read_bytes() == b""
-    rs = build("A2")
-    short = adjoint_character(rs) - e(rs.zero())
-    monkeypatch.setattr(cohomology, "adjoint_character", lambda rs: short)
+    shift_adjoint_target(monkeypatch, build("A2"), -1)
     code, out, err = run(capsys, "sweep", "--type", "A2", "--format", "json", *out_args)
     assert (code, out) == (3, "") and err.startswith("error: engine failure")
     assert not to_file or target.read_bytes() == b""

@@ -9,6 +9,7 @@ import pytest
 
 from schubert import (
     Character,
+    WeylElement,
     adjoint_character,
     build,
     demazure_along_word,
@@ -21,7 +22,7 @@ from schubert import (
     longest_element,
     ss_nonempty,
 )
-from schubert import cohomology
+from schubert import cohomology, weyl
 from schubert.charring import char_to_str
 from schubert.cli import main
 from schubert.cohomology import borel_character, group_walk, lemma61_search
@@ -30,8 +31,8 @@ from schubert.rootsys import CartanType, RootSystem
 
 from helpers import (LAYER_TYPES, adjoint_weights, assert_thm42_slices,
                      bruhat_monotonicity_findings, columns_char, element_of, gauss_jordan_inverse,
-                     kernel_char, matrix_of, matvec, peel_reduced_word, signed_digits,
-                     subword_upper_set, tangent_h0_char)
+                     kernel_char, matrix_of, matvec, peel_reduced_word, shift_adjoint_target,
+                     signed_digits, subword_upper_set, tangent_h0_char)
 
 
 def test_euler_char_identity_and_w0():
@@ -133,8 +134,7 @@ def test_thm42_counterexamples_are_listed_in_alpha_order(monkeypatch):
     # the one pass must list them alpha by alpha, each alpha's rows in
     # enumeration order and covering exactly its coset
     rs = build("A4")
-    wrong = adjoint_character(rs) + e(rs.zero())
-    monkeypatch.setattr(cohomology, "adjoint_character", lambda rs: wrong)
+    shift_adjoint_target(monkeypatch, rs, 1)
     full = run_check(rs, "thm42")
     assert len(full.counterexamples) == full.universe_size
     alphas = [row["alpha"] for row in full.counterexamples]
@@ -169,8 +169,7 @@ def test_thmA_kernel_row_only_on_a_counterexample(monkeypatch):
     # criterion holds; the kernel row is adjoint - tangent, which is e^0
     # more than the true kernel, and every other element is clean
     rs = build("A3")
-    wrong = adjoint_character(rs) + e(rs.zero())
-    monkeypatch.setattr(cohomology, "adjoint_character", lambda rs: wrong)
+    shift_adjoint_target(monkeypatch, rs, 1)
     [(universe, rows, details)] = cohomology.verify_root_lines(rs, ("thmA",))
     assert universe == 24 and len(rows) == details["ss_count"] > 0
     assert details["full_tangent_count"] == 0
@@ -182,8 +181,7 @@ def test_thmA_kernel_row_only_on_a_counterexample(monkeypatch):
 
 def test_thmA_refuses_a_tangent_above_the_adjoint(monkeypatch):
     rs = build("A2")
-    short = adjoint_character(rs) - e(rs.zero())
-    monkeypatch.setattr(cohomology, "adjoint_character", lambda rs: short)
+    shift_adjoint_target(monkeypatch, rs, -1)
     with pytest.raises(AssertionError, match="tangent exceeds adjoint"):
         cohomology.verify_root_lines(rs, ("thmA",))
 
@@ -216,32 +214,39 @@ def test_each_check_alone_does_only_its_own_work(monkeypatch, capsys):
     ("verify", "thm42", "--type", "A3"),
 ])
 def test_one_enumeration_per_sweep(monkeypatch, capsys, argv):
-    # a simply-laced sweep runs thmA and thm42 from one walk of the group
-    calls = []
-    real = cohomology.group_walk
+    # a simply-laced sweep runs thmA and thm42 from one walk of the group,
+    # and that is the one walk of weyl: no other enumeration of W runs
+    calls, walks = [], []
+    real, real_walk = cohomology.group_walk, weyl.walk
 
     def counted(*args, **kwargs):
         calls.append(args[0].ct)
         return real(*args, **kwargs)
 
+    def counted_walk(*args, **kwargs):
+        walks.append(args[0].ct)
+        return real_walk(*args, **kwargs)
+
     monkeypatch.setattr(cohomology, "group_walk", counted)
+    monkeypatch.setattr(cohomology, "walk", counted_walk)
+    monkeypatch.setattr(weyl, "walk", counted_walk)
     assert main(list(argv)) == 0
     capsys.readouterr()
-    assert len(calls) == 1
+    assert len(calls) == len(walks) == 1
 
 
 @pytest.mark.parametrize("name", LAYER_TYPES)
 def test_demazure_layers_match_word_by_word(name):
-    # the walk against the layered oracle (enumerate_group, and Demazure
-    # composed along each canonical word), element by element: sigma's
-    # word (peeled from a Gauss-Jordan inverse of tau's oracle matrix),
-    # its x = D ht sigma(alpha_k) and the criterion read off x, tau's
-    # heights (the left step H(s_k tau) = H(tau) - D row_k; the walk is
-    # keyed by them), every positive root's line in its digit of the
-    # packed columns, and the top digit their sum; the walk of the plain
-    # summed seed is that sum too.  Lines go negative in
-    # two root lengths, so there the digits are read signed and not
-    # certified
+    # the walk against the matrix oracle (Demazure composed along each
+    # canonical word), element by element over the walk's own |W|
+    # distinct heights, each an element (its oracle matrix has them), so
+    # all of W: sigma's word (peeled from a Gauss-Jordan inverse of tau's
+    # oracle matrix), its x = D ht sigma(alpha_k) and the criterion read
+    # off x, tau's heights (the left step H(s_k tau) = H(tau) - D row_k;
+    # the walk is keyed by them), every positive root's line in its digit
+    # of the packed columns, and the top digit their sum; the walk of the
+    # plain summed seed is that sum too.  Lines go negative in two root
+    # lengths, so there the digits are read signed and not certified
     rs = build(name)
     roots = rs.positive_roots
     seed, _, sign = cohomology._line_seed(rs, [True] * len(roots))
@@ -249,10 +254,9 @@ def test_demazure_layers_match_word_by_word(name):
              in group_walk(rs, seed, sign=sign if rs.simply_laced else 0)}
     summed = {h: cols for _, _, h, cols
               in group_walk(rs, [0, *(int(root.positive) for root in rs.roots)])}
-    elements = list(enumerate_group(rs))
-    assert len(swept) == len(summed) == len(elements)
-    for tau in elements:
-        x, word, cols = swept[tau.heights]
+    assert len(swept) == len(summed) == rs.ct.weyl_order
+    for h, (x, word, cols) in swept.items():
+        tau = WeylElement(rs, h)
         mat = matrix_of(tau)
         assert element_of(rs, mat) == tau
         sigma = gauss_jordan_inverse(mat)
@@ -317,13 +321,13 @@ def _corrupt_tables(monkeypatch, rs, bad, letters=None):
     """Make every computed column of D_i, i in letters (default all),
     subtract twice the columns e^beta_r, r in bad: at the first such step
     from e those lines go negative."""
-    keys, tables = cohomology._adjoint_tables(rs)
+    keys, tables, target = cohomology._adjoint_tables(rs)
     extra = tuple((1 + r, -2) for r in bad)  # column 1 + r is the positive root r
     corrupt = tuple(
         (gather, tuple((b, row + extra) for b, row in computed))
         if letters is None or i in letters else (gather, computed)
         for i, (gather, computed) in enumerate(tables, 1))
-    monkeypatch.setattr(cohomology, "_adjoint_tables", lambda rs: (keys, corrupt))
+    monkeypatch.setattr(cohomology, "_adjoint_tables", lambda rs: (keys, corrupt, target))
 
 
 @pytest.mark.parametrize("bad", [(3,), (5, 2)])
@@ -345,8 +349,7 @@ def test_thm42_rows_under_a_wrong_adjoint_match_the_word_oracle(monkeypatch):
     # inversion sum; its difference is the wrong target minus the sum of
     # the word-by-word h0 lines over tau's inversion set
     rs = build("A4")
-    wrong = adjoint_character(rs) + e(rs.zero())
-    monkeypatch.setattr(cohomology, "adjoint_character", lambda rs: wrong)
+    wrong = shift_adjoint_target(monkeypatch, rs, 1)
     [(universe, rows, _)] = cohomology.verify_root_lines(rs, ("thm42",))
     assert len(rows) == universe > 0
     for row in rows:
@@ -445,6 +448,40 @@ def test_verify_thmB_shape():
     assert isinstance(rep.details["criterion_matches_euler_everywhere"], bool)
     with pytest.raises(ValueError):
         run_check(build("A2"), "thmB")
+
+
+@pytest.mark.parametrize("clause", ["negative-multiplicity", "adjoint-not-contained"])
+def test_thmB_fails_on_a_broken_element_naming_its_word(monkeypatch, capsys, clause):
+    # thmB asserts E(tau) >= 0 everywhere and char g <= E(tau) where the
+    # criterion holds.  A column step that breaks one leaf of the walk (no
+    # element steps from it), at the e^0 column, fails exactly that
+    # element: -1 on a leaf without the criterion, rank - 1 on w0 (which
+    # has it, and E(w0) >= char g has rank at e^0)
+    rs = build("B3")
+    nodes = [(word, h, sum(map(mul, rs.highest_root.coords, x)) < 0)
+             for x, word, h, _ in group_walk(rs, [0] * (len(rs.roots) + 1))]
+    words = {word for word, _, _ in nodes}
+    w0 = longest_element(rs).heights
+    index = next(i for i, (word, h, ss) in enumerate(nodes)
+                 if not any(word + (k,) in words for k in range(1, rs.rank + 1))
+                 and (h == w0 if clause == "adjoint-not-contained" else not ss))
+    real, steps, broken = cohomology._column_step, [], []
+
+    def step(*args):
+        out = real(*args)
+        steps.append(1)
+        if len(steps) == index:  # step j yields the walk's element j
+            out = [-1 if clause == "negative-multiplicity" else rs.rank - 1, *out[1:]]
+            broken.append(out)
+        return out
+
+    monkeypatch.setattr(cohomology, "_column_step", step)
+    assert main(["verify", "thmB", "--type", "B3", "--format", "json"]) == 1
+    rows = json.loads(capsys.readouterr().out)["counterexamples"]
+    word, h, _ = nodes[index]
+    assert rows == [{"tau_word": list(WeylElement(rs, h).reduced_word()),
+                     "tau_inv_word": list(word), "clause": clause,
+                     "euler": char_to_str(rs, columns_char(rs, broken[0]))}]
 
 
 def test_lemma26_even_for_large_simply_laced():

@@ -82,14 +82,17 @@ def test_longest_element(name):
     assert all(not w0.apply_root(r).positive for r in rs.positive_roots)
 
 
-@pytest.mark.parametrize("name,order", [("A2", 6), ("A3", 24), ("B2", 8), ("G2", 12), ("D4", 192)])
+@pytest.mark.parametrize("name,order", [
+    ("A1", 2), ("A2", 6), ("A3", 24), ("A4", 120), ("B2", 8), ("B3", 48), ("C3", 48),
+    ("G2", 12), ("D4", 192), ("F4", 1152)])
 def test_enumerate_group(name, order):
+    # |W| distinct elements in strictly increasing (length, canonical word)
     rs = build(name)
     elements = list(enumerate_group(rs))
     assert len(elements) == order
     assert len({matrix_of(w) for w in elements}) == order
-    lengths = [w.length for w in elements]
-    assert lengths == sorted(lengths)
+    keys = [(w.length, w.reduced_word()) for w in elements]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
     assert matrix_of(elements[0]) == identity_matrix(rs.rank)
     assert elements[-1] == longest_element(rs)
 
