@@ -200,11 +200,12 @@ def cmd_demazure(args) -> tuple[str | dict, int]:
     # imported here: verify and sweep of the Coxeter checks never load charring
     from .charring import char_sorted_terms, char_to_str, demazure_along_word, e
 
+    guard = resolve_guard(None)  # a bad guard refuses before the build
     rs = build(args.type)
     word = _parse_word(rs, args.word)
     lam = _parse_weight(rs, args)
     seed = e(lam)  # the packing bound refuses first
-    dim, guard = _weyl_dimension(rs, lam), resolve_guard(None)
+    dim = _weyl_dimension(rs, lam)
     if dim > guard:
         raise ValueError(f"weight {list(lam.fw)}: dim V(lambda+) = {dim} exceeds guard "
                          f"{guard}, and a Demazure character of it may have that many terms")

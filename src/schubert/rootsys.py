@@ -126,9 +126,11 @@ class CartanType(_Value):
     @classmethod
     def parse(cls, text: str) -> "CartanType":
         text = text.strip()
-        if len(text) < 2 or text[0].upper() not in _FAMILIES or not text[1:].isdigit():
+        family, digits = text[:1].upper(), text[1:]
+        # ASCII digits only: str.isdigit takes '²', which int refuses, and '٣', read as 3
+        if family not in _FAMILIES or not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"cannot parse Cartan type from {text!r}")
-        return cls(text[0].upper(), int(text[1:]))
+        return cls(family, int(digits))
 
     @property
     def simply_laced(self) -> bool:
@@ -178,15 +180,20 @@ class GuardExceeded(RuntimeError):
 
 
 def resolve_guard(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(GUARD_ENV_VAR)
-    if env is not None:
+    """The guard given, else $SCHUBERT_GUARD, else DEFAULT_GUARD; a negative
+    one is a ValueError naming where it came from."""
+    guard, source = explicit, "--guard"
+    if guard is None:
+        env = os.environ.get(GUARD_ENV_VAR)
+        if env is None:
+            return DEFAULT_GUARD
         try:
-            return int(env)
+            guard, source = int(env), GUARD_ENV_VAR
         except ValueError as exc:
             raise ValueError(f"{GUARD_ENV_VAR} must be an integer, got {env!r}") from exc
-    return DEFAULT_GUARD
+    if guard < 0:
+        raise ValueError(f"{source} must be a nonnegative integer, got {guard}")
+    return guard
 
 
 class Weight(_Value):
@@ -249,54 +256,32 @@ class Root(_Value):
         return f"Root{self.coords}"
 
 
-def _cartan_matrix(ct: CartanType) -> tuple[tuple[int, ...], ...]:
-    """Bourbaki Cartan matrix with C[i][j] = <alpha_j, alpha_i_vee>, 0-based."""
+def _dynkin(ct: CartanType) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """Bourbaki's Dynkin diagram of ct (Lie, ch. VI, Plates I-IX): its edges
+    (i, k), i < k, 1-based, in lexicographic order, and the symmetrizers d,
+    half the squared length of each simple root, 1 on the short ones."""
     n = ct.rank
-    if ct.family == "E":
-        edges = [(1, 3), (3, 4), (4, 5), (2, 4)] + [(k, k + 1) for k in range(5, n)]
-    elif ct.family == "D":
-        edges = [(k, k + 1) for k in range(1, n - 1)] + [(n - 2, n)]
-    else:
-        edges = [(k, k + 1) for k in range(1, n)]
-    c = [[0] * n for _ in range(n)]
-    for i in range(n):
-        c[i][i] = 2
-    for a, b in edges:
-        c[a - 1][b - 1] = -1
-        c[b - 1][a - 1] = -1
-    # one asymmetric edge per non-simply-laced family
-    if ct.family == "B":
-        c[n - 1][n - 2] = -2        # <alpha_{n-1}, alpha_n_vee>, alpha_n short
-    elif ct.family == "C":
-        c[n - 2][n - 1] = -2        # <alpha_n, alpha_{n-1}_vee>, alpha_n long
-    elif ct.family == "F":
-        c[2][1] = -2                # <alpha_2, alpha_3_vee>
-    elif ct.family == "G":
-        c[0][1] = -3                # <alpha_2, alpha_1_vee>
-    return tuple(tuple(row) for row in c)
+    edges = [(k, k + 1) for k in range(1, n)]
+    if ct.family == "D":
+        edges[-1] = (n - 2, n)
+    elif ct.family == "E":
+        edges[:3] = [(1, 3), (2, 4), (3, 4)]
+    d = {"B": (2,) * (n - 1) + (1,), "C": (1,) * (n - 1) + (2,),
+         "F": (2, 2, 1, 1), "G": (1, 3)}.get(ct.family, (1,) * n)
+    return tuple(edges), d
 
 
-def _symmetrizers(cartan: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Smallest positive integers d with d_i C[i][j] = d_j C[j][i]; each
-    d_j is first a reduced fraction (num, den) relative to d_0 = 1."""
-    n = len(cartan)
-    d: list[tuple[int, int] | None] = [None] * n
-    d[0] = (1, 1)
-    queue = [0]
-    while queue:
-        i = queue.pop()
-        for j in range(n):
-            if i != j and cartan[i][j] != 0 and d[j] is None:
-                num, den = d[i][0] * cartan[i][j], d[i][1] * cartan[j][i]
-                g = gcd(num, den) * (-1 if den < 0 else 1)
-                d[j] = (num // g, den // g)
-                queue.append(j)
-    if any(x is None for x in d):
-        raise ValueError("Dynkin diagram is not connected")
-    den = lcm(*(x[1] for x in d))
-    ints = [num * (den // x_den) for num, x_den in d]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints)
+def _cartan_matrix(edges: Sequence[tuple[int, int]],
+                   d: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Bourbaki Cartan matrix with C[i][j] = <alpha_j, alpha_i_vee>, 0-based,
+    read off the diagram by one rule: (alpha_i, alpha_i) = 2 d_i, and an
+    edge {i, j} has (alpha_i, alpha_j) = -max(d_i, d_j), so C[i][j] =
+    (alpha_i, alpha_j) / d_i."""
+    c = [[2 * (i == j) for j in range(len(d))] for i in range(len(d))]
+    for i, j in edges:
+        m = -max(d[i - 1], d[j - 1])
+        c[i - 1][j - 1], c[j - 1][i - 1] = m // d[i - 1], m // d[j - 1]
+    return tuple(map(tuple, c))
 
 
 def _scaled_inverse(cartan: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -333,8 +318,8 @@ class RootSystem:
     def __init__(self, ct: CartanType):
         self.ct = ct
         self.rank = ct.rank
-        self.cartan = _cartan_matrix(ct)
-        self.d = _symmetrizers(self.cartan)
+        self._edges, self.d = _dynkin(ct)
+        self.cartan = _cartan_matrix(self._edges, self.d)
         # D * C^-1 over the integers; its column sums give D * height
         self._den, self._scaled_inv = _scaled_inverse(self.cartan)
         self._height_vec = tuple(map(sum, zip(*self._scaled_inv)))

@@ -354,17 +354,10 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
     return lu == 0
 
 
-@lru_cache(maxsize=None)
-def _dynkin_edges(rs: RootSystem) -> tuple[tuple[int, int], ...]:
-    """The edges {i, k} of the Dynkin diagram as (i, k), i < k, 1-based, in
-    lexicographic order."""
-    return tuple((k + 1, j + 1) for k, nbrs in enumerate(rs._neighbours)
-                 for j, _ in nbrs if j > k)
-
-
 def orientation(rs: RootSystem, word: Sequence[int]) -> tuple[bool, ...]:
-    """Per Dynkin edge (i, k), whether s_i comes before s_k in ``word``, a
-    permutation of the simple indices.
+    """Per Dynkin edge (i, k) of ``rs._edges``, as ``rootsys`` states them
+    (i < k, in lexicographic order), whether s_i comes before s_k in
+    ``word``, a permutation of the simple indices.
 
     s_{i1} ... s_{in} depends on this alone: letters with no edge between
     them commute.  On a tree diagram, which every finite type has, distinct
@@ -375,7 +368,7 @@ def orientation(rs: RootSystem, word: Sequence[int]) -> tuple[bool, ...]:
     pos = [0] * (rs.rank + 1)
     for p, i in enumerate(word):
         pos[i] = p
-    return tuple(pos[i] < pos[k] for i, k in _dynkin_edges(rs))
+    return tuple(pos[i] < pos[k] for i, k in rs._edges)
 
 
 def coxeter_elements(rs: RootSystem) -> list[tuple[WeylElement, tuple[int, ...]]]:
@@ -386,12 +379,11 @@ def coxeter_elements(rs: RootSystem) -> list[tuple[WeylElement, tuple[int, ...]]
     the smallest source first, and the words are sorted, so the list is in
     the order of the first permutation naming each element.
     """
-    edges = _dynkin_edges(rs)
     words = []
-    for key in product((True, False), repeat=len(edges)):
+    for key in product((True, False), repeat=len(rs._edges)):
         after: list[list[int]] = [[] for _ in range(rs.rank + 1)]
         before = [0] * (rs.rank + 1)
-        for (i, k), i_first in zip(edges, key):
+        for (i, k), i_first in zip(rs._edges, key):
             first, then = (i, k) if i_first else (k, i)
             after[first].append(then)
             before[then] += 1

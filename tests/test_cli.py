@@ -62,6 +62,10 @@ def test_roots_invalid_type(capsys):
     code, _, err = run(capsys, "roots", "--type", "H3")
     assert code == 2
     assert "H3" in err
+    # str.isdigit takes both; int refuses the first and reads the second as 3
+    for text in ("A²", "A٣"):
+        code, out, err = run(capsys, "roots", "--type", text)
+        assert (code, out, err) == (2, "", f"error: cannot parse Cartan type from {text!r}\n")
 
 
 def test_roots_json_round_trip(capsys):
@@ -207,6 +211,37 @@ def test_verify_guard(capsys):
     code, _, err = run(capsys, "verify", "thmA", "--type", "A2", "--guard", "3")
     assert code == 2
     assert "guard" in err
+
+
+@pytest.mark.parametrize("argv,env", [
+    (("verify", "lemma26", "--type", "A3", "--guard", "-5"), None),  # no cost to compare
+    (("verify", "thmA", "--type", "A3", "--guard", "-5"), None),
+    (("sweep", "--type", "A3", "--guard", "-1"), None),
+    (("sweep", "--type", "A3"), "-1"),
+    (("demazure", "--type", "A2", "--word", "1", "--weight-fund", "1,0"), "-1"),
+])
+def test_a_negative_guard_exits_2_before_any_build(capsys, monkeypatch, argv, env):
+    monkeypatch.setattr("schubert.cli.build", lambda ct: pytest.fail(f"built {ct}"))
+    if env is None:
+        monkeypatch.delenv(GUARD_ENV_VAR, raising=False)
+        source, value = "--guard", argv[-1]
+    else:
+        monkeypatch.setenv(GUARD_ENV_VAR, env)
+        source, value = GUARD_ENV_VAR, env
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {source} must be a nonnegative integer, got {value}\n"
+
+
+def test_a_guard_of_0_is_a_guard(capsys, monkeypatch):
+    # lemma26 has no universe to price; thmA's 24 elements are above 0
+    monkeypatch.setenv(GUARD_ENV_VAR, "0")
+    assert run(capsys, "verify", "lemma26", "--type", "A3")[0] == 0
+    code, _, err = run(capsys, "verify", "thmA", "--type", "A3")
+    assert code == 2 and "above the guard 0" in err
+    monkeypatch.delenv(GUARD_ENV_VAR)
+    code, _, err = run(capsys, "verify", "thmA", "--type", "A3", "--guard", "0")
+    assert code == 2 and "above the guard 0" in err
 
 
 def test_verify_has_no_alpha_option(capsys):

@@ -32,7 +32,7 @@ from schubert.rootsys import CartanType, RootSystem
 from helpers import (LAYER_TYPES, adjoint_weights, assert_thm42_slices,
                      bruhat_monotonicity_findings, columns_char, element_of, gauss_jordan_inverse,
                      kernel_char, matrix_of, matvec, peel_reduced_word, shift_adjoint_target,
-                     signed_digits, subword_upper_set, tangent_h0_char)
+                     signed_digits, subword_products, subword_upper_set, tangent_h0_char)
 
 
 def test_euler_char_identity_and_w0():
@@ -482,6 +482,31 @@ def test_thmB_fails_on_a_broken_element_naming_its_word(monkeypatch, capsys, cla
     assert rows == [{"tau_word": list(WeylElement(rs, h).reduced_word()),
                      "tau_inv_word": list(word), "clause": clause,
                      "euler": char_to_str(rs, columns_char(rs, broken[0]))}]
+
+
+@pytest.mark.parametrize("name", ["B3", "C3", "G2"])
+def test_thmB_rows_match_the_per_root_euler_oracle(name):
+    # the walk finds E(tau) from one seed, sum_beta e^beta, on its columns;
+    # the oracle sums euler_char root by root on each tau of [e, w0], found
+    # by the subword scan, and reads every row field off tau itself
+    rs = build(name)
+    rows = cohomology.verify_thmB_criterion(rs)[2]["rows"]
+    group = [element_of(rs, mat)
+             for mat in subword_products(rs, matrix_of(longest_element(rs)))]
+    group.sort(key=lambda tau: (tau.length, tau.reduced_word()))
+    assert len(set(group)) == rs.ct.weyl_order
+    adjoint, expected = adjoint_character(rs), []
+    for tau in group:
+        euler = sum((euler_char(rs, tau, e(beta.weight)) for beta in rs.positive_roots),
+                    Character.zero())
+        expected.append({
+            "tau_word": list(tau.reduced_word()),
+            "tau_inv_word": list(tau.inverse().reduced_word()),
+            "euler_equals_adjoint": euler == adjoint,
+            "ss_nonempty": ss_nonempty(rs, tau.inverse()),
+            "has_negative_multiplicity": not euler.is_effective(),
+        })
+    assert rows == expected
 
 
 def test_lemma26_even_for_large_simply_laced():

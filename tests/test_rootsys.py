@@ -49,7 +49,8 @@ def test_root_counts(name, count):
     assert len(rs.positive_roots) == count // 2
 
 
-@pytest.mark.parametrize("text", ["H3", "B1", "D2", "E5", "E9", "F3", "G3", "A0", "", "A", "2A"])
+@pytest.mark.parametrize("text", ["H3", "B1", "D2", "E5", "E9", "F3", "G3", "A0", "", "A", "2A",
+                                  "A²", "A٣"])
 def test_invalid_types_rejected(text):
     with pytest.raises(ValueError):
         CartanType.parse(text)
@@ -263,14 +264,29 @@ BUILD_ORACLE_TYPES = ([f"A{n}" for n in range(1, 10)] + [f"B{n}" for n in range(
 
 @pytest.mark.parametrize("name", BUILD_ORACLE_TYPES)
 def test_integer_build_matches_fraction_oracle(name):
-    # build's symmetrizers and D * C^-1 never leave the integers; the
-    # oracle walks the diagram and inverts C in Fractions
+    # build states the symmetrizers and finds D * C^-1 in the integers;
+    # the oracle derives d from the matrix and inverts C in Fractions
     rs = build(name)
     inv = invert_rational(rs.cartan)
     den = lcm(*(x.denominator for row in inv for x in row))
     assert rs.d == fraction_symmetrizers(rs.cartan)
     assert rs._den == den
     assert rs._scaled_inv == tuple(tuple(int(x * den) for x in row) for row in inv)
+
+
+EDGE_TYPES = ([f"{family}{n}" for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+               for n in range(lo, 10)] + ["E6", "E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("name", EDGE_TYPES)
+def test_stated_edges_are_the_nonzero_cartan_entries(name):
+    # the diagram is stated and the matrix derived from it; its edges read
+    # back off the matrix in lexicographic order, the order of the keys
+    # weyl.orientation makes
+    rs = build(name)
+    n = rs.rank
+    assert rs._edges == tuple((i, k) for i in range(1, n + 1) for k in range(i + 1, n + 1)
+                              if rs.cartan[i - 1][k - 1])
 
 
 CLOSURE_ORACLE_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
