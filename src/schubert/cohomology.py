@@ -12,9 +12,11 @@ D_i is a table built once per root system from ``demazure_op``.  thmB
 seeds the sum of the e^beta; thmA and thm42 share one walk
 (``verify_root_lines``) whose columns pack every per-root line as a
 32-bit digit; ``inversion_tangent`` steps the same tables along one
-word.  The criterion for X(tau^-1) is read off the walk's x, and tau's
-inversions are ``tau.inverted()``.  Single queries go along the canonical
-reduced word (``euler_char``, ``h0_line``); so do the Euler checks of
+word.  The criterion for X(tau^-1) is read off the walk's x, tau's
+inversions are ``tau.inverted()``, and a row's canonical word of tau
+comes from the sweep's ``word_table``, each element peeled once.
+Single queries go along the canonical reduced word (``euler_char``,
+``h0_line``); so do the Euler checks of
 Coxeter elements, thmC_typeA and cor52_53_58, which take each c and its
 powers from its ``coxeter`` entry.  Individual cohomology characters
 are only ever reported in regimes where vanishing is certified:
@@ -39,7 +41,7 @@ from .charring import (_DIGIT, _MASK, _OFF, Character, _pack, adjoint_character,
                        demazure_along_word, demazure_op, e)
 from .rootsys import RootSystem, Weight
 from .weyl import (WeylElement, coxeter_elements, from_word, longest_element, min_parabolic_rep,
-                   ss_nonempty, walk)
+                   ss_nonempty, walk, word_table)
 
 __all__ = [
     "euler_char",
@@ -200,6 +202,7 @@ def verify_root_lines(rs: RootSystem, checks: Sequence[str],
             raise AssertionError(f"w_alpha is outside the coset w0 W_P for alpha_{a}")
     coset_rows: dict[int, list[dict]] = {a: [] for a in alphas}
     per_alpha = {str(a): 0 for a in alphas}
+    word_of = word_table(rs)
     for x, word, h, cols in group_walk(rs, seed, guard, sign):
         # w0(omega_a) is the one weight of least height in W omega_a
         cosets = [a for a in alphas if h[a - 1] == w0[a - 1]]
@@ -216,7 +219,7 @@ def verify_root_lines(rs: RootSystem, checks: Sequence[str],
             n_ss += criterion
             if is_full != criterion:
                 tangent_rows.append({
-                    "tau_word": list(WeylElement(rs, h).reduced_word()),
+                    "tau_word": word_of(h),
                     "tau_inv_word": list(word),
                     "tangent_equals_adjoint": is_full,
                     "ss_nonempty": criterion,
@@ -234,7 +237,7 @@ def verify_root_lines(rs: RootSystem, checks: Sequence[str],
             per_alpha[str(a)] += 1
             if total == target and not lines:
                 continue
-            words = {"tau_word": list(tau.reduced_word()), "tau_inv_word": list(word)}
+            words = {"tau_word": word_of(h), "tau_inv_word": list(word)}
             if total != target:
                 coset_rows[a].append({
                     "alpha": a, **words,
@@ -273,14 +276,18 @@ def verify_thmB_criterion(rs: RootSystem,
     g is a B-submodule of H^0, so char g <= E termwise.  Each failure is a
     counterexample row naming its clause.  The converse, E = char g
     exactly where the criterion holds, stays informational.
+
+    Every row's tau_word is the list of one ``word_table``, shared with
+    the table, not copied.
     """
     target = _adjoint_tables(rs)[2]
     alpha0 = rs.highest_root.coords
+    word_of = word_table(rs)
     rows, flagged, counterexamples = [], [], []
     for x, word, h, total in group_walk(rs, [0, *(int(r.positive) for r in rs.roots)], guard):
         has_negative = min(total) < 0
         ss = sum(map(mul, alpha0, x)) < 0
-        tau_word = list(WeylElement(rs, h).reduced_word())
+        tau_word = word_of(h)
         rows.append({
             "tau_word": tau_word,
             "tau_inv_word": list(word),
@@ -288,10 +295,11 @@ def verify_thmB_criterion(rs: RootSystem,
             "ss_nonempty": ss,
             "has_negative_multiplicity": has_negative,
         })
-        clauses = [clause for clause, failed in (
-            ("negative-multiplicity", has_negative),
-            ("adjoint-not-contained", ss and any(map(gt, target, total)))) if failed]
-        if clauses:
+        not_contained = ss and any(map(gt, target, total))
+        if has_negative or not_contained:
+            clauses = [clause for clause, failed in (
+                ("negative-multiplicity", has_negative),
+                ("adjoint-not-contained", not_contained)) if failed]
             euler = char_to_str(rs, _character(rs, total))
             if has_negative:
                 flagged.append({"tau_word": tau_word, "euler": euler})

@@ -16,6 +16,7 @@ from collections import namedtuple
 from importlib import import_module
 from json.encoder import encode_basestring_ascii as _str
 from math import factorial
+from operator import itemgetter
 from typing import Any, Callable
 
 from .rootsys import GUARD_ENV_VAR, CartanType, GuardExceeded, Record, RootSystem, resolve_guard
@@ -254,21 +255,66 @@ def _template(shape: tuple, nl: str) -> str:
     return "{" + inner + ("," + inner).join(fields) + nl + "}"
 
 
-def _record_values(x: Any, keys, shape: tuple) -> tuple | None:
-    """x's ints in key order when x is a dict with these keys and this
-    shape, else None."""
-    if type(x) is not dict or x.keys() != keys:
-        return None
-    values: list[int] = []
-    for k, n in shape:
-        v = x[k]
-        if n is None and type(v) is int:
-            values.append(v)
-        elif type(v) is list and len(v) == n and set(map(type, v)) == {int}:
-            values += v
-        else:
+def _fixed_record(first: dict, shape: tuple, nl: str) -> Callable[[Any], str | None]:
+    """A list item as json writes it on a line indented by nl, by one %
+    template, if it is a record of first's keys and this shape; else None."""
+    template, keys = _template(shape, nl), first.keys()
+
+    def piece(x: Any) -> str | None:
+        if type(x) is not dict or x.keys() != keys:
             return None
-    return tuple(values)
+        values: list[int] = []
+        for k, n in shape:
+            v = x[k]
+            if n is None and type(v) is int:
+                values.append(v)
+            elif type(v) is list and len(v) == n and set(map(type, v)) == {int}:
+                values += v
+            else:
+                return None
+        return template % tuple(values)
+
+    return piece
+
+
+def _flat_record(first: Any, nl: str) -> Callable[[Any], str | None] | None:
+    """None unless first is a non-empty dict with str keys whose values are
+    all None, bools, exact ints or lists of exact ints.  Else a writer that
+    gives a list item as json writes it on a line indented by nl, in one
+    piece, if it is such a record of first's keys, and None if not; it
+    reads the values in sorted key order by one itemgetter."""
+    if type(first) is not dict or not first or {type(k) for k in first} != {str}:
+        return None
+    keys = sorted(first)
+    heads = [f"{_str(k)}: " for k in keys]
+    get = itemgetter(*keys) if len(keys) > 1 else lambda x, k=keys[0]: (x[k],)
+    inner = nl + "  "
+    key_set, sep, close = first.keys(), "," + inner, nl + "}"
+    open_list, int_sep, close_list = "[" + inner + "  ", "," + inner + "  ", inner + "]"
+
+    def piece(x: Any) -> str | None:
+        if type(x) is not dict or x.keys() != key_set:
+            return None
+        fields = []
+        for head, v in zip(heads, get(x)):
+            kind = type(v)
+            if kind is list:
+                if not v:
+                    text = "[]"
+                elif set(map(type, v)) == {int}:
+                    text = open_list + int_sep.join(map(int.__repr__, v)) + close_list
+                else:
+                    return None
+            elif kind is int:
+                text = int.__repr__(v)
+            elif kind is bool or v is None:
+                text = _KEYWORDS[v]
+            else:
+                return None
+            fields.append(head + text)
+        return "{" + inner + sep.join(fields) + close
+
+    return piece if piece(first) is not None else None
 
 
 def write_json(obj: Any, write: Callable[[str], Any]) -> None:
@@ -279,9 +325,12 @@ def write_json(obj: Any, write: Callable[[str], Any]) -> None:
     or a non-empty list of exact ints, in the piece of its key; every other
     value goes through emit.
 
-    A list whose first item is a record (see _shape) writes that item, and
-    every later item of the same keys, value types and list lengths, by one
-    % template; any other item goes through emit.  Record pieces are long,
+    A list whose first item is a record writes every item of the same keys
+    in one piece each; any other item goes through emit.  A record of ints
+    and lists of ints (see _shape) is written by one % template, and items
+    must also share its value types and list lengths; failing that, a
+    record of None, bools, ints and lists of ints of any length
+    is written value by value (see _flat_record).  Record pieces are long,
     so the block is also cut at _BLOCK_CHARS characters of them."""
     parts: list[str] = []
     append = parts.append
@@ -290,18 +339,16 @@ def write_json(obj: Any, write: Callable[[str], Any]) -> None:
         write("".join(parts))
         parts.clear()
 
-    def records(o: list | tuple, shape: tuple, nl: str) -> None:
+    def records(o: list | tuple, write_record: Callable[[Any], str | None], nl: str) -> None:
         inner = nl + "  "
-        template, keys = _template(shape, inner), o[0].keys()
         sep, size = "[" + inner, 0
         for x in o:
             append(sep)
             sep = "," + inner
-            values = _record_values(x, keys, shape)
-            if values is None:
+            piece = write_record(x)
+            if piece is None:
                 emit(x, inner)
                 continue
-            piece = template % values
             append(piece)
             size += len(piece)
             if size >= _BLOCK_CHARS:
@@ -340,7 +387,9 @@ def write_json(obj: Any, write: Callable[[str], Any]) -> None:
         elif set(map(type, o)) == {int}:
             append(_int_list(o, nl))
         elif (shape := _shape(o[0])) is not None:
-            records(o, shape, nl)
+            records(o, _fixed_record(o[0], shape, inner), nl)
+        elif (write_record := _flat_record(o[0], inner)) is not None:
+            records(o, write_record, nl)
         else:
             sep = "[" + inner
             for x in o:

@@ -14,15 +14,19 @@ every descent test:
   * on x = (D ht w(alpha_k))_k itself, w s_d negates x_d and changes x_k
     by -C[d][k] x_d at the Dynkin neighbours k of d alone.
 
-Canonical reduced words peel the smallest-index right descent on x, which
-makes every enumeration in the engine deterministic.  Words, lengths,
+Canonical reduced words peel the smallest-index right descent on x
+(``_peel``), which makes every enumeration in the engine deterministic.
+The word of w is the word of w s_d plus d, d that descent, so
+``word_table`` derives each element's word from its parent's: a sweep
+peels each element once.  Words, lengths,
 Bruhat comparisons, the climbs to w0 and products u v (u's heights stepped
 along v's canonical word) all walk on H.  The action on fw coordinates
 applies the canonical word letter by letter, each letter touching at most
 four coordinates, and a heights tuple that names no element has no
 canonical word, so it is refused there.  ``walk`` is the one walk of the
 group, depth first along the canonical words of the inverses, stepping H
-and a caller's payload; ``enumerate_group`` is its elements, sorted.
+and a caller's payload; ``enumerate_group`` is its elements, sorted by
+their words from one table.
 Elements invert by their reversed canonical word, so no rational
 arithmetic touches a group element.  A Coxeter element depends only on
 its Dynkin orientation (``orientation``), so ``coxeter_elements`` builds
@@ -36,7 +40,7 @@ from __future__ import annotations
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import product
-from operator import add, mul, neg
+from operator import add, mul, neg, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .rootsys import GuardExceeded, Root, RootSystem, Weight, resolve_guard
@@ -48,6 +52,7 @@ __all__ = [
     "longest_element",
     "min_parabolic_rep",
     "enumerate_group",
+    "word_table",
     "bruhat_leq",
     "coxeter_elements",
     "ss_nonempty",
@@ -122,26 +127,17 @@ class WeylElement:
     # -- combinatorics ---------------------------------------------------------
 
     def reduced_word(self) -> tuple[int, ...]:
-        """Canonical reduced word: repeatedly peel the smallest right
-        descent d, on x_k = D ht w(alpha_k) alone: w s_d negates x_d and
-        takes C[d][k] x_d from each Dynkin neighbour x_k."""
+        """Canonical reduced word: ``_peel`` the smallest right descent
+        until none is left, which must leave e."""
         if self._word is None:
             rs = self.rs
-            h = self.heights
-            x = [_root_height(h, col) for col in rs._simple_columns]
+            x = [_root_height(self.heights, col) for col in rs._simple_columns]
             rows = rs._simple_rows
             rev: list[int] = []
-            while True:
-                for d, xd in enumerate(x):
-                    if xd < 0:
-                        break
-                else:
-                    break
+            while (d := _peel(x, rows)[0]) >= 0:
                 rev.append(d + 1)
-                for k, c in rows[d]:
-                    x[k] -= c * xd
             if x != [rs._den] * rs.rank:  # x(e): every simple root has height 1
-                raise AssertionError("non-identity element without descent")
+                raise _no_descent()
             rev.reverse()
             self._word = tuple(rev)
         return self._word
@@ -181,6 +177,23 @@ def _root_height(h: tuple[int, ...], col: tuple[tuple[int, int], ...]) -> int:
     for j, c in col:
         x += c * h[j]
     return x
+
+
+def _peel(x: list[int], rows: tuple) -> tuple[int, int]:
+    """The smallest right descent d of w and x_d, on x = (D ht w(alpha_k))_k,
+    which becomes the x of w s_d: negate x_d, take C[d][k] x_d from each
+    Dynkin neighbour x_k (rows = ``rs._simple_rows``).  (-1, 0) when w has
+    no right descent, x untouched: the one peel step of this module."""
+    for d, xd in enumerate(x):
+        if xd < 0:
+            for k, c in rows[d]:
+                x[k] -= c * xd
+            return d, xd
+    return -1, 0
+
+
+def _no_descent() -> AssertionError:
+    return AssertionError("non-identity element without descent")
 
 
 def _reflect(h: tuple[int, ...], k: int, x: int) -> tuple[int, ...]:
@@ -279,12 +292,13 @@ def walk(rs: RootSystem, seed: object, step: Callable[[int, object], object],
     times row k of tau's matrix on fw coordinates, the walk's own state,
     which s_k tau changes at k and its Dynkin neighbours.  The explicit
     stack keeps at most N + 1 payloads alive, N = |R+| the depth.  The
+    matrix is kept times D, so H(s_k tau) is H(tau) minus its row k.  The
     guard prices |W| first; any other visit count is an engine failure."""
     order = guarded_order(rs, guard)
     n, den, cartan = rs.rank, rs._den, rs.cartan
     rows_of, neighbours = rs._simple_rows, rs._neighbours
     node = ([den] * n, (), rs._height_vec, seed)
-    mat = [tuple(int(a == b) for b in range(n)) for a in range(n)]
+    mat = [tuple(den * (a == b) for b in range(n)) for a in range(n)]
     stack: list = []
     visited = 0
     while True:
@@ -312,17 +326,50 @@ def walk(rs: RootSystem, seed: object, step: Callable[[int, object], object],
             new[j] = (tuple(map(add, mat[j], row)) if c == 1 else
                       tuple(a + c * b for a, b in zip(mat[j], row)))
         mat = new
-        node = (y, word + (k + 1,), tuple(a - den * b for a, b in zip(h, row)),
-                step(k + 1, payload))
+        node = (y, word + (k + 1,), tuple(map(sub, h, row)), step(k + 1, payload))
     if visited != order:
         raise AssertionError(f"engine failure: walked {visited} elements, expected {order}")
 
 
+def word_table(rs: RootSystem) -> Callable[[tuple[int, ...]], list[int]]:
+    """The canonical word of the element of column heights h, as a list
+    that a caller may share but must not change, from a memo that one
+    sweep keeps: w's word is w s_d's plus d, d the smallest right descent
+    (``_peel``), so each element is peeled once however many ask for it.
+    A heights tuple that names no element peels down to no descent and
+    not e, and is refused as ``reduced_word`` refuses it."""
+    cols, rows = rs._simple_columns, rs._simple_rows
+    memo: dict[tuple[int, ...], list[int]] = {rs._height_vec: []}
+
+    def word(h: tuple[int, ...]) -> list[int]:
+        w = memo.get(h)
+        if w is None:
+            x = [_root_height(h, col) for col in cols]
+            path = []
+            while (w := memo.get(h)) is None:
+                d, xd = _peel(x, rows)
+                if d < 0:
+                    raise _no_descent()
+                path.append((h, d + 1))
+                h = _reflect(h, d, xd)
+            for h, d in reversed(path):
+                memo[h] = w = w + [d]
+        return w
+
+    return word
+
+
 def enumerate_group(rs: RootSystem, guard: int | None = None) -> Iterator[WeylElement]:
     """Every element once, ordered by (length, canonical word): ``walk``'s
-    elements, sorted.  Raises GuardExceeded when |W| exceeds the guard."""
-    elements = [WeylElement(rs, h) for _, _, h, _ in walk(rs, None, lambda k, p: p, guard)]
-    return iter(sorted(elements, key=lambda w: (w.length, w.reduced_word())))
+    elements, sorted, their words from one ``word_table``.  Raises
+    GuardExceeded when |W| exceeds the guard."""
+    word = word_table(rs)
+    elements = []
+    for _, _, h, _ in walk(rs, None, lambda k, p: p, guard):
+        w = WeylElement(rs, h)
+        w._word = tuple(word(h))
+        elements.append(w)
+    return iter(sorted(elements, key=lambda w: (len(w._word), w._word)))
 
 
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:

@@ -758,6 +758,12 @@ GOLDEN = {
         "26a5779cac897f82e58d9ad6bf097f72e111645e86b829bdfdf69c0007917ff4",
     (("sweep", "--type", "D4"), "json"):
         "1cc9070acb9e14545ce49ef7e3bf4cd5d61f990a155c29804d54e9fe624bd9cb",
+    (("sweep", "--type", "B3"), "json"):
+        "a91fae9654d0c8f2ac4622c430146f309037389ffcff80d1ab782cc81a3f1742",
+    (("sweep", "--type", "C4"), "json"):
+        "e97242b7a8a602c878378f6150133cf4211c435112c328a9053bc27332ff9d38",
+    (("sweep", "--type", "F4"), "json"):
+        "d7803893e6126651275f84bbe3def248f5d35846ac5c054cd992335a4c91d4d9",
     (("verify", "lemma54_56", "--type", "E6"), "json"):
         "fa9cb5bafb0711f4c9686e2f62b0798f343be45baeab2405eacb497c0f225d78",
     (("verify", "prop51", "--type", "E6"), "json"):

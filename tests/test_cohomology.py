@@ -438,6 +438,21 @@ def test_a_sweep_runs_demazure_op_only_to_build_its_tables(monkeypatch, name, sw
     assert len(steps) == rs.ct.weyl_order - 1
 
 
+@pytest.mark.parametrize("name", ["B3", "C4", "F4", "G2"])
+def test_thmB_peels_each_element_once(monkeypatch, name):
+    # every row's word comes from one table, |W| - 1 peels in all and no
+    # reduced_word, and the sorted rows are in enumeration order
+    rs = build(name)
+    real, peels = weyl._peel, []
+    with monkeypatch.context() as m:
+        m.setattr(weyl, "_peel", lambda *args: peels.append(1) or real(*args))
+        m.setattr(WeylElement, "reduced_word", lambda w: pytest.fail("peeled again"))
+        universe, _, details = cohomology.verify_thmB_criterion(rs)
+    assert len(peels) == universe - 1 == rs.ct.weyl_order - 1
+    assert [tuple(row["tau_word"]) for row in details["rows"]] == [
+        w.reduced_word() for w in enumerate_group(rs)]
+
+
 def test_verify_thmB_shape():
     rep = run_check(build("B2"), "thmB")
     assert rep.passed  # exploratory: passing means the sweep ran

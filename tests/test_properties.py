@@ -207,12 +207,54 @@ def test_write_json_first_items_of_every_kind(first):
         assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+class Big(int):
+    pass
+
+
+# Values a record writes in one piece (None, bools, exact ints, lists of
+# exact ints of any length, empty ones too) and values that send its item
+# through emit: int subclasses, True in an int list, str, nested values.
+FLAT_VALUES = (st.none() | st.booleans() | st.integers() | st.integers(-2 ** 80, 2 ** 80)
+               | st.lists(st.integers(-9, 9), max_size=5))
+OTHER_VALUES = (st.integers().map(Big) | st.just(Small.ONE)
+                | st.lists(st.integers(-9, 9) | st.just(True), min_size=1, max_size=3)
+                | st.text(max_size=3) | st.lists(FLAT_VALUES, max_size=2)
+                | st.dictionaries(st.text(max_size=2), FLAT_VALUES, max_size=2))
+RECORD_KEYS = st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def record_lists(draw):
+    """Records of one key set, mostly of flat values, a few of them with
+    other values, and now and then an item of other keys or no record."""
+    keys = draw(RECORD_KEYS, label="keys")
+
+    def record(values):
+        return st.fixed_dictionaries({k: values for k in keys})
+
+    later = (record(FLAT_VALUES) | record(FLAT_VALUES | OTHER_VALUES)
+             | st.dictionaries(st.text(max_size=3), FLAT_VALUES, max_size=3)
+             | FLAT_VALUES)
+    return [draw(record(FLAT_VALUES), label="first"),
+            *draw(st.lists(later, max_size=6), label="later")]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(record_lists())
+def test_write_json_flat_records_match_json_dumps(rows):
+    # at the top, in a dict and in a list, as a report nests its rows
+    for doc in (rows, {"details": {"rows": rows}}, [[rows]]):
+        blocks = []
+        write_json(doc, blocks.append)
+        assert "".join(blocks) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("doc", [{1, 2}, object(), [1, [{2}]], {"a": {"b": object()}},
                                  {(1, 2): 3}, {1: 2, "1": 3}, [{"a": 1}, {"a": {1}}],
-                                 [{"a": 1}, {1: 2, "1": 3}]],
+                                 [{"a": 1}, {1: 2, "1": 3}], [{"a": None}, {"a": {1}}]],
                          ids=["set", "object", "nested set", "nested object", "tuple key",
                               "mixed keys", "a set after a record",
-                              "mixed keys after a record"])
+                              "mixed keys after a record", "a set after a flat record"])
 def test_write_json_refuses_what_json_refuses(doc):
     with pytest.raises(TypeError) as expected:
         json.dumps(doc, sort_keys=True, indent=2)

@@ -16,9 +16,10 @@ from schubert import (
     longest_element,
     min_parabolic_rep,
 )
+from schubert import weyl
 from schubert.coxeter import _entry
 from schubert.rootsys import DEFAULT_GUARD, GUARD_ENV_VAR, resolve_guard
-from schubert.weyl import orientation
+from schubert.weyl import orientation, walk, word_table
 
 from helpers import (LAYER_TYPES, coxeter_elements_per_permutation, element_of,
                      element_order, gauss_jordan_inverse, identity_matrix, matmul, matrix_of,
@@ -296,6 +297,41 @@ def test_element_paths_match_slow_oracles(name):
             assert bruhat_leq(from_word(rs, (i,)), w) == (i in word)
 
 
+WORD_TABLE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "F4", "G2"]
+
+
+@pytest.mark.parametrize("name", WORD_TABLE_TYPES)
+def test_word_table_matches_reduced_word(name, monkeypatch):
+    # every element's word from a table, asked in the walk's order and in
+    # the reverse, against a fresh element's height peel and the peel by
+    # full products; each table peels each element once, e never
+    rs = build(name)
+    heights = [h for _, _, h, _ in walk(rs, None, lambda k, p: p)]
+    want = {h: WeylElement(rs, h).reduced_word() for h in heights}
+    for h, word in want.items():
+        assert word == peel_reduced_word(rs, matrix_of(WeylElement(rs, h)))
+    real, peels = weyl._peel, []
+    monkeypatch.setattr(weyl, "_peel", lambda *args: peels.append(1) or real(*args))
+    for order in (heights, heights[::-1]):
+        peels.clear()
+        words = word_table(rs)
+        assert [tuple(words(h)) for h in order] == [want[h] for h in order]
+        assert len(peels) == len(heights) - 1
+        assert all(words(h) is words(h) for h in order)  # shared, not copied
+
+
+@pytest.mark.parametrize("name", ["A4", "B3", "F4"])
+def test_enumerate_group_peels_each_element_once(name, monkeypatch):
+    # its sort key and every element's word come from one table
+    rs = build(name)
+    real, peels = weyl._peel, []
+    monkeypatch.setattr(weyl, "_peel", lambda *args: peels.append(1) or real(*args))
+    monkeypatch.setattr(WeylElement, "reduced_word", lambda w: pytest.fail("peeled again"))
+    elements = list(enumerate_group(rs))
+    assert len(peels) == len(elements) - 1 == rs.ct.weyl_order - 1
+    assert all(len(w._word) == len(w.inversion_set()) for w in elements)
+
+
 @pytest.mark.parametrize("name", ORACLE_TYPES)
 def test_column_heights_are_a_faithful_key(name):
     # an element is its column heights: over all of W they are the column
@@ -337,11 +373,12 @@ def test_products_match_the_oracle_product(name):
 @pytest.mark.parametrize("name", ORACLE_TYPES)
 def test_heights_of_no_element_are_refused(name):
     # H(w) with one coordinate raised by 1, wherever that names no element:
-    # the height peel does not end on x(e), so reduced_word, and
-    # act through it, refuse it
+    # the height peel does not end on x(e), so reduced_word, act through
+    # it and a word table refuse it, and the table stays sound
     rs = build(name)
     elements = list(enumerate_group(rs))
     known = {w.heights for w in elements}
+    words = word_table(rs)
     refused = 0
     for w in elements:
         for j in range(rs.rank):
@@ -353,7 +390,10 @@ def test_heights_of_no_element_are_refused(name):
                 WeylElement(rs, h).reduced_word()
             with pytest.raises(AssertionError, match="non-identity element without descent"):
                 WeylElement(rs, h).act(rs.rho.fw)
+            with pytest.raises(AssertionError, match="non-identity element without descent"):
+                words(h)
     assert refused
+    assert [tuple(words(w.heights)) for w in elements] == [w.reduced_word() for w in elements]
 
 
 @pytest.mark.parametrize("name", ORACLE_TYPES)
