@@ -5,7 +5,8 @@ as a dict keyed by packed integers with zero terms pruned: fw coordinate j
 of lam is the digit ``fw_j + 2^31`` in bits [32j, 32j + 32) of the key.
 ``Weight`` appears only where a caller hands one in or asks for one back:
 ``e``, the constructor and ``multiplicity`` pack, ``items``,
-``char_sorted_terms`` and ``repr`` unpack.  The Demazure operator is
+``char_sorted_terms`` and ``repr`` unpack; reports read a term's fw
+tuple as it is unpacked (``_sorted_rows``).  The Demazure operator is
 implemented by the closed string formula, never as a rational-function
 quotient, so every value is exact:
 
@@ -42,6 +43,7 @@ w0 composition with the Freudenthal construction of irreducible characters
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from struct import Struct
 from typing import Iterator, Sequence
 
@@ -332,8 +334,9 @@ def adjoint_character(rs: RootSystem) -> Character:
     return Character(terms)
 
 
-def char_sorted_terms(rs: RootSystem, f: Character) -> list[tuple[Weight, int]]:
-    """Terms in the canonical report order: by height, then fw coordinates.
+def _sorted_rows(rs: RootSystem, f: Character) -> list[tuple[tuple[int, ...], int]]:
+    """(fw, mult) pairs of f's terms in the canonical report order: by
+    height, then fw coordinates.
 
     The first sort key is D times the height (``RootSystem.scaled_height``),
     an integer with the same order as the rational height.  Every key is
@@ -346,13 +349,13 @@ def char_sorted_terms(rs: RootSystem, f: Character) -> list[tuple[Weight, int]]:
     digits = b"".join([(k ^ flip).to_bytes(size, "little") for k in f._terms])
     rows = sorted([(height(fw), fw, m)
                    for fw, m in zip(layout.iter_unpack(digits), f._terms.values())])
-    return [(Weight(fw), m) for _, fw, m in rows]
+    return list(map(itemgetter(1, 2), rows))
+
+
+def char_sorted_terms(rs: RootSystem, f: Character) -> list[tuple[Weight, int]]:
+    """Terms in the canonical report order (see _sorted_rows), as Weights."""
+    return [(Weight(fw), m) for fw, m in _sorted_rows(rs, f)]
 
 
 def char_to_str(rs: RootSystem, f: Character) -> str:
-    if f.is_zero:
-        return "0"
-    parts = []
-    for w, m in char_sorted_terms(rs, f):
-        parts.append(f"{m}*e{list(w.fw)}")
-    return " + ".join(parts)
+    return " + ".join([f"{m}*e{list(fw)}" for fw, m in _sorted_rows(rs, f)]) or "0"

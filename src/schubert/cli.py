@@ -198,7 +198,7 @@ def _weyl_dimension(rs: RootSystem, lam: Weight) -> int:
 
 def cmd_demazure(args) -> tuple[str | dict, int]:
     # imported here: verify and sweep of the Coxeter checks never load charring
-    from .charring import char_sorted_terms, char_to_str, demazure_along_word, e
+    from .charring import _sorted_rows, char_to_str, demazure_along_word, e
 
     guard = resolve_guard(None)  # a bad guard refuses before the build
     rs = build(args.type)
@@ -215,8 +215,7 @@ def cmd_demazure(args) -> tuple[str | dict, int]:
             "type": str(rs.ct),
             "word": list(word),
             "weight_fw": list(lam.fw),
-            "terms": [{"fw": list(w.fw), "mult": m}
-                      for w, m in char_sorted_terms(rs, result)],
+            "terms": [{"fw": list(fw), "mult": m} for fw, m in _sorted_rows(rs, result)],
             "term_count": len(result),
             "engine_version": __version__,
         }, 0

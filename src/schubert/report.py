@@ -6,6 +6,11 @@ A verifier in cohomology or coxeter returns only what it computes,
 (universe size, counterexamples, details); run_checks gates it, times it
 and stamps the Report, runs a pass that two checks share only once, and
 spreads the passes over a process pool when asked for workers.
+
+write_json streams a report as json.dumps(obj, sort_keys=True, indent=2)
+writes it, in blocks.  One writer, _record, writes a dict in one piece
+when its values are str, None, bools, exact ints or lists of exact ints:
+every report row takes that one path, and anything else the general one.
 """
 
 from __future__ import annotations
@@ -204,7 +209,7 @@ def labeling_table(rs: RootSystem) -> dict:
 
 
 _BLOCK = 4096  # pieces per write() call, so a report is never held whole
-_BLOCK_CHARS = 1 << 16  # characters of record pieces per write() call
+_BLOCK_CHARS = 1 << 16  # characters of list-item pieces per write() call
 _KEYWORDS = {None: "null", True: "true", False: "false"}
 _FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -221,140 +226,72 @@ def _scalar(o: Any) -> str | None:
     return None
 
 
-def _int_list(o: list | tuple, nl: str) -> str:
-    """A non-empty list of plain ints as json writes it, in one join."""
-    inner = nl + "  "
-    return f"[{inner}{(',' + inner).join(map(int.__repr__, o))}{nl}]"
+def _record(keys: Any, nl: str) -> Callable[[Any], str | None]:
+    """A writer of a dict whose keys are exactly keys, all str, as json
+    writes it on a line indented by nl, in one piece when every value is a
+    str, None, a bool, an exact int or a list of exact ints; any other item
+    gives None.  It reads the values in sorted key order by one itemgetter,
+    puts each list's ints into the value tuple, and fills the % template of
+    that tuple of list lengths, built once."""
+    if not keys or {type(k) for k in keys} != {str}:
+        return lambda x: None
+    order = sorted(keys)
+    get = itemgetter(*order) if len(order) > 1 else lambda x: (x[order[0]],)
+    inner, heads = nl + "  ", [_str(k).replace("%", "%%") + ": " for k in order]
+    item, templates, ints = nl + "    ", {}, {int}
 
-
-def _shape(o: Any) -> tuple | None:
-    """A record's shape: o's sorted (key, list length or None for an int)
-    pairs when o is a non-empty dict with str keys whose values are all
-    exact ints or non-empty lists of exact ints, else None."""
-    if type(o) is not dict or not o or {type(k) for k in o} != {str}:
-        return None
-    shape = []
-    for k, v in sorted(o.items()):
-        if type(v) is int:
-            shape.append((k, None))
-        elif type(v) is list and v and set(map(type, v)) == {int}:
-            shape.append((k, len(v)))
-        else:
-            return None
-    return tuple(shape)
-
-
-def _template(shape: tuple, nl: str) -> str:
-    """A % template that writes a record of this shape on a line indented
-    by nl, as json does, from its ints in key order."""
-    inner = nl + "  "
-    fields = []
-    for k, n in shape:
-        value = "%s" if n is None else f"[{inner}  " + f",{inner}  ".join(["%s"] * n) + f"{inner}]"
-        fields.append(f"{_str(k).replace('%', '%%')}: {value}")
-    return "{" + inner + ("," + inner).join(fields) + nl + "}"
-
-
-def _fixed_record(first: dict, shape: tuple, nl: str) -> Callable[[Any], str | None]:
-    """A list item as json writes it on a line indented by nl, by one %
-    template, if it is a record of first's keys and this shape; else None."""
-    template, keys = _template(shape, nl), first.keys()
+    def template(lengths: tuple) -> str:
+        fields = [head + ("%s" if n is None else "[]" if not n else
+                          "[" + item + ("," + item).join(["%s"] * n) + inner + "]")
+                  for head, n in zip(heads, lengths)]
+        return "{" + inner + ("," + inner).join(fields) + nl + "}"
 
     def piece(x: Any) -> str | None:
         if type(x) is not dict or x.keys() != keys:
             return None
-        values: list[int] = []
-        for k, n in shape:
-            v = x[k]
-            if n is None and type(v) is int:
-                values.append(v)
-            elif type(v) is list and len(v) == n and set(map(type, v)) == {int}:
-                values += v
-            else:
-                return None
-        return template % tuple(values)
-
-    return piece
-
-
-def _flat_record(first: Any, nl: str) -> Callable[[Any], str | None] | None:
-    """None unless first is a non-empty dict with str keys whose values are
-    all None, bools, exact ints or lists of exact ints.  Else a writer that
-    gives a list item as json writes it on a line indented by nl, in one
-    piece, if it is such a record of first's keys, and None if not; it
-    reads the values in sorted key order by one itemgetter."""
-    if type(first) is not dict or not first or {type(k) for k in first} != {str}:
-        return None
-    keys = sorted(first)
-    heads = [f"{_str(k)}: " for k in keys]
-    get = itemgetter(*keys) if len(keys) > 1 else lambda x, k=keys[0]: (x[k],)
-    inner = nl + "  "
-    key_set, sep, close = first.keys(), "," + inner, nl + "}"
-    open_list, int_sep, close_list = "[" + inner + "  ", "," + inner + "  ", inner + "]"
-
-    def piece(x: Any) -> str | None:
-        if type(x) is not dict or x.keys() != key_set:
-            return None
-        fields = []
-        for head, v in zip(heads, get(x)):
+        values: list = []
+        lengths = []
+        for v in get(x):
             kind = type(v)
             if kind is list:
-                if not v:
-                    text = "[]"
-                elif set(map(type, v)) == {int}:
-                    text = open_list + int_sep.join(map(int.__repr__, v)) + close_list
-                else:
+                if not set(map(type, v)) <= ints:
                     return None
-            elif kind is int:
-                text = int.__repr__(v)
-            elif kind is bool or v is None:
-                text = _KEYWORDS[v]
-            else:
-                return None
-            fields.append(head + text)
-        return "{" + inner + sep.join(fields) + close
+                values += v
+                lengths.append(len(v))
+                continue
+            if kind is str:
+                v = _str(v)
+            elif kind is not int:
+                if kind is not bool and v is not None:
+                    return None
+                v = _KEYWORDS[v]
+            values.append(v)
+            lengths.append(None)
+        shape = tuple(lengths)
+        text = templates.get(shape) or templates.setdefault(shape, template(shape))
+        return text % tuple(values)
 
-    return piece if piece(first) is not None else None
+    return piece
 
 
 def write_json(obj: Any, write: Callable[[str], Any]) -> None:
     """Pass write json.dumps(obj, sort_keys=True, indent=2) + "\n" in blocks of
     about _BLOCK pieces, dispatching types in json.encoder's order: str; None,
     bools; int; float; list or tuple; dict, keys converted as json does;
-    anything else is a TypeError.  A dict writes a value of exact type int,
-    or a non-empty list of exact ints, in the piece of its key; every other
-    value goes through emit.
+    anything else is a TypeError.
 
-    A list whose first item is a record writes every item of the same keys
-    in one piece each; any other item goes through emit.  A record of ints
-    and lists of ints (see _shape) is written by one % template, and items
-    must also share its value types and list lengths; failing that, a
-    record of None, bools, ints and lists of ints of any length
-    is written value by value (see _flat_record).  Record pieces are long,
-    so the block is also cut at _BLOCK_CHARS characters of them."""
+    One writer, _record, writes a dict in one piece: each dict that emit
+    meets, and each item of a list whose first item is a dict, by the
+    writer of that item's keys.  A list whose first item is no dict writes
+    its scalars by _scalar.  An item neither writes goes through emit.
+    List-item pieces can be long, so the block is also cut at _BLOCK_CHARS
+    characters of them."""
     parts: list[str] = []
     append = parts.append
 
     def flush() -> None:
         write("".join(parts))
         parts.clear()
-
-    def records(o: list | tuple, write_record: Callable[[Any], str | None], nl: str) -> None:
-        inner = nl + "  "
-        sep, size = "[" + inner, 0
-        for x in o:
-            append(sep)
-            sep = "," + inner
-            piece = write_record(x)
-            if piece is None:
-                emit(x, inner)
-                continue
-            append(piece)
-            size += len(piece)
-            if size >= _BLOCK_CHARS:
-                flush()
-                size = 0
-        append(nl + "]")
 
     def emit(o: Any, nl: str) -> None:  # nl: a newline and the indent of o's line
         if len(parts) >= _BLOCK:
@@ -368,35 +305,34 @@ def write_json(obj: Any, write: Callable[[str], Any]) -> None:
             return append("{}" if isinstance(o, dict) else "[]")
         inner = nl + "  "
         if isinstance(o, dict):
+            text = _record(o.keys(), nl)(o)
+            if text is not None:
+                return append(text)
             sep = "{" + inner
             for k, v in sorted(o.items()):
                 key = k if isinstance(k, str) else _scalar(k)
                 if key is None:
                     raise TypeError("keys must be str, int, float, bool or None, "
                                     f"not {k.__class__.__name__}")
-                kind = type(v)
-                if kind is int:
-                    append(f"{sep}{_str(key)}: {int.__repr__(v)}")
-                elif kind is list and v and set(map(type, v)) == {int}:
-                    append(f"{sep}{_str(key)}: {_int_list(v, inner)}")
-                else:
-                    append(f"{sep}{_str(key)}: ")
-                    emit(v, inner)
+                append(f"{sep}{_str(key)}: ")
+                emit(v, inner)
                 sep = "," + inner
-            append(nl + "}")
-        elif set(map(type, o)) == {int}:
-            append(_int_list(o, nl))
-        elif (shape := _shape(o[0])) is not None:
-            records(o, _fixed_record(o[0], shape, inner), nl)
-        elif (write_record := _flat_record(o[0], inner)) is not None:
-            records(o, write_record, nl)
-        else:
-            sep = "[" + inner
-            for x in o:
-                append(sep)
+            return append(nl + "}")
+        piece = _record(o[0].keys(), inner) if type(o[0]) is dict else _scalar
+        sep, size = "[" + inner, 0
+        for x in o:
+            append(sep)
+            sep = "," + inner
+            text = piece(x)
+            if text is None:
                 emit(x, inner)
-                sep = "," + inner
-            append(nl + "]")
+                continue
+            append(text)
+            size += len(text)
+            if size >= _BLOCK_CHARS:
+                flush()
+                size = 0
+        append(nl + "]")
 
     emit(obj, "\n")
     append("\n")

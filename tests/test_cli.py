@@ -782,6 +782,27 @@ GOLDEN = {
 }
 
 
+# sha256 of a failing sweep's stdout, elapsed_ms masked: under an adjoint
+# target one e^0 too high, A4 fails 60 thmA and 72 thm42 rows, whose kernel
+# and difference are str values; recorded before rows with str values went
+# through the record writer
+FAILING_GOLDEN = "9dacefe2d34d5e49a476eb05fd0416fb64fc50391b13b71069d4ac340f50b136"
+
+
+def test_golden_bytes_of_a_failing_report(capsys, monkeypatch):
+    shift_adjoint_target(monkeypatch, build("A4"), 1)
+    code, out, _ = run(capsys, "sweep", "--type", "A4", "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    rows = {rep["check"]: rep["counterexamples"] for rep in doc}
+    assert (len(rows["thmA"]), len(rows["thm42"])) == (60, 72)
+    assert all(type(row["kernel"]) is str for row in rows["thmA"])
+    assert all(type(row["difference"]) is str for row in rows["thm42"])
+    assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
+    assert hashlib.sha256(out.encode()).hexdigest() == FAILING_GOLDEN
+
+
 @pytest.mark.parametrize("argv,fmt", sorted(GOLDEN),
                          ids=lambda v: v if isinstance(v, str) else " ".join(v))
 def test_golden_report_bytes(capsys, argv, fmt):

@@ -166,8 +166,9 @@ class Small(IntEnum):
                               "ints and a bool", "int and IntEnum", "tuple of ints", "int",
                               "ints"])
 def test_write_json_dict_leaves_match_json_dumps(value):
-    # a dict writes exact ints and non-empty lists of exact ints in the
-    # piece of their key; bools, int subclasses, tuples and [] go through emit
+    # a dict of str keys whose values are all str, None, bools, exact ints or
+    # lists of exact ints ([] too) is one record piece; an int subclass, a
+    # bool in an int list or a tuple sends it through emit, value by value
     for doc in ({"k": value}, {"a": [{"b": value, "c": 0}], "k": value}):
         assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -187,13 +188,18 @@ LATER = [
     ("keys in another order", {"mult": 2, "fw": [2 ** 70, 5, -7]}),
     ("not a dict", [1, 2, 3]),
     ("an empty dict", {}),
+    ("a str value", {"fw": [0, 5, -7], "mult": "x\u00e9\n"}),
+    ("a str with %", {"fw": [0, 5, -7], "mult": "%s %d %%"}),
+    ("a dict value", {"fw": [0, 5, -7], "mult": {"a": 1}}),
 ]
 
 
 @pytest.mark.parametrize("later", [item for _, item in LATER], ids=[k for k, _ in LATER])
 def test_write_json_records_match_json_dumps(later):
-    # the first record's template fills only later records of its exact
-    # shape; every other item goes through emit
+    # the first record's keys name the record writer of every item; it
+    # writes a later item of those keys and record values in one piece,
+    # one template per tuple of list lengths, and every other item goes
+    # through emit
     for doc in ([RECORD, later, RECORD], {"terms": [RECORD, RECORD, later, None, RECORD]}):
         assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -211,14 +217,17 @@ class Big(int):
     pass
 
 
-# Values a record writes in one piece (None, bools, exact ints, lists of
+# Values a record writes in one piece (str, among them ones holding %,
+# non-ASCII text and control characters; None, bools, exact ints, lists of
 # exact ints of any length, empty ones too) and values that send its item
-# through emit: int subclasses, True in an int list, str, nested values.
+# through emit: int subclasses, True in an int list, nested values.
 FLAT_VALUES = (st.none() | st.booleans() | st.integers() | st.integers(-2 ** 80, 2 ** 80)
-               | st.lists(st.integers(-9, 9), max_size=5))
+               | st.lists(st.integers(-9, 9), max_size=5) | st.text(max_size=3)
+               | st.sampled_from(["%", "%s", "%%d %(k)s", "h\u00e9\u2202\U0001d6fc",
+                                  "\x00\t\n\x1f\x7f", "\u2028\"\\"]))
 OTHER_VALUES = (st.integers().map(Big) | st.just(Small.ONE)
                 | st.lists(st.integers(-9, 9) | st.just(True), min_size=1, max_size=3)
-                | st.text(max_size=3) | st.lists(FLAT_VALUES, max_size=2)
+                | st.lists(FLAT_VALUES, max_size=2)
                 | st.dictionaries(st.text(max_size=2), FLAT_VALUES, max_size=2))
 RECORD_KEYS = st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True)
 
