@@ -9,12 +9,14 @@ on the element only; Demazure 1974, Kumar, Kac-Moody Groups, ch. 8).
 Every seed lies in the span of the e^mu, mu in R u {0}, which each D_i
 maps to itself, so a sweep carries columns indexed by those weights, and
 D_i is a table built once per root system from ``demazure_op``.  thmB
-seeds the sum of the e^beta; thmA and thm42 share one walk
-(``verify_root_lines``) whose columns pack every per-root line as a
-32-bit digit; ``inversion_tangent`` steps the same tables along one
-word.  The criterion for X(tau^-1) is read off the walk's x, tau's
-inversions are ``tau.inverted()``, and a row's canonical word of tau
-comes from the sweep's ``word_table``, each element peeled once.
+seeds the sum of the e^beta and takes each row's canonical word of tau
+from the sweep's ``word_table``, each element peeled once; thmA
+(``verify_thmA``) walks all of W and thm42 (``verify_thm42``) walks only
+its cosets W_P* w_alpha, one per simple root, each on columns that pack
+every per-root line as a 32-bit digit; ``inversion_tangent`` steps the
+same tables along one word.  One check is one verifier and one walk.
+The criterion for X(tau^-1) is read off the walk's x, and thm42 reads
+tau's non-inversions off its heights, packed.
 Single queries go along the canonical reduced word (``euler_char``,
 ``h0_line``); so do the Euler checks of
 Coxeter elements, thmC_typeA and cor52_53_58, which take each c and its
@@ -39,16 +41,17 @@ from typing import Iterable, Iterator, Sequence
 from . import coxeter
 from .charring import (_DIGIT, _MASK, _OFF, Character, _pack, adjoint_character, char_to_str,
                        demazure_along_word, demazure_op, e)
-from .rootsys import RootSystem, Weight
-from .weyl import (WeylElement, coxeter_elements, from_word, longest_element, min_parabolic_rep,
-                   ss_nonempty, walk, word_table)
+from .rootsys import RootSystem, WalkFailure, Weight
+from .weyl import (WeylElement, coxeter_elements, from_word, min_parabolic_rep, ss_nonempty, walk,
+                   word_table)
 
 __all__ = [
     "euler_char",
     "h0_line",
     "group_walk",
     "inversion_tangent",
-    "verify_root_lines",
+    "verify_thmA",
+    "verify_thm42",
     "verify_thmB_criterion",
     "verify_lemma26",
     "verify_thmC_typeA",
@@ -124,7 +127,8 @@ def _column_step(rs: RootSystem, i: int, cols: list[int], sign: int) -> list[int
         out[b] = v = sum(c * cols[a] for a, c in row)
         if (v + sign) & sign != sign:
             low = ~(v + sign) & sign
-            raise _uncertified(rs.positive_roots[(low & -low).bit_length() // _DIGIT - 1].weight)
+            beta = rs.positive_roots[(low & -low).bit_length() // _DIGIT - 1]
+            raise AssertionError(f"{_uncertified(beta.weight)}, the line of {beta}")
     return out
 
 
@@ -140,13 +144,15 @@ def _character(rs: RootSystem, cols: Iterable[int]) -> Character:
     return Character._from_packed(dict(zip(_adjoint_tables(rs)[0], cols)))
 
 
-def group_walk(rs: RootSystem, seed: list[int], guard: int | None = None,
-               sign: int = 0) -> Iterator[tuple[list[int], tuple[int, ...], tuple, list[int]]]:
+def group_walk(rs: RootSystem, seed: list[int], guard: int | None = None, sign: int = 0,
+               start: Sequence[int] = (), letters: Iterable[int] | None = None,
+               ) -> Iterator[tuple[list[int], tuple[int, ...], tuple, list[int]]]:
     """``weyl.walk`` with chi(tau, seed) as columns for payload: the
     multiplicities at 0, then at ``rs.roots``, an entry maybe packing
     several as 32-bit digits.  Each left step s_k tau is one
-    ``_column_step`` of tau's columns, certified against sign."""
-    return walk(rs, seed, lambda i, cols: _column_step(rs, i, cols, sign), guard)
+    ``_column_step`` of tau's columns, certified against sign, those of
+    the climb from e to the start included."""
+    return walk(rs, seed, lambda i, cols: _column_step(rs, i, cols, sign), guard, start, letters)
 
 
 def _canonical(row: dict) -> tuple[int, list[int]]:
@@ -163,102 +169,103 @@ def inversion_tangent(rs: RootSystem, tau: WeylElement) -> Character:
     return _character(rs, [c >> top for c in cols])
 
 
-def verify_root_lines(rs: RootSystem, checks: Sequence[str],
-                      guard: int | None = None) -> list[tuple[int, list, dict]]:
-    """thmA and thm42, those of them named in checks, from one Demazure sweep.
+def verify_thmA(rs: RootSystem, guard: int | None = None) -> tuple[int, list, dict]:
+    """H^0 of the restricted tangent bundle on X(tau), the sum of the h0
+    lines chi(tau, e^beta) over the positive roots, for every tau in W: it
+    has the full adjoint character exactly when the semistable locus of
+    X(tau^-1) is nonempty, and it never exceeds the adjoint character (the
+    kernel stays effective).
 
     Each column of the seed packs the e^beta_r, line r in 32-bit digit r,
     and their sum in the top digit, so one column step per element carries
-    every h0 line chi(tau, e^beta_r) and the tangent; every line is
-    certified as the step computes it.  Returns one (universe,
-    counterexamples, details) per name in checks, in order.
-
-    thmA: H^0 of the restricted tangent bundle on X(tau) is the sum of the
-    h0 lines.  For every tau it has the full adjoint character exactly
-    when the semistable locus of X(tau^-1) is nonempty, and it never
-    exceeds the adjoint character (the kernel stays effective).
-
-    thm42: for every simple alpha and every tau above w_alpha in Bruhat
-    order, the lines of tau's inversions sum to the adjoint character and
-    every other positive root's line is zero.  The counterexamples are
-    listed alpha by alpha, each row naming its alpha.  That upper set is
-    the coset w0 W_P, found as tau(omega_alpha) = w0(omega_alpha): W_P,
-    the parabolic dropping alpha, is the stabilizer of omega_alpha,
-    w_alpha is the maximum of W^P, and tau -> tau^P preserves Bruhat
-    order, so tau >= w_alpha iff tau^P = w_alpha (Bjorner-Brenti, Section
-    2.5 and Cor. 2.2.3).
+    every line and the tangent; every line is certified as the step
+    computes it.
     """
     target = _adjoint_tables(rs)[2]
-    thmA = "thmA" in checks
-    roots = rs.positive_roots
     alpha0 = rs.highest_root.coords  # D ht sigma(alpha_0) = sum_k alpha0_k x_k
-    seed, top, sign = _line_seed(rs, [True] * len(roots))
-    tangent_rows: list[dict] = []
-    universe = n_equal = n_ss = 0
-    alphas = list(range(1, rs.rank + 1)) if "thm42" in checks else []
-    w0 = longest_element(rs).heights if alphas else ()  # H(w0)_a = D ht w0(omega_a)
-    for a in alphas:
-        if min_parabolic_rep(rs, a).heights[a - 1] != w0[a - 1]:
-            raise AssertionError(f"w_alpha is outside the coset w0 W_P for alpha_{a}")
-    coset_rows: dict[int, list[dict]] = {a: [] for a in alphas}
-    per_alpha = {str(a): 0 for a in alphas}
-    word_of = word_table(rs)
+    seed, top, sign = _line_seed(rs, [True] * len(rs.positive_roots))
+    rows: list[dict] = []
+    n_equal = n_ss = 0
     for x, word, h, cols in group_walk(rs, seed, guard, sign):
-        # w0(omega_a) is the one weight of least height in W omega_a
-        cosets = [a for a in alphas if h[a - 1] == w0[a - 1]]
-        if not (thmA or cosets):
-            continue
         tangent = [c >> top for c in cols]
-        if thmA:
-            universe += 1
-            is_full = tangent == target
-            if not is_full and any(map(gt, tangent, target)):
-                raise AssertionError("engine failure: tangent exceeds adjoint")
-            criterion = sum(map(mul, alpha0, x)) < 0  # ss_nonempty(rs, sigma)
-            n_equal += is_full
-            n_ss += criterion
-            if is_full != criterion:
-                tangent_rows.append({
-                    "tau_word": word_of(h),
-                    "tau_inv_word": list(word),
-                    "tangent_equals_adjoint": is_full,
-                    "ss_nonempty": criterion,
-                    "kernel": char_to_str(rs, _character(rs, map(sub, target, tangent))),
-                })
-        if not cosets:
-            continue
-        tau = WeylElement(rs, h)
-        seen = reduce(or_, cols)  # every digit is certified nonnegative
-        lines = {r: [c >> _DIGIT * r & _MASK for c in cols] for r, neg in
-                 enumerate(tau.inverted()) if not neg and seen >> _DIGIT * r & _MASK}
-        total = ([t - sum(off) for t, off in zip(tangent, zip(*lines.values()))]
-                 if lines else tangent)
-        for a in cosets:
-            per_alpha[str(a)] += 1
-            if total == target and not lines:
+        is_full = tangent == target
+        if not is_full and any(map(gt, tangent, target)):
+            tau = WeylElement(rs, h)
+            raise WalkFailure(f"tangent exceeds adjoint, at tau = {tau}, tau^-1 = {tau.inverse()}")
+        criterion = sum(map(mul, alpha0, x)) < 0  # ss_nonempty(rs, sigma)
+        n_equal += is_full
+        n_ss += criterion
+        if is_full != criterion:
+            rows.append({
+                "tau_word": list(WeylElement(rs, h).reduced_word()),
+                "tau_inv_word": list(word),
+                "tangent_equals_adjoint": is_full,
+                "ss_nonempty": criterion,
+                "kernel": char_to_str(rs, _character(rs, map(sub, target, tangent))),
+            })
+    return rs.ct.weyl_order, sorted(rows, key=_canonical), {
+        "full_tangent_count": n_equal, "ss_count": n_ss}
+
+
+def _root_packs(rs: RootSystem) -> list[int]:
+    """Per fw coordinate j, the fw_j(beta_r) of the positive roots packed as
+    32-bit digits: sum_j H(tau)_j P_j packs D ht tau(beta_r) in digit r."""
+    roots = rs.positive_roots
+    return [sum(b.weight.fw[j] << _DIGIT * r for r, b in enumerate(roots)) for j in range(rs.rank)]
+
+
+def verify_thm42(rs: RootSystem, guard: int | None = None) -> tuple[int, list, dict]:
+    """For every simple alpha and every tau above w_alpha in Bruhat order,
+    the lines of tau's inversions sum to the adjoint character and every
+    other positive root's line is zero.  The counterexamples are listed
+    alpha by alpha, each row naming its alpha.
+
+    That upper set is the coset w0 W_P = W_P* w_alpha, P the parabolic
+    dropping alpha and P* the one dropping alpha*, -w0(omega_alpha) =
+    omega_alpha*: w_alpha is the maximum of W^P and tau -> tau^P preserves
+    Bruhat order, so tau >= w_alpha iff tau^P = w_alpha (Bjorner-Brenti,
+    Section 2.5 and Cor. 2.2.3).  w_alpha is least in W_P* w_alpha, so its
+    one left descent, the first letter of its word, is alpha*.  One walk
+    per alpha starts at w_alpha over the letters of P*, Sum_alpha |W_P|
+    elements in all; the check table prices |W|, which bounds it.  On
+    columns packed as for thmA, an element passes when its tangent is the
+    adjoint character and no line of a root beta with tau(beta) > 0 has a
+    nonzero digit, which the sign bits of D ht tau(beta) and of the lines'
+    digits read in two ANDs; rows are built only on a failure.
+    """
+    target = _adjoint_tables(rs)[2]
+    roots = rs.positive_roots
+    seed, top, sign = _line_seed(rs, [True] * len(roots))
+    lines = sign & ~(-1 << top)  # the sign bits of the lines' digits, not the tangent's
+    nonzero = lines - (lines >> _DIGIT - 1)  # 2^31 - 1 per line: a digit d >= 1 sets its bit
+    packs = _root_packs(rs)
+    rows, per_alpha = [], {}
+    for a in range(1, rs.rank + 1):
+        start = min_parabolic_rep(rs, a).reduced_word()
+        coset: list[dict] = []
+        walked = group_walk(rs, seed, guard, sign, start, set(range(1, rs.rank + 1)) - {start[0]})
+        for count, (_, _, h, cols) in enumerate(walked, 1):
+            tangent = [c >> top for c in cols]
+            # bit 31 of digit r: tau(beta_r) > 0 and line r is not zero
+            outside = (sum(map(mul, h, packs)) + lines) & (reduce(or_, cols) + nonzero) & lines
+            if tangent == target and not outside:
                 continue
-            words = {"tau_word": word_of(h), "tau_inv_word": list(word)}
+            tau = WeylElement(rs, h)
+            words = {"tau_word": list(tau.reduced_word()),
+                     "tau_inv_word": list(tau.inverse().reduced_word())}
+            found = {r: [c >> _DIGIT * r & _MASK for c in cols]
+                     for r in range(len(roots)) if outside >> _DIGIT * r & _OFF}
+            total = ([t - sum(off) for t, off in zip(tangent, zip(*found.values()))]
+                     if found else tangent)
             if total != target:
-                coset_rows[a].append({
-                    "alpha": a, **words,
-                    "clause": "inversion-sum",
-                    "difference": char_to_str(rs, _character(rs, map(sub, target, total))),
-                })
-            for r, line in lines.items():
-                coset_rows[a].append({
-                    "alpha": a, **words,
-                    "clause": "outside-vanishing",
-                    "beta": list(roots[r].coords),
-                    "h0": char_to_str(rs, _character(rs, line)),
-                })
-    results = {
-        "thmA": (universe, sorted(tangent_rows, key=_canonical),
-                 {"full_tangent_count": n_equal, "ss_count": n_ss}),
-        "thm42": (sum(per_alpha.values()),
-                  [row for a in alphas for row in sorted(coset_rows[a], key=_canonical)],
-                  {"elements_above_w_alpha": per_alpha}),
-    }
-    return [results[check] for check in checks]
+                coset.append({"alpha": a, **words, "clause": "inversion-sum", "difference":
+                              char_to_str(rs, _character(rs, map(sub, target, total)))})
+            coset += ({"alpha": a, **words, "clause": "outside-vanishing",
+                       "beta": list(roots[r].coords), "h0": char_to_str(rs, _character(rs, line))}
+                      for r, line in found.items())
+        per_alpha[str(a)] = count
+        rows += sorted(coset, key=_canonical)
+    return sum(per_alpha.values()), rows, {"elements_above_w_alpha": per_alpha}
 
 
 def verify_thmB_criterion(rs: RootSystem,

@@ -4,8 +4,9 @@ guard of ``rootsys``.
 
 A verifier in cohomology or coxeter returns only what it computes,
 (universe size, counterexamples, details); run_checks gates it, times it
-and stamps the Report, runs a pass that two checks share only once, and
-spreads the passes over a process pool when asked for workers.
+and stamps the Report, names the check in a WalkFailure, and spreads the
+checks over a process pool when asked for workers: one check, one
+verifier, one task.
 
 write_json streams a report as json.dumps(obj, sort_keys=True, indent=2)
 writes it, in blocks.  One writer, _record, writes a dict in one piece
@@ -24,9 +25,10 @@ from math import factorial
 from operator import itemgetter
 from typing import Any, Callable
 
-from .rootsys import GUARD_ENV_VAR, CartanType, GuardExceeded, Record, RootSystem, resolve_guard
+from .rootsys import (GUARD_ENV_VAR, CartanType, GuardExceeded, Record, RootSystem,
+                      WalkFailure, resolve_guard)
 
-__all__ = ["Report", "Check", "CHECKS", "precheck", "pass_groups", "pool_size", "run_checks",
+__all__ = ["Report", "Check", "CHECKS", "precheck", "pool_size", "run_checks",
            "run_check", "labeling_table", "canonical_json", "write_json"]
 
 class Report(Record):
@@ -60,7 +62,7 @@ class Report(Record):
         return out
 
 
-Check = namedtuple("Check", "id applies cost module run shared", defaults=(None,))
+Check = namedtuple("Check", "id applies cost module run")
 Check.__doc__ = """One row of the check table.
 
 applies(ct) is None when the check applies, else the reason it does
@@ -71,8 +73,6 @@ that holds the verifier, imported before the check's clock starts; run(m,
 rs, guard) looks the verifier up on that module m at call time, so a
 wrapper installed on cohomology.verify_thmB_criterion (say) is the one
 that runs, and returns (universe size, counterexamples, details).
-Adjacent rows may name a pass they share; their run(m, rs, guard, ids)
-then gives one triple per id in ids.
 """
 
 
@@ -101,13 +101,12 @@ def _none(ct: CartanType) -> None:
     return None
 
 
-def _root_lines(m, rs: RootSystem, guard: int, ids: list[str]) -> list:
-    return m.verify_root_lines(rs, ids, guard)
-
-
 CHECKS = (
-    Check("thmA", _simply_laced, _weyl_order, "cohomology", _root_lines, "root_lines"),
-    Check("thm42", _simply_laced, _weyl_order, "cohomology", _root_lines, "root_lines"),
+    Check("thmA", _simply_laced, _weyl_order, "cohomology",
+          lambda m, rs, guard: m.verify_thmA(rs, guard)),
+    # its walks cover Sum_alpha |W_P| elements, at most |W|
+    Check("thm42", _simply_laced, _weyl_order, "cohomology",
+          lambda m, rs, guard: m.verify_thm42(rs, guard)),
     Check("thmB", _two_lengths, _weyl_order, "cohomology",
           lambda m, rs, guard: m.verify_thmB_criterion(rs, guard)),
     Check("prop51", _none, _coxeter_elements, "coxeter",
@@ -149,14 +148,6 @@ def precheck(check_id: str, ct: CartanType, guard: int) -> Check:
     return check
 
 
-def pass_groups(check_ids: list[str]) -> list[list[str]]:
-    """check_ids as tasks, in CHECKS order: one per shared pass or other check."""
-    groups: dict = {}
-    for check in (c for c in CHECKS if c.id in check_ids):
-        groups.setdefault(check.shared or check.id, []).append(check.id)
-    return list(groups.values())
-
-
 def pool_size(workers: int, tasks: int, cpus: int | None) -> int:
     """Processes for a run: never more than its tasks or the CPUs."""
     if workers < 1:
@@ -167,29 +158,27 @@ def pool_size(workers: int, tasks: int, cpus: int | None) -> int:
 def run_checks(rs: RootSystem, check_ids: list[str], guard: int | None = None,
                workers: int = 1) -> list[Report]:
     """Precheck every check before any work, then run and time them, one
-    Report each in CHECKS order; a shared pass runs once, and each of its
-    Reports carries its time.  With more than one worker, each pass group
-    is one task of a process pool."""
+    Report each in CHECKS order.  With more than one worker, each check is
+    one task of a process pool.  A WalkFailure leaves named by its check."""
     guard = resolve_guard(guard)
-    checks = {c: precheck(c, rs.ct, guard) for c in check_ids}
-    tasks = pass_groups(check_ids)
-    size = pool_size(workers, len(tasks), os.cpu_count())
+    checks = sorted({c: precheck(c, rs.ct, guard) for c in check_ids}.values(), key=CHECKS.index)
+    size = pool_size(workers, len(checks), os.cpu_count())
     if size > 1:
         # imported here: concurrent.futures and multiprocessing slow every start
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=size) as pool:
-            futures = [pool.submit(run_checks, rs, ids, guard) for ids in tasks]
+            futures = [pool.submit(run_checks, rs, [c.id], guard) for c in checks]
             return [rep for f in futures for rep in f.result()]
     reports = []
-    for ids in tasks:
-        first = checks[ids[0]]
+    for check in checks:
         # imported before the clock starts: a check's time is its own work
-        m = import_module(f"{__package__}.{first.module}")
+        m = import_module(f"{__package__}.{check.module}")
         start = time.perf_counter()
-        results = first.run(m, rs, guard, ids) if first.shared else [first.run(m, rs, guard)]
-        elapsed = time.perf_counter() - start
-        reports += [Report(c, str(rs.ct), n, cx, elapsed, details)
-                    for c, (n, cx, details) in zip(ids, results)]
+        try:
+            n, cx, details = check.run(m, rs, guard)
+        except WalkFailure as exc:
+            raise WalkFailure(f"{check.id}: {exc}") from None
+        reports.append(Report(check.id, str(rs.ct), n, cx, time.perf_counter() - start, details))
     return reports
 
 

@@ -25,8 +25,11 @@ applies the canonical word letter by letter, each letter touching at most
 four coordinates, and a heights tuple that names no element has no
 canonical word, so it is refused there.  ``walk`` is the one walk of the
 group, depth first along the canonical words of the inverses, stepping H
-and a caller's payload; ``enumerate_group`` is its elements, sorted by
-their words from one table.
+and a caller's payload; it walks all of W, or one coset W_J m from a
+given start m least in it, priced at |W_J| by ``guarded_order``, and a
+step that fails names its element (``WalkFailure``).
+``enumerate_group`` is its elements, sorted by their words from one
+table.
 Elements invert by their reversed canonical word, so no rational
 arithmetic touches a group element.  A Coxeter element depends only on
 its Dynkin orientation (``orientation``), so ``coxeter_elements`` builds
@@ -40,10 +43,11 @@ from __future__ import annotations
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import product
+from math import prod
 from operator import add, mul, neg, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .rootsys import GuardExceeded, Root, RootSystem, Weight, resolve_guard
+from .rootsys import GuardExceeded, Root, RootSystem, WalkFailure, Weight, resolve_guard
 
 __all__ = [
     "WeylElement",
@@ -268,57 +272,82 @@ def min_parabolic_rep(rs: RootSystem, i: int) -> WeylElement:
     return w
 
 
-def guarded_order(rs: RootSystem, guard: int | None = None) -> int:
-    """|W|, once it is checked against the guard (explicit argument, else
-    the SCHUBERT_GUARD environment variable, else 10**6): every sweep of
-    the whole group prices it before it starts.  Raises GuardExceeded."""
+def guarded_order(rs: RootSystem, guard: int | None = None,
+                  letters: Iterable[int] | None = None) -> int:
+    """|W_J|, J = letters (default every letter, so |W| itself), once it is
+    checked against the guard (explicit argument, else the SCHUBERT_GUARD
+    environment variable, else 10**6): every walk prices its universe
+    before it starts.  |W_J| is prod (1 + e_i) over the exponents e_i of
+    R_J, the partition conjugate to its positive roots counted by height
+    (Kostant).  Raises GuardExceeded."""
     limit = resolve_guard(guard)
-    order = rs.ct.weyl_order
+    J = set(range(1, rs.rank + 1) if letters is None else letters)
+    heights = [b.height for b in rs.positive_roots
+               if J.issuperset(i for i, c in enumerate(b.coords, 1) if c)]
+    order = prod(1 + sum(heights.count(t) >= i for t in set(heights)) for i in range(1, len(J) + 1))
     if order > limit:
-        raise GuardExceeded(
-            f"|W({rs.ct})| = {order} exceeds guard {limit}")
+        name = f"W({rs.ct})" if letters is None else f"W_J, J = {sorted(J)}, of {rs.ct}"
+        raise GuardExceeded(f"|{name}| = {order} exceeds guard {limit}")
     return order
 
 
 def walk(rs: RootSystem, seed: object, step: Callable[[int, object], object],
-         guard: int | None = None) -> Iterator[tuple[list[int], tuple[int, ...], tuple, object]]:
-    """Every tau in W once, depth first, as (x, word, heights, payload):
-    x = (D ht sigma(alpha_k))_k and the canonical word of sigma = tau^-1,
-    H(tau), and seed at e, ``step(k, payload of tau)`` at s_k tau.
+         guard: int | None = None, start: Sequence[int] = (),
+         letters: Iterable[int] | None = None,
+         ) -> Iterator[tuple[list[int], tuple[int, ...], tuple, object]]:
+    """Every tau = v m, v in W_J, once, depth first, as (x, word, heights,
+    payload): m is the element of the reduced word start (its canonical
+    word, say), least in W_J m; J = letters, default every letter.  x = (D ht sigma(alpha_k))_k for
+    sigma = tau^-1 = m^-1 u, word the canonical word of u = v^-1 over J,
+    H(tau), and the seed stepped along start's letters from the right to
+    m, ``step(k, payload of tau)`` at s_k tau.  By default m = e and W_J =
+    W, so word is sigma's canonical word.
 
-    sigma s_k is a child of sigma when k is an ascent of sigma and the
-    smallest right descent of sigma s_k (Bjorner-Brenti, ch. 3-4), the
-    smallest k first.  On tau that is the left step s_k tau: H drops by D
-    times row k of tau's matrix on fw coordinates, the walk's own state,
-    which s_k tau changes at k and its Dynkin neighbours.  The explicit
-    stack keeps at most N + 1 payloads alive, N = |R+| the depth.  The
-    matrix is kept times D, so H(s_k tau) is H(tau) minus its row k.  The
-    guard prices |W| first; any other visit count is an engine failure."""
-    order = guarded_order(rs, guard)
+    sigma s_k is a child of sigma when k in J is an ascent of sigma and the
+    smallest right descent in J of sigma s_k (Bjorner-Brenti, ch. 3-4; the
+    J-descents of m^-1 u are those of u), the smallest k first.  On tau
+    that is the left step s_k tau: H drops by D times row k of tau's matrix
+    on fw coordinates, the walk's own state, which s_k tau changes at k and
+    its Dynkin neighbours.  The explicit stack keeps at most N + 1 payloads
+    alive, N = |R+| the depth.  The matrix is kept times D, so H(s_k tau)
+    is H(tau) minus its row k.  The guard prices |W_J| first; any other
+    visit count is an engine failure, and a step that fails names the
+    element it steps to (WalkFailure)."""
+    order = guarded_order(rs, guard, letters)
     n, den, cartan = rs.rank, rs._den, rs.cartan
     rows_of, neighbours = rs._simple_rows, rs._neighbours
+    ks = range(n - 1, -1, -1) if letters is None else sorted({k - 1 for k in letters}, reverse=True)
+    below = None if letters is None else [[j for j in ks if j < k] for k in range(n)]
     node = ([den] * n, (), rs._height_vec, seed)
     mat = [tuple(den * (a == b) for b in range(n)) for a in range(n)]
+    climb = [i - 1 for i in start]  # left steps from e to m, m's word from the right
     stack: list = []
     visited = 0
     while True:
-        visited += 1
-        yield node
-        x, word = node[0], node[1]
-        d = word[-1] - 1 if word else n  # sigma's smallest right descent
-        for k in range(n - 1, -1, -1):  # pushed last, the smallest pops first
-            xk = x[k]
-            if xk < 0 or k > d and not cartan[k][d]:  # x_d < 0 stays if d is no neighbour
-                continue
+        if climb:  # a step to m, never yielded; its word stays empty
+            k, x = climb.pop(), node[0]
             y = x[:]
             for j, c in rows_of[k]:
-                y[j] -= c * xk
-            # below d every x_j > 0 and only grows; else no descent below k
-            if k < d or min(y[:k]) > 0:
-                stack.append((k, y, node, mat))
-        if not stack:
-            break
-        k, y, (_, word, h, payload), mat = stack.pop()
+                y[j] -= c * x[k]
+            stack.append((k, y, (), node, mat))
+        else:
+            visited += 1
+            yield node
+            x, word = node[0], node[1]
+            d = word[-1] - 1 if word else n  # u's smallest right descent
+            for k in ks:  # pushed last, the smallest pops first
+                xk = x[k]
+                if xk < 0 or k > d and not cartan[k][d]:  # x_d < 0 stays if d is no neighbour
+                    continue
+                y = x[:]
+                for j, c in rows_of[k]:
+                    y[j] -= c * xk
+                # below d every x_j > 0 and only grows; else no J-descent below k
+                if k < d or min(y[:k] if below is None else map(y.__getitem__, below[k])) > 0:
+                    stack.append((k, y, word + (k + 1,), node, mat))
+            if not stack:
+                break
+        k, y, word, (_, _, h, payload), mat = stack.pop()
         row = mat[k]
         new = list(mat)
         new[k] = tuple(map(neg, row))
@@ -326,7 +355,14 @@ def walk(rs: RootSystem, seed: object, step: Callable[[int, object], object],
             new[j] = (tuple(map(add, mat[j], row)) if c == 1 else
                       tuple(a + c * b for a, b in zip(mat[j], row)))
         mat = new
-        node = (y, word + (k + 1,), tuple(map(sub, h, row)), step(k + 1, payload))
+        h = tuple(map(sub, h, row))
+        try:
+            payload = step(k + 1, payload)
+        except AssertionError as exc:
+            tau = WeylElement(rs, h)
+            raise WalkFailure(f"{str(exc).removeprefix('engine failure: ')}, at tau = {tau}, "
+                              f"tau^-1 = {tau.inverse()}") from None
+        node = (y, word, h, payload)
     if visited != order:
         raise AssertionError(f"engine failure: walked {visited} elements, expected {order}")
 

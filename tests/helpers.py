@@ -39,6 +39,7 @@ from schubert import (Character, CoxeterAnalysis, WeylElement, adjoint_character
                       ss_nonempty)
 from schubert.charring import _DIGIT
 from schubert.rootsys import Root, RootSystem, Weight
+from schubert.weyl import walk
 
 # A reduced word of w0 in E6 (36 letters), not the canonical one.
 E6_W0_WORD = (3, 2, 4, 2, 6, 3, 5, 4, 6, 5, 2, 3, 4, 1, 3, 4, 2, 5, 6, 4, 5, 3, 4, 1, 2, 3,
@@ -233,6 +234,32 @@ def assert_thm42_slices(rs: RootSystem, universe: int, rows: list[dict],
         above = subword_upper_set(rs, min_parabolic_rep(rs, a))
         assert per_alpha[str(a)] == len(above)
         assert all(from_word(rs, row["tau_word"]) in above for row in rows if row["alpha"] == a)
+
+
+def parabolic_order_by_closure(rs: RootSystem, letters: Iterable[int]) -> int:
+    """|W_J|, J = letters, by closing the identity matrix under the simple
+    reflections in J, one full matrix product per element and letter."""
+    gens = [simple_matrix(rs, i) for i in letters]
+    seen = {identity_matrix(rs.rank)}
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for mat in frontier:
+            for g in gens:
+                nxt = matmul(mat, g)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    fresh.append(nxt)
+        frontier = fresh
+    return len(seen)
+
+
+def heights_above_w_alpha(rs: RootSystem, a: int) -> list[tuple[int, ...]]:
+    """H(tau) of every tau >= w_alpha, in the full walk's order, by its
+    filter: tau(omega_alpha) = w0(omega_alpha), the one weight of least
+    height in W omega_alpha, so H(tau)_alpha = H(w0)_alpha."""
+    w0 = longest_element(rs).heights
+    return [h for _, _, h, _ in walk(rs, None, lambda k, p: p) if h[a - 1] == w0[a - 1]]
 
 
 def weight_orbit(rs: RootSystem, lam: Weight) -> set[Weight]:

@@ -15,12 +15,12 @@ import pytest
 
 import schubert
 from schubert.cli import _weyl_dimension, build_parser, main
-from schubert.report import (CHECKS, GUARD_ENV_VAR, pass_groups, pool_size, run_check,
-                             run_checks, write_json)
+from schubert.report import CHECKS, GUARD_ENV_VAR, pool_size, run_check, run_checks, write_json
 from schubert.rootsys import BUILD_ROOT_BOUND, CartanType, RootSystem, build
+from schubert.weyl import walk
 
-from helpers import (E6_W0_WORD, assert_thm42_slices, dominant_representative,
-                     shift_adjoint_target, weyl_dim)
+from helpers import (E6_W0_WORD, adjoint_weights, assert_thm42_slices, dominant_representative,
+                     peel_reduced_word, shift_adjoint_target, weyl_dim, word_matrix)
 
 ANCHOR = "1*e[1, -2] + 1*e[0, 0] + 1*e[-1, 2] + 1*e[2, -1] + 1*e[1, 1]"
 
@@ -338,12 +338,49 @@ def test_sweep_shared_pass_fails_like_separate_runs(capsys, monkeypatch, workers
 def test_engine_failure_exits_3_not_1(capsys, monkeypatch, workers):
     # an internal consistency failure is neither a counterexample (1) nor
     # bad input (2); under --workers it comes back from the pool (which
-    # forks, so the patch reaches its workers) and exits the same way
+    # forks, so the patch reaches its workers) and exits the same way; the
+    # message names the check and the element, tau and tau^-1 by their
+    # canonical words
     shift_adjoint_target(monkeypatch, build("A2"), -1)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     code, out, err = run(capsys, "sweep", "--type", "A2", "--workers", workers)
     assert (code, out) == (3, "")
-    assert err == "error: engine failure: tangent exceeds adjoint\n"
+    assert err == ("error: engine failure: thmA: tangent exceeds adjoint, "
+                   "at tau = W[2,1], tau^-1 = W[1,2]\n")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_refused_line_names_its_check_element_and_root(capsys, monkeypatch, workers):
+    # one column step of thmA's walk gets an input whose line r goes
+    # negative in the e^0 column it computes: the step refuses naming the
+    # root, the walk names the element it steps to (tau and tau^-1 by their
+    # canonical words, from the peel oracle), and the runner names the check
+    from schubert import cohomology
+    from schubert.charring import _DIGIT
+
+    rs = build("A4")
+    r, index = 4, 37  # step j yields the walk's element j
+    walked = [word for _, word, _, _ in walk(rs, None, lambda k, p: p)][index]
+    sigma_word = peel_reduced_word(rs, word_matrix(rs, walked))
+    tau_word = peel_reduced_word(rs, word_matrix(rs, reversed(walked)))
+    beta = rs.positive_roots[r]
+    real, calls = cohomology._column_step, []
+
+    def step(rs, i, cols, sign):
+        calls.append(i)
+        if len(calls) == index:  # more of line r at -alpha_i than c'_0 can hold
+            cols = list(cols)
+            cols[adjoint_weights(rs).index(-rs.simple_roots[i - 1].weight)] += 1 << _DIGIT * r + 20
+        return real(rs, i, cols, sign)
+
+    monkeypatch.setattr(cohomology, "_column_step", step)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, err = run(capsys, "sweep", "--type", "A4", "--workers", workers)
+    assert (code, out) == (3, "")
+    words = [",".join(map(str, word)) for word in (tau_word, sigma_word)]
+    assert err == (f"error: engine failure: thmA: negative multiplicity in certified h0 for "
+                   f"{beta.weight}, the line of {beta}, at tau = W[{words[0]}], "
+                   f"tau^-1 = W[{words[1]}]\n")
 
 
 def test_any_internal_assertion_is_an_engine_failure(capsys, monkeypatch):
@@ -353,7 +390,8 @@ def test_any_internal_assertion_is_an_engine_failure(capsys, monkeypatch):
 
     real = weyl.guarded_order
     for off in (1, -1):
-        monkeypatch.setattr(weyl, "guarded_order", lambda rs, guard: real(rs, guard) + off)
+        monkeypatch.setattr(weyl, "guarded_order",
+                            lambda rs, guard, letters=None: real(rs, guard, letters) + off)
         code, out, err = run(capsys, "verify", "thmA", "--type", "A3")
         assert (code, out) == (3, "")
         assert err == f"error: engine failure: walked 24 elements, expected {24 + off}\n"
@@ -388,24 +426,23 @@ def inline_pool(monkeypatch) -> list:
     return submitted
 
 
-def test_pool_gets_one_task_per_pass_group(capsys, inline_pool):
-    # thmA and thm42 go to the pool as one task, so no worker runs the
-    # shared pass twice
+def test_pool_gets_one_task_per_check(capsys, inline_pool):
+    # thmA and thm42 each walk on their own, so each is a task of its own
     code, out, _ = run(capsys, "sweep", "--type", "A3", "--workers", "2")
     assert code == 0
-    assert inline_pool == [(2, ["thmA", "thm42"]), (2, ["prop51"]), (2, ["lemma26"]),
-                         (2, ["lemma54_56"]), (2, ["thmC_typeA"]), (2, ["cor52_53_58"])]
+    assert inline_pool == [(2, ["thmA"]), (2, ["thm42"]), (2, ["prop51"]), (2, ["lemma26"]),
+                           (2, ["lemma54_56"]), (2, ["thmC_typeA"]), (2, ["cor52_53_58"])]
     assert [ln.split()[0] for ln in out.splitlines()] == [
         "thmA", "thm42", "prop51", "lemma26", "lemma54_56", "thmC_typeA", "cor52_53_58"]
 
 
-def test_run_checks_pools_pass_groups_like_one_process(inline_pool):
+def test_run_checks_pools_checks_like_one_process(inline_pool):
     # the library runner owns the pool: the same reports, in CHECKS order,
-    # from one task per pass group as from one process
+    # from one task per check as from one process
     rs = build("D4")
     ids = ["lemma26", "thm42", "thmA"]
     pooled = run_checks(rs, ids, workers=2)
-    assert inline_pool == [(2, ["thmA", "thm42"]), (2, ["lemma26"])]
+    assert inline_pool == [(2, ["thmA"]), (2, ["thm42"]), (2, ["lemma26"])]
     alone = run_checks(rs, ids)
     assert [(r.check_id, r.universe_size, r.counterexamples, r.details) for r in pooled] == [
         (r.check_id, r.universe_size, r.counterexamples, r.details) for r in alone]
@@ -715,20 +752,11 @@ def test_pool_size():
     for bad in (0, -1):
         with pytest.raises(ValueError):
             pool_size(bad, 7, 2)
-    # the pool counts tasks: a simply-laced sweep's thmA and thm42 are one
-    for name, checks, tasks in (("A3", 7, 6), ("D4", 6, 5), ("B3", 3, 3), ("A1", 7, 6)):
+    # the pool counts tasks, one per check: thmA and thm42 walk apart
+    for name, checks, tasks in (("A3", 7, 7), ("D4", 6, 6), ("B3", 3, 3), ("A1", 7, 7)):
         ids = [c.id for c in CHECKS if c.applies(CartanType.parse(name)) is None]
-        assert (len(ids), len(pass_groups(ids))) == (checks, tasks)
-        assert pool_size(16, len(pass_groups(ids)), 32) == tasks
-    assert pass_groups(["thm42", "lemma26", "thmA"]) == [["thmA", "thm42"], ["lemma26"]]
-
-
-def test_rows_that_share_a_pass_are_adjacent():
-    # tasks read in turn are then in CHECKS order
-    shared = [c.shared for c in CHECKS]
-    for label in {s for s in shared if s}:
-        rows = [k for k, s in enumerate(shared) if s == label]
-        assert rows == list(range(rows[0], rows[-1] + 1))
+        assert len(ids) == checks
+        assert pool_size(16, len(ids), 32) == tasks
 
 
 E6_W0 = ",".join(map(str, E6_W0_WORD))
@@ -736,7 +764,8 @@ E6_W0 = ",".join(map(str, E6_W0_WORD))
 # sha256 of stdout with elapsed_ms and the table's ms column masked,
 # recorded before the check table replaced the per-check registries; the
 # E6 Coxeter entries before the table of distinct Coxeter elements; D4
-# before thmA and thm42 shared one Demazure pass; D5 cor52_53_58, 51
+# before thmA and thm42 shared one Demazure pass (they walk apart again,
+# thm42 on its cosets alone); D5 cor52_53_58, 51
 # distinct powers, before its verifier moved from coxeter to cohomology;
 # the demazure entries (E6 omega3 + omega6 along a non-canonical w0 word, a
 # non-dominant B3 seed) before dominant seeds skipped the letters that

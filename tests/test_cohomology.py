@@ -26,13 +26,14 @@ from schubert import cohomology, weyl
 from schubert.charring import char_to_str
 from schubert.cli import main
 from schubert.cohomology import borel_character, group_walk, lemma61_search
-from schubert.report import run_check
+from schubert.report import run_check, run_checks
 from schubert.rootsys import CartanType, RootSystem
 
 from helpers import (LAYER_TYPES, adjoint_weights, assert_thm42_slices,
                      bruhat_monotonicity_findings, columns_char, element_of, gauss_jordan_inverse,
-                     kernel_char, matrix_of, matvec, peel_reduced_word, shift_adjoint_target,
-                     signed_digits, subword_products, subword_upper_set, tangent_h0_char)
+                     kernel_char, matrix_of, matvec, parabolic_order_by_closure, peel_reduced_word,
+                     shift_adjoint_target, signed_digits, subword_products, subword_upper_set,
+                     tangent_h0_char)
 
 
 def test_euler_char_identity_and_w0():
@@ -120,7 +121,7 @@ def test_verify_thm42_alpha_restriction():
 
 @pytest.mark.parametrize("name, total", [("A5", 372), ("D5", 504)])
 def test_thm42_one_pass_matches_single_alpha_runs(name, total):
-    # the one pass over all alphas, sliced at alpha = a, is what a run
+    # the one report over all alphas, sliced at alpha = a, is what a run
     # restricted to a must give: the subword oracle's upper set of w_alpha
     rs = build(name)
     full = run_check(rs, "thm42")
@@ -131,7 +132,7 @@ def test_thm42_one_pass_matches_single_alpha_runs(name, total):
 
 def test_thm42_counterexamples_are_listed_in_alpha_order(monkeypatch):
     # a wrong adjoint target makes every coset element a counterexample;
-    # the one pass must list them alpha by alpha, each alpha's rows in
+    # the one report must list them alpha by alpha, each alpha's rows in
     # enumeration order and covering exactly its coset
     rs = build("A4")
     shift_adjoint_target(monkeypatch, rs, 1)
@@ -152,14 +153,14 @@ def test_thm42_counterexamples_are_listed_in_alpha_order(monkeypatch):
 
 @pytest.mark.parametrize("name", ["A3", "A4", "D4"])
 def test_shared_pass_matches_separate_verifiers(name):
-    # one pass for thmA and thm42 gives what each verifier gives alone, in
-    # either order (the CLI sweep is compared with separate verify runs in
-    # test_cli.py)
+    # the runner asked for thmA and thm42 gives what each verifier gives
+    # alone, in either order, in CHECKS order (the CLI sweep is compared
+    # with separate verify runs in test_cli.py)
     rs = build(name)
-    separate = [*cohomology.verify_root_lines(rs, ("thmA",)),
-                *cohomology.verify_root_lines(rs, ("thm42",))]
-    assert cohomology.verify_root_lines(rs, ("thmA", "thm42")) == separate
-    assert cohomology.verify_root_lines(rs, ("thm42", "thmA")) == separate[::-1]
+    separate = [cohomology.verify_thmA(rs), cohomology.verify_thm42(rs)]
+    for ids in (["thmA", "thm42"], ["thm42", "thmA"]):
+        assert [(rep.universe_size, rep.counterexamples, rep.details)
+                for rep in run_checks(rs, ids)] == separate
     rep = run_check(rs, "thmA")
     assert separate[0] == (rep.universe_size, rep.counterexamples, rep.details)
 
@@ -170,7 +171,7 @@ def test_thmA_kernel_row_only_on_a_counterexample(monkeypatch):
     # more than the true kernel, and every other element is clean
     rs = build("A3")
     shift_adjoint_target(monkeypatch, rs, 1)
-    [(universe, rows, details)] = cohomology.verify_root_lines(rs, ("thmA",))
+    universe, rows, details = cohomology.verify_thmA(rs)
     assert universe == 24 and len(rows) == details["ss_count"] > 0
     assert details["full_tangent_count"] == 0
     for row in rows:
@@ -183,7 +184,7 @@ def test_thmA_refuses_a_tangent_above_the_adjoint(monkeypatch):
     rs = build("A2")
     shift_adjoint_target(monkeypatch, rs, -1)
     with pytest.raises(AssertionError, match="tangent exceeds adjoint"):
-        cohomology.verify_root_lines(rs, ("thmA",))
+        cohomology.verify_thmA(rs)
 
 
 def test_each_check_alone_does_only_its_own_work(monkeypatch, capsys):
@@ -195,7 +196,7 @@ def test_each_check_alone_does_only_its_own_work(monkeypatch, capsys):
     argv = ["verify", "thmA", "--type", "D4", "--format", "json"]
     with monkeypatch.context() as m:
         m.setattr(cohomology, "min_parabolic_rep", refuse)
-        m.setattr(cohomology, "longest_element", refuse)
+        m.setattr(weyl, "longest_element", refuse)  # no module but weyl holds it
         m.setattr(cohomology.WeylElement, "inverted", refuse)
         assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["universe"] == 192
@@ -214,8 +215,9 @@ def test_each_check_alone_does_only_its_own_work(monkeypatch, capsys):
     ("verify", "thm42", "--type", "A3"),
 ])
 def test_one_enumeration_per_sweep(monkeypatch, capsys, argv):
-    # a simply-laced sweep runs thmA and thm42 from one walk of the group,
-    # and that is the one walk of weyl: no other enumeration of W runs
+    # a sweep walks all of W once (thmA, or thmB), and thm42 walks one coset
+    # W_P* w_alpha per simple root, from w_alpha: each a walk of weyl, so no
+    # other enumeration of W runs
     calls, walks = [], []
     real, real_walk = cohomology.group_walk, weyl.walk
 
@@ -223,16 +225,21 @@ def test_one_enumeration_per_sweep(monkeypatch, capsys, argv):
         calls.append(args[0].ct)
         return real(*args, **kwargs)
 
-    def counted_walk(*args, **kwargs):
-        walks.append(args[0].ct)
-        return real_walk(*args, **kwargs)
+    def counted_walk(rs, seed, step, guard=None, start=(), letters=None):
+        walks.append(tuple(start))
+        return real_walk(rs, seed, step, guard, start, letters)
 
     monkeypatch.setattr(cohomology, "group_walk", counted)
     monkeypatch.setattr(cohomology, "walk", counted_walk)
     monkeypatch.setattr(weyl, "walk", counted_walk)
     assert main(list(argv)) == 0
     capsys.readouterr()
-    assert len(calls) == len(walks) == 1
+    rs = build(argv[-1])
+    full = 0 if argv[1] == "thm42" else 1
+    cosets = rs.rank if "thmA" not in argv and rs.simply_laced else 0
+    assert len(calls) == len(walks) == full + cosets
+    assert walks == [()] * full + [weyl.min_parabolic_rep(rs, a).reduced_word()
+                                   for a in range(1, cosets + 1)]
 
 
 @pytest.mark.parametrize("name", LAYER_TYPES)
@@ -338,10 +345,11 @@ def test_a_negative_line_fails_certification_naming_its_root(monkeypatch, bad):
     roots = rs.positive_roots
     _corrupt_tables(monkeypatch, rs, bad)
     first = roots[min(bad)].weight
-    for checks in (("thmA",), ("thm42",), ("thmA", "thm42")):
+    for sweep in (cohomology.verify_thmA, cohomology.verify_thm42,
+                  lambda rs: run_checks(rs, ["thmA", "thm42"])):
         with pytest.raises(AssertionError, match=re.escape(
                 f"negative multiplicity in certified h0 for {first}")):
-            cohomology.verify_root_lines(rs, checks)
+            sweep(rs)
 
 
 def test_thm42_rows_under_a_wrong_adjoint_match_the_word_oracle(monkeypatch):
@@ -350,7 +358,7 @@ def test_thm42_rows_under_a_wrong_adjoint_match_the_word_oracle(monkeypatch):
     # the word-by-word h0 lines over tau's inversion set
     rs = build("A4")
     wrong = shift_adjoint_target(monkeypatch, rs, 1)
-    [(universe, rows, _)] = cohomology.verify_root_lines(rs, ("thm42",))
+    universe, rows, _ = cohomology.verify_thm42(rs)
     assert len(rows) == universe > 0
     for row in rows:
         assert row["clause"] == "inversion-sum"
@@ -359,22 +367,19 @@ def test_thm42_rows_under_a_wrong_adjoint_match_the_word_oracle(monkeypatch):
         for beta in tau.inversion_set():
             total.add(demazure_along_word(rs, tau.reduced_word(), e(beta.weight)))
         assert row["difference"] == char_to_str(rs, wrong - total)
-    thmA_rows = cohomology.verify_root_lines(rs, ("thmA",))[0][1]
+    thmA_rows = cohomology.verify_thmA(rs)[1]
     assert thmA_rows
     assert all(len(fw) == rs.rank for fw in _rendered_weights(rows + thmA_rows))
 
 
 def test_thm42_outside_rows_render_each_root_line(monkeypatch):
-    # with no root counted as inverted, every root with a nonzero line is
-    # an outside-vanishing row; its h0 is the word-by-word line, rendered
-    # from its digit of the packed columns
-    # (each w_alpha is found first: its own check reads the inversions)
+    # with no root counted as inverted (packed root coordinates all zero, so
+    # every D ht tau(beta) reads 0, not negative), every root with a nonzero
+    # line is an outside-vanishing row; its h0 is the word-by-word line,
+    # rendered from its digit of the packed columns
     rs = build("A3")
-    w_alphas = {a: cohomology.min_parabolic_rep(rs, a) for a in range(1, rs.rank + 1)}
-    monkeypatch.setattr(cohomology, "min_parabolic_rep", lambda rs, a: w_alphas[a])
-    monkeypatch.setattr(cohomology.WeylElement, "inverted",
-                        lambda tau: [False] * len(tau.rs.positive_roots))
-    [(_, rows, _)] = cohomology.verify_root_lines(rs, ("thm42",))
+    monkeypatch.setattr(cohomology, "_root_packs", lambda rs: [0] * rs.rank)
+    _, rows, _ = cohomology.verify_thm42(rs)
     rows = [row for row in rows if row["alpha"] == 2]
     assert rows
     for tau in {tuple(row["tau_word"]) for row in rows}:
@@ -389,11 +394,13 @@ def test_thm42_outside_rows_render_each_root_line(monkeypatch):
 
 
 def test_thm42_alone_certifies_every_element(monkeypatch):
-    # thm42 reads lines only on its cosets, but the step that computes a
-    # negative line refuses it at once: here D_1's step to s_1, the first
-    # element after e, which lies in no coset
+    # thm42 reads lines only on its cosets, but every step is certified,
+    # those of the climb from e to w_alpha included, and the step that
+    # computes a negative line refuses it at once: here D_1's step to s_1,
+    # the first step of the climb to w_1 = s3 s2 s1, which lies in no coset
     rs = build("A3")
     assert min(cohomology.min_parabolic_rep(rs, a).length for a in range(1, rs.rank + 1)) > 1
+    assert cohomology.min_parabolic_rep(rs, 1).reduced_word() == (3, 2, 1)
     _corrupt_tables(monkeypatch, rs, (3,), letters={1})
     seen, steps = [], []
     real_walk, real_step = cohomology.group_walk, cohomology._column_step
@@ -403,9 +410,9 @@ def test_thm42_alone_certifies_every_element(monkeypatch):
                         lambda rs, i, *args: steps.append(i) or real_step(rs, i, *args))
     with pytest.raises(AssertionError, match=re.escape(
             f"negative multiplicity in certified h0 for {rs.positive_roots[3].weight}")):
-        cohomology.verify_root_lines(rs, ("thm42",))
-    # the walk yielded e alone, and its first step, D_1 to s_1, refused
-    assert seen + [tuple(steps)] == [(), (1,)]
+        cohomology.verify_thm42(rs)
+    # the walk yielded nothing, and its first step, D_1 to s_1, refused
+    assert seen + [tuple(steps)] == [(1,)]
 
 
 def test_a_table_leaving_the_adjoint_weights_is_an_engine_failure(capsys, monkeypatch):
@@ -421,12 +428,13 @@ def test_a_table_leaving_the_adjoint_weights_is_an_engine_failure(capsys, monkey
 
 
 @pytest.mark.parametrize("name, sweep", [
-    ("D5", lambda rs: cohomology.verify_root_lines(rs, ("thmA", "thm42"))),
+    ("D5", lambda rs: cohomology.verify_thmA(rs)),
     ("F4", cohomology.verify_thmB_criterion),
 ])
 def test_a_sweep_runs_demazure_op_only_to_build_its_tables(monkeypatch, name, sweep):
     # one demazure_op per adjoint weight and simple root builds the
     # tables; then every element but e costs exactly one column step
+    # (thm42, which walks cosets, is counted in the test below)
     rs = RootSystem(CartanType.parse(name))  # its own tables, built in this test
     ops, steps = [], []
     real_op, real_step = cohomology.demazure_op, cohomology._column_step
@@ -436,6 +444,28 @@ def test_a_sweep_runs_demazure_op_only_to_build_its_tables(monkeypatch, name, sw
     sweep(rs)
     assert len(ops) == (len(rs.roots) + 1) * rs.rank
     assert len(steps) == rs.ct.weyl_order - 1
+
+
+def test_thm42_steps_only_to_and_across_its_cosets(monkeypatch):
+    # per alpha, l(w_alpha) column steps climb from e to w_alpha, and then
+    # every other element of the coset W_P* w_alpha costs one: on D5 that
+    # is Sum_alpha (l(w_alpha) + |W_P| - 1) = 555 steps, against the
+    # 1919 of a walk of all of W; |W_P| comes from the closure oracle
+    rs = RootSystem(CartanType.parse("D5"))  # its own tables, built in this test
+    ops, steps = [], []
+    real_op, real_step = cohomology.demazure_op, cohomology._column_step
+    monkeypatch.setattr(cohomology, "demazure_op", lambda *args: ops.append(1) or real_op(*args))
+    monkeypatch.setattr(cohomology, "_column_step",
+                        lambda *args: steps.append(1) or real_step(*args))
+    universe, _, _ = cohomology.verify_thm42(rs)
+    assert len(ops) == (len(rs.roots) + 1) * rs.rank
+    letters = list(range(1, rs.rank + 1))
+    want = sum(cohomology.min_parabolic_rep(rs, a).length - 1
+               + parabolic_order_by_closure(rs, [k for k in letters if k != a])
+               for a in letters)
+    assert len(steps) == want == 555
+    assert universe == sum(parabolic_order_by_closure(rs, [k for k in letters if k != a])
+                           for a in letters)
 
 
 @pytest.mark.parametrize("name", ["B3", "C4", "F4", "G2"])

@@ -22,10 +22,10 @@ from schubert.rootsys import DEFAULT_GUARD, GUARD_ENV_VAR, resolve_guard
 from schubert.weyl import orientation, walk, word_table
 
 from helpers import (LAYER_TYPES, coxeter_elements_per_permutation, element_of,
-                     element_order, gauss_jordan_inverse, identity_matrix, matmul, matrix_of,
-                     matrix_power_order, matvec, mul_from_word, peel_reduced_word,
-                     random_element, reduced_words, simple_matrix, subword_bruhat_leq,
-                     weight_orbit, word_matrix)
+                     element_order, gauss_jordan_inverse, heights_above_w_alpha, identity_matrix,
+                     matmul, matrix_of, matrix_power_order, matvec, mul_from_word,
+                     parabolic_order_by_closure, peel_reduced_word, random_element,
+                     reduced_words, simple_matrix, subword_bruhat_leq, weight_orbit, word_matrix)
 
 
 def test_simple_reflection_basics():
@@ -318,6 +318,51 @@ def test_word_table_matches_reduced_word(name, monkeypatch):
         assert [tuple(words(h)) for h in order] == [want[h] for h in order]
         assert len(peels) == len(heights) - 1
         assert all(words(h) is words(h) for h in order)  # shared, not copied
+
+
+@pytest.mark.parametrize("name", ["A4", "A5", "D4", "D5", "D6", "E6"])
+def test_coset_walk_yields_exactly_the_elements_above_w_alpha(name):
+    # for every maximal parabolic P, the walk from w_alpha over the letters
+    # of P* (all but alpha*, the one left descent of w_alpha) yields the
+    # coset W_P* w_alpha = w0 W_P once each: exactly the heights that the
+    # full walk's filter H(tau)_alpha = H(w0)_alpha selects
+    rs = build(name)
+    w0 = longest_element(rs)
+    for a in range(1, rs.rank + 1):
+        start = min_parabolic_rep(rs, a).reduced_word()
+        star = w0.act(tuple(-int(j == a - 1) for j in range(rs.rank))).index(1) + 1
+        assert start[0] == star  # -w0(omega_alpha) = omega_alpha*
+        heights = [h for _, _, h, _ in walk(rs, None, lambda k, p: p, None, start,
+                                            [k for k in range(1, rs.rank + 1) if k != star])]
+        want = heights_above_w_alpha(rs, a)
+        assert len(heights) == len(set(heights)) == len(want)
+        assert set(heights) == set(want)
+
+
+@pytest.mark.parametrize("name", ["A4", "B4", "C4", "D5", "E6", "F4", "G2"])
+def test_parabolic_order_matches_closure(name):
+    # Kostant's product over the exponents of R_J against a brute-force
+    # closure, on every maximal parabolic, on no letter and on all of them
+    rs = build(name)
+    letters = list(range(1, rs.rank + 1))
+    for J in ([k for k in letters if k != a] for a in letters):
+        assert weyl.guarded_order(rs, None, J) == parabolic_order_by_closure(rs, J)
+    assert weyl.guarded_order(rs, None, []) == 1
+    assert weyl.guarded_order(rs, None, letters) == weyl.guarded_order(rs) == rs.ct.weyl_order
+
+
+def test_a_guard_below_the_coset_order_refuses_before_the_walk_starts():
+    # the walk prices |W_J| first: below it, nothing is stepped or yielded;
+    # at it, the walk runs and visits |W_J| elements
+    rs = build("D5")
+    start = min_parabolic_rep(rs, 1).reduced_word()
+    letters = [2, 3, 4, 5]
+    order = parabolic_order_by_closure(rs, letters)
+    steps = []
+    with pytest.raises(GuardExceeded, match=f"= {order} exceeds guard {order - 1}"):
+        next(walk(rs, None, lambda k, p: steps.append(k), order - 1, start, letters))
+    assert steps == []
+    assert sum(1 for _ in walk(rs, None, lambda k, p: p, order, start, letters)) == order
 
 
 @pytest.mark.parametrize("name", ["A4", "B3", "F4"])
