@@ -47,7 +47,7 @@ from operator import itemgetter
 from struct import Struct
 from typing import Iterator, Sequence
 
-from .rootsys import CartanType, RootSystem, Weight
+from .rootsys import CartanType, GuardExceeded, RootSystem, Weight
 
 __all__ = [
     "Character",
@@ -288,8 +288,11 @@ def _demazure_mirror(rs: RootSystem, i: int, f: Character) -> Character:
     return Character._from_packed(out)
 
 
-def demazure_along_word(rs: RootSystem, word: Sequence[int], f: Character) -> Character:
-    """Composite operator for a word; the last letter acts first.
+def demazure_along_word(rs: RootSystem, word: Sequence[int], f: Character,
+                        bound: int | None = None) -> Character:
+    """Composite operator for a word; the last letter acts first.  Given a
+    bound, a string-formula walk that grows past bound terms raises
+    GuardExceeded, naming the word, the letter and the term count.
 
     For reduced words the result depends only on the group element, which
     the word-independence tests check on random elements.
@@ -322,8 +325,11 @@ def demazure_along_word(rs: RootSystem, word: Sequence[int], f: Character) -> Ch
                     for j, c in cols[i - 1]:
                         mu[j] -= c * m
             return f
-    for i in reversed(word):
-        f = demazure_op(rs, i, f)
+    for p in range(len(word), 0, -1):
+        f = demazure_op(rs, word[p - 1], f)
+        if bound is not None and len(f) > bound:
+            raise GuardExceeded(f"chi along {list(word)} has {len(f)} terms at letter {p}, "
+                                f"above the guard {bound}")
     return f
 
 

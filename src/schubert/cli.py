@@ -322,8 +322,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
-        print(f"error: engine failure: {str(exc).removeprefix('engine failure: ')}",
-              file=sys.stderr)
+        print(f"error: engine failure: {exc}", file=sys.stderr)
         return 3
     finally:
         if out is not sys.stdout:

@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, Sequence
 from . import coxeter
 from .charring import (_DIGIT, _MASK, _OFF, Character, _pack, adjoint_character, char_to_str,
                        demazure_along_word, demazure_op, e)
-from .rootsys import RootSystem, WalkFailure, Weight
+from .rootsys import RootSystem, Weight, resolve_guard
 from .weyl import (WeylElement, coxeter_elements, from_word, min_parabolic_rep, ss_nonempty, walk,
                    word_table)
 
@@ -62,9 +62,11 @@ __all__ = [
 ]
 
 
-def euler_char(rs: RootSystem, tau: WeylElement, f: Character) -> Character:
-    """chi(tau, f): Demazure composition along the canonical word of tau."""
-    return demazure_along_word(rs, tau.reduced_word(), f)
+def euler_char(rs: RootSystem, tau: WeylElement, f: Character,
+               bound: int | None = None) -> Character:
+    """chi(tau, f): Demazure composition along the canonical word of tau,
+    refused past bound terms (``demazure_along_word``)."""
+    return demazure_along_word(rs, tau.reduced_word(), f, bound)
 
 
 def h0_line(rs: RootSystem, tau: WeylElement, lam: Weight) -> Character:
@@ -90,7 +92,7 @@ def h0_line(rs: RootSystem, tau: WeylElement, lam: Weight) -> Character:
 
 
 def _uncertified(lam: Weight) -> AssertionError:
-    return AssertionError(f"engine failure: negative multiplicity in certified h0 for {lam}")
+    return AssertionError(f"negative multiplicity in certified h0 for {lam}")
 
 
 @lru_cache(maxsize=None)
@@ -108,7 +110,7 @@ def _adjoint_tables(rs: RootSystem) -> tuple[tuple[int, ...], tuple, list[int]]:
         for a, k in enumerate(keys):
             for key, c in demazure_op(rs, i, Character._from_packed({k: 1}))._terms.items():
                 if key not in index:
-                    raise AssertionError(f"engine failure: D_{i} leaves the adjoint weights")
+                    raise AssertionError(f"D_{i} leaves the adjoint weights")
                 into[index[key]].append((a, c))
         copy = {b: row[0][0] for b, row in enumerate(into) if len(row) == 1 and row[0][1] == 1}
         tables.append((itemgetter(*(copy.get(b, b) for b in range(len(keys)))),
@@ -191,7 +193,8 @@ def verify_thmA(rs: RootSystem, guard: int | None = None) -> tuple[int, list, di
         is_full = tangent == target
         if not is_full and any(map(gt, tangent, target)):
             tau = WeylElement(rs, h)
-            raise WalkFailure(f"tangent exceeds adjoint, at tau = {tau}, tau^-1 = {tau.inverse()}")
+            raise AssertionError(f"tangent exceeds adjoint, at tau = {tau}, "
+                                 f"tau^-1 = {tau.inverse()}")
         criterion = sum(map(mul, alpha0, x)) < 0  # ss_nonempty(rs, sigma)
         n_equal += is_full
         n_ss += criterion
@@ -343,20 +346,23 @@ def verify_lemma26(rs: RootSystem) -> tuple[int, list, dict]:
     return universe, counterexamples, {}
 
 
-def _dot_zero_euler(rs: RootSystem, w: WeylElement, w_inv: WeylElement) -> Character:
-    """chi(w, e^{w^-1 . 0}), which Cor. 5.8 and Thm. C weigh by (-1)^l(w)."""
-    return euler_char(rs, w, e(w_inv.dot(rs.zero())))
+def _dot_zero_euler(rs: RootSystem, w: WeylElement, w_inv: WeylElement,
+                    bound: int | None = None) -> Character:
+    """chi(w, e^{w^-1 . 0}), which Cor. 5.8 and Thm. C weigh by (-1)^l(w),
+    refused past bound terms."""
+    return euler_char(rs, w, e(w_inv.dot(rs.zero())), bound)
 
 
-def verify_thmC_typeA(rs: RootSystem) -> tuple[int, list, dict]:
+def verify_thmC_typeA(rs: RootSystem, guard: int | None = None) -> tuple[int, list, dict]:
     """Type A powers of the staircase Coxeter element c = s_n ... s_1.
 
     Checks c^r = w_{alpha_r}, reads off the dot-action weight
     (c^r)^{-1} . 0 = epsilon (n+1) omega_r recording the single sign
     epsilon, and confirms chi(c^r, e^{that weight}) = (-1)^{l(c^r)} e^0.
-    Non-extremal Coxeter elements get informational rows only.
+    Non-extremal Coxeter elements get informational rows only.  An Euler
+    character past the guard's count of terms is refused (GuardExceeded).
     """
-    n = rs.rank
+    n, bound = rs.rank, resolve_guard(guard)
     powers = coxeter._cycle(coxeter._entry(rs, range(n, 0, -1)))
     counterexamples = []
     signs = set()
@@ -383,7 +389,7 @@ def verify_thmC_typeA(rs: RootSystem) -> tuple[int, list, dict]:
             })
             continue
         signs.add(eps)
-        chi = _dot_zero_euler(rs, cr, cr_inv)
+        chi = _dot_zero_euler(rs, cr, cr_inv, bound)
         if chi != e(zero, (-1) ** cr.length):
             counterexamples.append({
                 "r": r, "reason": "Euler value is not (-1)^l e^0",
@@ -398,7 +404,7 @@ def verify_thmC_typeA(rs: RootSystem) -> tuple[int, list, dict]:
     for cox, word in coxeter_elements(rs):
         if coxeter.is_typeA_extremal(rs, cox):
             continue
-        chi = _dot_zero_euler(rs, cox, coxeter._cycle(coxeter._entry(rs, word, cox))[-1])
+        chi = _dot_zero_euler(rs, cox, coxeter._cycle(coxeter._entry(rs, word, cox))[-1], bound)
         nonextremal_rows.append({
             "c_word": list(word),
             "euler_is_signed_e0": chi == e(zero, (-1) ** cox.length),
@@ -410,7 +416,7 @@ def verify_thmC_typeA(rs: RootSystem) -> tuple[int, list, dict]:
     }
 
 
-def verify_cor52_53_58(rs: RootSystem) -> tuple[int, list, dict]:
+def verify_cor52_53_58(rs: RootSystem, guard: int | None = None) -> tuple[int, list, dict]:
     """Cyclic-group sweeps attached to each Coxeter element.
 
     Asserts for every Coxeter element that some power c^j (1 <= j < h)
@@ -425,9 +431,10 @@ def verify_cor52_53_58(rs: RootSystem) -> tuple[int, list, dict]:
     added in place into the two sums of every cyclic group <c> = <c^{-1}>
     that holds it (e in all of them; w0 = -1 on D4 and D6), and only
     whether its tangent is the adjoint character is kept.  The tangent of
-    e is zero, so C' and C share one walk.
+    e is zero, so C' and C share one walk.  An Euler character past the
+    guard's count of terms is refused (GuardExceeded).
     """
-    adjoint = adjoint_character(rs)
+    adjoint, bound = adjoint_character(rs), resolve_guard(guard)
     groups: dict[frozenset, tuple[Character, Character]] = {}
     cycles = []
     for c, word in coxeter_elements(rs):
@@ -445,7 +452,7 @@ def verify_cor52_53_58(rs: RootSystem) -> tuple[int, list, dict]:
                 continue
             tangent = inversion_tangent(rs, cj)
             is_full[cj] = tangent == adjoint
-            chi = _dot_zero_euler(rs, cj, powers[-j])
+            chi = _dot_zero_euler(rs, cj, powers[-j], bound)
             for group, (tangents, eulers) in groups.items():
                 if cj in group:
                     tangents.add(tangent)

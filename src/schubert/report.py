@@ -4,9 +4,11 @@ guard of ``rootsys``.
 
 A verifier in cohomology or coxeter returns only what it computes,
 (universe size, counterexamples, details); run_checks gates it, times it
-and stamps the Report, names the check in a WalkFailure, and spreads the
-checks over a process pool when asked for workers: one check, one
-verifier, one task.
+and stamps the Report, and spreads the checks over a process pool when
+asked for workers: one check, one verifier, one task.  An engine failure
+(AssertionError) or a guard a verifier trips at run time (GuardExceeded)
+leaves run_checks as "<check id>: <message>", named once, in a worker or
+not.
 
 write_json streams a report as json.dumps(obj, sort_keys=True, indent=2)
 writes it, in blocks.  One writer, _record, writes a dict in one piece
@@ -25,8 +27,7 @@ from math import factorial
 from operator import itemgetter
 from typing import Any, Callable
 
-from .rootsys import (GUARD_ENV_VAR, CartanType, GuardExceeded, Record, RootSystem,
-                      WalkFailure, resolve_guard)
+from .rootsys import GUARD_ENV_VAR, CartanType, GuardExceeded, Record, RootSystem, resolve_guard
 
 __all__ = ["Report", "Check", "CHECKS", "precheck", "pool_size", "run_checks",
            "run_check", "labeling_table", "canonical_json", "write_json"]
@@ -116,9 +117,9 @@ CHECKS = (
     Check("lemma54_56", _simply_laced, _orderings, "coxeter",
           lambda m, rs, guard: m.verify_lemma54_55_56(rs)),
     Check("thmC_typeA", lambda ct: None if ct.family == "A" else "specific to type A",
-          _orderings, "cohomology", lambda m, rs, guard: m.verify_thmC_typeA(rs)),
+          _orderings, "cohomology", lambda m, rs, guard: m.verify_thmC_typeA(rs, guard)),
     Check("cor52_53_58", _simply_laced, _orderings, "cohomology",
-          lambda m, rs, guard: m.verify_cor52_53_58(rs)),
+          lambda m, rs, guard: m.verify_cor52_53_58(rs, guard)),
     Check("lemma61", _two_lengths, _none, "cohomology",
           lambda m, rs, guard: m.verify_lemma61(rs)),
     Check("remarkB2", lambda ct: None if str(ct) == "B2" else "specific to B2",
@@ -159,7 +160,8 @@ def run_checks(rs: RootSystem, check_ids: list[str], guard: int | None = None,
                workers: int = 1) -> list[Report]:
     """Precheck every check before any work, then run and time them, one
     Report each in CHECKS order.  With more than one worker, each check is
-    one task of a process pool.  A WalkFailure leaves named by its check."""
+    one task of a process pool.  An AssertionError or GuardExceeded that a
+    verifier raises leaves named by its check, once."""
     guard = resolve_guard(guard)
     checks = sorted({c: precheck(c, rs.ct, guard) for c in check_ids}.values(), key=CHECKS.index)
     size = pool_size(workers, len(checks), os.cpu_count())
@@ -176,8 +178,8 @@ def run_checks(rs: RootSystem, check_ids: list[str], guard: int | None = None,
         start = time.perf_counter()
         try:
             n, cx, details = check.run(m, rs, guard)
-        except WalkFailure as exc:
-            raise WalkFailure(f"{check.id}: {exc}") from None
+        except (AssertionError, GuardExceeded) as exc:  # the one place a check's exit is named
+            raise type(exc)(f"{check.id}: {exc}") from None
         reports.append(Report(check.id, str(rs.ct), n, cx, time.perf_counter() - start, details))
     return reports
 
@@ -271,12 +273,18 @@ def write_json(obj: Any, write: Callable[[str], Any]) -> None:
 
     One writer, _record, writes a dict in one piece: each dict that emit
     meets, and each item of a list whose first item is a dict, by the
-    writer of that item's keys.  A list whose first item is no dict writes
-    its scalars by _scalar.  An item neither writes goes through emit.
+    writer of that item's keys, built once per key tuple and indent.  A
+    list whose first item is no dict writes its scalars by _scalar.  An
+    item neither writes goes through emit.
     List-item pieces can be long, so the block is also cut at _BLOCK_CHARS
     characters of them."""
     parts: list[str] = []
     append = parts.append
+    writers: dict = {}  # one _record per key tuple and indent
+
+    def record(keys: Any, nl: str) -> Callable[[Any], str | None]:
+        key = (tuple(keys), nl)
+        return writers.get(key) or writers.setdefault(key, _record(keys, nl))
 
     def flush() -> None:
         write("".join(parts))
@@ -294,7 +302,7 @@ def write_json(obj: Any, write: Callable[[str], Any]) -> None:
             return append("{}" if isinstance(o, dict) else "[]")
         inner = nl + "  "
         if isinstance(o, dict):
-            text = _record(o.keys(), nl)(o)
+            text = record(o.keys(), nl)(o)
             if text is not None:
                 return append(text)
             sep = "{" + inner
@@ -307,7 +315,7 @@ def write_json(obj: Any, write: Callable[[str], Any]) -> None:
                 emit(v, inner)
                 sep = "," + inner
             return append(nl + "}")
-        piece = _record(o[0].keys(), inner) if type(o[0]) is dict else _scalar
+        piece = record(o[0].keys(), inner) if type(o[0]) is dict else _scalar
         sep, size = "[" + inner, 0
         for x in o:
             append(sep)

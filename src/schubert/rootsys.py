@@ -43,7 +43,6 @@ __all__ = [
     "BUILD_ROOT_BOUND",
     "GUARD_ENV_VAR",
     "GuardExceeded",
-    "WalkFailure",
     "resolve_guard",
 ]
 
@@ -178,11 +177,6 @@ BUILD_ROOT_BOUND = 20_000
 class GuardExceeded(RuntimeError):
     """Raised when a requested enumeration would exceed the |W| guard, or a
     root system would exceed BUILD_ROOT_BOUND."""
-
-
-class WalkFailure(AssertionError):
-    """An engine failure at one element of a walk, which its message names
-    by the canonical words of tau and tau^-1; run_checks adds the check."""
 
 
 def resolve_guard(explicit: int | None = None) -> int:

@@ -27,7 +27,7 @@ canonical word, so it is refused there.  ``walk`` is the one walk of the
 group, depth first along the canonical words of the inverses, stepping H
 and a caller's payload; it walks all of W, or one coset W_J m from a
 given start m least in it, priced at |W_J| by ``guarded_order``, and a
-step that fails names its element (``WalkFailure``).
+step that fails names its element.
 ``enumerate_group`` is its elements, sorted by their words from one
 table.
 Elements invert by their reversed canonical word, so no rational
@@ -47,7 +47,7 @@ from math import prod
 from operator import add, mul, neg, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .rootsys import GuardExceeded, Root, RootSystem, WalkFailure, Weight, resolve_guard
+from .rootsys import GuardExceeded, Root, RootSystem, Weight, resolve_guard
 
 __all__ = [
     "WeylElement",
@@ -250,7 +250,7 @@ def longest_element(rs: RootSystem) -> WeylElement:
     """w0, found by climbing ascents; length must equal |R+|."""
     w0 = _climb(rs, range(1, rs.rank + 1))
     if len(w0.inversion_set()) != len(rs.positive_roots):
-        raise AssertionError("w0 search terminated early")
+        raise AssertionError(f"w0 search on {rs.ct} terminated early")
     return w0
 
 
@@ -311,8 +311,9 @@ def walk(rs: RootSystem, seed: object, step: Callable[[int, object], object],
     its Dynkin neighbours.  The explicit stack keeps at most N + 1 payloads
     alive, N = |R+| the depth.  The matrix is kept times D, so H(s_k tau)
     is H(tau) minus its row k.  The guard prices |W_J| first; any other
-    visit count is an engine failure, and a step that fails names the
-    element it steps to (WalkFailure)."""
+    visit count is an engine failure naming start and J, and a step that
+    fails names the element it steps to, by the canonical words of tau and
+    tau^-1."""
     order = guarded_order(rs, guard, letters)
     n, den, cartan = rs.rank, rs._den, rs.cartan
     rows_of, neighbours = rs._simple_rows, rs._neighbours
@@ -360,11 +361,11 @@ def walk(rs: RootSystem, seed: object, step: Callable[[int, object], object],
             payload = step(k + 1, payload)
         except AssertionError as exc:
             tau = WeylElement(rs, h)
-            raise WalkFailure(f"{str(exc).removeprefix('engine failure: ')}, at tau = {tau}, "
-                              f"tau^-1 = {tau.inverse()}") from None
+            raise AssertionError(f"{exc}, at tau = {tau}, tau^-1 = {tau.inverse()}") from None
         node = (y, word, h, payload)
     if visited != order:
-        raise AssertionError(f"engine failure: walked {visited} elements, expected {order}")
+        raise AssertionError(f"walked {visited} elements from start {list(start)} over letters "
+                             f"{sorted(k + 1 for k in ks)}, expected {order}")
 
 
 def word_table(rs: RootSystem) -> Callable[[tuple[int, ...]], list[int]]:

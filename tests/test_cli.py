@@ -385,7 +385,7 @@ def test_a_refused_line_names_its_check_element_and_root(capsys, monkeypatch, wo
 
 def test_any_internal_assertion_is_an_engine_failure(capsys, monkeypatch):
     # a group walk that visits one element more or fewer than the |W| it
-    # was priced at exits 3
+    # was priced at exits 3, naming the check, the walk's start and letters
     from schubert import weyl
 
     real = weyl.guarded_order
@@ -394,7 +394,75 @@ def test_any_internal_assertion_is_an_engine_failure(capsys, monkeypatch):
                             lambda rs, guard, letters=None: real(rs, guard, letters) + off)
         code, out, err = run(capsys, "verify", "thmA", "--type", "A3")
         assert (code, out) == (3, "")
-        assert err == f"error: engine failure: walked 24 elements, expected {24 + off}\n"
+        assert err == (f"error: engine failure: thmA: walked 24 elements from start [] over "
+                       f"letters [1, 2, 3], expected {24 + off}\n")
+
+
+def _boom(*args, **kwargs):
+    raise AssertionError("boom")
+
+
+def _broken_helpers():
+    """Per check id, (owner, name) of a helper its verifier calls."""
+    from schubert import cohomology, coxeter
+
+    return {"thmA": (cohomology, "_column_step"), "thm42": (cohomology, "_column_step"),
+            "thmB": (cohomology, "_column_step"), "prop51": (coxeter, "_entry"),
+            "lemma26": (RootSystem, "pairing_root"), "lemma54_56": (coxeter, "_entry"),
+            "thmC_typeA": (coxeter, "_entry"), "cor52_53_58": (cohomology, "inversion_tangent"),
+            "lemma61": (cohomology, "lemma61_search"),
+            "remarkB2": (cohomology, "borel_character")}
+
+
+@pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.id)
+def test_every_check_names_its_engine_failure_once(capsys, monkeypatch, check):
+    # whatever fails inside a verifier, the run exits 3 and the message
+    # names the check exactly once, however deep the failure was
+    ct = next(t for t in ("A3", "B3", "B2") if check.applies(CartanType.parse(t)) is None)
+    build(ct)
+    monkeypatch.setattr(*_broken_helpers()[check.id], _boom)
+    code, out, err = run(capsys, "verify", check.id, "--type", ct)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: engine failure: {check.id}: boom") and err.count(check.id) == 1
+
+
+def test_a_sweep_under_workers_names_the_failing_check_once(capsys, monkeypatch):
+    # thmA and thm42 pass in their workers; prop51's failure comes back
+    # from the pool already named, and is not named again
+    from schubert import coxeter
+
+    monkeypatch.setattr(coxeter, "_entry", _boom)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, err = run(capsys, "sweep", "--type", "A3", "--workers", "2")
+    assert (code, out, err) == (3, "", "error: engine failure: prop51: boom\n")
+
+
+def test_an_euler_character_past_the_guard_exits_2_named_by_its_check(capsys):
+    # D5's largest signed Euler character has 569 terms: one fewer in the
+    # guard stops the run there, and at 569 the report is the default one
+    code, out, err = run(capsys, "verify", "cor52_53_58", "--type", "D5", "--guard", "568")
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: cor52_53_58: chi along \[[\d, ]+\] has 569 terms at letter "
+                        r"\d+, above the guard 568\n", err)
+    reports = [run(capsys, "verify", "cor52_53_58", "--type", "D5", "--format", "json", *guard)
+               for guard in (("--guard", "569"), ())]
+    assert reports[0][0] == 0 and len({MASK_ELAPSED(out.encode()) for _, out, _ in reports}) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_guard_tripped_at_run_time_is_named_once(monkeypatch, workers):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(schubert.GuardExceeded) as exc:
+        run_checks(build("D5"), ["prop51", "cor52_53_58"], 568, workers)
+    assert str(exc.value).startswith("cor52_53_58: chi along ")
+    assert str(exc.value).count("cor52_53_58") == 1
+
+
+def test_thmC_typeA_stops_an_euler_character_at_the_guard():
+    from schubert.cohomology import verify_thmC_typeA
+
+    with pytest.raises(schubert.GuardExceeded, match=r"^chi along \[[\d, ]+\] has \d+ terms"):
+        verify_thmC_typeA(build("A5"), 5)
 
 
 @pytest.fixture

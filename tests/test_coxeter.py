@@ -295,7 +295,7 @@ def test_coxeter_order_is_checked_against_h(fresh_table, monkeypatch, capsys):
     code = main(["verify", "prop51", "--type", "A3"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
-    assert re.fullmatch(r"error: engine failure: Coxeter element W\[[\d,]+\] "
+    assert re.fullmatch(r"error: engine failure: prop51: Coxeter element W\[[\d,]+\] "
                         r"does not have order h = 5\n", captured.err)
 
 
@@ -379,7 +379,14 @@ def test_prop51_engine_failure_is_not_a_counterexample(capsys, monkeypatch):
     code = main(["verify", "prop51", "--type", "A2", "--format", "json"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
-    assert captured.err == "error: engine failure: w0 search terminated early\n"
+    assert captured.err == "error: engine failure: prop51: w0 search terminated early\n"
+
+
+def test_a_failed_w0_search_names_its_type(monkeypatch):
+    # a climb that stops at e leaves every root uninverted
+    monkeypatch.setattr(weyl, "_climb", lambda rs, letters: identity(rs))
+    with pytest.raises(AssertionError, match=r"^w0 search on A2 terminated early$"):
+        longest_element.__wrapped__(build("A2"))
 
 
 def test_lemma54_56_reports_lengths_that_do_not_add(capsys, monkeypatch):
