@@ -260,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
         if with_guard:
             sp.add_argument("--guard", type=int, metavar="N",
                             help=f"largest universe a check may enumerate: |W|, "
-                                 f"n! orderings or 2^(n-1) Coxeter elements "
+                                 f"thm42's cosets (Sum_alpha |W_P|), n! orderings "
+                                 f"or 2^(n-1) Coxeter elements "
                                  f"(default {DEFAULT_GUARD}, env {GUARD_ENV_VAR})")
 
     sp = sub.add_parser("roots", help="print the root-system summary")

@@ -41,9 +41,9 @@ from typing import Iterable, Iterator, Sequence
 from . import coxeter
 from .charring import (_DIGIT, _MASK, _OFF, Character, _pack, adjoint_character, char_to_str,
                        demazure_along_word, demazure_op, e)
-from .rootsys import RootSystem, Weight, resolve_guard
-from .weyl import (WeylElement, coxeter_elements, from_word, min_parabolic_rep, ss_nonempty, walk,
-                   word_table)
+from .rootsys import GuardExceeded, RootSystem, Weight, resolve_guard
+from .weyl import (WeylElement, coxeter_elements, from_word, guarded_order, min_parabolic_rep,
+                   ss_nonempty, walk, word_table)
 
 __all__ = [
     "euler_char",
@@ -230,12 +230,18 @@ def verify_thm42(rs: RootSystem, guard: int | None = None) -> tuple[int, list, d
     Section 2.5 and Cor. 2.2.3).  w_alpha is least in W_P* w_alpha, so its
     one left descent, the first letter of its word, is alpha*.  One walk
     per alpha starts at w_alpha over the letters of P*, Sum_alpha |W_P|
-    elements in all; the check table prices |W|, which bounds it.  On
+    elements in all, priced against the guard before the first walk
+    (GuardExceeded).  On
     columns packed as for thmA, an element passes when its tangent is the
     adjoint character and no line of a root beta with tau(beta) > 0 has a
     nonzero digit, which the sign bits of D ht tau(beta) and of the lines'
     digits read in two ANDs; rows are built only on a failure.
     """
+    starts = [min_parabolic_rep(rs, a).reduced_word() for a in range(1, rs.rank + 1)]
+    letters = [set(range(1, rs.rank + 1)) - {start[0]} for start in starts]
+    universe, limit = sum(guarded_order(rs, guard, J) for J in letters), resolve_guard(guard)
+    if universe > limit:
+        raise GuardExceeded(f"cosets W_P* w_alpha hold {universe} elements, above guard {limit}")
     target = _adjoint_tables(rs)[2]
     roots = rs.positive_roots
     seed, top, sign = _line_seed(rs, [True] * len(roots))
@@ -243,10 +249,9 @@ def verify_thm42(rs: RootSystem, guard: int | None = None) -> tuple[int, list, d
     nonzero = lines - (lines >> _DIGIT - 1)  # 2^31 - 1 per line: a digit d >= 1 sets its bit
     packs = _root_packs(rs)
     rows, per_alpha = [], {}
-    for a in range(1, rs.rank + 1):
-        start = min_parabolic_rep(rs, a).reduced_word()
+    for a, (start, J) in enumerate(zip(starts, letters), 1):
         coset: list[dict] = []
-        walked = group_walk(rs, seed, guard, sign, start, set(range(1, rs.rank + 1)) - {start[0]})
+        walked = group_walk(rs, seed, guard, sign, start, J)
         for count, (_, _, h, cols) in enumerate(walked, 1):
             tangent = [c >> top for c in cols]
             # bit 31 of digit r: tau(beta_r) > 0 and line r is not zero
@@ -326,7 +331,7 @@ def verify_thmB_criterion(rs: RootSystem,
     }
 
 
-def verify_lemma26(rs: RootSystem) -> tuple[int, list, dict]:
+def verify_lemma26(rs: RootSystem, guard: int | None = None) -> tuple[int, list, dict]:
     """Simply-laced pairing bound: <beta, alpha_vee> in {-1,0,1} off +-alpha."""
     counterexamples = []
     universe = 0
@@ -520,7 +525,7 @@ def lemma61_search(rs: RootSystem) -> dict | None:
     return None
 
 
-def verify_lemma61(rs: RootSystem) -> tuple[int, list, dict]:
+def verify_lemma61(rs: RootSystem, guard: int | None = None) -> tuple[int, list, dict]:
     found = lemma61_search(rs)
     counterexamples = []
     if found is None:
@@ -539,7 +544,7 @@ def borel_character(rs: RootSystem) -> Character:
     return Character(terms)
 
 
-def remark_b2_check(rs: RootSystem) -> tuple[int, list, dict]:
+def remark_b2_check(rs: RootSystem, guard: int | None = None) -> tuple[int, list, dict]:
     """Regression check of the B2 boundary example tau = s1 s2 s1.
 
     E = chi(tau, char b) is computed by the string formula; the H^0

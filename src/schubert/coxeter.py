@@ -243,7 +243,7 @@ def is_typeA_extremal(rs: RootSystem, c: WeylElement) -> bool:
     return by_path
 
 
-def verify_prop51(rs: RootSystem) -> tuple[int, list, dict]:
+def verify_prop51(rs: RootSystem, guard: int | None = None) -> tuple[int, list, dict]:
     """Orbit exponents exist below h for every Coxeter element and alpha:
     a least 1 <= j < h with c^j(omega_alpha) = w0(omega_alpha).
 
@@ -270,7 +270,7 @@ def verify_prop51(rs: RootSystem) -> tuple[int, list, dict]:
     }
 
 
-def verify_lemma54_55_56(rs: RootSystem) -> tuple[int, list, dict]:
+def verify_lemma54_55_56(rs: RootSystem, guard: int | None = None) -> tuple[int, list, dict]:
     """Exhaustive per-ordering checks of the simple-image combinatorics.
 
     For every ordering of the simple roots: the simple-image biconditional,

@@ -63,17 +63,20 @@ class Report(Record):
         return out
 
 
-Check = namedtuple("Check", "id applies cost module run")
+Check = namedtuple("Check", "id applies cost verifier")
 Check.__doc__ = """One row of the check table.
 
 applies(ct) is None when the check applies, else the reason it does
 not.  cost(ct) is the size of the universe the check enumerates, |W|,
 the n! orderings of the simple roots or the 2^(n-1) Coxeter elements,
-or None when it only loops over roots.  module names the engine module
-that holds the verifier, imported before the check's clock starts; run(m,
-rs, guard) looks the verifier up on that module m at call time, so a
-wrapper installed on cohomology.verify_thmB_criterion (say) is the one
-that runs, and returns (universe size, counterexamples, details).
+or None when it only loops over roots or is priced by its verifier once
+the root system is built (thm42, whose cosets are read off it).
+verifier is "module.function" in the engine: the module is imported
+before the check's clock starts and the function looked up on it at call
+time, so a wrapper installed on cohomology.verify_thmB_criterion (say) is
+the one that runs.  It takes (rs, guard), which a verifier that the
+table prices or that only loops over roots ignores, and returns
+(universe size, counterexamples, details).
 """
 
 
@@ -103,27 +106,18 @@ def _none(ct: CartanType) -> None:
 
 
 CHECKS = (
-    Check("thmA", _simply_laced, _weyl_order, "cohomology",
-          lambda m, rs, guard: m.verify_thmA(rs, guard)),
-    # its walks cover Sum_alpha |W_P| elements, at most |W|
-    Check("thm42", _simply_laced, _weyl_order, "cohomology",
-          lambda m, rs, guard: m.verify_thm42(rs, guard)),
-    Check("thmB", _two_lengths, _weyl_order, "cohomology",
-          lambda m, rs, guard: m.verify_thmB_criterion(rs, guard)),
-    Check("prop51", _none, _coxeter_elements, "coxeter",
-          lambda m, rs, guard: m.verify_prop51(rs)),
-    Check("lemma26", _simply_laced, _none, "cohomology",
-          lambda m, rs, guard: m.verify_lemma26(rs)),
-    Check("lemma54_56", _simply_laced, _orderings, "coxeter",
-          lambda m, rs, guard: m.verify_lemma54_55_56(rs)),
+    Check("thmA", _simply_laced, _weyl_order, "cohomology.verify_thmA"),
+    Check("thm42", _simply_laced, _none, "cohomology.verify_thm42"),
+    Check("thmB", _two_lengths, _weyl_order, "cohomology.verify_thmB_criterion"),
+    Check("prop51", _none, _coxeter_elements, "coxeter.verify_prop51"),
+    Check("lemma26", _simply_laced, _none, "cohomology.verify_lemma26"),
+    Check("lemma54_56", _simply_laced, _orderings, "coxeter.verify_lemma54_55_56"),
     Check("thmC_typeA", lambda ct: None if ct.family == "A" else "specific to type A",
-          _orderings, "cohomology", lambda m, rs, guard: m.verify_thmC_typeA(rs, guard)),
-    Check("cor52_53_58", _simply_laced, _orderings, "cohomology",
-          lambda m, rs, guard: m.verify_cor52_53_58(rs, guard)),
-    Check("lemma61", _two_lengths, _none, "cohomology",
-          lambda m, rs, guard: m.verify_lemma61(rs)),
+          _orderings, "cohomology.verify_thmC_typeA"),
+    Check("cor52_53_58", _simply_laced, _orderings, "cohomology.verify_cor52_53_58"),
+    Check("lemma61", _two_lengths, _none, "cohomology.verify_lemma61"),
     Check("remarkB2", lambda ct: None if str(ct) == "B2" else "specific to B2",
-          _none, "cohomology", lambda m, rs, guard: m.remark_b2_check(rs)),
+          _none, "cohomology.remark_b2_check"),
 )
 
 
@@ -174,10 +168,11 @@ def run_checks(rs: RootSystem, check_ids: list[str], guard: int | None = None,
     reports = []
     for check in checks:
         # imported before the clock starts: a check's time is its own work
-        m = import_module(f"{__package__}.{check.module}")
+        module, _, name = check.verifier.partition(".")
+        m = import_module(f"{__package__}.{module}")
         start = time.perf_counter()
         try:
-            n, cx, details = check.run(m, rs, guard)
+            n, cx, details = getattr(m, name)(rs, guard)
         except (AssertionError, GuardExceeded) as exc:  # the one place a check's exit is named
             raise type(exc)(f"{check.id}: {exc}") from None
         reports.append(Report(check.id, str(rs.ct), n, cx, time.perf_counter() - start, details))

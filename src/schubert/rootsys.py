@@ -9,7 +9,7 @@ fundamental-weight coordinates of ``alpha_j`` are exactly column ``j``.
 Weights live in fundamental-weight coordinates (``fw[i] = <lam,
 alpha_i_vee>``), which makes coroot pairings O(1) lookups.  The engine
 works on the bare ``fw`` tuples; ``Weight`` wraps them at the API edge.
-Heights and the dominance order go through D * C^-1, the inverse Cartan
+Heights and root coordinates go through D * C^-1, the inverse Cartan
 matrix scaled by the smallest common denominator D of its entries, so
 they stay in the integers, and ``build`` finds D * C^-1 by fraction-free
 Gauss-Jordan elimination.  ``Fraction`` appears only at the API edge:
@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 from math import factorial, gcd, lcm
-from operator import mul, sub
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -451,20 +451,6 @@ class RootSystem:
     def reflect_simple(self, lam: Weight, i: int) -> Weight:
         self._check_index(i)
         return lam - lam.fw[i - 1] * self.simple_roots[i - 1].weight
-
-    def dominance_leq(self, mu: Weight, lam: Weight) -> bool:
-        """mu <= lam iff lam - mu is a nonnegative integer sum of simple roots.
-
-        Row i of D * C^-1 applied to lam - mu is D times its i-th root
-        coordinate, which must be a nonnegative multiple of D.
-        """
-        diff = tuple(map(sub, lam.fw, mu.fw))
-        den = self._den
-        for row in self._scaled_inv:
-            x = sum(map(mul, row, diff))
-            if x < 0 or x % den:
-                return False
-        return True
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.rank:

@@ -18,11 +18,12 @@ Canonical reduced words peel the smallest-index right descent on x
 (``_peel``), which makes every enumeration in the engine deterministic.
 The word of w is the word of w s_d plus d, d that descent, so
 ``word_table`` derives each element's word from its parent's: a sweep
-peels each element once.  Words, lengths,
-Bruhat comparisons, the climbs to w0 and products u v (u's heights stepped
-along v's canonical word) all walk on H.  The action on fw coordinates
-applies the canonical word letter by letter, each letter touching at most
-four coordinates, and a heights tuple that names no element has no
+peels each element once.  Words, lengths, Bruhat comparisons and
+products u v (u's heights stepped along v's canonical word) all walk on
+H; w0 and every w_alpha come from one descent of the orbit of a dominant
+weight (``_to_antidominant``).  The action on fw coordinates applies the
+canonical word letter by letter, each letter touching at most four
+coordinates, and a heights tuple that names no element has no
 canonical word, so it is refused there.  ``walk`` is the one walk of the
 group, depth first along the canonical words of the inverses, stepping H
 and a caller's payload; it walks all of W, or one coset W_J m from a
@@ -227,29 +228,30 @@ def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     return WeylElement(rs, h)
 
 
-def _climb(rs: RootSystem, letters: Sequence[int]) -> WeylElement:
-    """Longest element of the subgroup generated by ``letters``.
-
-    Steps along the first ascent among the letters until none is left,
-    on the column heights, and is the element those heights name.
+def _to_antidominant(rs: RootSystem, fw: tuple[int, ...]) -> list[int]:
+    """A reduced word of the least u with u(lam) = w0(lam), lam dominant of
+    fw coordinates fw: the one descent of the orbit W.lam (Bjorner-Brenti,
+    ch. 2).  From gamma = lam it steps to s_i gamma at the smallest i with
+    <gamma, alpha_i^vee> > 0 until none is left; each step adds one to the
+    length because lam is dominant, so the steps, last first, are the word.
     """
-    h = rs._height_vec
+    gamma = list(fw)
     cols = rs._simple_columns
-    while True:
-        for i in letters:
-            x = _root_height(h, cols[i - 1])
-            if x > 0:
-                h = _reflect(h, i - 1, x)
-                break
-        else:
-            return WeylElement(rs, h)
+    steps = []
+    while (i := next((k for k, m in enumerate(gamma) if m > 0), -1)) >= 0:
+        m = gamma[i]
+        for j, c in cols[i]:
+            gamma[j] -= c * m
+        steps.append(i + 1)
+    return steps[::-1]
 
 
 @lru_cache(maxsize=None)
 def longest_element(rs: RootSystem) -> WeylElement:
-    """w0, found by climbing ascents; length must equal |R+|."""
-    w0 = _climb(rs, range(1, rs.rank + 1))
-    if len(w0.inversion_set()) != len(rs.positive_roots):
+    """w0, the descent from rho, which is regular; it must invert every
+    positive root."""
+    w0 = from_word(rs, _to_antidominant(rs, rs.rho.fw))
+    if not all(w0.inverted()):
         raise AssertionError(f"w0 search on {rs.ct} terminated early")
     return w0
 
@@ -257,17 +259,14 @@ def longest_element(rs: RootSystem) -> WeylElement:
 def min_parabolic_rep(rs: RootSystem, i: int) -> WeylElement:
     """Minimal representative w_alpha of w0 modulo the parabolic dropping alpha_i.
 
-    Computed as w0 * w0P where w0P is the longest element of the subgroup
-    generated by the other simple reflections.  Post-condition (asserted):
-    the inversion set is exactly {beta in R+ : alpha_i <= beta}.
+    The descent from omega_i, which the parabolic fixes, so w_alpha = w0 w0_P.
+    Post-condition (asserted): the inversion set is exactly {beta in R+ :
+    alpha_i <= beta}, the positive roots whose alpha_i-coefficient is at
+    least 1.
     """
     rs._check_index(i)
-    w0p = _climb(rs, [j for j in range(1, rs.rank + 1) if j != i])
-    w = longest_element(rs) * w0p
-    alpha = rs.simple_roots[i - 1]
-    expected = frozenset(b for b in rs.positive_roots
-                         if rs.dominance_leq(alpha.weight, b.weight))
-    if w.inversion_set() != expected:
+    w = from_word(rs, _to_antidominant(rs, rs.fundamental_weights[i - 1].fw))
+    if w.inverted() != [b.coords[i - 1] > 0 for b in rs.positive_roots]:
         raise AssertionError(f"w_alpha inversion set mismatch for alpha_{i}")
     return w
 

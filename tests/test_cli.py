@@ -778,7 +778,7 @@ def test_bad_input_exits_before_any_work(capsys, argv, needle):
 def test_check_costs():
     costs = {c.id: c.cost(CartanType.parse("A4")) for c in CHECKS}
     assert costs == {
-        "thmA": 120, "thm42": 120, "thmB": 120,
+        "thmA": 120, "thm42": None, "thmB": 120,
         "prop51": 8, "lemma54_56": 24, "thmC_typeA": 24, "cor52_53_58": 24,
         "lemma26": None, "lemma61": None, "remarkB2": None,
     }

@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 import weakref
 from operator import mul
 
@@ -9,6 +10,7 @@ import pytest
 
 from schubert import (
     Character,
+    GuardExceeded,
     WeylElement,
     adjoint_character,
     build,
@@ -27,7 +29,7 @@ from schubert.charring import char_to_str
 from schubert.cli import main
 from schubert.cohomology import borel_character, group_walk, lemma61_search
 from schubert.report import run_check, run_checks
-from schubert.rootsys import CartanType, RootSystem
+from schubert.rootsys import GUARD_ENV_VAR, CartanType, RootSystem
 
 from helpers import (LAYER_TYPES, adjoint_weights, assert_thm42_slices,
                      bruhat_monotonicity_findings, columns_char, element_of, gauss_jordan_inverse,
@@ -466,6 +468,35 @@ def test_thm42_steps_only_to_and_across_its_cosets(monkeypatch):
     assert len(steps) == want == 555
     assert universe == sum(parabolic_order_by_closure(rs, [k for k in letters if k != a])
                            for a in letters)
+
+
+def test_a_descent_one_step_short_fails_thm42(monkeypatch, capsys):
+    # the word's first letter is the descent's last step; without it
+    # w_alpha is one inversion short, which its post-condition names
+    real = weyl._to_antidominant
+    monkeypatch.setattr(weyl, "_to_antidominant", lambda rs, fw: real(rs, fw)[1:])
+    assert main(["verify", "thm42", "--type", "A3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "thm42: w_alpha inversion set mismatch for alpha_1" in captured.err
+
+
+def test_thm42_is_priced_at_its_cosets(monkeypatch):
+    # E7's cosets hold Sum_alpha |W_P| = 86,208 elements, under the default
+    # guard that |W| = 2,903,040 exceeds; E8's E7 coset alone exceeds it,
+    # and that is known before any walk starts
+    monkeypatch.delenv(GUARD_ENV_VAR, raising=False)
+    universe, rows, _ = cohomology.verify_thm42(build("E7"))
+    assert (universe, rows) == (86208, [])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a walk started")
+
+    monkeypatch.setattr(cohomology, "group_walk", refuse)
+    start = time.perf_counter()
+    with pytest.raises(GuardExceeded, match="2903040 exceeds guard 1000000"):
+        cohomology.verify_thm42(build("E8"))
+    assert time.perf_counter() - start < 5.0
 
 
 @pytest.mark.parametrize("name", ["B3", "C4", "F4", "G2"])

@@ -272,6 +272,7 @@ def test_prop51_builds_one_element_and_cycle_per_orientation(fresh_table, monkey
     # E8 has 8! orderings and 2^7 orientations: prop51 builds one element
     # and one cycle for each orientation
     rs = build("E8")
+    weyl.longest_element(rs)  # built before the count: w0 is no Coxeter element
     builds = []
 
     def counted_from_word(rs, word, real=weyl.from_word):
@@ -383,8 +384,8 @@ def test_prop51_engine_failure_is_not_a_counterexample(capsys, monkeypatch):
 
 
 def test_a_failed_w0_search_names_its_type(monkeypatch):
-    # a climb that stops at e leaves every root uninverted
-    monkeypatch.setattr(weyl, "_climb", lambda rs, letters: identity(rs))
+    # a descent that stops at once gives e, which inverts no root
+    monkeypatch.setattr(weyl, "_to_antidominant", lambda rs, fw: [])
     with pytest.raises(AssertionError, match=r"^w0 search on A2 terminated early$"):
         longest_element.__wrapped__(build("A2"))
 

@@ -11,7 +11,7 @@ import pytest
 from schubert import CartanType, Root, RootSystem, Weight, build, longest_element
 from schubert.report import CHECKS, run_checks
 
-from helpers import (coordinate_closure, dominant_representative, fraction_dominance_leq,
+from helpers import (coordinate_closure, dominant_representative,
                      fraction_height, fraction_symmetrizers, gram_d, invert_rational)
 
 ROOT_COUNTS = {
@@ -202,36 +202,6 @@ def test_reflections_permute_roots(name):
         flipped = [r for r in rs.positive_roots
                    if not rs.root_of(rs.reflect_simple(r.weight, i)).positive]
         assert [r.coords for r in flipped] == [alpha.coords]
-
-
-def test_dominance_order_examples():
-    rs = build("A2")
-    zero = rs.zero()
-    theta = rs.highest_root.weight
-    assert rs.dominance_leq(zero, theta)
-    assert not rs.dominance_leq(theta, zero)
-    # alpha_1 and alpha_2 are incomparable
-    a1 = rs.simple_roots[0].weight
-    a2 = rs.simple_roots[1].weight
-    assert not rs.dominance_leq(a1, a2)
-    assert not rs.dominance_leq(a2, a1)
-    # every positive root sits below the highest root
-    for name in ("A3", "B3", "G2", "F4"):
-        rsn = build(name)
-        top = rsn.highest_root.weight
-        assert all(rsn.dominance_leq(r.weight, top) for r in rsn.positive_roots)
-
-
-@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4",
-                                  "C3", "C4", "D4", "D5", "F4", "G2"])
-def test_integer_dominance_matches_fraction_oracle(name):
-    # every pair of roots; the fundamental weights and 0 add differences
-    # outside the root lattice, which only the divisibility test rejects
-    rs = build(name)
-    weights = [r.weight for r in rs.roots] + list(rs.fundamental_weights) + [rs.zero()]
-    for mu in weights:
-        for lam in weights:
-            assert rs.dominance_leq(mu, lam) == fraction_dominance_leq(rs, mu, lam)
 
 
 def test_dominant_representative():

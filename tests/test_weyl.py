@@ -22,10 +22,11 @@ from schubert.rootsys import DEFAULT_GUARD, GUARD_ENV_VAR, resolve_guard
 from schubert.weyl import orientation, walk, word_table
 
 from helpers import (LAYER_TYPES, coxeter_elements_per_permutation, element_of,
-                     element_order, gauss_jordan_inverse, heights_above_w_alpha, identity_matrix,
-                     matmul, matrix_of, matrix_power_order, matvec, mul_from_word,
-                     parabolic_order_by_closure, peel_reduced_word, random_element,
-                     reduced_words, simple_matrix, subword_bruhat_leq, weight_orbit, word_matrix)
+                     element_order, fraction_dominance_leq, gauss_jordan_inverse,
+                     heights_above_w_alpha, identity_matrix, matmul, matrix_of,
+                     matrix_power_order, matvec, mul_from_word, parabolic_order_by_closure,
+                     peel_reduced_word, random_element, reduced_words, simple_matrix,
+                     subword_bruhat_leq, weight_orbit, word_matrix)
 
 
 def test_simple_reflection_basics():
@@ -157,15 +158,21 @@ def test_bruhat_basics():
 
 
 def test_min_parabolic_rep_inversions():
-    # R+(w_alpha) = the positive roots above alpha in dominance order
-    for name in ("A2", "A3", "B2", "D4"):
+    # R+(w_alpha) = the positive roots above alpha in the Fraction dominance
+    # order; w0 sends rho to -rho and inverts every positive root
+    names = ([f"A{n}" for n in range(1, 9)] + [f"{x}{n}" for x in "BC" for n in range(2, 9)]
+             + [f"D{n}" for n in range(3, 9)] + ["E6", "E7", "E8", "F4", "G2"])
+    for name in names:
         rs = build(name)
         for i in range(1, rs.rank + 1):
             w = min_parabolic_rep(rs, i)
             alpha = rs.simple_roots[i - 1].weight
             expected = {r.coords for r in rs.positive_roots
-                        if rs.dominance_leq(alpha, r.weight)}
-            assert {r.coords for r in w.inversion_set()} == expected
+                        if fraction_dominance_leq(rs, alpha, r.weight)}
+            assert {r.coords for r in w.inversion_set()} == expected, (name, i)
+        w0 = longest_element(rs)
+        assert w0.act(rs.rho.fw) == (-rs.rho).fw
+        assert len(w0.inversion_set()) == len(rs.positive_roots)
 
 
 # 2^(n-1) Coxeter elements on a tree diagram: one per orientation of its edges
