@@ -497,6 +497,9 @@ def test_thm42_is_priced_at_its_cosets(monkeypatch):
     with pytest.raises(GuardExceeded, match="2903040 exceeds guard 1000000"):
         cohomology.verify_thm42(build("E8"))
     assert time.perf_counter() - start < 5.0
+    # every D5 coset fits under 200 (the largest, W(D4), has 192), their sum does not
+    with pytest.raises(GuardExceeded, match="hold 504 elements, above guard 200$"):
+        cohomology.verify_thm42(build("D5"), 200)
 
 
 @pytest.mark.parametrize("name", ["B3", "C4", "F4", "G2"])
