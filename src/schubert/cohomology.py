@@ -11,12 +11,14 @@ maps to itself, so a sweep carries columns indexed by those weights, and
 D_i is a table built once per root system from ``demazure_op``.  thmB
 seeds the sum of the e^beta and takes each row's canonical word of tau
 from the sweep's ``word_table``, each element peeled once; thmA
-(``verify_thmA``) walks all of W and thm42 (``verify_thm42``) walks only
-its cosets W_P* w_alpha, one per simple root, each on columns that pack
-every per-root line as a 32-bit digit; ``inversion_tangent`` steps the
-same tables along one word.  One check is one verifier and one walk.
-The criterion for X(tau^-1) is read off the walk's x, and thm42 reads
-tau's non-inversions off its heights, packed.
+(``verify_thmA``) walks all of W, on columns that pack every per-root
+line as a 32-bit digit, and thm42 (``verify_thm42``) climbs on the same
+columns to w_alpha, one per simple root, which decides its coset W_P*
+w_alpha: the walk of the coset goes on past w_alpha only when w_alpha
+fails.  ``inversion_tangent`` steps the same tables along one word.  One
+check is one verifier: thmA one walk, thm42 one per simple root.  The
+criterion for X(tau^-1) is read off the walk's x, and thm42 reads tau's
+non-inversions from ``WeylElement.inverted``.
 Single queries go along the canonical reduced word (``euler_char``,
 ``h0_line``); so do the Euler checks of
 Coxeter elements, thmC_typeA and cor52_53_58, which take each c and its
@@ -34,8 +36,8 @@ an h^0.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from operator import gt, itemgetter, mul, or_, sub
+from functools import lru_cache
+from operator import gt, itemgetter, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from . import coxeter
@@ -210,11 +212,32 @@ def verify_thmA(rs: RootSystem, guard: int | None = None) -> tuple[int, list, di
         "full_tangent_count": n_equal, "ss_count": n_ss}
 
 
-def _root_packs(rs: RootSystem) -> list[int]:
-    """Per fw coordinate j, the fw_j(beta_r) of the positive roots packed as
-    32-bit digits: sum_j H(tau)_j P_j packs D ht tau(beta_r) in digit r."""
+def _thm42_rows(rs: RootSystem, a: int, h: tuple[int, ...], cols: list[int],
+                top: int) -> list[dict]:
+    """thm42's rows for tau = WeylElement(rs, h) in alpha's coset, none
+    when tau passes: the lines of tau's inversions sum to the adjoint
+    character, and the line of every beta with tau(beta) > 0 is zero.
+    Line r is decoded from its 32-bit digit of the columns, and the
+    inversion sum is the tangent, the top digit, less every outside line."""
+    tau = WeylElement(rs, h)
+    total = [c >> top for c in cols]
+    found = {}
+    for r, inverted in enumerate(tau.inverted()):
+        if not inverted and any(line := [c >> _DIGIT * r & _MASK for c in cols]):
+            found[r] = line
+            total = list(map(sub, total, line))
+    target = _adjoint_tables(rs)[2]
+    if total == target and not found:
+        return []
+    words = {"alpha": a, "tau_word": list(tau.reduced_word()),
+             "tau_inv_word": list(tau.inverse().reduced_word())}
+    rows = []
+    if total != target:
+        rows.append({**words, "clause": "inversion-sum",
+                     "difference": char_to_str(rs, _character(rs, map(sub, target, total)))})
     roots = rs.positive_roots
-    return [sum(b.weight.fw[j] << _DIGIT * r for r, b in enumerate(roots)) for j in range(rs.rank)]
+    return rows + [{**words, "clause": "outside-vanishing", "beta": list(roots[r].coords),
+                    "h0": char_to_str(rs, _character(rs, line))} for r, line in found.items()]
 
 
 def verify_thm42(rs: RootSystem, guard: int | None = None) -> tuple[int, list, dict]:
@@ -228,52 +251,38 @@ def verify_thm42(rs: RootSystem, guard: int | None = None) -> tuple[int, list, d
     omega_alpha*: w_alpha is the maximum of W^P and tau -> tau^P preserves
     Bruhat order, so tau >= w_alpha iff tau^P = w_alpha (Bjorner-Brenti,
     Section 2.5 and Cor. 2.2.3).  w_alpha is least in W_P* w_alpha, so its
-    one left descent, the first letter of its word, is alpha*.  One walk
-    per alpha starts at w_alpha over the letters of P*, Sum_alpha |W_P|
-    elements in all, priced against the guard before the first walk
-    (GuardExceeded).  On
-    columns packed as for thmA, an element passes when its tangent is the
-    adjoint character and no line of a root beta with tau(beta) > 0 has a
-    nonzero digit, which the sign bits of D ht tau(beta) and of the lines'
-    digits read in two ANDs; rows are built only on a failure.
+    one left descent, the first letter of its word, is alpha*.  The cosets
+    hold Sum_alpha |W_P| elements, priced against the guard before the
+    first walk (GuardExceeded); that is the universe.
+
+    w_alpha decides its coset.  Every tau in it is v w_alpha, v in W_P*,
+    with lengths adding (Bjorner-Brenti, Prop. 2.4.4), so each line is
+    D_v of w_alpha's (Demazure 1974); D_v fixes the adjoint character and
+    0; and tau's inversions contain w_alpha's, so a beta with tau(beta) >
+    0 has w_alpha(beta) > 0.  Both clauses hold on the coset once they
+    hold at w_alpha, and otherwise w_alpha is itself a counterexample.
+    So one walk per alpha starts at w_alpha over the letters of P*, on
+    columns packed as for thmA, and ``_thm42_rows`` reads its first node;
+    the walk goes on, listing every row of the coset, only when w_alpha
+    fails.  On a passing coset each line is thus certified effective on
+    the climb from e to w_alpha only; thmA certifies every element of W.
     """
     starts = [min_parabolic_rep(rs, a).reduced_word() for a in range(1, rs.rank + 1)]
     letters = [set(range(1, rs.rank + 1)) - {start[0]} for start in starts]
-    universe, limit = sum(guarded_order(rs, guard, J) for J in letters), resolve_guard(guard)
-    if universe > limit:
-        raise GuardExceeded(f"cosets W_P* w_alpha hold {universe} elements, above guard {limit}")
-    target = _adjoint_tables(rs)[2]
-    roots = rs.positive_roots
-    seed, top, sign = _line_seed(rs, [True] * len(roots))
-    lines = sign & ~(-1 << top)  # the sign bits of the lines' digits, not the tangent's
-    nonzero = lines - (lines >> _DIGIT - 1)  # 2^31 - 1 per line: a digit d >= 1 sets its bit
-    packs = _root_packs(rs)
-    rows, per_alpha = [], {}
+    orders, limit = [guarded_order(rs, guard, J) for J in letters], resolve_guard(guard)
+    if sum(orders) > limit:
+        raise GuardExceeded(f"cosets W_P* w_alpha hold {sum(orders)} elements, above guard {limit}")
+    seed, top, sign = _line_seed(rs, [True] * len(rs.positive_roots))
+    rows = []
     for a, (start, J) in enumerate(zip(starts, letters), 1):
-        coset: list[dict] = []
         walked = group_walk(rs, seed, guard, sign, start, J)
-        for count, (_, _, h, cols) in enumerate(walked, 1):
-            tangent = [c >> top for c in cols]
-            # bit 31 of digit r: tau(beta_r) > 0 and line r is not zero
-            outside = (sum(map(mul, h, packs)) + lines) & (reduce(or_, cols) + nonzero) & lines
-            if tangent == target and not outside:
-                continue
-            tau = WeylElement(rs, h)
-            words = {"tau_word": list(tau.reduced_word()),
-                     "tau_inv_word": list(tau.inverse().reduced_word())}
-            found = {r: [c >> _DIGIT * r & _MASK for c in cols]
-                     for r in range(len(roots)) if outside >> _DIGIT * r & _OFF}
-            total = ([t - sum(off) for t, off in zip(tangent, zip(*found.values()))]
-                     if found else tangent)
-            if total != target:
-                coset.append({"alpha": a, **words, "clause": "inversion-sum", "difference":
-                              char_to_str(rs, _character(rs, map(sub, target, total)))})
-            coset += ({"alpha": a, **words, "clause": "outside-vanishing",
-                       "beta": list(roots[r].coords), "h0": char_to_str(rs, _character(rs, line))}
-                      for r, line in found.items())
-        per_alpha[str(a)] = count
+        _, _, h, cols = next(walked)  # w_alpha
+        if coset := _thm42_rows(rs, a, h, cols, top):
+            for _, _, h, cols in walked:
+                coset += _thm42_rows(rs, a, h, cols, top)
         rows += sorted(coset, key=_canonical)
-    return sum(per_alpha.values()), rows, {"elements_above_w_alpha": per_alpha}
+    return sum(orders), rows, {"elements_above_w_alpha": {
+        str(a): order for a, order in enumerate(orders, 1)}}
 
 
 def verify_thmB_criterion(rs: RootSystem,

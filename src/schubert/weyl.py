@@ -158,11 +158,6 @@ class WeylElement:
         heights = self.heights
         return [sum(map(mul, heights, beta.weight.fw)) < 0 for beta in self.rs.positive_roots]
 
-    def inversion_set(self) -> frozenset[Root]:
-        """{beta in R+ : w(beta) in R-}; its size equals l(w)."""
-        return frozenset(beta for beta, neg in zip(self.rs.positive_roots, self.inverted())
-                         if neg)
-
     def __repr__(self) -> str:
         return f"W[{','.join(map(str, self.reduced_word())) or 'e'}]"
 
@@ -309,9 +304,11 @@ def walk(rs: RootSystem, seed: object, step: Callable[[int, object], object],
     on fw coordinates, the walk's own state, which s_k tau changes at k and
     its Dynkin neighbours.  The explicit stack keeps at most N + 1 payloads
     alive, N = |R+| the depth.  The matrix is kept times D, so H(s_k tau)
-    is H(tau) minus its row k.  The guard prices |W_J| first; any other
-    visit count is an engine failure naming start and J, and a step that
-    fails names the element it steps to, by the canonical words of tau and
+    is H(tau) minus its row k.  The guard prices |W_J| first.  A caller
+    may stop after any node: a node's children are stepped only when the
+    next one is asked for.  On a walk taken to its end, any visit count
+    but |W_J| is an engine failure naming start and J; a step that fails
+    names the element it steps to, by the canonical words of tau and
     tau^-1."""
     order = guarded_order(rs, guard, letters)
     n, den, cartan = rs.rank, rs._den, rs.cartan

@@ -34,9 +34,9 @@ from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from schubert import (Character, CoxeterAnalysis, WeylElement, adjoint_character, analyze,
-                      bruhat_leq, char_to_str, coxeter_elements, e, enumerate_group, euler_char, from_word, h0_line, identity,
-                      is_typeA_extremal, longest_element, min_parabolic_rep,
-                      ss_nonempty)
+                      bruhat_leq, char_to_str, coxeter_elements, e, enumerate_group, euler_char,
+                      from_word, h0_line, identity, is_typeA_extremal, longest_element,
+                      min_parabolic_rep, ss_nonempty)
 from schubert.charring import _DIGIT
 from schubert.rootsys import Root, RootSystem, Weight
 from schubert.weyl import walk
@@ -49,6 +49,12 @@ E6_W0_WORD = (3, 2, 4, 2, 6, 3, 5, 4, 6, 5, 2, 3, 4, 1, 3, 4, 2, 5, 6, 4, 5, 3, 
 # that a test can sweep in about a second, both root lengths included
 LAYER_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4",
                "D4", "D5", "F4", "G2"]
+
+
+def inversion_set(w: WeylElement) -> frozenset[Root]:
+    """{beta in R+ : w(beta) in R-}, read off ``WeylElement.inverted``;
+    its size equals l(w)."""
+    return frozenset(beta for beta, neg in zip(w.rs.positive_roots, w.inverted()) if neg)
 
 
 def invert_rational(mat: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
@@ -596,7 +602,7 @@ def cor52_53_58_per_element(rs: RootSystem) -> tuple[int, list, dict]:
         tangents = []
         for cj in powers[1:]:
             total = Character.zero()
-            for beta in cj.inversion_set():
+            for beta in inversion_set(cj):
                 total = total + h0_line(rs, cj, beta.weight)
             tangents.append(total)
         min_j = next((j for j, total in enumerate(tangents, 1) if total == adjoint), None)

@@ -33,9 +33,9 @@ from schubert.rootsys import GUARD_ENV_VAR, CartanType, RootSystem
 
 from helpers import (LAYER_TYPES, adjoint_weights, assert_thm42_slices,
                      bruhat_monotonicity_findings, columns_char, element_of, gauss_jordan_inverse,
-                     kernel_char, matrix_of, matvec, parabolic_order_by_closure, peel_reduced_word,
-                     shift_adjoint_target, signed_digits, subword_products, subword_upper_set,
-                     tangent_h0_char)
+                     inversion_set, kernel_char, matrix_of, matvec, parabolic_order_by_closure,
+                     peel_reduced_word, shift_adjoint_target, signed_digits, subword_products,
+                     subword_upper_set, tangent_h0_char)
 
 
 def test_euler_char_identity_and_w0():
@@ -217,9 +217,10 @@ def test_each_check_alone_does_only_its_own_work(monkeypatch, capsys):
     ("verify", "thm42", "--type", "A3"),
 ])
 def test_one_enumeration_per_sweep(monkeypatch, capsys, argv):
-    # a sweep walks all of W once (thmA, or thmB), and thm42 walks one coset
-    # W_P* w_alpha per simple root, from w_alpha: each a walk of weyl, so no
-    # other enumeration of W runs
+    # a sweep walks all of W once (thmA, or thmB), and thm42 starts one walk
+    # of a coset W_P* w_alpha per simple root, at w_alpha, and reads on past
+    # w_alpha only where it fails: each a walk of weyl, so no other
+    # enumeration of W runs
     calls, walks = [], []
     real, real_walk = cohomology.group_walk, weyl.walk
 
@@ -366,7 +367,7 @@ def test_thm42_rows_under_a_wrong_adjoint_match_the_word_oracle(monkeypatch):
         assert row["clause"] == "inversion-sum"
         tau = from_word(rs, row["tau_word"])
         total = Character()
-        for beta in tau.inversion_set():
+        for beta in inversion_set(tau):
             total.add(demazure_along_word(rs, tau.reduced_word(), e(beta.weight)))
         assert row["difference"] == char_to_str(rs, wrong - total)
     thmA_rows = cohomology.verify_thmA(rs)[1]
@@ -375,12 +376,17 @@ def test_thm42_rows_under_a_wrong_adjoint_match_the_word_oracle(monkeypatch):
 
 
 def test_thm42_outside_rows_render_each_root_line(monkeypatch):
-    # with no root counted as inverted (packed root coordinates all zero, so
-    # every D ht tau(beta) reads 0, not negative), every root with a nonzero
-    # line is an outside-vanishing row; its h0 is the word-by-word line,
-    # rendered from its digit of the packed columns
+    # with no root counted as inverted (the reader's WeylElement reports
+    # none), every root with a nonzero line is an outside-vanishing row; w_alpha
+    # fails, so its coset is walked, and each row's h0 is the word-by-word
+    # line, rendered from its digit of the packed columns
     rs = build("A3")
-    monkeypatch.setattr(cohomology, "_root_packs", lambda rs: [0] * rs.rank)
+
+    class NoInversions(WeylElement):
+        def inverted(self):
+            return [False] * len(self.rs.positive_roots)
+
+    monkeypatch.setattr(cohomology, "WeylElement", NoInversions)
     _, rows, _ = cohomology.verify_thm42(rs)
     rows = [row for row in rows if row["alpha"] == 2]
     assert rows
@@ -449,25 +455,31 @@ def test_a_sweep_runs_demazure_op_only_to_build_its_tables(monkeypatch, name, sw
 
 
 def test_thm42_steps_only_to_and_across_its_cosets(monkeypatch):
-    # per alpha, l(w_alpha) column steps climb from e to w_alpha, and then
-    # every other element of the coset W_P* w_alpha costs one: on D5 that
-    # is Sum_alpha (l(w_alpha) + |W_P| - 1) = 555 steps, against the
-    # 1919 of a walk of all of W; |W_P| comes from the closure oracle
+    # per alpha, l(w_alpha) column steps climb from e to w_alpha, which
+    # decides a passing coset: on D5 that is Sum_alpha l(w_alpha) = 56
+    # steps.  Under a wrong target every w_alpha fails, and every other
+    # element of its coset W_P* w_alpha costs one more: Sum_alpha
+    # (l(w_alpha) + |W_P| - 1) = 555, against the 1919 of a walk of all
+    # of W; |W_P| comes from the closure oracle
     rs = RootSystem(CartanType.parse("D5"))  # its own tables, built in this test
     ops, steps = [], []
     real_op, real_step = cohomology.demazure_op, cohomology._column_step
     monkeypatch.setattr(cohomology, "demazure_op", lambda *args: ops.append(1) or real_op(*args))
     monkeypatch.setattr(cohomology, "_column_step",
                         lambda *args: steps.append(1) or real_step(*args))
-    universe, _, _ = cohomology.verify_thm42(rs)
+    universe, rows, _ = cohomology.verify_thm42(rs)
     assert len(ops) == (len(rs.roots) + 1) * rs.rank
     letters = list(range(1, rs.rank + 1))
-    want = sum(cohomology.min_parabolic_rep(rs, a).length - 1
-               + parabolic_order_by_closure(rs, [k for k in letters if k != a])
-               for a in letters)
-    assert len(steps) == want == 555
-    assert universe == sum(parabolic_order_by_closure(rs, [k for k in letters if k != a])
-                           for a in letters)
+    orders = [parabolic_order_by_closure(rs, [k for k in letters if k != a]) for a in letters]
+    climbs = sum(cohomology.min_parabolic_rep(rs, a).length for a in letters)
+    assert (len(steps), rows) == (climbs, []) and climbs == 56
+    assert universe == sum(orders)
+    steps.clear()
+    shift_adjoint_target(monkeypatch, rs, 1)
+    universe, rows, _ = cohomology.verify_thm42(rs)
+    assert len(ops) == (len(rs.roots) + 1) * rs.rank
+    assert len(steps) == climbs + sum(orders) - len(letters) == 555
+    assert len(rows) == universe == sum(orders)
 
 
 def test_a_descent_one_step_short_fails_thm42(monkeypatch, capsys):
@@ -500,6 +512,62 @@ def test_thm42_is_priced_at_its_cosets(monkeypatch):
     # every D5 coset fits under 200 (the largest, W(D4), has 192), their sum does not
     with pytest.raises(GuardExceeded, match="hold 504 elements, above guard 200$"):
         cohomology.verify_thm42(build("D5"), 200)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "A5", "A6", "A7", "D4", "D5", "D6", "E6"])
+def test_thm42_decision_at_w_alpha_holds_on_its_whole_coset(name):
+    # w_alpha decides its coset: per alpha, the reader on every element of
+    # the coset W_P* w_alpha, walked to its end, gives w_alpha's verdict,
+    # on as many elements as the report counts
+    rs = build(name)
+    _, rows, details = cohomology.verify_thm42(rs)
+    seed, top, sign = cohomology._line_seed(rs, [True] * len(rs.positive_roots))
+    letters = set(range(1, rs.rank + 1))
+    for a in sorted(letters):
+        start = cohomology.min_parabolic_rep(rs, a).reduced_word()
+        verdicts = [not cohomology._thm42_rows(rs, a, h, cols, top) for _, _, h, cols
+                    in group_walk(rs, seed, None, sign, start, letters - {start[0]})]
+        assert len(verdicts) == details["elements_above_w_alpha"][str(a)]
+        assert verdicts == [verdicts[0]] * len(verdicts)
+        assert verdicts[0] == (a not in {row["alpha"] for row in rows})
+
+
+def test_thm42_reads_one_element_per_passing_coset_of_e8(monkeypatch):
+    # E8's cosets hold 3,395,520 elements; every w_alpha passes, so each
+    # alpha's walk yields w_alpha and no other element
+    rs = build("E8")
+    real, starts = cohomology.group_walk, []
+
+    def counted(*args):
+        for node in real(*args):
+            starts.append(tuple(args[4]))
+            yield node
+
+    monkeypatch.setattr(cohomology, "group_walk", counted)
+    universe, rows, _ = cohomology.verify_thm42(rs, 4_000_000)
+    assert (universe, rows) == (3395520, [])
+    assert starts == [cohomology.min_parabolic_rep(rs, a).reduced_word()
+                      for a in range(1, rs.rank + 1)]
+
+
+def test_thm42_walks_on_only_past_a_failing_w_alpha(monkeypatch):
+    # a reader that fails at w_2 of A4 alone: the report lists w_2's rows,
+    # coset 2 is read to its end, and every other coset at w_alpha only
+    rs = build("A4")
+    w2 = cohomology.min_parabolic_rep(rs, 2)
+    row = {"alpha": 2, "tau_word": list(w2.reduced_word()), "clause": "patched"}
+    real, read = cohomology._thm42_rows, []
+
+    def reader(rs, a, h, cols, top):
+        read.append(a)
+        return [dict(row)] if h == w2.heights else real(rs, a, h, cols, top)
+
+    monkeypatch.setattr(cohomology, "_thm42_rows", reader)
+    universe, rows, details = cohomology.verify_thm42(rs)
+    assert rows == [row]
+    assert [read.count(a) for a in range(1, rs.rank + 1)] == [
+        1, details["elements_above_w_alpha"]["2"], 1, 1]
+    assert details["elements_above_w_alpha"]["2"] > 1
 
 
 @pytest.mark.parametrize("name", ["B3", "C4", "F4", "G2"])

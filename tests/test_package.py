@@ -68,8 +68,12 @@ def test_package_never_indents_through_json_dumps(path):
     assert not indented
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "src" / "schubert").glob("*.py")),
-                         ids=lambda path: path.name)
+# the package's files by name, the tests' and the benchmark's by their folder
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "schubert").glob("*.py"))
+                         + sorted((ROOT / "tests").glob("*.py"))
+                         + sorted((ROOT / "benchmarks").glob("*.py")),
+                         ids=lambda path: path.name if path.parent.name == "schubert"
+                         else f"{path.parent.name}/{path.name}")
 def test_package_lines_fit_in_100_columns(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [n for n, line in enumerate(lines, 1) if len(line) > 100] == []

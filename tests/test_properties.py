@@ -99,7 +99,8 @@ def test_demazure_identity_under_the_dot_action(name, data):
     fw = data.draw(st.lists(st.integers(-4, 4), min_size=rs.rank, max_size=rs.rank), label="mu")
     i = data.draw(st.integers(1, rs.rank), label="i")
     alpha = rs.simple_roots[i - 1].weight.fw
-    mu, dotted = Weight(tuple(fw)), Weight(tuple(m - (fw[i - 1] + 1) * a for m, a in zip(fw, alpha)))
+    mu = Weight(tuple(fw))
+    dotted = Weight(tuple(m - (fw[i - 1] + 1) * a for m, a in zip(fw, alpha)))
     for op in (demazure_op, string_formula_demazure_op):
         assert op(rs, i, e(dotted)) == -op(rs, i, e(mu))
 
